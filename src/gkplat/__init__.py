@@ -12,10 +12,7 @@ from .channel_sim import (
     RNG_ALGORITHM,
     ErrorEstimate,
     NoiseModel,
-    TrialOutcome,
     estimate_error_probability,
-    recovery_outcome,
-    sample_displacement,
     wilson_interval,
 )
 from .classical_channel import (
@@ -35,7 +32,6 @@ from .concatenated import (
     css_decode,
     css_rate_qudits,
     entropy_base_d,
-    gkp_qudit_channel_sample,
     gkp_qudit_error_prob,
     min_distance_comparison,
     optimize_qudit_dimension,
@@ -52,13 +48,11 @@ from .decoder import (
     shortest_vector,
 )
 from .rates import (
-    RatePoint,
     best_integer_lambda,
     coherent_information,
     error_probability_bound,
     hw_upper_bound,
     minkowski_radius_sq,
-    overlap_rate,
     sphere_packing_rate,
     sphere_volume,
 )

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,13 +36,12 @@ from .decoder import TIE_REL, closest_point
 from .symplectic_lattice import (
     LatticeCode,
     coeff_transition,
-    logical_class,
     orthogonal_scale_sq,
 )
 
 RNG_ALGORITHM = "philox4x64+sha256-worker-streams/v1"
 WILSON_Z = 1.959963984540054  # 97.5th normal percentile, for 95% intervals
-_BATCH = 1 << 18
+_BATCH = 1 << 16  # rows per block; blocks of many MB page-fault afresh on every batch
 
 CRITERIA = ("voronoi", "coset")
 
@@ -56,8 +54,8 @@ class NoiseModel:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.sigma_sq < 0 or self.hbar <= 0:
-            raise ValueError("sigma_sq must be >= 0 and hbar > 0")
+        if not (0 <= self.sigma_sq < math.inf and 0 < self.hbar < math.inf):
+            raise ValueError("sigma_sq must be finite and >= 0, hbar finite and > 0")
 
     @property
     def lattice_sigma_sq(self) -> float:
@@ -67,20 +65,6 @@ class NoiseModel:
     @property
     def lattice_sigma(self) -> float:
         return math.sqrt(self.lattice_sigma_sq)
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    kind: str                                   # success | logical_error | tie
-    label: tuple[Fraction, ...] | None = None   # class in L_perp / L
-
-    @property
-    def is_success(self) -> bool:
-        return self.kind == "success"
-
-
-SUCCESS = TrialOutcome("success")
-TIE = TrialOutcome("tie")
 
 
 @dataclass(frozen=True)
@@ -122,28 +106,6 @@ def wilson_interval(failures: int, trials: int, z: float = WILSON_Z) -> tuple[fl
     return low, high
 
 
-def sample_displacement(noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One channel use: n iid Gaussian displacements in lattice coordinates."""
-    return rng.standard_normal(n) * noise.lattice_sigma
-
-
-def recovery_outcome(code: LatticeCode, xi, criterion: str = "voronoi") -> TrialOutcome:
-    """Outcome of decoding the displacement xi (lattice coordinates)."""
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}")
-    res = closest_point(code.normalizer, xi)
-    if res.tie:
-        return TIE
-    if criterion == "voronoi":
-        if not res.coeffs.any():
-            return SUCCESS
-        return TrialOutcome("logical_error", logical_class(code, res.coeffs))
-    label = logical_class(code, res.coeffs)
-    if all(c == 0 for c in label):
-        return SUCCESS
-    return TrialOutcome("logical_error", label)
-
-
 def _coset_test_arrays(code: LatticeCode) -> tuple[np.ndarray, int]:
     """Integer matrix/denominator pair: coeffs c are stabilizer translations
     iff (c @ num) % den == 0 for the exact transition written over a common
@@ -157,42 +119,40 @@ def _coset_test_arrays(code: LatticeCode) -> tuple[np.ndarray, int]:
     return num, den
 
 
-def _count_failures_rounding(code, noise, gen, count, criterion, m_inv, c_sq, num, den):
-    """Vectorized trial loop for orthogonal-frame normalizers.
+def failure_mask(code: LatticeCode, xi, criterion: str = "voronoi") -> np.ndarray:
+    """Decoding failure of each row of an (m, n) block xi of displacements
+    (lattice coordinates); ties on the cell boundary count as failures.
 
-    For these lattices nearest-point decoding is exact coordinatewise
-    rounding in basis coordinates, and the tie gap along coordinate i is
-    c_sq * (1 - 2|frac_i|).
+    The nearest normalizer point comes from coordinatewise rounding when
+    the normalizer has an orthogonal frame (exact there, with tie gap
+    c_sq * (1 - 2|frac_i|) along coordinate i) and from ``closest_point``
+    row by row otherwise. Voronoi success needs that point to be the
+    origin; coset success needs it to be a stabilizer translation.
     """
-    sigma = noise.lattice_sigma
-    failures = 0
-    done = 0
-    n = code.normalizer.n
-    while done < count:
-        batch = min(_BATCH, count - done)
-        u = (gen.standard_normal((batch, n)) * sigma) @ m_inv
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}")
+    lat = code.normalizer
+    xi = np.asarray(xi, dtype=float)
+    c_sq = orthogonal_scale_sq(lat)
+    if c_sq is not None:
+        c_sq = float(c_sq)
+        u = xi @ np.linalg.inv(lat.effective_matrix())
         k = np.rint(u)
         frac = u - k
         d1 = c_sq * np.einsum("ij,ij->i", frac, frac)
         gap = c_sq * (1.0 - 2.0 * np.abs(frac)).min(axis=1)
         tie = gap <= TIE_REL * (1.0 + d1)
-        if criterion == "voronoi":
-            success = ~k.any(axis=1) & ~tie
-        else:
-            coeffs = k.astype(np.int64)
-            success = ((coeffs @ num) % den == 0).all(axis=1) & ~tie
-        failures += int(batch - success.sum())
-        done += batch
-    return failures
-
-
-def _count_failures_generic(code, noise, gen, count, criterion):
-    failures = 0
-    for _ in range(count):
-        xi = sample_displacement(noise, code.normalizer.n, gen)
-        if not recovery_outcome(code, xi, criterion).is_success:
-            failures += 1
-    return failures
+        coeffs = k.astype(np.int64)
+    else:
+        results = [closest_point(lat, x) for x in xi]
+        coeffs = np.array([r.coeffs for r in results], dtype=np.int64).reshape(xi.shape)
+        tie = np.array([r.tie for r in results], dtype=bool)
+    if criterion == "voronoi":
+        trivial = ~coeffs.any(axis=1)
+    else:
+        num, den = _coset_test_arrays(code)
+        trivial = ((coeffs @ num) % den == 0).all(axis=1)
+    return tie | ~trivial
 
 
 def estimate_error_probability(code: LatticeCode, noise: NoiseModel, trials: int,
@@ -208,21 +168,13 @@ def estimate_error_probability(code: LatticeCode, noise: NoiseModel, trials: int
     if trials < 1 or workers < 1:
         raise ValueError("trials and workers must be positive")
 
-    c_sq = orthogonal_scale_sq(code.normalizer)
-    if c_sq is not None:
-        m_inv = np.linalg.inv(code.normalizer.effective_matrix())
-        num, den = _coset_test_arrays(code)
-
+    n = code.normalizer.n
     failures = 0
     for worker, count in enumerate(partition_trials(trials, workers)):
-        if count == 0:
-            continue
         gen = make_generator(seed, worker)
-        if c_sq is not None:
-            failures += _count_failures_rounding(
-                code, noise, gen, count, criterion, m_inv, float(c_sq), num, den)
-        else:
-            failures += _count_failures_generic(code, noise, gen, count, criterion)
+        for done in range(0, count, _BATCH):
+            xi = gen.standard_normal((min(_BATCH, count - done), n)) * noise.lattice_sigma
+            failures += int(failure_mask(code, xi, criterion).sum())
 
     low, high = wilson_interval(failures, trials)
     return ErrorEstimate(p_hat=failures / trials, ci_low=low, ci_high=high,

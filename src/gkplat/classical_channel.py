@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc as _erfc_vec
+from scipy.special import erfc
 
 from .concatenated import entropy_base_d
 
@@ -24,8 +24,8 @@ class ClassicalParams:
     sigma_sq: float
 
     def __post_init__(self):
-        if self.power <= 0 or self.sigma_sq <= 0:
-            raise ValueError("power and sigma_sq must be positive")
+        if not (0 < self.power < math.inf and 0 < self.sigma_sq < math.inf):
+            raise ValueError("power and sigma_sq must be finite and positive")
 
     @property
     def snr(self) -> float:
@@ -49,22 +49,22 @@ def debuda_rate(params: ClassicalParams) -> float:
     return max(0.0, 0.5 * math.log2(params.snr))
 
 
-def classical_dit_error_prob(d: int, params: ClassicalParams) -> float:
+def classical_dit_error_prob(d: int | np.ndarray, params: ClassicalParams) -> float | np.ndarray:
     """Per-variable error bound erfc(sqrt(3 P / (2 d^2 sigma^2))) for d-ary
-    signaling with spacing 2 dx, dx = sqrt(3 P) / d."""
-    if d < 2:
+    signaling with spacing 2 dx, dx = sqrt(3 P) / d; d may be an array."""
+    if np.any(np.asarray(d) < 2):
         raise ValueError("signal alphabet must have d >= 2")
-    return math.erfc(math.sqrt(1.5 * params.power / (d * d * params.sigma_sq)))
+    d_sq = np.asarray(d, dtype=float) ** 2
+    return erfc(np.sqrt(1.5 * params.power / (d_sq * params.sigma_sq)))
 
 
-def classical_concat_rate(d: int, p: float) -> float:
+def classical_concat_rate(d: int | np.ndarray, p) -> float | np.ndarray:
     """Bits per variable of a random outer code on d-ary signals:
-    log2(d) (1 - H_d(p) - p log_d(d-1)), clamped at 0."""
-    if d < 2:
+    log2(d) (1 - H_d(p) - p log_d(d-1)), clamped at 0. Scalars or arrays."""
+    if np.any(np.asarray(d) < 2):
         raise ValueError("signal alphabet must have d >= 2")
-    log_ratio = math.log(d - 1) / math.log(d)
-    rate_d = 1.0 - entropy_base_d(p, d) - p * log_ratio
-    return max(0.0, math.log2(d) * rate_d)
+    log_ratio = np.log(d - 1) / np.log(d)
+    return np.maximum(0.0, np.log2(d) * (1.0 - entropy_base_d(p, d) - p * log_ratio))
 
 
 def optimize_classical_d(params: ClassicalParams, d_max: int | None = None) -> tuple[int, float]:
@@ -78,11 +78,6 @@ def optimize_classical_d(params: ClassicalParams, d_max: int | None = None) -> t
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
     ds = np.arange(2, d_max + 1, dtype=np.int64)
-    p = _erfc_vec(np.sqrt(1.5 * params.power / (ds.astype(float) ** 2 * params.sigma_sq)))
-    log_d = np.log(ds.astype(float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(p > 0.0, -(p * np.log(p) + (1.0 - p) * np.log1p(-p)) / log_d, 0.0)
-    log_ratio = np.log(np.maximum(ds - 1, 1)) / log_d
-    rates = np.maximum(0.0, np.log2(ds.astype(float)) * (1.0 - h - p * log_ratio))
+    rates = classical_concat_rate(ds, classical_dit_error_prob(ds, params))
     idx = int(np.argmax(rates))
     return int(ds[idx]), float(rates[idx])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -74,6 +75,8 @@ def _canonical_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite number {obj!r}")
         return _fmt(obj)
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
@@ -173,7 +176,14 @@ def _resolve_lattice(spec: str):
 
 
 def _workers() -> int:
-    return max(1, int(os.environ.get("GKPLAT_WORKERS", "1")))
+    text = os.environ.get("GKPLAT_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"GKPLAT_WORKERS must be a positive integer, got {text!r}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +401,7 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         args.func(args)
-    except (ValueError, KeyError, OSError, AssertionError) as exc:
+    except (ValueError, KeyError, OSError, AssertionError, ArithmeticError) as exc:
         print(f"gkplat: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -21,10 +21,10 @@ asymptotic argument when something concrete must be simulated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc as _erfc_vec
+from scipy.special import erfc
 
 from .channel_sim import (
     ErrorEstimate,
@@ -54,7 +54,9 @@ class CssCode:
     ``hz`` rows are Z-type checks (they detect X errors), ``hx`` rows are
     X-type checks (they detect Z errors); hx @ hz^T must vanish mod d.
     ``decode_table`` maps ("X"|"Z", syndrome tuple) to a correction
-    exponent vector; syndromes outside the table are uncorrectable.
+    exponent vector; syndromes outside the table are uncorrectable. It is
+    turned once into per-sector sorted syndrome keys (``x_table``,
+    ``z_table``), which the batched decoder searches.
     """
 
     d: int
@@ -65,6 +67,8 @@ class CssCode:
     logical_x: np.ndarray
     logical_z: np.ndarray
     decode_table: dict
+    x_table: tuple = field(init=False, repr=False)
+    z_table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.d
@@ -78,42 +82,69 @@ class CssCode:
             raise ValueError("logical X anticommutes with a Z check")
         if self.hx.size and ((self.hx @ self.logical_z.T) % d).any():
             raise ValueError("logical Z anticommutes with an X check")
+        object.__setattr__(self, "x_table", self._syndrome_table("X", self.hz))
+        object.__setattr__(self, "z_table", self._syndrome_table("Z", self.hx))
+
+    def _syndrome_table(self, sector: str, checks: np.ndarray):
+        """Sorted int64 syndrome keys (base-d digits of the syndrome), their
+        correction rows, and the digit weights. A last key of int64 max,
+        above every syndrome, with a zero row keeps searchsorted in range
+        and stands for a missing syndrome."""
+        rows = checks.shape[0]
+        if self.d ** rows >= 2 ** 63:
+            raise ValueError(f"syndrome keys d**{rows} overflow int64; "
+                             f"d = {self.d} is too large for this code")
+        weights = self.d ** np.arange(rows - 1, -1, -1, dtype=np.int64)
+        entries = sorted(((int(np.array(synd, dtype=np.int64) @ weights), corr)
+                          for (sec, synd), corr in self.decode_table.items() if sec == sector),
+                         key=lambda entry: entry[0])
+        keys = np.array([key for key, _ in entries] + [np.iinfo(np.int64).max], dtype=np.int64)
+        corrections = np.zeros((len(keys), self.n), dtype=np.int64)
+        corrections[:-1] = [corr for _, corr in entries]
+        return keys, corrections, weights
 
 
-def gkp_qudit_error_prob(d: int, noise: NoiseModel) -> float:
-    """Tail bound erfc(sqrt(pi hbar / (4 d sigma^2))) on p_X and p_Z."""
-    if d < 1:
+def gkp_qudit_error_prob(d: int | np.ndarray, noise: NoiseModel) -> float | np.ndarray:
+    """Tail bound erfc(sqrt(pi hbar / (4 d sigma^2))) on p_X and p_Z; d may
+    be an integer or an array of them."""
+    if np.any(np.asarray(d) < 1):
         raise ValueError("qudit dimension must be >= 1")
-    return math.erfc(math.sqrt(math.pi * noise.hbar / (4.0 * d * noise.sigma_sq)))
+    return erfc(np.sqrt(math.pi * noise.hbar / (4.0 * d * noise.sigma_sq)))
 
 
-def entropy_base_d(p: float, d: int) -> float:
-    """Binary-split entropy -p log_d p - (1-p) log_d (1-p); 0 at p in {0,1}."""
-    if not 0.0 <= p <= 1.0:
+def entropy_base_d(p: float | np.ndarray, d: int | np.ndarray) -> float | np.ndarray:
+    """Binary-split entropy -p log_d p - (1-p) log_d (1-p); 0 at p in {0,1}.
+    Scalars or arrays (broadcast together)."""
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("p must lie in [0, 1]")
-    if d < 2:
+    if np.any(np.asarray(d) < 2):
         raise ValueError("entropy base must be >= 2")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    log_d = math.log(d)
-    return -(p * math.log(p) + (1.0 - p) * math.log1p(-p)) / log_d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(p * np.log(p) + (1.0 - p) * np.log1p(-p)) / np.log(d)
+    return np.where((p > 0.0) & (p < 1.0), h, 0.0)[()]  # [()]: scalar for scalar input
 
 
-def css_rate_qudits(d: int, p_x: float, p_z: float) -> float:
+def _css_sector_rate(d, p):
+    """One sector of the random CSS rate: 1 - 2 H_d(p) - 2 p log_d(d-1)."""
+    if np.any(np.asarray(d) < 2):
+        raise ValueError("qudit dimension must be >= 2")
+    log_ratio = np.log(d - 1) / np.log(d)  # 0 when d == 2
+    return 1.0 - 2.0 * entropy_base_d(p, d) - 2.0 * p * log_ratio
+
+
+def css_rate_qudits(d: int | np.ndarray, p_x, p_z) -> float | np.ndarray:
     """Achievable qudit rate of random CSS codes at error rates (p_x, p_z):
     min over both sectors of 1 - 2 H_d(p) - 2 p log_d(d-1), clamped at 0."""
-    if d < 2:
-        raise ValueError("qudit dimension must be >= 2")
-    log_ratio = math.log(d - 1) / math.log(d)  # 0 when d == 2
-    r_x = 1.0 - 2.0 * entropy_base_d(p_x, d) - 2.0 * p_x * log_ratio
-    r_z = 1.0 - 2.0 * entropy_base_d(p_z, d) - 2.0 * p_z * log_ratio
-    return max(0.0, min(r_x, r_z))
+    return np.maximum(0.0, np.minimum(_css_sector_rate(d, p_x), _css_sector_rate(d, p_z)))
 
 
-def concat_rate_qubits(d: int, noise: NoiseModel) -> float:
-    """Qubit rate of the concatenated scheme at qudit dimension d."""
+def concat_rate_qubits(d: int | np.ndarray, noise: NoiseModel) -> float | np.ndarray:
+    """Qubit rate log2(d) css_rate_qudits(d, p, p) of the concatenated
+    scheme at qudit dimension d, with p the grid-qudit error bound; the
+    symmetric case evaluates one sector."""
     p = gkp_qudit_error_prob(d, noise)
-    return math.log2(d) * css_rate_qudits(d, p, p)
+    return np.log2(d) * np.maximum(0.0, _css_sector_rate(d, p))
 
 
 @dataclass(frozen=True)
@@ -140,25 +171,13 @@ def optimize_qudit_dimension(noise: NoiseModel, d_max: int | None = None) -> Con
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
     ds = np.arange(2, d_max + 1, dtype=np.int64)
-    p = _erfc_vec(np.sqrt(math.pi * noise.hbar / (4.0 * ds * noise.sigma_sq)))
-    log_d = np.log(ds.astype(float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(p > 0.0, -(p * np.log(p) + (1.0 - p) * np.log1p(-p)) / log_d, 0.0)
-    log_ratio = np.where(ds > 2, np.log(np.maximum(ds - 1, 1)) / log_d, 0.0)
-    rate_d = np.maximum(0.0, 1.0 - 2.0 * h - 2.0 * p * log_ratio)
-    rates = np.log2(ds.astype(float)) * rate_d
+    rates = concat_rate_qubits(ds, noise)
     idx = int(np.argmax(rates))
     d_opt = int(ds[idx])
     rate = float(rates[idx])
     c_sq = 2.0 ** rate * noise.sigma_sq / noise.hbar
-    return ConcatDesign(noise.sigma_sq, noise.hbar, d_opt, float(p[idx]), rate, c_sq)
-
-
-def gkp_qudit_channel_sample(d: int, noise: NoiseModel,
-                             rng: np.random.Generator) -> QuditPauliError:
-    """Sample the qudit error one Gaussian channel use induces."""
-    a, b = sample_qudit_errors(d, noise, rng, 1)
-    return QuditPauliError(int(a[0]), int(b[0]))
+    p = float(gkp_qudit_error_prob(d_opt, noise))
+    return ConcatDesign(noise.sigma_sq, noise.hbar, d_opt, p, rate, c_sq)
 
 
 def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
@@ -244,47 +263,18 @@ def css_decode(code: CssCode, error: list[QuditPauliError]) -> tuple[list[QuditP
     table is flagged as a failure with no correction attempted; otherwise
     failure means the residual error acts nontrivially on the code space
     (detected by its pairing with the opposite logical operators mod d).
+    Runs as a batch of one through the decoder the simulation uses.
     """
     if len(error) != code.n:
         raise ValueError("error length must equal the block length")
-    d = code.d
-    a = np.array([e.a % d for e in error], dtype=np.int64)
-    b = np.array([e.b % d for e in error], dtype=np.int64)
-
-    corr_a = code.decode_table.get(("X", tuple((code.hz @ a) % d)))
-    corr_b = code.decode_table.get(("Z", tuple((code.hx @ b) % d)))
-    zero = np.zeros(code.n, dtype=np.int64)
-    failure = corr_a is None or corr_b is None
-    if corr_a is None:
-        corr_a = zero
-    if corr_b is None:
-        corr_b = zero
-    if not failure:
-        res_a = (a - corr_a) % d
-        res_b = (b - corr_b) % d
-        failure = bool(((res_a @ code.logical_z.T) % d).any()
-                       or ((res_b @ code.logical_x.T) % d).any())
-    correction = [QuditPauliError(int(x), int(y)) for x, y in zip(corr_a, corr_b)]
-    return correction, failure
+    a = np.array([[e.a % code.d for e in error]], dtype=np.int64)
+    b = np.array([[e.b % code.d for e in error]], dtype=np.int64)
+    corr_a, corr_b, failed = _batch_failures(code, a, b)
+    correction = [QuditPauliError(int(x), int(y)) for x, y in zip(corr_a[0], corr_b[0])]
+    return correction, bool(failed[0])
 
 
-def _dense_tables(code: CssCode, sector: str, checks: np.ndarray):
-    """Syndrome-indexed correction/coverage arrays for vectorized decoding."""
-    d, rows = code.d, checks.shape[0]
-    size = d ** rows
-    covered = np.zeros(size, dtype=bool)
-    corrections = np.zeros((size, code.n), dtype=np.int64)
-    weights = d ** np.arange(rows - 1, -1, -1, dtype=np.int64) if rows else np.zeros(0, np.int64)
-    for (sec, synd), corr in code.decode_table.items():
-        if sec != sector:
-            continue
-        key = int(np.dot(np.array(synd, dtype=np.int64), weights)) if rows else 0
-        covered[key] = True
-        corrections[key] = corr
-    return covered, corrections, weights
-
-
-_BATCH_TRIALS = 1 << 18
+_BATCH_TRIALS = 1 << 18  # sets which draws become X and Z shifts; changing it changes results
 
 
 def simulate_concatenated(code: CssCode, noise: NoiseModel, trials: int, seed: int,
@@ -298,47 +288,35 @@ def simulate_concatenated(code: CssCode, noise: NoiseModel, trials: int, seed: i
     """
     if trials < 1 or workers < 1:
         raise ValueError("trials and workers must be positive")
-    d = code.d
-    cov_x, corr_x, w_x = _dense_tables(code, "X", code.hz)
-    cov_z, corr_z, w_z = _dense_tables(code, "Z", code.hx)
-
     failures = 0
     batch_cap = max(1, _BATCH_TRIALS // max(1, code.n))
     for worker, count in enumerate(partition_trials(trials, workers)):
-        if count == 0:
-            continue
         gen = make_generator(seed, worker)
-        done = 0
-        while done < count:
-            batch = min(batch_cap, count - done)
-            a, b = sample_qudit_errors(d, noise, gen, (batch, code.n))
-            failures += _batch_failures(code, a, b, cov_x, corr_x, w_x,
-                                        cov_z, corr_z, w_z)
-            done += batch
+        for done in range(0, count, batch_cap):
+            a, b = sample_qudit_errors(code.d, noise, gen, (min(batch_cap, count - done), code.n))
+            failures += int(_batch_failures(code, a, b)[2].sum())
 
     low, high = wilson_interval(failures, trials)
     return ErrorEstimate(p_hat=failures / trials, ci_low=low, ci_high=high,
                          trials=trials, seed=seed, failures=failures)
 
 
-def _batch_failures(code, a, b, cov_x, corr_x, w_x, cov_z, corr_z, w_z) -> int:
-    d = code.d
-    if code.hz.size:
-        keys = ((a @ code.hz.T) % d) @ w_x
-    else:
-        keys = np.zeros(a.shape[0], dtype=np.int64)
-    bad_x = ~cov_x[keys]
-    res_a = (a - corr_x[keys]) % d
-    bad_x |= ((res_a @ code.logical_z.T) % d).any(axis=1)
+def _decode_sector(d, errors, checks, table, opposite_logical):
+    """Corrections and failure mask of one sector for (m, n) exponents."""
+    keys, corrections, weights = table
+    synd = ((errors @ checks.T) % d) @ weights
+    idx = np.searchsorted(keys, synd)
+    found = keys[idx] == synd
+    corr = corrections[np.where(found, idx, -1)]
+    return corr, ~found | (((errors - corr) @ opposite_logical.T) % d).any(axis=1)
 
-    if code.hx.size:
-        keys = ((b @ code.hx.T) % d) @ w_z
-    else:
-        keys = np.zeros(b.shape[0], dtype=np.int64)
-    bad_z = ~cov_z[keys]
-    res_b = (b - corr_z[keys]) % d
-    bad_z |= ((res_b @ code.logical_x.T) % d).any(axis=1)
-    return int((bad_x | bad_z).sum())
+
+def _batch_failures(code: CssCode, a, b):
+    """Syndrome decoding of (m, n) X exponents a and Z exponents b, sectors
+    independently: returns (X corrections, Z corrections, failure mask)."""
+    corr_a, bad_a = _decode_sector(code.d, a, code.hz, code.x_table, code.logical_z)
+    corr_b, bad_b = _decode_sector(code.d, b, code.hx, code.z_table, code.logical_x)
+    return corr_a, corr_b, bad_a | bad_b
 
 
 def min_distance_comparison(rate: float, n_modes: int, noise: NoiseModel) -> tuple[float, float, float]:

@@ -9,21 +9,10 @@ the dimensionless ratio hbar / sigma_sq.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .channel_sim import NoiseModel
 
-RATE_KINDS = ("coherent_info", "hw_upper", "sphere_packing", "overlap_rate",
-              "integer_lambda")
-
 _EPS = math.ulp(1.0)
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    sigma_sq: float
-    value_qubits: float
-    kind: str
 
 
 def coherent_information(noise: NoiseModel) -> float:
@@ -43,12 +32,6 @@ def sphere_packing_rate(noise: NoiseModel) -> float:
     Two qubits below the coherent information wherever both are positive.
     """
     return max(0.0, math.log2(noise.hbar / (math.e * noise.sigma_sq)) - 2.0)
-
-
-def overlap_rate(noise: NoiseModel) -> float:
-    """Achievable rate once decoding spheres may overlap negligibly;
-    closes the gap to the coherent information."""
-    return coherent_information(noise)
 
 
 def best_integer_lambda(noise: NoiseModel) -> tuple[int, float]:
@@ -99,18 +82,3 @@ def minkowski_radius_sq(n: int) -> float:
         raise ValueError("dimension must be positive")
     return n / (8.0 * math.pi * math.e)
 
-
-def rate_point(kind: str, noise: NoiseModel) -> RatePoint:
-    if kind == "coherent_info":
-        value = coherent_information(noise)
-    elif kind == "hw_upper":
-        value = hw_upper_bound(noise)
-    elif kind == "sphere_packing":
-        value = sphere_packing_rate(noise)
-    elif kind == "overlap_rate":
-        value = overlap_rate(noise)
-    elif kind == "integer_lambda":
-        value = best_integer_lambda(noise)[1]
-    else:
-        raise ValueError(f"unknown rate kind: {kind!r}")
-    return RatePoint(noise.sigma_sq, value, kind)

@@ -7,16 +7,22 @@ import pytest
 
 from gkplat.catalog import get
 from gkplat.channel_sim import (
-    SUCCESS,
-    TIE,
+    CRITERIA,
     NoiseModel,
     estimate_error_probability,
+    failure_mask,
     make_generator,
-    recovery_outcome,
-    sample_displacement,
+    partition_trials,
     wilson_interval,
 )
-from gkplat.symplectic_lattice import make_code
+from gkplat.decoder import closest_point
+from gkplat.symplectic_lattice import (
+    lattice_from_rows,
+    logical_class,
+    make_code,
+    orthogonal_scale_sq,
+    rescale,
+)
 
 from oracles import square_lattice_failure_prob, wilson_halfwidth
 
@@ -27,56 +33,76 @@ def lattice_noise(sigma_lattice: float, hbar: float = 1.0) -> NoiseModel:
 
 
 GQ2 = make_code(get("grid_qudit(2)").lattice)
+D4 = make_code(get("D4").lattice)
+
+
+def skewed_grid_code(d: int):
+    """grid_qudit(d) from the basis (1, 0), (1, 1): the same point sets, but
+    no orthogonal frame, so decoding takes the closest_point path."""
+    code = make_code(lattice_from_rows([[1, 0], [1, 1]], d))
+    assert orthogonal_scale_sq(code.normalizer) is None
+    return code
+
+
+GQ2_SKEW = skewed_grid_code(2)
 
 
 class TestSampling:
     def test_zero_variance(self):
-        xi = sample_displacement(NoiseModel(0.0), 4, make_generator(1))
-        assert np.array_equal(xi, np.zeros(4))
+        for code in (GQ2, D4):
+            for criterion in CRITERIA:
+                est = estimate_error_probability(code, NoiseModel(0.0), 1000, seed=1,
+                                                 criterion=criterion)
+                assert est.failures == 0
 
-    def test_mean_concentration(self):
+    def test_estimate_reads_worker_streams(self):
+        # worker w decodes rows of its own stream, scaled by lattice_sigma
         noise = lattice_noise(0.3)
-        gen = make_generator(2)
-        draws = np.concatenate(
-            [sample_displacement(noise, 2, gen) for _ in range(500_000)])
-        sigma = noise.lattice_sigma
-        assert abs(draws.mean()) <= 4.0 * sigma / 1000.0
-
-    def test_variance_concentration(self):
-        noise = lattice_noise(0.3)
-        gen = make_generator(3)
-        draws = sample_displacement(noise, 1_000_000, gen)
-        assert draws.var() == pytest.approx(noise.lattice_sigma_sq, rel=0.01)
+        for code, trials in ((GQ2, 100_001), (D4, 1001)):
+            expected = 0
+            for worker, count in enumerate(partition_trials(trials, 2)):
+                block = make_generator(4, worker).standard_normal((count, code.normalizer.n))
+                expected += int(failure_mask(code, block * noise.lattice_sigma, "coset").sum())
+            est = estimate_error_probability(code, noise, trials, 4, "coset", workers=2)
+            assert est.failures == expected
 
 
 class TestRecoveryOutcome:
+    """One-row calls of the batched failure test, on the rounding path
+    (GQ2) and the closest_point path (the same lattices, skewed basis)."""
+
     def test_zero_displacement(self):
-        zero = [0.0, 0.0]
-        assert recovery_outcome(GQ2, zero, "voronoi") is SUCCESS
-        assert recovery_outcome(GQ2, zero, "coset") is SUCCESS
+        for code in (GQ2, GQ2_SKEW, D4):
+            for criterion in CRITERIA:
+                assert not failure_mask(code, np.zeros((1, code.normalizer.n)), criterion)[0]
 
     def test_normalizer_vector_outside_stabilizer(self):
         # (1/sqrt(2)) e_2: a normalizer generator that is not a stabilizer
-        xi = np.array([0.0, 1.0 / math.sqrt(2.0)])
-        for criterion in ("voronoi", "coset"):
-            out = recovery_outcome(GQ2, xi, criterion)
-            assert out.kind == "logical_error"
-            assert any(c != 0 for c in out.label)
+        xi = np.array([[0.0, 1.0 / math.sqrt(2.0)]])
+        for code in (GQ2, GQ2_SKEW):
+            assert any(logical_class(code, closest_point(code.normalizer, xi[0]).coeffs))
+            for criterion in CRITERIA:
+                assert failure_mask(code, xi, criterion)[0]
 
     def test_stabilizer_vector_distinguishes_criteria(self):
-        xi = np.array([math.sqrt(2.0), 0.0])
-        voronoi = recovery_outcome(GQ2, xi, "voronoi")
-        assert voronoi.kind == "logical_error"
-        assert all(c == 0 for c in voronoi.label)  # trivial class, yet a failure
-        assert recovery_outcome(GQ2, xi, "coset") is SUCCESS
+        xi = np.array([[math.sqrt(2.0), 0.0]])
+        for code in (GQ2, GQ2_SKEW):
+            assert not any(logical_class(code, closest_point(code.normalizer, xi[0]).coeffs))
+            assert failure_mask(code, xi, "voronoi")[0]  # trivial class, yet a failure
+            assert not failure_mask(code, xi, "coset")[0]
 
     def test_boundary_tie(self):
-        xi = np.array([1.0 / (2.0 * math.sqrt(2.0)), 0.0])
-        assert recovery_outcome(GQ2, xi, "voronoi") is TIE
+        xi = np.array([[1.0 / (2.0 * math.sqrt(2.0)), 0.0]])
+        for code in (GQ2, GQ2_SKEW):
+            assert closest_point(code.normalizer, xi[0]).tie
+            for criterion in CRITERIA:
+                assert failure_mask(code, xi, criterion)[0]
 
     def test_rejects_unknown_criterion(self):
         with pytest.raises(ValueError):
-            recovery_outcome(GQ2, [0.0, 0.0], "ml")
+            failure_mask(GQ2, [[0.0, 0.0]], "ml")
+        with pytest.raises(ValueError):
+            estimate_error_probability(GQ2, NoiseModel(0.1), 10, seed=1, criterion="ml")
 
 
 class TestEstimate:
@@ -129,18 +155,31 @@ class TestEstimate:
         assert est.ci_low <= est.p_hat <= est.ci_high
 
     def test_generic_path_agrees_with_rounding_path(self):
-        # D4 exercises the enumeration path; grid lattices the rounding path.
-        # Cross-check the two on a lattice both can handle.
-        code = make_code(get("grid_qudit(3)").lattice)
-        noise = lattice_noise(0.2)
-        fast = estimate_error_probability(code, noise, 2_000, seed=41)
-        slow_failures = 0
-        gen = make_generator(41, 0)
-        for _ in range(2_000):
-            xi = sample_displacement(noise, 2, gen)
-            if not recovery_outcome(code, xi, "voronoi").is_success:
-                slow_failures += 1
-        assert fast.failures == slow_failures
+        # one lattice in two bases: rounding in the orthogonal one,
+        # closest_point in the skewed one; every trial decides alike
+        code, skew = make_code(get("grid_qudit(3)").lattice), skewed_grid_code(3)
+        xi = make_generator(41, 0).standard_normal((2_000, 2)) * lattice_noise(0.2).lattice_sigma
+        for criterion in CRITERIA:
+            mask = failure_mask(code, xi, criterion)
+            assert mask.any()
+            assert np.array_equal(mask, failure_mask(skew, xi, criterion))
+
+    @pytest.mark.parametrize("name,sigma_sq,trials,failures", [
+        ("D4", 0.5, 1000, {("voronoi", 1): 426, ("voronoi", 2): 431,
+                           ("coset", 1): 422, ("coset", 2): 427}),
+        ("E8x2", 0.5, 200, {("voronoi", 1): 173, ("voronoi", 2): 164,
+                            ("coset", 1): 173, ("coset", 2): 164}),
+        ("grid_qudit(2)", 1.0, 200_000, {("voronoi", 1): 121650, ("voronoi", 2): 121965,
+                                         ("coset", 1): 119706, ("coset", 2): 119927}),
+    ])
+    def test_pinned_failure_counts(self, name, sigma_sq, trials, failures):
+        # exact counts at seed 17: a change to sampling or decoding shows here
+        lat = rescale(get("E8").lattice, 2) if name == "E8x2" else get(name).lattice
+        code = make_code(lat)
+        for (criterion, workers), want in failures.items():
+            est = estimate_error_probability(code, NoiseModel(sigma_sq), trials, 17,
+                                             criterion, workers)
+            assert est.failures == want, (criterion, workers)
 
     def test_generic_lattice_runs(self):
         code = make_code(get("D4").lattice)
@@ -173,3 +212,10 @@ class TestNoiseModel:
             NoiseModel(-1.0)
         with pytest.raises(ValueError):
             NoiseModel(1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            NoiseModel(bad)
+        with pytest.raises(ValueError):
+            NoiseModel(0.1, bad)

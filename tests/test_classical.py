@@ -131,6 +131,25 @@ class TestOptimize:
             _, rate = optimize_classical_d(params)
             assert rate < shannon_capacity(params)
 
+    def test_d_opt_pinned_on_readme_grid(self):
+        # classical-rates --snr-grid 1:1e6:100
+        d_opt = [optimize_classical_d(at_snr(float(snr)))[0] for snr in np.geomspace(1, 1e6, 100)]
+        assert d_opt == [2] * 13 + [3] * 7 + [4] * 4 + [5] * 3 + [6] * 3 + [
+            7, 7, 8, 8, 9, 9, 10, 11, 11, 12, 13, 14, 15, 16, 17, 18, 19, 21, 22, 24, 25, 27,
+            29, 31, 33, 35, 38, 40, 43, 46, 49, 53, 56, 60, 64, 69, 74, 79, 84, 90, 97, 104,
+            111, 119, 127, 136, 145, 156, 166, 178, 191, 204, 219, 234, 250, 268, 287, 307,
+            329, 352, 377, 404, 432, 463, 496, 531, 568, 608, 651, 697]
+
+    def test_arrays_match_scalars(self):
+        params = at_snr(1e3)
+        ds = np.arange(2, 60)
+        probs = classical_dit_error_prob(ds, params)
+        rates = classical_concat_rate(ds, probs)
+        for i, d in enumerate(ds):
+            p = classical_dit_error_prob(int(d), params)
+            assert probs[i] == pytest.approx(p, rel=1e-15, abs=0)
+            assert rates[i] == pytest.approx(classical_concat_rate(int(d), p), rel=1e-15, abs=0)
+
     def test_d_opt_scales_like_sqrt_snr(self):
         for snr in [1e2, 1e3, 1e4]:
             d1, _ = optimize_classical_d(at_snr(snr))
@@ -158,8 +177,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             ClassicalParams(1.0, -2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_params(self, bad):
+        with pytest.raises(ValueError):
+            ClassicalParams(bad, 1.0)
+        with pytest.raises(ValueError):
+            ClassicalParams(1.0, bad)
+
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             classical_dit_error_prob(1, at_snr(10.0))
         with pytest.raises(ValueError):
             classical_concat_rate(1, 0.1)
+        with pytest.raises(ValueError):
+            classical_dit_error_prob(np.array([4, 1]), at_snr(10.0))
+        with pytest.raises(ValueError):
+            classical_concat_rate(np.array([4, 1]), 0.1)

@@ -5,9 +5,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from gkplat.cli import main
+from gkplat.cli import _canonical_json, main
 
 from oracles import square_lattice_failure_prob, wilson_halfwidth
 
@@ -136,6 +137,14 @@ class TestConcatSimCommand:
         assert result["d"] == 2
         assert 0.0 <= result["p_hat"] <= 1.0
 
+    def test_large_d(self, capsys):
+        args = ["concat-sim", "--sigma-sq", "1e-4", "--trials", "10000", "--seed", "1"]
+        code, out, _ = run_cli(args + ["--d", "1000"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["d"] == 1000
+        code, out, err = run_cli(args + ["--d", "1449"], capsys)
+        assert_one_error_line(code, out, err)
+
     def test_unknown_code_family(self, capsys):
         code, _, err = run_cli(["concat-sim", "--code", "steane", "--d", "2",
                                 "--sigma-sq", "0.05", "--trials", "10",
@@ -173,6 +182,46 @@ class TestDecode:
     def test_boundary_tie(self, capsys):
         _, out, _ = run_cli(["decode", "Zn:2", "0.5,0"], capsys)
         assert json.loads(out)["result"]["tie"] is True
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gkplat: error: ")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--lattice", "grid_qudit:2", "--trials", "1000", "--seed", "1"],
+        ["concat-sim", "--d", "3", "--trials", "1000", "--seed", "1"],
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sigma_sq(self, capsys, command, value):
+        assert_one_error_line(*run_cli(command + ["--sigma-sq", value], capsys))
+
+    def test_lattice_file_with_zero_denominator(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 2, "lambda": "1/0", "basis": [["1", "0"], ["0", "1"]]}')
+        assert_one_error_line(*run_cli(["decode", str(path), "0.1,0.2"], capsys))
+
+    @pytest.mark.parametrize("grid", ["1e-170:1e-170:1", "1e-160:1e-160:1"])
+    def test_sigma_grid_underflow(self, capsys, grid):
+        # sigma^2 underflows to 0, or to a subnormal whose d-scan ceiling is inf
+        assert_one_error_line(*run_cli(["concat-rates", "--sigma-grid", grid], capsys))
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_bad_worker_count(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GKPLAT_WORKERS", value)
+        code, out, err = run_cli(["simulate", "--lattice", "grid_qudit:2", "--sigma-sq", "0.1",
+                                  "--trials", "10", "--seed", "1"], capsys)
+        assert_one_error_line(code, out, err)
+        assert "GKPLAT_WORKERS" in err
+
+    def test_json_refuses_non_finite(self):
+        for value in (math.nan, math.inf, np.float64(-math.inf)):
+            with pytest.raises(ValueError):
+                _canonical_json({"x": [1.0, value]})
 
 
 class TestExitCodes:

@@ -16,7 +16,6 @@ from gkplat.concatenated import (
     css_decode,
     css_rate_qudits,
     entropy_base_d,
-    gkp_qudit_channel_sample,
     gkp_qudit_error_prob,
     min_distance_comparison,
     optimize_qudit_dimension,
@@ -96,6 +95,31 @@ class TestCssRate:
             assert css_rate_qudits(d, p, p) == pytest.approx(expected, rel=1e-13)
 
 
+class TestArrayForms:
+    def test_arrays_match_scalars(self):
+        noise = NoiseModel(0.02)
+        ds = np.arange(2, 40)
+        ps = np.linspace(0.0, 1.0, len(ds))
+        cases = [(gkp_qudit_error_prob(ds, noise), lambda d, p: gkp_qudit_error_prob(d, noise)),
+                 (entropy_base_d(ps, ds), lambda d, p: entropy_base_d(p, d)),
+                 (css_rate_qudits(ds, ps, 1.0 - ps), lambda d, p: css_rate_qudits(d, p, 1.0 - p)),
+                 (concat_rate_qubits(ds, noise), lambda d, p: concat_rate_qubits(d, noise))]
+        for array, scalar in cases:
+            assert array.shape == ds.shape
+            for i, d in enumerate(ds):
+                assert array[i] == pytest.approx(scalar(int(d), float(ps[i])), rel=1e-15, abs=0)
+
+    def test_arrays_are_checked(self):
+        with pytest.raises(ValueError):
+            entropy_base_d(np.array([0.1, 1.5]), 2)
+        with pytest.raises(ValueError):
+            entropy_base_d(np.array([0.1, np.nan]), 2)
+        with pytest.raises(ValueError):
+            css_rate_qudits(np.array([3, 1]), 0.1, 0.1)
+        with pytest.raises(ValueError):
+            gkp_qudit_error_prob(np.array([2, 0]), NoiseModel(0.1))
+
+
 class TestConcatRate:
     def test_approaches_log2_d(self):
         noise = NoiseModel(1e-6)
@@ -152,6 +176,16 @@ class TestOptimize:
             design = optimize_qudit_dimension(noise)
             assert design.rate_qubits < coherent_information(noise)
 
+    def test_d_opt_pinned_on_readme_grid(self):
+        # concat-rates --sigma-grid 0.0137:0.45:60
+        d_opt = [optimize_qudit_dimension(NoiseModel(float(s) ** 2)).d_opt
+                 for s in np.geomspace(0.0137, 0.45, 60)]
+        assert d_opt == [
+            1318, 1176, 1049, 936, 835, 745, 665, 593, 529, 472, 422, 376, 336, 300, 268,
+            239, 214, 191, 171, 152, 136, 122, 109, 97, 87, 78, 70, 62, 56, 50, 45, 40, 36,
+            32, 29, 26, 23, 21, 19, 17, 15, 13, 12, 11, 10, 9, 8, 7, 6, 6, 5, 5, 4, 4, 4, 3,
+            3, 3, 3, 2]
+
     def test_c_sq_slowly_varying(self):
         # variation of log2(c_sq) within each decade of sigma^2 stays under a bit
         grid = np.geomspace(1.88e-4, 0.188, 41)
@@ -167,8 +201,8 @@ class TestOptimize:
 class TestChannelSample:
     def test_vanishing_noise(self):
         gen = make_generator(50)
-        err = gkp_qudit_channel_sample(3, NoiseModel(1e-8), gen)
-        assert err.is_identity
+        a, b = sample_qudit_errors(3, NoiseModel(1e-8), gen, 1)
+        assert a.tolist() == b.tolist() == [0]
 
     @pytest.mark.parametrize("d,p_target", [(2, 0.002), (2, 0.05), (3, 0.2)])
     def test_erfc_bound_tightness(self, d, p_target):
@@ -252,6 +286,24 @@ class TestShor9:
         for pos, a, b, err in all_single_errors(d):
             _, failure = css_decode(code, err)
             assert not failure, (pos, a, b)
+
+    def test_d1000_single_errors_corrected(self):
+        # sectors decode independently, so X^v Z^(d-v) covers every nonzero
+        # exponent of both sectors at each position
+        d = 1000
+        code = shor9_code(d)
+        for pos in range(9):
+            for v in range(1, d):
+                err = [QuditPauliError(0, 0)] * 9
+                err[pos] = QuditPauliError(v, d - v)
+                correction, failure = css_decode(code, err)
+                assert not failure, (pos, v)
+                assert correction[pos].a == v  # Z corrections agree up to a stabilizer
+
+    def test_syndrome_keys_must_fit_int64(self):
+        assert shor9_code(1448).d == 1448   # 1448**6 < 2**63
+        with pytest.raises(ValueError):
+            shor9_code(1449)
 
     def test_block_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -357,6 +409,19 @@ class TestSimulateConcatenated:
             fails_scalar += failure
         est = simulate_concatenated(code, noise, 500, seed=73)
         assert est.failures == fails_scalar
+
+    @pytest.mark.parametrize("d,workers,failures", [
+        (3, 1, 23), (3, 2, 30), (10, 1, 71574), (10, 2, 71280)])
+    def test_pinned_failure_counts(self, d, workers, failures):
+        # exact counts at seed 19: a change to sampling or decoding shows here
+        est = simulate_concatenated(shor9_code(d), NoiseModel(0.05), 300_000, 19, workers)
+        assert est.failures == failures
+
+    def test_runs_at_large_d(self):
+        est = simulate_concatenated(shor9_code(1000), NoiseModel(1e-4), 10_000, seed=1,
+                                    workers=2)
+        assert est.trials == 10_000
+        assert est.p_hat < 0.01
 
     def test_trivial_code_reproduces_raw_error_rate(self):
         d = 2

@@ -12,8 +12,6 @@ from gkplat.rates import (
     error_probability_bound,
     hw_upper_bound,
     minkowski_radius_sq,
-    overlap_rate,
-    rate_point,
     sphere_packing_rate,
     sphere_volume,
 )
@@ -62,13 +60,6 @@ class TestSpherePacking:
                 coherent_information(noise) - 2.0, abs=1e-12)
 
 
-class TestOverlapRate:
-    def test_equals_coherent_information(self):
-        for s in [1.0 / E, 1.0 / (2.0 * E), 1.0 / (8.0 * E), 0.01, 3.0]:
-            noise = NoiseModel(s)
-            assert overlap_rate(noise) == coherent_information(noise)
-
-
 class TestBestIntegerLambda:
     def test_interior_value(self):
         lam, rate = best_integer_lambda(NoiseModel(0.1))
@@ -88,7 +79,7 @@ class TestBestIntegerLambda:
         for s in np.geomspace(1e-5, 1.0, 100):
             noise = NoiseModel(float(s))
             lam, rate = best_integer_lambda(noise)
-            assert rate <= overlap_rate(noise) + 1e-12
+            assert rate <= coherent_information(noise) + 1e-12
 
 
 class TestErrorProbabilityBound:
@@ -149,9 +140,8 @@ class TestCurveRelations:
         for s in np.geomspace(1e-5, 1.0 / (4.0 * E), 100, endpoint=False):
             noise = NoiseModel(float(s))
             sp = sphere_packing_rate(noise)
-            ov = overlap_rate(noise)
+            ov = coherent_information(noise)
             assert sp + 2.0 == pytest.approx(ov, abs=1e-12)
-            assert ov == coherent_information(noise)
             assert ov <= hw_upper_bound(noise)
             assert best_integer_lambda(noise)[1] <= ov + 1e-12
 
@@ -170,16 +160,8 @@ class TestCurveRelations:
             values = [fn(NoiseModel(float(s))) for s in grid]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
-
-class TestRatePoint:
-    def test_kinds(self):
-        noise = NoiseModel(0.01)
-        assert rate_point("coherent_info", noise).value_qubits == coherent_information(noise)
-        assert rate_point("integer_lambda", noise).value_qubits == best_integer_lambda(noise)[1]
-        with pytest.raises(ValueError):
-            rate_point("nonsense", noise)
-
     def test_zero_when_log_argument_small(self):
         noise = NoiseModel(10.0)
-        for kind in ["coherent_info", "hw_upper", "sphere_packing", "integer_lambda"]:
-            assert rate_point(kind, noise).value_qubits == 0.0
+        for fn in (coherent_information, hw_upper_bound, sphere_packing_rate):
+            assert fn(noise) == 0.0
+        assert best_integer_lambda(noise)[1] == 0.0
