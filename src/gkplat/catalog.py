@@ -104,7 +104,3 @@ def get(name: str) -> CatalogEntry:
         kind, arg = m.group(1), int(m.group(2))
         return _zn(arg) if kind == "Zn" else _grid_qudit(arg)
     raise KeyError(f"unknown lattice name: {name!r}")
-
-
-def names() -> tuple[str, ...]:
-    return ("Zn(n)", "D4", "E8", "grid_qudit(d)")

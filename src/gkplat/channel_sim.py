@@ -90,8 +90,10 @@ def make_generator(seed: int, worker: int = 0) -> np.random.Generator:
 
 
 def partition_trials(trials: int, workers: int) -> list[int]:
+    """Trial counts of the workers that draw: the first min(workers, trials)
+    of them; any further worker would run zero trials."""
     base, extra = divmod(trials, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
+    return [base + (1 if i < extra else 0) for i in range(min(workers, trials))]
 
 
 def wilson_interval(failures: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:

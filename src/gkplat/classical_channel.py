@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .concatenated import entropy_base_d
+from .concatenated import entropy_base_d, scan_dimensions
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,5 @@ def optimize_classical_d(params: ClassicalParams, d_max: int | None = None) -> t
     """
     if d_max is None:
         d_max = max(2, math.ceil(8.0 * math.sqrt(params.snr)))
-    if d_max < 2:
-        raise ValueError("d_max must be >= 2")
-    ds = np.arange(2, d_max + 1, dtype=np.int64)
-    rates = classical_concat_rate(ds, classical_dit_error_prob(ds, params))
-    idx = int(np.argmax(rates))
-    return int(ds[idx]), float(rates[idx])
+    return scan_dimensions(
+        lambda ds: classical_concat_rate(ds, classical_dit_error_prob(ds, params)), d_max)

@@ -15,7 +15,7 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,15 +49,20 @@ from .symplectic_lattice import (
 )
 
 
-def _fmt(value) -> str:
-    """17-significant-digit decimal for floats; plain repr for ints/str."""
+def _scalar(value) -> str:
+    """One CSV cell or JSON scalar: true/false, plain ints, .17g floats;
+    strings pass through unquoted. NaN and infinities are refused."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite number {value!r}")
         return format(float(value), ".17g")
-    return str(value)
+    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def _canonical_json(obj) -> str:
@@ -70,103 +75,61 @@ def _canonical_json(obj) -> str:
         return "[" + ",".join(_canonical_json(v) for v in obj) + "]"
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot serialize non-finite number {obj!r}")
-        return _fmt(obj)
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return _scalar(obj)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record emitted with every output artifact."""
-
-    command: tuple[str, ...]
-    artifact_version: str
-    output_sha256: str
-    seed: int | None = None
-    grid: str | None = None
-    rng_algorithm: str | None = None
-    workers: int | None = None
-
-    def to_dict(self) -> dict:
-        fields = {
-            "command": list(self.command),
-            "artifact_version": self.artifact_version,
-            "output_sha256": self.output_sha256,
-            "seed": self.seed,
-            "grid": self.grid,
-            "rng_algorithm": self.rng_algorithm,
-            "workers": self.workers,
-        }
-        return {k: v for k, v in fields.items() if v is not None}
+def _manifest(args, payload_sha: str, **fields) -> dict:
+    """Provenance record of one artifact; fields that are None are left out."""
+    manifest = {
+        "command": ["gkplat", *args._argv],
+        "artifact_version": __version__,
+        "output_sha256": payload_sha,
+        **fields,
+    }
+    return {k: v for k, v in manifest.items() if v is not None}
 
 
-def _manifest(args, payload_sha: str, *, seed=None, grid=None, rng=None, workers=None) -> dict:
-    manifest = RunManifest(
-        command=("gkplat", *args._argv),
-        artifact_version=__version__,
-        output_sha256=payload_sha,
-        seed=seed,
-        grid=grid,
-        rng_algorithm=rng,
-        workers=workers,
-    )
-    return manifest.to_dict()
-
-
-def _emit_csv(args, header: list[str], rows: list[list], **manifest_kw) -> None:
-    payload = ",".join(header) + "\n"
-    payload += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+def _emit(args, result, **fields) -> None:
+    """Write one artifact, a JSON result dict or a CSV table (rows, header
+    first), with the manifest of its payload: embedded in JSON, by checksum
+    in a CSV comment, and with --out also in a ``<out>.manifest.json``."""
+    is_json = isinstance(result, dict)
+    if is_json:
+        payload = _canonical_json(result)
+    else:
+        payload = "".join(",".join(map(_scalar, row)) + "\n" for row in result)
     payload_sha = hashlib.sha256(payload.encode()).hexdigest()
-    man = _manifest(args, payload_sha, **manifest_kw)
-    man_json = _canonical_json(man)
-    man_sha = hashlib.sha256(man_json.encode()).hexdigest()
-    text = f"# manifest-sha256: {man_sha}\n" + payload
-    _write(args.out, text, man_json)
-
-
-def _emit_json(args, result: dict, **manifest_kw) -> None:
-    result_json = _canonical_json(result)
-    payload_sha = hashlib.sha256(result_json.encode()).hexdigest()
-    man = _manifest(args, payload_sha, **manifest_kw)
-    text = _canonical_json({"manifest": man, "result": result}) + "\n"
-    _write(args.out, text, _canonical_json(man))
-
-
-def _write(out, text: str, man_json: str) -> None:
-    if out is None:
+    man_json = _canonical_json(_manifest(args, payload_sha, **fields))
+    if is_json:  # the bytes of _canonical_json({"manifest": ..., "result": ...})
+        text = f'{{"manifest":{man_json},"result":{payload}}}\n'
+    else:
+        man_sha = hashlib.sha256(man_json.encode()).hexdigest()
+        text = f"# manifest-sha256: {man_sha}\n{payload}"
+    if args.out is None:
         sys.stdout.write(text)
         return
-    with open(out, "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         fh.write(text)
-    with open(f"{out}.manifest.json", "w", newline="") as fh:
+    with open(f"{args.out}.manifest.json", "w", newline="") as fh:
         fh.write(man_json + "\n")
 
 
-def _grid_spec(spec: str) -> str:
-    """Validate a start:stop:points grid spec (log spacing); returns it."""
+def _grid(spec: str) -> tuple[str, np.ndarray]:
+    """Parse a start:stop:points grid spec; returns it with its log-spaced
+    values. Endpoints must be positive and finite."""
     try:
         start_s, stop_s, pts_s = spec.split(":")
         start, stop, pts = float(start_s), float(stop_s), int(pts_s)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"grid must be start:stop:points, got {spec!r}")
-    if start <= 0 or stop <= 0 or pts < 1:
-        raise argparse.ArgumentTypeError("grid endpoints must be positive, points >= 1")
-    return spec
-
-
-def _grid_values(spec: str) -> np.ndarray:
-    start_s, stop_s, pts_s = spec.split(":")
-    return np.geomspace(float(start_s), float(stop_s), int(pts_s))
+    if not (0 < start < math.inf and 0 < stop < math.inf) or pts < 1:
+        raise argparse.ArgumentTypeError(
+            "grid endpoints must be positive and finite, points >= 1")
+    return spec, np.geomspace(start, stop, pts)
 
 
 def _resolve_lattice(spec: str):
@@ -190,27 +153,28 @@ def _workers() -> int:
 # subcommands
 
 def _cmd_rates(args) -> None:
-    rows = []
-    for s in _grid_values(args.sigma_sq_grid):
+    spec, grid = args.sigma_sq_grid
+    table = [["sigma_sq", "coherent_info", "hw_upper", "sphere_packing",
+              "integer_lambda_rate"]]
+    for s in grid:
         noise = NoiseModel(float(s), args.hbar)
-        rows.append([
+        table.append([
             float(s),
             coherent_information(noise),
             hw_upper_bound(noise),
             sphere_packing_rate(noise),
             best_integer_lambda(noise)[1],
         ])
-    header = ["sigma_sq", "coherent_info", "hw_upper", "sphere_packing",
-              "integer_lambda_rate"]
-    _emit_csv(args, header, rows, grid=args.sigma_sq_grid)
+    _emit(args, table, grid=spec)
 
 
 def _cmd_concat_rates(args) -> None:
-    rows = []
-    for sigma in _grid_values(args.sigma_grid):
+    spec, grid = args.sigma_grid
+    table = [["sigma_sq", "d_opt", "p", "rate", "c_sq", "coherent_info"]]
+    for sigma in grid:
         noise = NoiseModel(float(sigma) ** 2, args.hbar)
         design = optimize_qudit_dimension(noise, args.d_max)
-        rows.append([
+        table.append([
             noise.sigma_sq,
             design.d_opt,
             design.p,
@@ -218,16 +182,17 @@ def _cmd_concat_rates(args) -> None:
             design.c_sq,
             coherent_information(noise),
         ])
-    header = ["sigma_sq", "d_opt", "p", "rate", "c_sq", "coherent_info"]
-    _emit_csv(args, header, rows, grid=args.sigma_grid)
+    _emit(args, table, grid=spec)
 
 
 def _cmd_classical_rates(args) -> None:
-    rows = []
-    for snr in _grid_values(args.snr_grid):
+    spec, grid = args.snr_grid
+    table = [["snr", "capacity", "minkowski_rate", "debuda_rate", "d_opt",
+              "concat_rate"]]
+    for snr in grid:
         params = ClassicalParams(1.0, 1.0 / float(snr))
         d_opt, rate = optimize_classical_d(params, args.d_max)
-        rows.append([
+        table.append([
             float(snr),
             shannon_capacity(params),
             minkowski_lattice_rate(params),
@@ -235,18 +200,15 @@ def _cmd_classical_rates(args) -> None:
             d_opt,
             rate,
         ])
-    header = ["snr", "capacity", "minkowski_rate", "debuda_rate", "d_opt",
-              "concat_rate"]
-    _emit_csv(args, header, rows, grid=args.snr_grid)
+    _emit(args, table, grid=spec)
 
 
-def _cmd_simulate(args) -> None:
-    lattice = _resolve_lattice(args.lattice)
-    code = make_code(lattice)
+def _emit_estimate(args, estimate, **labels) -> None:
+    """Run a Monte Carlo estimate with the shared --sigma-sq, --hbar,
+    --trials and --seed flags, and emit it with the run's labels."""
     noise = NoiseModel(args.sigma_sq, args.hbar)
     workers = _workers()
-    est = estimate_error_probability(code, noise, args.trials, args.seed,
-                                     criterion=args.criterion, workers=workers)
+    est = estimate(noise, args.trials, args.seed, workers=workers)
     result = {
         "p_hat": est.p_hat,
         "ci_low": est.ci_low,
@@ -254,34 +216,24 @@ def _cmd_simulate(args) -> None:
         "trials": est.trials,
         "failures": est.failures,
         "seed": est.seed,
-        "criterion": args.criterion,
-        "lattice": args.lattice,
         "sigma_sq": args.sigma_sq,
         "hbar": args.hbar,
+        **labels,
     }
-    _emit_json(args, result, seed=args.seed, rng=RNG_ALGORITHM, workers=workers)
+    _emit(args, result, seed=args.seed, rng_algorithm=RNG_ALGORITHM, workers=workers)
+
+
+def _cmd_simulate(args) -> None:
+    code = make_code(_resolve_lattice(args.lattice))
+    estimate = partial(estimate_error_probability, code, criterion=args.criterion)
+    _emit_estimate(args, estimate, criterion=args.criterion, lattice=args.lattice)
 
 
 def _cmd_concat_sim(args) -> None:
     if args.code != "shor9":
         raise ValueError(f"unknown code family: {args.code!r}")
-    code = shor9_code(args.d)
-    noise = NoiseModel(args.sigma_sq, args.hbar)
-    workers = _workers()
-    est = simulate_concatenated(code, noise, args.trials, args.seed, workers=workers)
-    result = {
-        "p_hat": est.p_hat,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "trials": est.trials,
-        "failures": est.failures,
-        "seed": est.seed,
-        "code": args.code,
-        "d": args.d,
-        "sigma_sq": args.sigma_sq,
-        "hbar": args.hbar,
-    }
-    _emit_json(args, result, seed=args.seed, rng=RNG_ALGORITHM, workers=workers)
+    estimate = partial(simulate_concatenated, shor9_code(args.d))
+    _emit_estimate(args, estimate, code=args.code, d=args.d)
 
 
 def _cmd_lattice_info(args) -> None:
@@ -290,7 +242,7 @@ def _cmd_lattice_info(args) -> None:
     vec, length_sq = shortest_vector(lat)
     integral = is_symplectically_integral(lat)
     dimension = code_dimension(lat) if integral else None
-    result = {
+    _emit(args, {
         "name": entry.name,
         "n": lat.n,
         "lambda": str(lat.scale_sq),
@@ -301,21 +253,31 @@ def _cmd_lattice_info(args) -> None:
         "symplectically_integral": integral,
         "symplectically_self_dual": integral and dimension == 1,
         "notes": entry.notes,
-    }
-    _emit_json(args, result)
+    })
 
 
 def _cmd_decode(args) -> None:
     lattice = _resolve_lattice(args.lattice)
     point = [float(v) for v in args.point.split(",")]
     res = closest_point(lattice, point)
-    result = {
+    _emit(args, {
         "closest": [float(v) for v in res.closest],
         "coeffs": [int(v) for v in res.coeffs],
         "dist_sq": res.dist_sq,
         "tie": res.tie,
-    }
-    _emit_json(args, result)
+    })
+
+
+# Options several subcommands take, each declared once.
+_SHARED_OPTIONS = {
+    "--sigma-sq": dict(dest="sigma_sq", type=float, required=True),
+    "--trials": dict(type=int, required=True),
+    "--seed": dict(type=int, required=True),
+    "--hbar": dict(type=float, default=1.0),
+    "--d-max": dict(dest="d_max", type=int, default=None),
+    "--out": dict(default=None, help="output file (default: stdout); files get a "
+                                     ".manifest.json sidecar"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -325,77 +287,61 @@ def _build_parser() -> argparse.ArgumentParser:
                     "tables and Monte Carlo channel simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
-        p.add_argument("--out", default=None,
-                       help="output file (default: stdout); files get a "
-                            ".manifest.json sidecar")
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("rates", help="quantum rate formulas on a sigma^2 grid")
-    p.add_argument("--sigma-sq-grid", dest="sigma_sq_grid", type=_grid_spec,
-                   required=True, metavar="START:STOP:POINTS",
-                   help="log-spaced grid of sigma^2 values")
-    p.add_argument("--hbar", type=float, default=1.0)
-    add_out(p)
-    p.set_defaults(func=_cmd_rates)
+    def shared(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_OPTIONS[flag])
 
-    p = sub.add_parser("concat-rates",
-                       help="optimized concatenated-code rates on a sigma grid")
-    p.add_argument("--sigma-grid", dest="sigma_grid", type=_grid_spec,
-                   required=True, metavar="START:STOP:POINTS",
-                   help="log-spaced grid of sigma (standard deviation) values")
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--d-max", dest="d_max", type=int, default=None)
-    add_out(p)
-    p.set_defaults(func=_cmd_concat_rates)
+    def grid(p, flag, help_text=None):
+        p.add_argument(flag, type=_grid, required=True, metavar="START:STOP:POINTS",
+                       help=help_text)
 
-    p = sub.add_parser("classical-rates",
-                       help="classical channel rates on an SNR grid (P = 1)")
-    p.add_argument("--snr-grid", dest="snr_grid", type=_grid_spec,
-                   required=True, metavar="START:STOP:POINTS")
-    p.add_argument("--d-max", dest="d_max", type=int, default=None)
-    add_out(p)
-    p.set_defaults(func=_cmd_classical_rates)
+    p = command("rates", _cmd_rates, "quantum rate formulas on a sigma^2 grid")
+    grid(p, "--sigma-sq-grid", "log-spaced grid of sigma^2 values")
+    shared(p, "--hbar", "--out")
 
-    p = sub.add_parser("simulate", help="Monte Carlo a lattice code")
+    p = command("concat-rates", _cmd_concat_rates,
+                "optimized concatenated-code rates on a sigma grid")
+    grid(p, "--sigma-grid", "log-spaced grid of sigma (standard deviation) values")
+    shared(p, "--hbar", "--d-max", "--out")
+
+    p = command("classical-rates", _cmd_classical_rates,
+                "classical channel rates on an SNR grid (P = 1)")
+    grid(p, "--snr-grid")
+    shared(p, "--d-max", "--out")
+
+    p = command("simulate", _cmd_simulate, "Monte Carlo a lattice code")
     p.add_argument("--lattice", required=True,
                    help="catalog name (e.g. grid_qudit:2, E8) or lattice JSON path")
-    p.add_argument("--sigma-sq", dest="sigma_sq", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    shared(p, "--sigma-sq", "--trials", "--seed")
     p.add_argument("--criterion", choices=["voronoi", "coset"], default="voronoi")
-    p.add_argument("--hbar", type=float, default=1.0)
-    add_out(p)
-    p.set_defaults(func=_cmd_simulate)
+    shared(p, "--hbar", "--out")
 
-    p = sub.add_parser("concat-sim", help="Monte Carlo a concatenated block code")
+    p = command("concat-sim", _cmd_concat_sim, "Monte Carlo a concatenated block code")
     p.add_argument("--code", default="shor9")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--sigma-sq", dest="sigma_sq", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--hbar", type=float, default=1.0)
-    add_out(p)
-    p.set_defaults(func=_cmd_concat_sim)
+    shared(p, "--sigma-sq", "--trials", "--seed", "--hbar", "--out")
 
-    p = sub.add_parser("lattice-info", help="constants of a catalog lattice")
+    p = command("lattice-info", _cmd_lattice_info, "constants of a catalog lattice")
     p.add_argument("name")
-    add_out(p)
-    p.set_defaults(func=_cmd_lattice_info)
+    shared(p, "--out")
 
-    p = sub.add_parser("decode", help="closest lattice point to a target")
+    p = command("decode", _cmd_decode, "closest lattice point to a target")
     p.add_argument("lattice")
     p.add_argument("point", help="comma-separated coordinates")
-    add_out(p)
-    p.set_defaults(func=_cmd_decode)
+    shared(p, "--out")
 
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     args._argv = argv

@@ -147,6 +147,28 @@ def concat_rate_qubits(d: int | np.ndarray, noise: NoiseModel) -> float | np.nda
     return np.log2(d) * np.maximum(0.0, _css_sector_rate(d, p))
 
 
+_SCAN_CHUNK = 1 << 16  # d values per block of a scan; bounds its memory
+
+
+def scan_dimensions(rate, d_max: int) -> tuple[int, float]:
+    """Best (d, rate(d)) over 2 <= d <= d_max; ties go to the smallest d.
+
+    ``rate`` maps an int64 array of d to rates elementwise. It runs on
+    blocks of at most _SCAN_CHUNK values with a running argmax, so memory
+    stays bounded and the result is that of a single whole-range call.
+    """
+    if d_max < 2:
+        raise ValueError("d_max must be >= 2")
+    best = (0, -math.inf)
+    for start in range(2, d_max + 1, _SCAN_CHUNK):
+        ds = np.arange(start, min(start + _SCAN_CHUNK, d_max + 1), dtype=np.int64)
+        rates = rate(ds)
+        idx = int(np.argmax(rates))
+        if rates[idx] > best[1]:
+            best = (int(ds[idx]), float(rates[idx]))
+    return best
+
+
 @dataclass(frozen=True)
 class ConcatDesign:
     """Optimized concatenated design at one noise level."""
@@ -168,13 +190,7 @@ def optimize_qudit_dimension(noise: NoiseModel, d_max: int | None = None) -> Con
     """
     if d_max is None:
         d_max = max(2, math.ceil(8.0 * noise.hbar / noise.sigma_sq))
-    if d_max < 2:
-        raise ValueError("d_max must be >= 2")
-    ds = np.arange(2, d_max + 1, dtype=np.int64)
-    rates = concat_rate_qubits(ds, noise)
-    idx = int(np.argmax(rates))
-    d_opt = int(ds[idx])
-    rate = float(rates[idx])
+    d_opt, rate = scan_dimensions(lambda ds: concat_rate_qubits(ds, noise), d_max)
     c_sq = 2.0 ** rate * noise.sigma_sq / noise.hbar
     p = float(gkp_qudit_error_prob(d_opt, noise))
     return ConcatDesign(noise.sigma_sq, noise.hbar, d_opt, p, rate, c_sq)

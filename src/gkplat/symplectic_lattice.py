@@ -28,21 +28,26 @@ from . import exact
 from .exact import Matrix
 
 
+def _block_form(diag) -> Matrix:
+    """The antisymmetric block matrix [[0, D], [-D, 0]], D = diag(diag)."""
+    half = len(diag)
+    n = 2 * half
+    rows = []
+    for i in range(n):
+        row = [Fraction(0)] * n
+        if i < half:
+            row[i + half] = Fraction(diag[i])
+        else:
+            row[i - half] = Fraction(-diag[i - half])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def omega(n: int) -> Matrix:
     """Symplectic form [[0, I_N], [-I_N, 0]] for n = 2N coordinates."""
     if n <= 0 or n % 2:
         raise ValueError("phase-space dimension must be even and positive")
-    half = n // 2
-    one, zero = Fraction(1), Fraction(0)
-    rows = []
-    for i in range(n):
-        row = [zero] * n
-        if i < half:
-            row[i + half] = one
-        else:
-            row[i - half] = -one
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _block_form((1,) * (n // 2))
 
 
 @dataclass(frozen=True)
@@ -119,33 +124,14 @@ class StandardForm:
     r: Matrix
     diag: tuple[int, ...]
 
-    def d_matrix(self) -> Matrix:
-        n = len(self.diag)
-        return tuple(
-            tuple(Fraction(self.diag[i] if i == j else 0) for j in range(n))
-            for i in range(n)
-        )
-
     def block_form(self) -> Matrix:
         """The matrix [[0, D], [-D, 0]] this form certifies."""
-        half = len(self.diag)
-        n = 2 * half
-        rows = []
-        for i in range(n):
-            row = [Fraction(0)] * n
-            if i < half:
-                row[i + half] = Fraction(self.diag[i])
-            else:
-                row[i - half] = Fraction(-self.diag[i - half])
-            rows.append(tuple(row))
-        return tuple(rows)
+        return _block_form(self.diag)
 
 
 def symplectic_gram(lat: Lattice) -> SymplecticGram:
-    """Exact A = scale_sq * basis omega basis^T."""
-    w = omega(lat.n)
-    a = exact.mat_mul(exact.mat_mul(lat.basis, w), exact.transpose(lat.basis))
-    return SymplecticGram(exact.scale(a, lat.scale_sq))
+    """Exact A = scale_sq * basis omega basis^T, the pairing of lat with itself."""
+    return SymplecticGram(symplectic_pairing(lat, lat))
 
 
 def is_symplectically_integral(lat: Lattice) -> bool:
@@ -260,6 +246,11 @@ def standard_form(gram: SymplecticGram) -> StandardForm:
     return form
 
 
+def cell_volume(lat: Lattice) -> Fraction:
+    """Exact unit-cell volume |det M| = |det basis| * lambda^N."""
+    return abs(exact.determinant(lat.basis)) * lat.scale_sq ** lat.num_modes
+
+
 def code_dimension(lat: Lattice) -> int:
     """Code-space dimension m = det D = |Pf A| of an integral lattice."""
     if not is_symplectically_integral(lat):
@@ -267,9 +258,7 @@ def code_dimension(lat: Lattice) -> int:
     m = 1
     for d in standard_form(symplectic_gram(lat)).diag:
         m *= d
-    # |det M| = |det basis| * lambda^N must agree exactly
-    vol = abs(exact.determinant(lat.basis)) * lat.scale_sq ** lat.num_modes
-    if vol != m:
+    if cell_volume(lat) != m:  # |det M| must agree exactly
         raise AssertionError("code dimension disagrees with |det M|")
     return m
 
@@ -328,9 +317,7 @@ def make_code(lat: Lattice) -> LatticeCode:
         if not coset_member(normalizer, row, lat.scale_sq):
             raise AssertionError("stabilizer generator escapes the normalizer")
     # unit-cell volume ratio |det M| / |det M_dual| must equal m^2
-    vol = abs(exact.determinant(lat.basis)) * lat.scale_sq ** lat.num_modes
-    vol_dual = abs(exact.determinant(normalizer.basis)) * normalizer.scale_sq ** normalizer.num_modes
-    if vol != m * vol_dual * m:
+    if cell_volume(lat) != m * cell_volume(normalizer) * m:
         raise AssertionError("unit-cell volume ratio disagrees with m^2")
     rate = math.log2(m) / lat.num_modes
     return LatticeCode(lat, normalizer, m, rate)

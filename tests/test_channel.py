@@ -144,6 +144,19 @@ class TestEstimate:
         est = estimate_error_probability(GQ2, noise, 10_001, seed=1, workers=7)
         assert est.trials == 10_001
 
+    def test_partition_sized_by_trials(self):
+        # only the workers that draw get a count, however many are requested
+        assert partition_trials(3, 10**6) == [1, 1, 1]
+        assert partition_trials(10, 4) == [3, 3, 2, 2]
+        assert sum(partition_trials(10_001, 7)) == 10_001
+
+    def test_idle_workers_change_nothing(self):
+        noise = lattice_noise(0.4)
+        for code in (GQ2, D4):
+            for criterion in CRITERIA:
+                many = estimate_error_probability(code, noise, 3, 8, criterion, workers=1000)
+                assert many == estimate_error_probability(code, noise, 3, 8, criterion, workers=3)
+
     def test_unit_conversion_exact(self):
         # (sigma^2, hbar) and (sigma^2 / 2, hbar / 2) hit identical streams
         a = estimate_error_probability(GQ2, NoiseModel(0.0225, 2.0), 50_000, seed=3)

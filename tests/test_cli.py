@@ -1,14 +1,16 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from gkplat.cli import _canonical_json, main
+from gkplat.cli import _canonical_json, _scalar, main
 
 from oracles import square_lattice_failure_prob, wilson_halfwidth
 
@@ -223,6 +225,16 @@ class TestBadInput:
             with pytest.raises(ValueError):
                 _canonical_json({"x": [1.0, value]})
 
+    def test_scalar_refuses_non_finite(self):
+        # the one formatter behind CSV cells and JSON numbers
+        for value in (math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(math.inf)):
+            with pytest.raises(ValueError):
+                _scalar(value)
+        assert [_scalar(v) for v in (True, np.int64(7), 0.1, np.float64(1 / 3), "d_opt")] == [
+            "true", "7", "0.10000000000000001", "0.33333333333333331", "d_opt"]
+        with pytest.raises(TypeError):
+            _scalar(np.bool_(True))
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
@@ -236,6 +248,22 @@ class TestExitCodes:
                      "--trials", "10", "--seed", "1"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [
+        ["rates", "--sigma-sq-grid", "1e-4:inf:10"],
+        ["rates", "--sigma-sq-grid", "nan:1:3"],
+        ["classical-rates", "--snr-grid", "1:1e400:3"],
+        ["concat-rates", "--sigma-grid", "1e-3:inf:3"],
+    ])
+    def test_non_finite_grid_is_usage_error(self, capsys, command):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code, out, err = run_cli(command, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: gkplat {command[0]} ")
+        assert err.splitlines()[-1] == (
+            f"gkplat {command[0]}: error: argument {command[1]}: "
+            "grid endpoints must be positive and finite, points >= 1")
+
     def test_success_is_0(self, capsys):
         assert main(["rates", "--sigma-sq-grid", "1e-2:1e0:3"]) == 0
         capsys.readouterr()
@@ -243,7 +271,6 @@ class TestExitCodes:
 
 class TestManifest:
     def test_checksum_links_manifest_to_payload(self, tmp_path, capsys):
-        import hashlib
         out = tmp_path / "r.csv"
         run_cli(["rates", "--sigma-sq-grid", "1e-2:1e0:4", "--out", str(out)], capsys)
         text = out.read_text()
@@ -255,6 +282,43 @@ class TestManifest:
         assert manifest["output_sha256"] == hashlib.sha256(payload.encode()).hexdigest()
         assert manifest["artifact_version"]
         assert manifest["command"][0] == "gkplat"
+
+    BASE_KEYS = {"command", "artifact_version", "output_sha256"}
+
+    @pytest.mark.parametrize("args,extra_keys", [
+        (["rates", "--sigma-sq-grid", "1e-2:1e0:3"], {"grid"}),
+        (["concat-rates", "--sigma-grid", "0.1:0.2:2"], {"grid"}),
+        (["classical-rates", "--snr-grid", "1:100:3"], {"grid"}),
+        (["simulate", "--lattice", "grid_qudit:2", "--sigma-sq", "0.1", "--trials", "100",
+          "--seed", "1"], {"seed", "rng_algorithm", "workers"}),
+        (["concat-sim", "--d", "3", "--sigma-sq", "0.05", "--trials", "100", "--seed", "1"],
+         {"seed", "rng_algorithm", "workers"}),
+        (["lattice-info", "D4"], set()),
+        (["decode", "Zn:2", "0.4,-0.3"], set()),
+    ])
+    def test_sidecar_is_the_manifest(self, tmp_path, capsys, args, extra_keys):
+        out = tmp_path / "artifact"
+        argv = args + ["--out", str(out)]
+        assert run_cli(argv, capsys)[0] == 0
+        text = out.read_text()
+        sidecar = (tmp_path / "artifact.manifest.json").read_text()
+        assert sidecar.endswith("\n")
+        man_json = sidecar[:-1]
+        if "grid" in extra_keys:
+            comment, payload = text.split("\n", 1)
+            assert comment == "# manifest-sha256: " + hashlib.sha256(man_json.encode()).hexdigest()
+        else:
+            prefix = '{"manifest":' + man_json + ',"result":'
+            assert text.startswith(prefix) and text.endswith("}\n")
+            payload = text[len(prefix):-2]
+        manifest = json.loads(man_json)
+        assert set(manifest) == self.BASE_KEYS | extra_keys
+        assert manifest["command"] == ["gkplat", *argv]
+        assert manifest["output_sha256"] == hashlib.sha256(payload.encode()).hexdigest()
+        if "grid" in extra_keys:
+            assert manifest["grid"] == args[2]
+        if "seed" in extra_keys:
+            assert (manifest["seed"], manifest["workers"]) == (1, 1)
 
     def test_numbers_have_17_significant_digits(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

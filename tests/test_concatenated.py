@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erfcinv
 from scipy.stats import chi2_contingency
 
+from gkplat import concatenated
 from gkplat.channel_sim import NoiseModel, make_generator
 from gkplat.concatenated import (
     CssCode,
@@ -20,6 +22,7 @@ from gkplat.concatenated import (
     min_distance_comparison,
     optimize_qudit_dimension,
     sample_qudit_errors,
+    scan_dimensions,
     shor9_code,
     simulate_concatenated,
     trivial_code,
@@ -185,6 +188,30 @@ class TestOptimize:
             239, 214, 191, 171, 152, 136, 122, 109, 97, 87, 78, 70, 62, 56, 50, 45, 40, 36,
             32, 29, 26, 23, 21, 19, 17, 15, 13, 12, 11, 10, 9, 8, 7, 6, 6, 5, 5, 4, 4, 4, 3,
             3, 3, 3, 2]
+
+    def test_scan_memory_bounded(self):
+        # 8e6 values of d; one array over the whole range would take about 490 MB
+        tracemalloc.start()
+        try:
+            design = optimize_qudit_dimension(NoiseModel(1e-6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert (design.d_opt, design.rate_qubits) == (216623, 17.35210724242679)
+
+    def test_scan_blocks_agree_with_one_array(self, monkeypatch):
+        # a rate with many ties, split into blocks of 7: the first maximum wins
+        def rate(ds):
+            return np.round(np.sin(0.37 * ds), 1)
+        monkeypatch.setattr(concatenated, "_SCAN_CHUNK", 7)
+        for d_max in range(2, 60):
+            ds = np.arange(2, d_max + 1)
+            idx = int(np.argmax(rate(ds)))
+            assert scan_dimensions(rate, d_max) == (int(ds[idx]), float(rate(ds)[idx]))
+        assert scan_dimensions(lambda ds: np.zeros(len(ds)), 40) == (2, 0.0)
+        with pytest.raises(ValueError):
+            scan_dimensions(rate, 1)
 
     def test_c_sq_slowly_varying(self):
         # variation of log2(c_sq) within each decade of sigma^2 stays under a bit
@@ -447,6 +474,11 @@ class TestSimulateConcatenated:
         a = simulate_concatenated(shor9_code(2), noise, 30_000, seed=76, workers=4)
         b = simulate_concatenated(shor9_code(2), noise, 30_000, seed=76, workers=4)
         assert a == b
+
+    def test_idle_workers_change_nothing(self):
+        noise = NoiseModel(0.3)
+        many = simulate_concatenated(shor9_code(3), noise, 3, seed=77, workers=1000)
+        assert many == simulate_concatenated(shor9_code(3), noise, 3, seed=77, workers=3)
 
 
 class TestMinDistanceComparison:

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gkplat import exact
@@ -11,6 +12,7 @@ from gkplat.catalog import get
 from gkplat.symplectic_lattice import (
     Lattice,
     SymplecticGram,
+    cell_volume,
     code_dimension,
     coset_member,
     dual_lattice,
@@ -61,6 +63,14 @@ class TestSymplecticGram:
                 continue  # singular draw
             a = symplectic_gram(lat).entries
             assert a == exact.scale(exact.transpose(a), -1)
+
+
+    def test_matches_basis_product(self):
+        for lat in (get("D4").lattice, get("E8").lattice,
+                    lattice_from_rows([[1, 0], [1, 1]], Fraction(3, 2))):
+            prod = exact.mat_mul(exact.mat_mul(lat.basis, omega(lat.n)),
+                                 exact.transpose(lat.basis))
+            assert symplectic_gram(lat).entries == exact.scale(prod, lat.scale_sq)
 
 
 class TestIntegrality:
@@ -146,6 +156,11 @@ class TestStandardForm:
             assert prod == abs(pfaffian(a))
             assert list(form.diag) == sorted(form.diag)
 
+    def test_unit_block_form_is_omega(self):
+        form = standard_form(SymplecticGram(omega(6)))
+        assert form.diag == (1, 1, 1)
+        assert form.block_form() == omega(6)
+
     def test_rejects_non_integral(self):
         with pytest.raises(ValueError):
             standard_form(SymplecticGram(exact.scale(omega(2), Fraction(1, 2))))
@@ -173,6 +188,14 @@ class TestCodeDimension:
             m = code_dimension(lat)
             det_a = exact.determinant(symplectic_gram(lat).entries)
             assert Fraction(m) ** 2 == abs(det_a)
+
+    def test_cell_volume(self):
+        for name in ["grid_qudit(3)", "D4", "E8"]:
+            lat = get(name).lattice
+            volume = abs(np.linalg.det(lat.effective_matrix()))
+            assert float(cell_volume(lat)) == pytest.approx(volume, rel=1e-12)
+            m = code_dimension(lat)
+            assert cell_volume(lat) == m * m * cell_volume(dual_lattice(lat))
 
     def test_rejects_non_integral(self):
         with pytest.raises(ValueError):
