@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gkplat import closest_point, in_voronoi_cell, packing_radius, shortest_vector
+from gkplat import closest_point, packing_radius, shortest_vector
 from gkplat.catalog import get
 
 rng = np.random.default_rng(7)
@@ -26,7 +26,8 @@ print()
 print("== Voronoi membership is a strict test; boundaries count as outside ==")
 z2 = get("Zn(2)").lattice
 for x in ([0.0, 0.0], [0.49, 0.49], [0.5, 0.0], [0.6, 0.2]):
-    print(f"x = {x}: inside = {in_voronoi_cell(z2, x)}")
+    res = closest_point(z2, x)  # inside: the origin is the unique nearest point
+    print(f"x = {x}: inside = {not res.tie and not res.coeffs.any()}")
 
 print()
 print("== Deep holes of E8 sit at distance 1 (covering radius) ==")

@@ -24,7 +24,7 @@ from .concatenated import (
     shor9_code,
     simulate_concatenated,
 )
-from .decoder import closest_point, in_voronoi_cell, packing_radius, shortest_vector
+from .decoder import closest_point, packing_radius, shortest_vector
 from .rates import (
     best_integer_lambda,
     coherent_information,

@@ -32,12 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import TIE_REL, closest_point
-from .symplectic_lattice import (
-    LatticeCode,
-    coeff_transition,
-    orthogonal_scale_sq,
-)
+from .decoder import closest_points
+from .symplectic_lattice import LatticeCode
 
 RNG_ALGORITHM = "philox4x64+sha256-worker-streams/v1"
 WILSON_Z = 1.959963984540054  # 97.5th normal percentile, for 95% intervals
@@ -112,11 +108,8 @@ def _coset_test_arrays(code: LatticeCode) -> tuple[np.ndarray, int]:
     """Integer matrix/denominator pair: coeffs c are stabilizer translations
     iff (c @ num) % den == 0 for the exact transition written over a common
     denominator."""
-    t = coeff_transition(code.normalizer, code.stabilizer)
-    den = 1
-    for row in t:
-        for v in row:
-            den = den * v.denominator // math.gcd(den, v.denominator)
+    t = code.transition
+    den = math.lcm(*(v.denominator for row in t for v in row))
     num = np.array([[int(v * den) for v in row] for row in t], dtype=np.int64)
     return num, den
 
@@ -125,30 +118,13 @@ def failure_mask(code: LatticeCode, xi, criterion: str = "voronoi") -> np.ndarra
     """Decoding failure of each row of an (m, n) block xi of displacements
     (lattice coordinates); ties on the cell boundary count as failures.
 
-    The nearest normalizer point comes from coordinatewise rounding when
-    the normalizer has an orthogonal frame (exact there, with tie gap
-    c_sq * (1 - 2|frac_i|) along coordinate i) and from ``closest_point``
-    row by row otherwise. Voronoi success needs that point to be the
-    origin; coset success needs it to be a stabilizer translation.
+    The nearest normalizer point comes from ``closest_points``. Voronoi
+    success needs that point to be the origin; coset success needs it to be
+    a stabilizer translation.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
-    lat = code.normalizer
-    xi = np.asarray(xi, dtype=float)
-    c_sq = orthogonal_scale_sq(lat)
-    if c_sq is not None:
-        c_sq = float(c_sq)
-        u = xi @ np.linalg.inv(lat.effective_matrix())
-        k = np.rint(u)
-        frac = u - k
-        d1 = c_sq * np.einsum("ij,ij->i", frac, frac)
-        gap = c_sq * (1.0 - 2.0 * np.abs(frac)).min(axis=1)
-        tie = gap <= TIE_REL * (1.0 + d1)
-        coeffs = k.astype(np.int64)
-    else:
-        results = [closest_point(lat, x) for x in xi]
-        coeffs = np.array([r.coeffs for r in results], dtype=np.int64).reshape(xi.shape)
-        tie = np.array([r.tie for r in results], dtype=bool)
+    coeffs, tie = closest_points(code.normalizer, xi)
     if criterion == "voronoi":
         trivial = ~coeffs.any(axis=1)
     else:

@@ -119,7 +119,7 @@ def _emit(args, result, **fields) -> None:
 
 def _grid(spec: str) -> tuple[str, np.ndarray]:
     """Parse a start:stop:points grid spec; returns it with its log-spaced
-    values. Endpoints must be positive and finite."""
+    values. Endpoints must be positive and finite, points at most 10**6."""
     try:
         start_s, stop_s, pts_s = spec.split(":")
         start, stop, pts = float(start_s), float(stop_s), int(pts_s)
@@ -129,6 +129,8 @@ def _grid(spec: str) -> tuple[str, np.ndarray]:
     if not (0 < start < math.inf and 0 < stop < math.inf) or pts < 1:
         raise argparse.ArgumentTypeError(
             "grid endpoints must be positive and finite, points >= 1")
+    if pts > 10 ** 6:
+        raise argparse.ArgumentTypeError("grid points must be at most 10**6")
     return spec, np.geomspace(start, stop, pts)
 
 

@@ -1,15 +1,18 @@
 """Closest-point and shortest-vector search for desk-scale lattices.
 
-Depth-first enumeration over integer generator coefficients in a
-Gram-Schmidt (QR) frame, with the candidate box seeded by coordinatewise
-rounding. No basis reduction is performed: catalog bases are already
-short and dimensions are capped at 12.
+``closest_points`` is the one nearest-point search: ``closest_point`` is
+a batch of one and ``shortest_vector`` runs the same enumeration around
+the origin. Orthogonal frames (G = c^2 I exactly) decode by rounding.
+Otherwise blocks of targets are decoded in the QR frame of an LLL-reduced
+basis by enumerating, level by level, every coefficient vector within the
+nearest-plane (Babai) distance, children in Schnorr-Euchner order
+(Agrell, Eriksson, Vardy, Zeger, *Closest point search in lattices*).
 
-Recovery from a phase-space displacement amounts to asking whether the
-displacement lies in the Voronoi cell of the normalizer lattice, so the
-decoder tracks the runner-up distance and flags near-ties; a tie counts
-as a decoding failure (the cell boundary has measure zero under Gaussian
-noise, and failing there is the conservative choice).
+A near-tie with the runner-up is flagged and counts as a decoding failure
+(the Voronoi cell boundary has measure zero under Gaussian noise, and
+failing there is the conservative choice); at an exact tie the reported
+point is one of the tied points. Coefficients of 2**26 or more, where
+float64 no longer decodes reliably, raise ValueError.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .symplectic_lattice import Lattice
+from .symplectic_lattice import Lattice, orthogonal_scale_sq
 
 MAX_DIM = 12
 TIE_REL = 1e-12
 _SLACK_REL = 1e-9  # search margin so tie partners are always enumerated
+_BLOCK = 1 << 10  # targets per enumeration block; bounds the node arrays
+_MAX_COEFF = 2.0 ** 26  # beyond it the residual keeps under 26 of 52 fraction bits
 
 
 @dataclass(frozen=True)
@@ -35,124 +40,141 @@ class DecodeResult:
     tie: bool                # a second lattice point at (numerically) equal distance
 
 
+def _lll(m: np.ndarray) -> np.ndarray:
+    """Integer unimodular U with U @ m LLL-reduced (delta 0.99). Floats only
+    choose the integer row operations, so U @ m spans the lattice of m."""
+    u = np.eye(len(m), dtype=np.int64)
+    k = 1
+    while k < len(m):
+        r = np.linalg.qr((u @ m).T, mode="r")
+        for j in range(k - 1, -1, -1):  # size reduction of row k
+            mu = np.rint(r[j, k] / r[j, j])
+            u[k] -= int(mu) * u[j]
+            r[:, k] -= mu * r[:, j]
+        if r[k, k] ** 2 < (0.99 - (r[k - 1, k] / r[k - 1, k - 1]) ** 2) * r[k - 1, k - 1] ** 2:
+            u[[k - 1, k]] = u[[k, k - 1]]
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    return u
+
+
 @lru_cache(maxsize=128)
 def _frame(lat: Lattice):
-    """Float generator matrix, its inverse, and a triangular search frame."""
-    m = lat.effective_matrix()
-    q, r = np.linalg.qr(m.T)
-    lower = r.T  # lattice point c @ m has rotated image c @ lower
-    return m, np.linalg.inv(m), lower, q
-
-
-def _check_dims(lat: Lattice, x=None):
+    """Float generator matrix and its inverse, the triangular frame of the
+    basis, the exact orthogonal scale c^2 (or None), and the LLL transform
+    U with the (lower, q) frame of U M."""
     if lat.n > MAX_DIM:
         raise ValueError(f"decoder supports dimensions up to {MAX_DIM}, got {lat.n}")
-    if x is not None and len(x) != lat.n:
-        raise ValueError("point/lattice dimension mismatch")
+    m = lat.effective_matrix()
+    q, r = np.linalg.qr(m.T)
+    u = _lll(m)
+    q_red, r_red = np.linalg.qr((u @ m).T)
+    return m, np.linalg.inv(m), r.T, q, orthogonal_scale_sq(lat), u, r_red.T, q_red
 
 
-def _enumerate(lower, y, bound, skip_zero=False, track_second=True):
-    """DFS over coefficients, levels n-1..0; returns (d1, c1, d2).
-
-    ``bound`` prunes partial squared distances; it shrinks to the best
-    distance plus a tie margin, so d2 is exact whenever it is within the
-    tie tolerance of d1.
-    """
-    n = len(y)
-    rows = [list(r) for r in lower]
-    best = [math.inf, None, math.inf]  # d1, c1, d2
-    coeffs = [0] * n
-
-    def leaf(partial):
-        if skip_zero and not any(coeffs):
-            return
-        if partial < best[0]:
-            if best[1] is not None:
-                best[2] = best[0]
-            best[0], best[1] = partial, coeffs.copy()
-        elif partial < best[2]:
-            best[2] = partial
-        if track_second:
-            margin = _SLACK_REL * (1.0 + best[0])
-        else:
-            margin = 0.0
-        return best[0] + margin
-
-    def dfs(k, partial, bound):
-        if k < 0:
-            new_bound = leaf(partial)
-            return bound if new_bound is None else min(bound, new_bound)
-        s = 0.0
+def _search(lower, ys, bound=None, nonzero=False):
+    """Enumerate, level by level, the coefficient vectors c with
+    |c @ lower - y|^2 <= bound for each row y of ys; returns the first
+    minimum of each row in depth-first Schnorr-Euchner order, its squared
+    distance and the runner-up distance (inf if none). With bound None
+    only the first child of each node is taken: the nearest-plane point.
+    ``nonzero`` leaves out the zero vector."""
+    rows, n = ys.shape
+    row = np.arange(rows)
+    part = np.zeros(rows)
+    c = np.zeros((rows, n), dtype=np.int64)
+    for k in range(n - 1, -1, -1):
+        s = np.zeros(len(row))
         for i in range(k + 1, n):
-            s += coeffs[i] * rows[i][k]
-        diag = rows[k][k]
-        mu = (y[k] - s) / diag
-        lo = math.floor(mu)
-        hi = lo + 1
-        lo_open = hi_open = True
-        while lo_open or hi_open:
-            if hi_open and (not lo_open or hi - mu <= mu - lo):
-                c, from_hi = hi, True
-            else:
-                c, from_hi = lo, False
-            t = c * diag + s - y[k]
-            p = partial + t * t
-            if p <= bound:
-                coeffs[k] = c
-                bound = dfs(k - 1, p, bound)
-                if from_hi:
-                    hi += 1
-                else:
-                    lo -= 1
-            elif from_hi:
-                hi_open = False
-            else:
-                lo_open = False
-        return bound
+            s = s + c[:, i] * lower[i, k]
+        diag = lower[k, k]
+        mu = (ys[row, k] - s) / diag
+        lo = np.floor(mu)
+        step = np.where(lo + 1 - mu <= mu - lo, 1.0, -1.0)  # +1: lo + 1 comes first
+        if bound is None:
+            width = np.ones(len(row), dtype=np.int64)
+        else:
+            rad = np.sqrt(np.maximum(bound[row] - part, 0.0)) / abs(diag)
+            width = 2 * np.floor(rad).astype(np.int64) + 3
+        node = np.repeat(np.arange(len(row)), width)
+        j = np.arange(len(node)) - np.repeat(np.cumsum(width) - width, width)
+        zigzag = (j + 1) // 2 * np.where(j % 2, -1, 1)  # 0, -1, 1, -2, 2, ...
+        cand = lo[node] + (step[node] > 0) + step[node] * zigzag
+        t = cand * diag + s[node] - ys[row[node], k]
+        p = part[node] + t * t
+        if bound is not None:
+            keep = p <= bound[row[node]]
+            node, cand, p = node[keep], cand[keep], p[keep]
+        row, part, c = row[node], p, c[node]
+        c[:, k] = cand
+    if nonzero:
+        keep = c.any(axis=1)
+        row, part, c = row[keep], part[keep], c[keep]
+    order = np.lexsort((part, row))  # stable: the first of equal minima wins
+    start = np.searchsorted(row, np.arange(rows))
+    second = np.where(np.bincount(row, minlength=rows) > 1, start + 1, -1)
+    dist = np.append(part[order], np.inf)
+    return c[order[start]], dist[start], dist[second]
 
-    dfs(n - 1, 0.0, bound)
-    return best[0], best[1], best[2]
+
+def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest lattice points of the rows of an (m, n) block of targets:
+    their basis coefficients, (m, n) int64, and a tie flag per row.
+
+    Raises ValueError for a non-finite coordinate or for lattice
+    coefficients of 2**26 or more."""
+    _, m_inv, _, _, c_sq, u_red, lower, q = _frame(lat)
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != lat.n:
+        raise ValueError("point/lattice dimension mismatch")
+    if not np.isfinite(xs).all():
+        raise ValueError("target coordinates must be finite")
+    with np.errstate(over="ignore"):  # an infinite coefficient fails the test below
+        u = xs @ m_inv
+    if not (np.abs(u) < _MAX_COEFF).all():
+        raise ValueError("target too far from the origin for float64: coefficients reach 2**26")
+    if c_sq is not None:
+        # rounding is exact here, with tie gap c_sq * (1 - 2|frac_i|) along coordinate i
+        c_sq = float(c_sq)
+        k = np.rint(u)
+        frac = u - k
+        d1 = c_sq * np.einsum("ij,ij->i", frac, frac)
+        gap = c_sq * (1.0 - 2.0 * np.abs(frac)).min(axis=1)
+        return k.astype(np.int64), gap <= TIE_REL * (1.0 + d1)
+    box = float(np.sum(np.diag(lower) ** 2)) / 4.0  # nearest-plane distance limit
+    coeffs = np.empty(xs.shape, dtype=np.int64)
+    tie = np.empty(len(xs), dtype=bool)
+    for lo in range(0, len(xs), _BLOCK):
+        y = xs[lo:lo + _BLOCK] @ q
+        _, near, _ = _search(lower, y)
+        if not (near <= box * (1.0 + _SLACK_REL)).all():
+            raise ValueError("target too far from the origin for float64 decoding")
+        c, d1, d2 = _search(lower, y, near * (1.0 + _SLACK_REL) + _SLACK_REL)
+        coeffs[lo:lo + _BLOCK] = c @ u_red
+        tie[lo:lo + _BLOCK] = (d2 - d1) <= TIE_REL * (1.0 + d1)
+    return coeffs, tie
 
 
 def closest_point(lat: Lattice, x) -> DecodeResult:
-    """True nearest lattice point by branch-and-bound enumeration."""
-    _check_dims(lat, x)
-    m, m_inv, lower, q = _frame(lat)
+    """True nearest lattice point of one target: a batch of one."""
     x = np.asarray(x, dtype=float)
-    y = x @ q
-
-    seed = np.rint(x @ m_inv)
-    diff = seed @ m - x
-    bound = float(diff @ diff) * (1.0 + _SLACK_REL) + _SLACK_REL
-
-    d1, c1, d2 = _enumerate(lower, list(y), bound)
-    coeffs = np.array(c1, dtype=np.int64)
-    closest = coeffs.astype(float) @ m
+    coeffs, tie = closest_points(lat, x.reshape(1, -1))
+    closest = coeffs[0].astype(float) @ _frame(lat)[0]
     delta = x - closest
-    dist_sq = float(delta @ delta)
-    tie = bool((d2 - d1) <= TIE_REL * (1.0 + d1))
-    return DecodeResult(closest=closest, coeffs=coeffs, dist_sq=dist_sq, tie=tie)
-
-
-def in_voronoi_cell(lat: Lattice, x) -> bool:
-    """True iff x is strictly closer to the origin than to any other site.
-
-    Boundary points (ties) count as outside.
-    """
-    res = closest_point(lat, x)
-    return not res.tie and not res.coeffs.any()
+    return DecodeResult(closest=closest, coeffs=coeffs[0], dist_sq=float(delta @ delta),
+                        tie=bool(tie[0]))
 
 
 def shortest_vector(lat: Lattice) -> tuple[np.ndarray, float]:
-    """A nonzero lattice vector of minimal norm and its squared length."""
-    _check_dims(lat)
-    m, _, lower, _ = _frame(lat)
-    row_norms = np.einsum("ij,ij->i", m, m)
-    bound = float(row_norms.min()) * (1.0 + _SLACK_REL)
-    d1, c1, _ = _enumerate(lower, [0.0] * lat.n, bound, skip_zero=True,
-                           track_second=False)
-    coeffs = np.array(c1, dtype=np.int64)
-    vec = coeffs.astype(float) @ m
+    """A nonzero lattice vector of minimal norm and its squared length.
+
+    The search runs in the lattice's own basis, so the vector reported
+    among the minimal ones is the first in that basis's search order."""
+    m, _, lower, *_ = _frame(lat)
+    bound = float(np.einsum("ij,ij->i", m, m).min()) * (1.0 + _SLACK_REL)
+    c, _, _ = _search(lower, np.zeros((1, lat.n)), np.array([bound]), nonzero=True)
+    vec = c[0].astype(float) @ m
     return vec, float(vec @ vec)
 
 

@@ -307,6 +307,7 @@ class LatticeCode:
     normalizer: Lattice
     dimension: int
     rate_qubits: float
+    transition: Matrix  # coeff_transition(normalizer, stabilizer)
 
 
 def make_code(lat: Lattice) -> LatticeCode:
@@ -320,7 +321,7 @@ def make_code(lat: Lattice) -> LatticeCode:
     if cell_volume(lat) != m * cell_volume(normalizer) * m:
         raise AssertionError("unit-cell volume ratio disagrees with m^2")
     rate = math.log2(m) / lat.num_modes
-    return LatticeCode(lat, normalizer, m, rate)
+    return LatticeCode(lat, normalizer, m, rate, coeff_transition(normalizer, lat))
 
 
 def coeff_transition(src: Lattice, dst: Lattice) -> Matrix:
@@ -342,8 +343,7 @@ def logical_class(code: LatticeCode, coeffs) -> tuple[Fraction, ...]:
     The label is the fractional part of its stabilizer-basis coordinates;
     all zeros means the point is a stabilizer translation.
     """
-    t = coeff_transition(code.normalizer, code.stabilizer)
-    coords = exact.vec_mat([int(c) for c in coeffs], t)
+    coords = exact.vec_mat([int(c) for c in coeffs], code.transition)
     return tuple(c - math.floor(c) for c in coords)
 
 

@@ -33,7 +33,7 @@ from gkplat.classical_channel import (
     optimize_classical_d,
     shannon_capacity,
 )
-from gkplat.decoder import closest_point, shortest_vector
+from gkplat.decoder import closest_points, shortest_vector
 from gkplat.rates import (
     best_integer_lambda,
     coherent_information,
@@ -143,10 +143,13 @@ def test_criterion_5_decoder_oracle_equivalence():
     rng = np.random.default_rng(404)
     for name in ("Zn(2)", "Zn(4)", "D4", "E8"):
         lat = get(name).lattice
-        for x in rng.uniform(-2.0, 2.0, size=(1000, lat.n)):
-            res = closest_point(lat, x)
+        m = lat.effective_matrix()
+        xs = rng.uniform(-2.0, 2.0, size=(1000, lat.n))
+        coeffs, _ = closest_points(lat, xs)
+        for x, c in zip(xs, coeffs):
+            delta = x - c.astype(float) @ m  # as closest_point computes dist_sq
             _, ref_d = reference_closest(name, x)
-            assert res.dist_sq == ref_d
+            assert float(delta @ delta) == ref_d
 
     expected = {"Zn(2)": 1.0, "Zn(4)": 1.0, "D4": 2.0, "E8": 2.0}
     for name, want_sq in expected.items():

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gkplat.cli import _canonical_json, _scalar, main
+from gkplat.cli import _canonical_json, _grid, _scalar, main
 
 from oracles import square_lattice_failure_prob, wilson_halfwidth
 
@@ -220,6 +220,29 @@ class TestBadInput:
         assert_one_error_line(code, out, err)
         assert "GKPLAT_WORKERS" in err
 
+    @pytest.mark.parametrize("command", [
+        ["decode", "D4", "1e300,1e300,0,0"],
+        ["decode", "Zn:2", "1e300,0"],
+        ["decode", "D4", "1.7e308,1.7e308,0,0"],  # x @ M^-1 overflows
+        ["decode", "D4", "nan,0,0,0"],
+        ["simulate", "--lattice", "D4", "--sigma-sq", "1e30", "--trials", "10", "--seed", "1"],
+        ["simulate", "--lattice", "grid_qudit:2", "--sigma-sq", "1e40", "--trials", "10",
+         "--seed", "1", "--criterion", "coset"],
+    ])
+    def test_undecodable_target(self, capsys, command):
+        # float64 cannot decode coefficients this large (or non-finite ones)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert_one_error_line(*run_cli(command, capsys))
+
+    def test_large_noise_still_decodes(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(["simulate", "--lattice", "E8", "--sigma-sq", "1e6",
+                                    "--trials", "50", "--seed", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["failures"] == 50
+
     def test_json_refuses_non_finite(self):
         for value in (math.nan, math.inf, np.float64(-math.inf)):
             with pytest.raises(ValueError):
@@ -263,6 +286,14 @@ class TestExitCodes:
         assert err.splitlines()[-1] == (
             f"gkplat {command[0]}: error: argument {command[1]}: "
             "grid endpoints must be positive and finite, points >= 1")
+
+    @pytest.mark.parametrize("points", [10 ** 6 + 1, 10 ** 15])
+    def test_grid_points_bounded(self, capsys, points):
+        code, out, err = run_cli(["rates", "--sigma-sq-grid", f"1e-4:1:{points}"], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "gkplat rates: error: argument --sigma-sq-grid: grid points must be at most 10**6")
+        assert len(_grid("1e-4:1:1000000")[1]) == 10 ** 6
 
     def test_success_is_0(self, capsys):
         assert main(["rates", "--sigma-sq-grid", "1e-2:1e0:3"]) == 0

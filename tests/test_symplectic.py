@@ -14,6 +14,7 @@ from gkplat.symplectic_lattice import (
     SymplecticGram,
     cell_volume,
     code_dimension,
+    coeff_transition,
     coset_member,
     dual_lattice,
     gram_matrix,
@@ -279,6 +280,11 @@ class TestLatticeCode:
         code = make_code(get("grid_qudit(4)").lattice)
         assert code.dimension == 4
         assert code.rate_qubits == pytest.approx(2.0)
+
+    def test_transition(self):
+        for lat in (get("grid_qudit(3)").lattice, get("D4").lattice, rescale(get("E8").lattice, 2)):
+            code = make_code(lat)
+            assert code.transition == coeff_transition(code.normalizer, code.stabilizer)
 
 
 class TestSerialization:
