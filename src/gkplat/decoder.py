@@ -30,6 +30,7 @@ TIE_REL = 1e-12
 _SLACK_REL = 1e-9  # search margin so tie partners are always enumerated
 _BLOCK = 1 << 10  # targets per enumeration block; bounds the node arrays
 _MAX_COEFF = 2.0 ** 26  # beyond it the residual keeps under 26 of 52 fraction bits
+_MAX_TRANSFORM = 2.0 ** 53  # LLL transform entries stay exact in float64, far below int64
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,17 @@ class DecodeResult:
 
 def _lll(m: np.ndarray) -> np.ndarray:
     """Integer unimodular U with U @ m LLL-reduced (delta 0.99). Floats only
-    choose the integer row operations, so U @ m spans the lattice of m."""
+    choose the integer row operations, so U @ m spans the lattice of m.
+    Raises ValueError if an entry of U would reach 2**53."""
     u = np.eye(len(m), dtype=np.int64)
     k = 1
     while k < len(m):
         r = np.linalg.qr((u @ m).T, mode="r")
         for j in range(k - 1, -1, -1):  # size reduction of row k
             mu = np.rint(r[j, k] / r[j, j])
+            if abs(mu) * np.abs(u[j]).max() + np.abs(u[k]).max() >= _MAX_TRANSFORM:
+                raise ValueError("lattice basis is beyond the decoder's int64/float64 range: "
+                                 "its LLL transform reaches 2**53")
             u[k] -= int(mu) * u[j]
             r[:, k] -= mu * r[:, j]
         if r[k, k] ** 2 < (0.99 - (r[k - 1, k] / r[k - 1, k - 1]) ** 2) * r[k - 1, k - 1] ** 2:
@@ -122,8 +127,9 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
     """Nearest lattice points of the rows of an (m, n) block of targets:
     their basis coefficients, (m, n) int64, and a tie flag per row.
 
-    Raises ValueError for a non-finite coordinate or for lattice
-    coefficients of 2**26 or more."""
+    Raises ValueError for a non-finite coordinate, for lattice
+    coefficients of 2**26 or more, and for a basis so skewed that its LLL
+    reduction leaves the int64/float64 range."""
     _, m_inv, _, _, c_sq, u_red, lower, q = _frame(lat)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != lat.n:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkplat.catalog import get
 from gkplat.channel_sim import (
@@ -149,6 +151,14 @@ class TestEstimate:
         assert partition_trials(3, 10**6) == [1, 1, 1]
         assert partition_trials(10, 4) == [3, 3, 2, 2]
         assert sum(partition_trials(10_001, 7)) == 10_001
+
+    @settings(max_examples=200, deadline=None)
+    @given(trials=st.integers(1, 10**12), workers=st.integers(1, 10**4))
+    def test_partition_property(self, trials, workers):
+        counts = partition_trials(trials, workers)
+        assert len(counts) == min(workers, trials)
+        assert sum(counts) == trials
+        assert max(counts) - min(counts) <= 1
 
     def test_idle_workers_change_nothing(self):
         noise = lattice_noise(0.4)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkplat.classical_channel import (
     ClassicalParams,
@@ -14,7 +16,8 @@ from gkplat.classical_channel import (
     optimize_classical_d,
     shannon_capacity,
 )
-from gkplat.concatenated import css_rate_qudits, entropy_base_d
+from gkplat import concatenated
+from gkplat.concatenated import css_rate_qudits, dit_rate_bound, entropy_base_d, scan_dimensions
 
 from oracles import erfc_oracle
 
@@ -149,6 +152,28 @@ class TestOptimize:
             p = classical_dit_error_prob(int(d), params)
             assert probs[i] == pytest.approx(p, rel=1e-15, abs=0)
             assert rates[i] == pytest.approx(classical_concat_rate(int(d), p), rel=1e-15, abs=0)
+
+    def test_pruned_scan_equals_exhaustive(self):
+        # --snr-grid 1:1e10:50 and the README grid; without a bound
+        # scan_dimensions skips nothing, so it gives the exhaustive argmax
+        for snr in np.concatenate([np.geomspace(1, 1e10, 50), np.geomspace(1, 1e6, 100)]):
+            params = at_snr(float(snr))
+            want = scan_dimensions(
+                lambda ds: classical_concat_rate(ds, classical_dit_error_prob(ds, params)),
+                max(2, math.ceil(8.0 * math.sqrt(params.snr))))
+            assert optimize_classical_d(params) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_snr=st.floats(-1.0, 12.0), where=st.floats(0.0, 1.0),
+           width=st.integers(0, 3000))
+    def test_block_bound_holds(self, log_snr, where, width):
+        params = at_snr(10.0 ** log_snr)
+        a = 2 + int(where * math.ceil(8.0 * math.sqrt(params.snr)))
+        b = a + width
+        upper = dit_rate_bound(lambda ds: classical_dit_error_prob(ds, params), 1)(a, b)
+        ds = np.arange(a, b + 1)
+        rates = classical_concat_rate(ds, classical_dit_error_prob(ds, params))
+        assert rates.max() <= upper + concatenated._BOUND_SLACK
 
     def test_d_opt_scales_like_sqrt_snr(self):
         for snr in [1e2, 1e3, 1e4]:

@@ -235,6 +235,15 @@ class TestBadInput:
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
             assert_one_error_line(*run_cli(command, capsys))
 
+    def test_undecodable_basis(self, tmp_path, capsys):
+        path = tmp_path / "skewed.json"
+        path.write_text(json.dumps({"n": 4, "lambda": "1", "basis": [
+            ["1", "0", "0", "0"], [str(10**15), "1", "0", "0"], ["3", str(10**12), "1", "0"],
+            ["7", "5", str(10**9), "1"]]}))
+        code, out, err = run_cli(["decode", str(path), "0,0,0,0"], capsys)
+        assert_one_error_line(code, out, err)
+        assert "int64/float64" in err
+
     def test_large_noise_still_decodes(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -365,3 +374,32 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("# manifest-sha256: ")
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+loaded = {"import": "scipy" in sys.modules}
+from gkplat.cli import main
+loaded["import gkplat.cli"] = "scipy" in sys.modules
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0, args
+    loaded[" ".join(args)] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loaded_only_where_erfc_runs():
+    # the tests import scipy themselves, so this runs in a fresh interpreter
+    calls = [["lattice-info", "D4"],
+             ["rates", "--sigma-sq-grid", "1e-2:1e0:3"],
+             ["decode", "Zn:2", "0.4,-0.3"],
+             ["simulate", "--lattice", "D4", "--sigma-sq", "0.2", "--trials", "10", "--seed", "1"],
+             ["concat-sim", "--d", "3", "--sigma-sq", "0.05", "--trials", "100", "--seed", "1"],
+             ["concat-rates", "--sigma-grid", "0.1:0.1:1"]]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert list(loaded) == ["import", "import gkplat.cli"] + [" ".join(a) for a in calls]
+    assert list(loaded.values()) == [False] * 7 + [True]

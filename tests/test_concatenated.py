@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfcinv
 from scipy.stats import chi2_contingency
 
@@ -17,6 +19,7 @@ from gkplat.concatenated import (
     concat_rate_qubits,
     css_decode,
     css_rate_qudits,
+    dit_rate_bound,
     entropy_base_d,
     gkp_qudit_error_prob,
     min_distance_comparison,
@@ -212,6 +215,40 @@ class TestOptimize:
         assert scan_dimensions(lambda ds: np.zeros(len(ds)), 40) == (2, 0.0)
         with pytest.raises(ValueError):
             scan_dimensions(rate, 1)
+
+    def test_pruned_scan_equals_exhaustive(self):
+        # the README grid, --sigma-grid 1e-3:0.0137:3 and the anchor; without a
+        # bound scan_dimensions skips nothing, so it gives the exhaustive argmax
+        sigma_sq = [float(s) ** 2 for s in np.geomspace(0.0137, 0.45, 60)]
+        sigma_sq += [float(s) ** 2 for s in np.geomspace(1e-3, 0.0137, 3)] + [1.88e-4]
+        for s in sigma_sq:
+            noise = NoiseModel(s)
+            design = optimize_qudit_dimension(noise)
+            want = scan_dimensions(lambda ds: concat_rate_qubits(ds, noise),
+                                   max(2, math.ceil(8.0 / s)))
+            assert (design.d_opt, design.rate_qubits) == want
+
+    def test_pruned_scan_evaluation_count(self, monkeypatch):
+        evaluated = []
+
+        def counting(ds, noise):
+            evaluated.append(len(ds))
+            return concat_rate_qubits(ds, noise)
+        monkeypatch.setattr(concatenated, "concat_rate_qubits", counting)
+        design = optimize_qudit_dimension(NoiseModel(1e-6))  # sigma = 1e-3: 8e6 values of d
+        assert (design.d_opt, design.rate_qubits) == (216623, 17.35210724242679)
+        assert sum(evaluated) <= 5 * 10**5
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_sigma_sq=st.floats(-7.0, 0.5), hbar=st.sampled_from([0.5, 1.0, 3.0]),
+           where=st.floats(0.0, 1.0), width=st.integers(0, 3000))
+    def test_block_bound_holds(self, log_sigma_sq, hbar, where, width):
+        noise = NoiseModel(10.0 ** log_sigma_sq, hbar)
+        a = 2 + int(where * math.ceil(8.0 * hbar / noise.sigma_sq))
+        b = a + width
+        upper = dit_rate_bound(lambda ds: gkp_qudit_error_prob(ds, noise), 2)(a, b)
+        rates = concat_rate_qubits(np.arange(a, b + 1), noise)
+        assert rates.max() <= upper + concatenated._BOUND_SLACK
 
     def test_c_sq_slowly_varying(self):
         # variation of log2(c_sq) within each decade of sigma^2 stays under a bit

@@ -94,6 +94,15 @@ class TestClosestPoint:
         with pytest.raises(ValueError):
             closest_points(lat, x)
 
+    def test_refuses_undecodable_basis(self):
+        # Z^4 in a basis so skewed that LLL would need transform entries beyond int64
+        lat = lattice_from_rows([[1, 0, 0, 0], [10**15, 1, 0, 0], [3, 10**12, 1, 0],
+                                 [7, 5, 10**9, 1]])
+        with pytest.raises(ValueError, match="basis is beyond the decoder's int64/float64"):
+            closest_points(lat, np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="basis"):
+            shortest_vector(lat)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             closest_points(get("D4").lattice, np.zeros((2, 3)))
