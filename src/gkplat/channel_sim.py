@@ -21,13 +21,20 @@ under both.
 
 Trials use the Philox counter-based generator. Worker streams are derived
 by hashing (master seed, worker index), so a run is bit-reproducible for a
-fixed (seed, trials, worker count) and may be partitioned freely.
+fixed (seed, trials, worker count) and may be partitioned freely. When
+every stream holds at least one full sampling block, the streams run at
+once on up to min(streams, usable CPUs) threads, the calling thread among
+them (numpy releases the GIL in Philox fills and large kernels); smaller
+streams run one after the other. A failure count is a sum over streams,
+so it does not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +44,7 @@ from .symplectic_lattice import LatticeCode
 
 RNG_ALGORITHM = "philox4x64+sha256-worker-streams/v1"
 WILSON_Z = 1.959963984540054  # 97.5th normal percentile, for 95% intervals
-_BATCH = 1 << 16  # rows per block; blocks of many MB page-fault afresh on every batch
+_BATCH = 1 << 15  # rows per block; bounds what each running stream holds at once
 
 CRITERIA = ("voronoi", "coset")
 
@@ -92,6 +99,61 @@ def partition_trials(trials: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(min(workers, trials))]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _stream_threads(counts: list[int], block: int) -> int:
+    """Threads for streams of ``counts`` rows: one per stream, up to the
+    usable CPUs, when every stream holds a full block of ``block`` rows;
+    else one, since small blocks lose more to GIL switches than they gain."""
+    if min(counts) < block:
+        return 1
+    return min(len(counts), _usable_cpus())
+
+
+def _count_streams(block_failures, seed: int, trials: int, workers: int, block: int) -> int:
+    """Sum of block_failures(generator, rows) over blocks of at most
+    ``block`` rows of each worker stream: stream w draws
+    partition_trials(trials, workers)[w] rows from make_generator(seed, w).
+
+    With t = _stream_threads(...) threads, thread i runs streams i, i + t,
+    ..., and the calling thread is thread 0. Once a stream raises, the
+    others stop at their next block, and the exception is re-raised here
+    after every thread has finished; no partial sum is returned.
+    """
+    counts = partition_trials(trials, workers)
+    threads = _stream_threads(counts, block)
+    totals = [0] * threads
+    errors = [None] * threads
+
+    def run(i):
+        try:
+            for w in range(i, len(counts), threads):
+                gen = make_generator(seed, w)
+                for done in range(0, counts[w], block):
+                    if any(exc is not None for exc in errors):
+                        return
+                    totals[i] += block_failures(gen, min(block, counts[w] - done))
+        except BaseException as exc:  # re-raised by the calling thread
+            errors[i] = exc
+
+    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    run(0)
+    for helper in helpers:
+        helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return sum(totals)
+
+
 def wilson_interval(failures: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     p = failures / trials
@@ -139,20 +201,20 @@ def estimate_error_probability(code: LatticeCode, noise: NoiseModel, trials: int
     """Monte Carlo logical-error probability with a 95% Wilson interval.
 
     Deterministic for a fixed (seed, trials, workers): worker w consumes
-    the derived stream hash(seed, w) and failure counts are summed.
+    the derived stream hash(seed, w) and failure counts are summed,
+    whether the streams run one after the other or at once.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
     if trials < 1 or workers < 1:
         raise ValueError("trials and workers must be positive")
 
-    n = code.normalizer.n
-    failures = 0
-    for worker, count in enumerate(partition_trials(trials, workers)):
-        gen = make_generator(seed, worker)
-        for done in range(0, count, _BATCH):
-            xi = gen.standard_normal((min(_BATCH, count - done), n)) * noise.lattice_sigma
-            failures += int(failure_mask(code, xi, criterion).sum())
+    def block_failures(gen, rows):
+        xi = gen.standard_normal((rows, code.normalizer.n))
+        xi *= noise.lattice_sigma
+        return int(failure_mask(code, xi, criterion).sum())
+
+    failures = _count_streams(block_failures, seed, trials, workers, _BATCH)
 
     low, high = wilson_interval(failures, trials)
     return ErrorEstimate(p_hat=failures / trials, ci_low=low, ci_high=high,

@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel_sim import (
-    ErrorEstimate,
-    NoiseModel,
-    make_generator,
-    partition_trials,
-    wilson_interval,
-)
+from .channel_sim import ErrorEstimate, NoiseModel, _count_streams, wilson_interval
 
 
 @dataclass(frozen=True)
@@ -55,7 +49,8 @@ class CssCode:
     ``decode_table`` maps ("X"|"Z", syndrome tuple) to a correction
     exponent vector; syndromes outside the table are uncorrectable. It is
     turned once into per-sector sorted syndrome keys (``x_table``,
-    ``z_table``), which the batched decoder searches.
+    ``z_table``) with the logical pairing of each correction, which the
+    batched decoder searches.
     """
 
     d: int
@@ -81,14 +76,15 @@ class CssCode:
             raise ValueError("logical X anticommutes with a Z check")
         if self.hx.size and ((self.hx @ self.logical_z.T) % d).any():
             raise ValueError("logical Z anticommutes with an X check")
-        object.__setattr__(self, "x_table", self._syndrome_table("X", self.hz))
-        object.__setattr__(self, "z_table", self._syndrome_table("Z", self.hx))
+        object.__setattr__(self, "x_table", self._syndrome_table("X", self.hz, self.logical_z))
+        object.__setattr__(self, "z_table", self._syndrome_table("Z", self.hx, self.logical_x))
 
-    def _syndrome_table(self, sector: str, checks: np.ndarray):
+    def _syndrome_table(self, sector: str, checks: np.ndarray, opposite_logical: np.ndarray):
         """Sorted int64 syndrome keys (base-d digits of the syndrome), their
-        correction rows, and the digit weights. A last key of int64 max,
-        above every syndrome, with a zero row keeps searchsorted in range
-        and stands for a missing syndrome."""
+        correction rows, the digit weights, and the pairing of each
+        correction row with the opposite logical operators mod d. A last key
+        of int64 max, above every syndrome, with a zero row keeps
+        searchsorted in range and stands for a missing syndrome."""
         rows = checks.shape[0]
         if self.d ** rows >= 2 ** 63:
             raise ValueError(f"syndrome keys d**{rows} overflow int64; "
@@ -100,7 +96,7 @@ class CssCode:
         keys = np.array([key for key, _ in entries] + [np.iinfo(np.int64).max], dtype=np.int64)
         corrections = np.zeros((len(keys), self.n), dtype=np.int64)
         corrections[:-1] = [corr for _, corr in entries]
-        return keys, corrections, weights
+        return keys, corrections, weights, (corrections @ opposite_logical.T) % self.d
 
 
 def _erfc(x):
@@ -233,20 +229,35 @@ def optimize_qudit_dimension(noise: NoiseModel, d_max: int | None = None) -> Con
     return ConcatDesign(noise.sigma_sq, noise.hbar, d_opt, p, rate, c_sq)
 
 
+_SAMPLE_CHUNK = 1 << 16  # normals per fill of the one reused float buffer
+
+
 def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
                         size) -> tuple[np.ndarray, np.ndarray]:
     """Vector form of the single-qudit channel: arrays of X and Z exponents.
 
     Shifts are sampled in physical units and binned to the nearest
-    multiple of the spacing delta = sqrt(2 pi hbar / d), modulo d.
+    multiple of the spacing delta = sqrt(2 pi hbar / d), modulo d. They
+    are drawn _SAMPLE_CHUNK at a time into one float buffer and binned
+    into the int64 output, with the values and generator state of one
+    draw of the whole (2,) + size array.
     """
     if d < 2:
         raise ValueError("qudit dimension must be >= 2")
     delta = math.sqrt(2.0 * math.pi * noise.hbar / d)
     sigma = math.sqrt(noise.sigma_sq)
     shape = (2,) + (tuple(size) if isinstance(size, tuple) else (size,))
-    shifts = rng.standard_normal(shape) * sigma
-    binned = np.rint(shifts / delta).astype(np.int64) % d
+    binned = np.empty(shape, dtype=np.int64)
+    flat = binned.reshape(-1)
+    chunk = np.empty(min(_SAMPLE_CHUNK, flat.size))
+    for lo in range(0, flat.size, _SAMPLE_CHUNK):
+        shifts = chunk[:flat.size - lo]
+        rng.standard_normal(out=shifts)
+        shifts *= sigma
+        shifts /= delta
+        np.rint(shifts, out=shifts)
+        flat[lo:lo + len(shifts)] = shifts  # the same cast as astype(np.int64)
+    flat %= d
     return binned[0], binned[1]
 
 
@@ -322,8 +333,9 @@ def css_decode(code: CssCode, error: list[QuditPauliError]) -> tuple[list[QuditP
         raise ValueError("error length must equal the block length")
     a = np.array([[e.a % code.d for e in error]], dtype=np.int64)
     b = np.array([[e.b % code.d for e in error]], dtype=np.int64)
-    corr_a, corr_b, failed = _batch_failures(code, a, b)
-    correction = [QuditPauliError(int(x), int(y)) for x, y in zip(corr_a[0], corr_b[0])]
+    row_a, row_b, failed = _batch_failures(code, a, b)
+    corr_a, corr_b = code.x_table[1][row_a[0]], code.z_table[1][row_b[0]]
+    correction = [QuditPauliError(int(x), int(y)) for x, y in zip(corr_a, corr_b)]
     return correction, bool(failed[0])
 
 
@@ -336,18 +348,18 @@ def simulate_concatenated(code: CssCode, noise: NoiseModel, trials: int, seed: i
 
     Each trial draws independent grid-qudit errors for the N oscillators
     from the true shift distribution and decodes both sectors. Stream
-    handling matches the channel simulator: deterministic for fixed
-    (seed, trials, workers).
+    handling matches the channel simulator, blocks of batch_cap trials
+    included: deterministic for fixed (seed, trials, workers).
     """
     if trials < 1 or workers < 1:
         raise ValueError("trials and workers must be positive")
-    failures = 0
     batch_cap = max(1, _BATCH_TRIALS // max(1, code.n))
-    for worker, count in enumerate(partition_trials(trials, workers)):
-        gen = make_generator(seed, worker)
-        for done in range(0, count, batch_cap):
-            a, b = sample_qudit_errors(code.d, noise, gen, (min(batch_cap, count - done), code.n))
-            failures += int(_batch_failures(code, a, b)[2].sum())
+
+    def block_failures(gen, rows):
+        a, b = sample_qudit_errors(code.d, noise, gen, (rows, code.n))
+        return int(_batch_failures(code, a, b)[2].sum())
+
+    failures = _count_streams(block_failures, seed, trials, workers, batch_cap)
 
     low, high = wilson_interval(failures, trials)
     return ErrorEstimate(p_hat=failures / trials, ci_low=low, ci_high=high,
@@ -355,21 +367,30 @@ def simulate_concatenated(code: CssCode, noise: NoiseModel, trials: int, seed: i
 
 
 def _decode_sector(d, errors, checks, table, opposite_logical):
-    """Corrections and failure mask of one sector for (m, n) exponents."""
-    keys, corrections, weights = table
-    synd = ((errors @ checks.T) % d) @ weights
-    idx = np.searchsorted(keys, synd)
-    found = keys[idx] == synd
-    corr = corrections[np.where(found, idx, -1)]
-    return corr, ~found | (((errors - corr) @ opposite_logical.T) % d).any(axis=1)
+    """Table rows and failure mask of one sector for (m, n) exponents; a
+    missing syndrome gets the last row (zero correction) and fails. The
+    residual errors - correction pairs with the opposite logicals as
+    errors @ opposite_logical.T minus the row's stored pairing, mod d."""
+    keys, _, weights, pairing = table
+    synd = errors @ checks.T
+    synd %= d
+    synd = synd @ weights
+    row = np.searchsorted(keys, synd)
+    found = keys[row] == synd
+    row[~found] = -1
+    residual = errors @ opposite_logical.T
+    residual -= pairing[row]
+    residual %= d
+    return row, ~found | residual.any(axis=1)
 
 
 def _batch_failures(code: CssCode, a, b):
     """Syndrome decoding of (m, n) X exponents a and Z exponents b, sectors
-    independently: returns (X corrections, Z corrections, failure mask)."""
-    corr_a, bad_a = _decode_sector(code.d, a, code.hz, code.x_table, code.logical_z)
-    corr_b, bad_b = _decode_sector(code.d, b, code.hx, code.z_table, code.logical_x)
-    return corr_a, corr_b, bad_a | bad_b
+    independently: returns (X table rows, Z table rows, failure mask); the
+    corrections are rows of code.x_table[1] and code.z_table[1]."""
+    row_a, bad_a = _decode_sector(code.d, a, code.hz, code.x_table, code.logical_z)
+    row_b, bad_b = _decode_sector(code.d, b, code.hx, code.z_table, code.logical_x)
+    return row_a, row_b, bad_a | bad_b
 
 
 def min_distance_comparison(rate: float, n_modes: int, noise: NoiseModel) -> tuple[float, float, float]:

@@ -28,7 +28,7 @@ from .symplectic_lattice import Lattice, orthogonal_scale_sq
 MAX_DIM = 12
 TIE_REL = 1e-12
 _SLACK_REL = 1e-9  # search margin so tie partners are always enumerated
-_BLOCK = 1 << 10  # targets per enumeration block; bounds the node arrays
+_BLOCK = 1 << 12  # targets per enumeration block; bounds the node arrays
 _MAX_COEFF = 2.0 ** 26  # beyond it the residual keeps under 26 of 52 fraction bits
 _MAX_TRANSFORM = 2.0 ** 53  # LLL transform entries stay exact in float64, far below int64
 

@@ -119,7 +119,8 @@ class SymplecticGram:
 
 @dataclass(frozen=True)
 class StandardForm:
-    """Unimodular R and positive diagonal D with R A R^T = [[0,D],[-D,0]]."""
+    """Unimodular R and positive diagonal D, each entry dividing the next,
+    with R A R^T = [[0,D],[-D,0]]."""
 
     r: Matrix
     diag: tuple[int, ...]
@@ -175,7 +176,8 @@ def standard_form(gram: SymplecticGram) -> StandardForm:
 
     Integer congruence transformations only (paired row/column additions,
     swaps): a gcd-descent pivot loop, the antisymmetric analogue of Smith
-    reduction. D is normalized positive and sorted ascending.
+    reduction. D is positive and each entry divides the next (the
+    invariant factors of A, each appearing twice).
     """
     if not exact.is_integral(gram.entries):
         raise ValueError("standard form requires an integral gram matrix")
@@ -229,15 +231,20 @@ def standard_form(gram: SymplecticGram) -> StandardForm:
                 if a[i][s + 1] or a[i][s]:
                     clean = False  # nonzero remainder < d; re-pivot
             if clean:
-                break
+                # d must divide the rest; else pull a row it does not
+                # divide into pair s, leaving a remainder < d to re-pivot on
+                row = next((i for i in range(s + 2, n)
+                            if any(a[i][j] % d for j in range(s + 2, n))), None)
+                if row is None:
+                    break
+                add(s, row, 1)
         s += 2
 
-    # interleaved symplectic pairs -> sorted block form
-    half = n // 2
-    pairs = sorted(range(half), key=lambda k: a[2 * k][2 * k + 1])
-    order = [2 * k for k in pairs] + [2 * k + 1 for k in pairs]
+    # interleaved symplectic pairs -> block form; each pivot divides every
+    # later one, so the pairs are already in ascending order
+    order = list(range(0, n, 2)) + list(range(1, n, 2))
     r_final = exact.freeze([r[i] for i in order])
-    diag = tuple(a[2 * k][2 * k + 1] for k in pairs)
+    diag = tuple(a[k][k + 1] for k in range(0, n, 2))
 
     form = StandardForm(r_final, diag)
     check = exact.mat_mul(exact.mat_mul(r_final, gram.entries), exact.transpose(r_final))

@@ -1,12 +1,17 @@
 """Gaussian displacement channel Monte Carlo."""
 
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkplat import channel_sim
 from gkplat.catalog import get
 from gkplat.channel_sim import (
     CRITERIA,
@@ -208,6 +213,85 @@ class TestEstimate:
         code = make_code(get("D4").lattice)
         est = estimate_error_probability(code, lattice_noise(0.2), 2_000, seed=6)
         assert 0.0 <= est.p_hat <= 1.0
+
+
+class TestStreams:
+    """Worker streams run at once when each holds a full block; the
+    failure count is the same as one after the other."""
+
+    @pytest.mark.parametrize("code,criterion,trials", [
+        (GQ2, "voronoi", 4 * channel_sim._BATCH + 3),
+        (GQ2, "coset", 4 * channel_sim._BATCH + 3),
+        (D4, "coset", 2 * channel_sim._BATCH),  # the general decoding path
+    ])
+    def test_threaded_counts_equal_serial(self, on_cpus, code, criterion, trials):
+        def run():
+            return estimate_error_probability(code, lattice_noise(0.3), trials, 23,
+                                              criterion, workers=2)
+        serial, built = on_cpus(1, run)
+        assert built == 0
+        threaded, built = on_cpus(2, run)
+        assert built == 1
+        assert threaded == serial
+        assert 0 < serial.failures < trials
+
+    def test_small_streams_stay_serial(self, on_cpus):
+        # a stream below one full block runs on the calling thread
+        trials = 2 * channel_sim._BATCH - 1
+        _, built = on_cpus(2, lambda: estimate_error_probability(
+            GQ2, lattice_noise(0.3), trials, 23, workers=2))
+        assert built == 0
+
+    def test_thread_count(self, monkeypatch):
+        monkeypatch.setattr(channel_sim, "_usable_cpus", lambda: 4)
+        assert channel_sim._stream_threads([5, 5], 5) == 2
+        assert channel_sim._stream_threads([5] * 9, 5) == 4
+        assert channel_sim._stream_threads([5, 4], 5) == 1
+        monkeypatch.setattr(channel_sim, "_usable_cpus", lambda: 1)
+        assert channel_sim._stream_threads([5] * 9, 5) == 1
+
+    def test_usable_cpus(self):
+        assert 1 <= channel_sim._usable_cpus() <= (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failed_stream_raises_after_join(self, monkeypatch, failing):
+        # the stream's generator stands in as its worker index; streams
+        # 0, 2 run on the calling thread and 1, 3 on the helper
+        monkeypatch.setattr(channel_sim, "make_generator", lambda seed, worker: worker)
+        started, finished = threading.Event(), []
+
+        def block_failures(worker, rows):
+            if worker == failing:
+                if worker == 0:
+                    started.wait(5)  # fail while the helper is mid-block
+                raise RuntimeError(f"stream {worker} failed")
+            started.set()
+            time.sleep(0.05)
+            finished.append(worker)
+            return rows
+
+        before = threading.active_count()
+        monkeypatch.setattr(channel_sim, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match=f"stream {failing} failed"):
+            channel_sim._count_streams(block_failures, 1, 8, 4, 1)
+        assert threading.active_count() == before
+        if failing == 0:
+            assert finished == [1]  # the helper's block ran to its end first
+        else:
+            assert finished in ([], [0])  # the calling thread stopped at its next block
+
+    def test_streams_sum_under_switching(self, monkeypatch):
+        # more threads than cores and a tiny switch interval: a lost update
+        # of a total would change the sum
+        monkeypatch.setattr(channel_sim, "make_generator", lambda seed, worker: worker)
+        monkeypatch.setattr(channel_sim, "_usable_cpus", lambda: 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            total = channel_sim._count_streams(lambda w, rows: w * rows + 1, 1, 64 * 50, 64, 7)
+        finally:
+            sys.setswitchinterval(interval)
+        assert total == sum(w * 50 + 8 for w in range(64))  # 50 rows: 8 blocks of <= 7
 
 
 class TestWilson:

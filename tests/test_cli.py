@@ -5,11 +5,13 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from gkplat import channel_sim
 from gkplat.cli import _canonical_json, _grid, _scalar, main
 
 from oracles import square_lattice_failure_prob, wilson_halfwidth
@@ -186,6 +188,23 @@ class TestDecode:
         assert json.loads(out)["result"]["tie"] is True
 
 
+class InlineThread:
+    """Stands in for threading.Thread: runs its target inside start(), on
+    the calling thread, and counts how many were built."""
+
+    built = 0
+
+    def __init__(self, target, args=()):
+        InlineThread.built += 1
+        self.target, self.args = target, args
+
+    def start(self):
+        self.target(*self.args)
+
+    def join(self):
+        pass
+
+
 def assert_one_error_line(code, out, err):
     assert code == 1
     assert out == ""
@@ -234,6 +253,34 @@ class TestBadInput:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
             assert_one_error_line(*run_cli(command, capsys))
+
+    def test_undecodable_target_on_threaded_streams(self, capsys, monkeypatch, on_cpus):
+        # two streams of a full block each: both raise on their own thread
+        monkeypatch.setenv("GKPLAT_WORKERS", "2")
+        result, built = on_cpus(2, lambda: run_cli(
+            ["simulate", "--lattice", "D4", "--sigma-sq", "1e30", "--trials", "70000",
+             "--seed", "1"], capsys))
+        assert built == 1
+        assert_one_error_line(*result)
+
+    def test_huge_worker_count_bounded_by_cpus(self, capsys, monkeypatch):
+        # GKPLAT_WORKERS=10**9 with one-row blocks, so each of the 1000
+        # streams holds a full block; InlineThread starts no thread
+        monkeypatch.setenv("GKPLAT_WORKERS", str(10**9))
+        monkeypatch.setattr(channel_sim, "_BATCH", 1)
+        monkeypatch.setattr(threading, "Thread", InlineThread)
+        args = ["simulate", "--lattice", "grid_qudit:2", "--sigma-sq", "0.3",
+                "--trials", "1000", "--seed", "1"]
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(channel_sim, "_usable_cpus", lambda: cpus)
+            InlineThread.built = 0
+            code, out, _ = run_cli(args, capsys)
+            assert code == 0
+            assert InlineThread.built == cpus - 1  # the calling thread is the last
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["manifest"]["workers"] == 10**9
 
     def test_undecodable_basis(self, tmp_path, capsys):
         path = tmp_path / "skewed.json"
@@ -381,11 +428,12 @@ import contextlib, io, json, sys
 loaded = {"import": "scipy" in sys.modules}
 from gkplat.cli import main
 loaded["import gkplat.cli"] = "scipy" in sys.modules
+startup = {name: name in sys.modules for name in ("concurrent.futures", "logging")}
 for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(args) == 0, args
     loaded[" ".join(args)] = "scipy" in sys.modules
-print(json.dumps(loaded))
+print(json.dumps([loaded, startup]))
 """
 
 
@@ -400,6 +448,8 @@ def test_scipy_loaded_only_where_erfc_runs():
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    loaded, startup = json.loads(proc.stdout)
     assert list(loaded) == ["import", "import gkplat.cli"] + [" ".join(a) for a in calls]
     assert list(loaded.values()) == [False] * 7 + [True]
+    # the stream threads need neither: both would add to every CLI start-up
+    assert startup == {"concurrent.futures": False, "logging": False}

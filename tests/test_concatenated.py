@@ -291,6 +291,35 @@ class TestChannelSample:
             half = wilson_halfwidth(p_hat, 500_000)
             assert abs(p_hat - pmf[v]) <= 3.0 * half
 
+    @pytest.mark.parametrize("d", [2, 10, 1448])
+    @pytest.mark.parametrize("size", [1, 40_000, (29_127, 9)])
+    def test_chunked_draw_equals_one_shot(self, d, size):
+        # 80,000 and 524,286 normals: not multiples of the 2**16 chunk
+        noise = NoiseModel(0.05)
+        sigma, delta = math.sqrt(noise.sigma_sq), math.sqrt(2.0 * math.pi * noise.hbar / d)
+        gen, ref = make_generator(63), make_generator(63)
+        a, b = sample_qudit_errors(d, noise, gen, size)
+        shape = (2,) + (size if isinstance(size, tuple) else (size,))
+        want = np.rint(ref.standard_normal(shape) * sigma / delta).astype(np.int64) % d
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, want[0]) and np.array_equal(b, want[1])
+        assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
+
+    def test_batch_memory_bounded(self):
+        # one full block of shor9 at d = 10: sampling, then decoding
+        code = shor9_code(10)
+        rows = concatenated._BATCH_TRIALS // code.n
+        gen = make_generator(64)
+        tracemalloc.start()
+        try:
+            a, b = sample_qudit_errors(code.d, NoiseModel(0.05), gen, (rows, code.n))
+            failed = concatenated._batch_failures(code, a, b)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        assert 0 < failed.sum() < rows
+
     def test_x_z_independent(self):
         noise = NoiseModel(sigma_sq_for_bound(2, 0.1))
         gen = make_generator(62)
@@ -480,6 +509,20 @@ class TestSimulateConcatenated:
         # exact counts at seed 19: a change to sampling or decoding shows here
         est = simulate_concatenated(shor9_code(d), NoiseModel(0.05), 300_000, 19, workers)
         assert est.failures == failures
+
+    def test_threaded_counts_equal_serial(self, on_cpus):
+        # two streams of at least two full blocks each
+        code = shor9_code(10)
+        trials = 4 * (concatenated._BATCH_TRIALS // code.n) + 1
+
+        def run():
+            return simulate_concatenated(code, NoiseModel(0.05), trials, 29, workers=2)
+        serial, built = on_cpus(1, run)
+        assert built == 0
+        threaded, built = on_cpus(2, run)
+        assert built == 1
+        assert threaded == serial
+        assert 0 < serial.failures < trials
 
     def test_runs_at_large_d(self):
         est = simulate_concatenated(shor9_code(1000), NoiseModel(1e-4), 10_000, seed=1,

@@ -1,6 +1,7 @@
 """Closest-point and shortest-vector search against brute-force references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from gkplat.decoder import (
     packing_radius,
     shortest_vector,
 )
-from gkplat.symplectic_lattice import Lattice, dual_lattice, lattice_from_rows, rescale
+from gkplat.symplectic_lattice import (
+    Lattice,
+    dual_lattice,
+    lattice_from_rows,
+    make_code,
+    rescale,
+)
 
 from oracles import BruteForceCVP, reference_closest
 
@@ -102,6 +109,20 @@ class TestClosestPoint:
             closest_points(lat, np.zeros((2, 4)))
         with pytest.raises(ValueError, match="basis"):
             shortest_vector(lat)
+
+    def test_memory_bounded(self):
+        # two enumeration blocks of far-off targets on the E8x2 normalizer
+        lat = make_code(rescale(get("E8").lattice, 2)).normalizer
+        xs = np.random.default_rng(3).standard_normal((8192, 8)) * 1e3
+        closest_points(lat, xs[:1])  # build the cached frame outside the count
+        tracemalloc.start()
+        try:
+            coeffs, _ = closest_points(lat, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+        assert coeffs.any(axis=1).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

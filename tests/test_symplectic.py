@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkplat import exact
 from gkplat.catalog import get
@@ -170,6 +172,41 @@ class TestStandardForm:
         a = frac_mat([[0, 0], [0, 0]])
         with pytest.raises(ValueError):
             standard_form(SymplecticGram(a))
+
+
+@st.composite
+def integral_antisymmetric(draw):
+    """A random integral antisymmetric matrix of size n <= 8."""
+    n = draw(st.integers(1, 8))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = draw(st.integers(-40, 40))
+            a[j][i] = -a[i][j]
+    return a
+
+
+class TestStandardFormCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(a=integral_antisymmetric())
+    def test_certificate(self, a):
+        gram = SymplecticGram(frac_mat(a))
+        if len(a) % 2 or pfaffian(a) == 0:  # singular
+            with pytest.raises(ValueError):
+                standard_form(gram)
+            return
+        form = standard_form(gram)
+        n, half = len(a), len(a) // 2
+        assert all(v.denominator == 1 for row in form.r for v in row)
+        assert abs(exact.determinant(form.r)) == 1
+        block = [[0] * n for _ in range(n)]
+        for i, d in enumerate(form.diag):
+            block[i][half + i], block[half + i][i] = d, -d
+        assert exact.mat_mul(exact.mat_mul(form.r, gram.entries),
+                             exact.transpose(form.r)) == frac_mat(block)
+        assert len(form.diag) == half and all(d > 0 for d in form.diag)
+        assert all(later % d == 0 for d, later in zip(form.diag, form.diag[1:]))
+        assert math.prod(form.diag) == abs(pfaffian(a))
 
 
 class TestCodeDimension:
