@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concatenated import _erfc, dit_rate_bound, entropy_base_d, scan_dimensions
+from .concatenated import (
+    _erfc,
+    dit_rate_bound,
+    entropy_base_d,
+    scan_ceiling,
+    scan_dimensions,
+)
 
 
 @dataclass(frozen=True)
@@ -70,14 +76,15 @@ def optimize_classical_d(params: ClassicalParams, d_max: int | None = None) -> t
     """Best signal alphabet size over 2 <= d <= d_max; ties go to the smallest d.
 
     The optimum sits near C * sqrt(P / sigma^2) with C below 1, so the
-    default ceiling 8 sqrt(P / sigma^2) is comfortably interior. The rate
-    is max(0, log2 d - h2(p) - p log2(d-1)) with p increasing in d, so
-    dit_rate_bound(p, 1) bounds it on each block of the scan, and blocks
-    that cannot beat the best rate so far are skipped. The result equals
-    that of an exhaustive scan, bit for bit.
+    default ceiling 8 sqrt(P / sigma^2) is comfortably interior; above
+    P / sigma^2 = 2**100 it passes the scan's limit and is refused.
+    The rate is max(0, log2 d - h2(p) - p log2(d-1)) with p increasing
+    in d, so dit_rate_bound(p, 1) bounds it on each block of the scan,
+    and blocks that cannot beat the best rate so far are skipped. The
+    result equals that of an exhaustive scan, bit for bit.
     """
     if d_max is None:
-        d_max = max(2, math.ceil(8.0 * math.sqrt(params.snr)))
+        d_max = scan_ceiling(8.0 * math.sqrt(params.snr), f"snr = {params.snr!r}")
     return scan_dimensions(
         lambda ds: classical_concat_rate(ds, classical_dit_error_prob(ds, params)), d_max,
         dit_rate_bound(lambda ds: classical_dit_error_prob(ds, params), 1))

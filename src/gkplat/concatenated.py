@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -99,11 +100,45 @@ class CssCode:
         return keys, corrections, weights, (corrections @ opposite_logical.T) % self.d
 
 
-def _erfc(x):
-    """scipy's vectorised erfc. scipy is imported here, on first use, so a
-    run that evaluates no erfc never pays for importing it."""
+@cache
+def _erfc_ufunc() -> np.ufunc:
+    """scipy's erfc ufunc, loaded on first use without the package init of
+    scipy.special, which imports far more than erfc needs (array-API
+    support, numpy.testing, numpy.ma, numpy.f2py).
+
+    After the cheap ``import scipy``, the extension scipy/special/
+    _special_ufuncs<suffix> is loaded by path under its real module name
+    and put in sys.modules, so a later ``import scipy.special`` reuses it
+    and its erfc is this very object. Where the file or its erfc ufunc is
+    missing (older scipy), ``from scipy.special import erfc`` runs instead.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    import scipy
+    name = "scipy.special._special_ufuncs"
+    if name not in sys.modules:
+        stem = os.path.join(scipy.__path__[0], "special", "_special_ufuncs")
+        paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((path for path in paths if os.path.isfile(path)), None)
+        if path is not None:
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+    erfc = getattr(sys.modules.get(name), "erfc", None)
+    if isinstance(erfc, np.ufunc):
+        return erfc
     from scipy.special import erfc
-    return erfc(x)
+    return erfc
+
+
+def _erfc(x):
+    """Elementwise erfc of a scalar or an array: scipy's ufunc, so a run
+    that evaluates no erfc never loads scipy (see _erfc_ufunc)."""
+    return _erfc_ufunc()(x)
 
 
 def gkp_qudit_error_prob(d: int | np.ndarray, noise: NoiseModel) -> float | np.ndarray:
@@ -151,6 +186,17 @@ def concat_rate_qubits(d: int | np.ndarray, noise: NoiseModel) -> float | np.nda
 
 _SCAN_CHUNK = 1 << 16  # d values per block of a scan; bounds its memory
 _BOUND_SLACK = 1e-9    # float slack, relative to 1 + |best|, before a block bound prunes
+_D_LIMIT = 2 ** 53     # largest scan ceiling: every d up to it is exact in float64
+
+
+def scan_ceiling(bound: float, source: str) -> int:
+    """Default scan ceiling max(2, ceil(bound)). A bound above _D_LIMIT
+    (or an infinite one) is refused with an error naming the input,
+    ``source``, that set it."""
+    if not bound <= _D_LIMIT:
+        raise ValueError(f"{source} puts the default ceiling on d at {bound:.4g}, "
+                         f"above 2**53 where d is exact in float64")
+    return max(2, math.ceil(bound))
 
 
 def dit_rate_bound(error_prob, k: int):
@@ -171,30 +217,43 @@ def dit_rate_bound(error_prob, k: int):
 
 
 def scan_dimensions(rate, d_max: int, upper=lambda a, b: math.inf) -> tuple[int, float]:
-    """Best (d, rate(d)) over 2 <= d <= d_max; ties go to the smallest d.
+    """Best (d, rate(d)) over 2 <= d <= d_max <= 2**53; ties go to the smallest d.
 
     ``rate`` maps an int64 array of d to rates elementwise. It runs on
     blocks of at most _SCAN_CHUNK values with a running argmax, so memory
     stays bounded and the result is that of a single whole-range call.
-    ``upper(a, b)`` bounds rate(d) from above on the block a <= d <= b
-    (see dit_rate_bound). A block whose bound plus the float slack
+    ``upper(a, b)`` bounds rate(d) from above on a <= d <= b (see
+    dit_rate_bound). A span whose bound plus the float slack
     _BOUND_SLACK (1 + |best|) is at most the best rate so far holds no
     value that could replace the first maximum, so it is skipped without
     evaluating the rate; the result stays that of the whole range. The
-    default bound, infinity, skips no block.
+    default bound, infinity, skips nothing.
+
+    After a skip the next span tested is twice as wide (whole blocks, so
+    spans stay on the block grid); the first span that is not skipped
+    drops back to one block, which is tested, then evaluated or skipped.
+    The bound only grows as its interval widens, so a skipped span holds
+    no block that a test per block would evaluate: the evaluated blocks
+    are those of a block-by-block scan, while the empty tail above the
+    optimum costs a number of bound calls logarithmic in d_max.
     """
-    if d_max < 2:
-        raise ValueError("d_max must be >= 2")
+    if not 2 <= d_max <= _D_LIMIT:
+        raise ValueError(f"d_max = {d_max} must lie in [2, 2**53]")
     best = (0, -math.inf)
-    for start in range(2, d_max + 1, _SCAN_CHUNK):
-        stop = min(start + _SCAN_CHUNK, d_max + 1)
+    start, span = 2, _SCAN_CHUNK
+    while start <= d_max:
+        stop = min(start + span, d_max + 1)
         if upper(start, stop - 1) + _BOUND_SLACK * (1.0 + abs(best[1])) <= best[1]:
-            continue
-        ds = np.arange(start, stop, dtype=np.int64)
-        rates = rate(ds)
-        idx = int(np.argmax(rates))
-        if rates[idx] > best[1]:
-            best = (int(ds[idx]), float(rates[idx]))
+            start, span = stop, 2 * span
+        elif span > _SCAN_CHUNK:
+            span = _SCAN_CHUNK
+        else:
+            ds = np.arange(start, stop, dtype=np.int64)
+            rates = rate(ds)
+            idx = int(np.argmax(rates))
+            if rates[idx] > best[1]:
+                best = (int(ds[idx]), float(rates[idx]))
+            start = stop
     return best
 
 
@@ -214,14 +273,15 @@ def optimize_qudit_dimension(noise: NoiseModel, d_max: int | None = None) -> Con
     """Best qudit dimension over 2 <= d <= d_max; ties go to the smallest d.
 
     The default ceiling 8 hbar / sigma^2 leaves the optimum (near
-    c_sq * hbar / sigma^2 with c_sq < 1/e) well in the interior. The rate
-    is max(0, log2 d - 2 h2(p) - 2 p log2(d-1)) with p increasing in d,
-    so dit_rate_bound(p, 2) bounds it on each block of the scan, and
-    blocks that cannot beat the best rate so far are skipped. The result
-    equals that of an exhaustive scan, bit for bit.
+    c_sq * hbar / sigma^2 with c_sq < 1/e) well in the interior; below
+    sigma^2 = 8 hbar / 2**53 it passes the scan's limit and is refused.
+    The rate is max(0, log2 d - 2 h2(p) - 2 p log2(d-1)) with p
+    increasing in d, so dit_rate_bound(p, 2) bounds it on each block of
+    the scan, and blocks that cannot beat the best rate so far are
+    skipped. The result equals that of an exhaustive scan, bit for bit.
     """
     if d_max is None:
-        d_max = max(2, math.ceil(8.0 * noise.hbar / noise.sigma_sq))
+        d_max = scan_ceiling(8.0 * noise.hbar / noise.sigma_sq, f"sigma_sq = {noise.sigma_sq!r}")
     d_opt, rate = scan_dimensions(lambda ds: concat_rate_qubits(ds, noise), d_max,
                                   dit_rate_bound(lambda ds: gkp_qudit_error_prob(ds, noise), 2))
     c_sq = 2.0 ** rate * noise.sigma_sq / noise.hbar
@@ -308,16 +368,6 @@ def shor9_code(d: int) -> CssCode:
             table.setdefault(synd_z, err)
     return CssCode(d=d, n=9, k=1, hz=hz, hx=hx,
                    logical_x=logical_x, logical_z=logical_z, decode_table=table)
-
-
-def trivial_code(d: int) -> CssCode:
-    """One bare qudit, no checks: every nonidentity error is logical."""
-    empty = np.zeros((0, 1), dtype=np.int64)
-    table = {("X", ()): np.zeros(1, dtype=np.int64),
-             ("Z", ()): np.zeros(1, dtype=np.int64)}
-    one = np.ones((1, 1), dtype=np.int64)
-    return CssCode(d=d, n=1, k=1, hz=empty, hx=empty,
-                   logical_x=one, logical_z=one, decode_table=table)
 
 
 def css_decode(code: CssCode, error: list[QuditPauliError]) -> tuple[list[QuditPauliError], bool]:

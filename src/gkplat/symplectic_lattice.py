@@ -374,23 +374,9 @@ def orthogonal_scale_sq(lat: Lattice) -> Fraction | None:
 # JSON interchange: rationals as "p/q" strings so exactness survives a trip
 # through a file.
 
-def lattice_to_dict(lat: Lattice) -> dict:
-    return {
-        "n": lat.n,
-        "lambda": str(lat.scale_sq),
-        "basis": [[str(v) for v in row] for row in lat.basis],
-    }
-
-
 def lattice_from_dict(data: dict) -> Lattice:
     return Lattice(int(data["n"]), exact.freeze(data["basis"]),
                    exact.as_fraction(data["lambda"]))
-
-
-def save_lattice(lat: Lattice, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(lattice_to_dict(lat), fh, indent=2)
-        fh.write("\n")
 
 
 def load_lattice(path) -> Lattice:

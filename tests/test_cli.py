@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gkplat import channel_sim
+from gkplat import channel_sim, classical_channel, concatenated
 from gkplat.cli import _canonical_json, _grid, _scalar, main
 
 from oracles import square_lattice_failure_prob, wilson_halfwidth
@@ -79,6 +79,26 @@ class TestConcatRatesCommand:
             assert float(row[3]) <= float(row[5])
 
 
+class TestRateScanTail:
+    @pytest.mark.parametrize("module,command,column,d_opt", [
+        (concatenated, ["concat-rates", "--sigma-grid", "0.1:0.1:1"], 1, 30),
+        (classical_channel, ["classical-rates", "--snr-grid", "10:10:1"], 4, 3),
+    ])
+    def test_huge_d_max_costs_few_bound_calls(self, capsys, monkeypatch, module, command,
+                                              column, d_opt):
+        # 1.5e6 blocks above the optimum; a test per block would take minutes
+        calls, bound = [], concatenated.dit_rate_bound
+
+        def counting(error_prob, k):
+            upper = bound(error_prob, k)
+            return lambda a, b: calls.append((a, b)) or upper(a, b)
+        monkeypatch.setattr(module, "dit_rate_bound", counting)
+        code, out, _ = run_cli(command + ["--d-max", "100000000000"], capsys)
+        assert code == 0
+        assert int(out.splitlines()[2].split(",")[column]) == d_opt
+        assert len(calls) <= 64
+
+
 class TestClassicalRatesCommand:
     def test_rates_below_capacity(self, tmp_path, capsys):
         out = tmp_path / "classical.csv"
@@ -111,10 +131,8 @@ class TestSimulateCommand:
         assert payload["manifest"]["seed"] == 7
 
     def test_lattice_file_input(self, tmp_path, capsys):
-        from gkplat.catalog import get
-        from gkplat.symplectic_lattice import save_lattice
-        path = tmp_path / "gq3.json"
-        save_lattice(get("grid_qudit(3)").lattice, path)
+        path = tmp_path / "gq3.json"  # grid_qudit(3)
+        path.write_text('{"n": 2, "lambda": "3", "basis": [["1", "0"], ["0", "1"]]}')
         code, out, _ = run_cli(["simulate", "--lattice", str(path),
                                 "--sigma-sq", "0.1", "--trials", "1000",
                                 "--seed", "3"], capsys)
@@ -230,6 +248,15 @@ class TestBadInput:
     def test_sigma_grid_underflow(self, capsys, grid):
         # sigma^2 underflows to 0, or to a subnormal whose d-scan ceiling is inf
         assert_one_error_line(*run_cli(["concat-rates", "--sigma-grid", grid], capsys))
+
+    @pytest.mark.parametrize("command", [
+        ["concat-rates", "--sigma-grid", "1e-10:1e-10:1"],  # default ceiling 8e20
+        ["classical-rates", "--snr-grid", "1e31:1e31:1"],   # default ceiling 2.5e16
+        ["concat-rates", "--sigma-grid", "0.1:0.1:1", "--d-max", str(2**53 + 1)],
+        ["classical-rates", "--snr-grid", "10:10:1", "--d-max", str(2**53 + 1)],
+    ])
+    def test_d_ceiling_beyond_float64(self, capsys, command):
+        assert_one_error_line(*run_cli(command, capsys))
 
     @pytest.mark.parametrize("value", ["0", "-2", "two"])
     def test_bad_worker_count(self, capsys, monkeypatch, value):
@@ -429,11 +456,14 @@ loaded = {"import": "scipy" in sys.modules}
 from gkplat.cli import main
 loaded["import gkplat.cli"] = "scipy" in sys.modules
 startup = {name: name in sys.modules for name in ("concurrent.futures", "logging")}
+special = {}
 for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(args) == 0, args
     loaded[" ".join(args)] = "scipy" in sys.modules
-print(json.dumps([loaded, startup]))
+    special[" ".join(args)] = [name in sys.modules
+                               for name in ("scipy.special", "scipy.special._special_ufuncs")]
+print(json.dumps([loaded, startup, special]))
 """
 
 
@@ -444,12 +474,44 @@ def test_scipy_loaded_only_where_erfc_runs():
              ["decode", "Zn:2", "0.4,-0.3"],
              ["simulate", "--lattice", "D4", "--sigma-sq", "0.2", "--trials", "10", "--seed", "1"],
              ["concat-sim", "--d", "3", "--sigma-sq", "0.05", "--trials", "100", "--seed", "1"],
-             ["concat-rates", "--sigma-grid", "0.1:0.1:1"]]
+             ["concat-rates", "--sigma-grid", "0.1:0.1:1"],
+             ["classical-rates", "--snr-grid", "10:10:1"]]
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded, startup = json.loads(proc.stdout)
+    loaded, startup, special = json.loads(proc.stdout)
     assert list(loaded) == ["import", "import gkplat.cli"] + [" ".join(a) for a in calls]
-    assert list(loaded.values()) == [False] * 7 + [True]
+    assert list(loaded.values()) == [False] * 7 + [True, True]
+    # erfc comes from scipy's ufunc extension, loaded by path: the
+    # scipy.special package itself is never imported
+    assert list(special.values()) == [[False, False]] * 5 + [[False, True]] * 2
     # the stream threads need neither: both would add to every CLI start-up
     assert startup == {"concurrent.futures": False, "logging": False}
+
+
+_FALLBACK_PROBE = """
+import contextlib, importlib.machinery, io, json, sys
+from gkplat.cli import main
+if sys.argv[1] == "fallback":
+    importlib.machinery.EXTENSION_SUFFIXES = []  # scipy's erfc file is not found by path
+outputs = []
+for args in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(args) == 0, args
+    outputs.append(out.getvalue())
+print(json.dumps([outputs, "scipy.special" in sys.modules]))
+"""
+
+
+def test_erfc_fallback_gives_identical_csv():
+    # where the ufunc file cannot be found, `from scipy.special import erfc` runs
+    calls = [["concat-rates", "--sigma-grid", "1e-3:0.0137:3"],
+             ["classical-rates", "--snr-grid", "1:1e10:50"]]
+    runs = {}
+    for path in ("by-path", "fallback"):
+        proc = subprocess.run([sys.executable, "-c", _FALLBACK_PROBE, path, json.dumps(calls)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[path] = json.loads(proc.stdout)
+    assert [runs["by-path"][1], runs["fallback"][1]] == [False, True]
+    assert runs["fallback"][0] == runs["by-path"][0]

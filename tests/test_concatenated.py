@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,7 +30,6 @@ from gkplat.concatenated import (
     scan_dimensions,
     shor9_code,
     simulate_concatenated,
-    trivial_code,
 )
 from gkplat.rates import coherent_information
 
@@ -59,6 +60,38 @@ class TestErrorProbBound:
         noise = NoiseModel(0.05)
         probs = [gkp_qudit_error_prob(d, noise) for d in range(1, 40)]
         assert all(a < b for a, b in zip(probs, probs[1:]))
+
+
+_ERFC_PROBE = """
+import sys
+import numpy as np
+from gkplat.concatenated import _erfc, _erfc_ufunc
+rng = np.random.default_rng(7)
+d = np.arange(1, 10**6 + 1, dtype=np.float64)
+x = np.concatenate([
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300, np.inf, -np.inf,
+     np.nan],
+    np.linspace(26.5, 40.0, 100_001),        # erfc underflows to subnormals, then 0
+    rng.uniform(-30.0, 30.0, 10**6),
+    rng.exponential(3.0, 10**6),
+    np.sqrt(np.pi / (4.0 * d * 1e-2)),      # the concat-rates scan at sigma^2 = 1e-2 ...
+    np.sqrt(np.pi / (4.0 * d * 1e-6)),      # ... and 1e-6
+    np.sqrt(1.5 / (d ** 2 * 1e-10)),        # the classical-rates scan at SNR 1e10
+])
+fast = _erfc(x)
+assert "scipy.special" not in sys.modules, "erfc came from the scipy.special fallback"
+from scipy.special import erfc
+assert _erfc_ufunc() is erfc
+assert fast.tobytes() == erfc(x).tobytes()
+"""
+
+
+def test_erfc_ufunc_is_scipys_bit_for_bit():
+    # pins the by-path load to the installed scipy: the tests import
+    # scipy.special themselves, so this runs in a fresh interpreter
+    proc = subprocess.run([sys.executable, "-c", _ERFC_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestEntropy:
@@ -238,6 +271,45 @@ class TestOptimize:
         design = optimize_qudit_dimension(NoiseModel(1e-6))  # sigma = 1e-3: 8e6 values of d
         assert (design.d_opt, design.rate_qubits) == (216623, 17.35210724242679)
         assert sum(evaluated) <= 5 * 10**5
+
+    @pytest.mark.parametrize("chunk,sigma_sq,d_max", [
+        (1 << 16, 0.45 ** 2, None), (1 << 16, 1.88e-4, None), (1 << 16, 1e-5, None),
+        (1 << 16, 1e-6, None), (1 << 16, 0.01, 10**8),
+        (64, 1e-4, None), (64, 0.0137 ** 2, 10**6), (7, 0.3, 10**5),
+    ])
+    def test_galloping_scan_evaluates_the_blocks_of_a_block_scan(self, monkeypatch, chunk,
+                                                                 sigma_sq, d_max):
+        # reference: test the bound on each block in turn, evaluate the blocks it keeps
+        monkeypatch.setattr(concatenated, "_SCAN_CHUNK", chunk)
+        noise = NoiseModel(sigma_sq)
+        d_max = d_max or math.ceil(8.0 / sigma_sq)
+        upper = dit_rate_bound(lambda ds: gkp_qudit_error_prob(ds, noise), 2)
+        best, want = (0, -math.inf), []
+        for start in range(2, d_max + 1, chunk):
+            ds = np.arange(start, min(start + chunk, d_max + 1), dtype=np.int64)
+            if upper(start, int(ds[-1])) + concatenated._BOUND_SLACK * (1.0 + abs(best[1])) \
+                    <= best[1]:
+                continue
+            want.append(start)
+            rates = concat_rate_qubits(ds, noise)
+            if rates.max() > best[1]:
+                best = (int(ds[np.argmax(rates)]), float(rates.max()))
+        got = []
+
+        def rate(ds):
+            got.append(int(ds[0]))
+            return concat_rate_qubits(ds, noise)
+        assert scan_dimensions(rate, d_max, upper) == best
+        assert got == want
+
+    def test_scan_ceiling_is_two_to_the_53(self):
+        noise = NoiseModel(0.01)
+        assert optimize_qudit_dimension(noise, 2**53).d_opt == 30
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            optimize_qudit_dimension(noise, 2**53 + 1)
+        assert concatenated.scan_ceiling(2.0**53, "bound") == 2**53
+        with pytest.raises(ValueError, match="sigma_sq"):
+            optimize_qudit_dimension(NoiseModel(7.9 / 2**53))  # default ceiling above 2**53
 
     @settings(max_examples=60, deadline=None)
     @given(log_sigma_sq=st.floats(-7.0, 0.5), hbar=st.sampled_from([0.5, 1.0, 3.0]),
@@ -536,7 +608,12 @@ class TestSimulateConcatenated:
         noise = NoiseModel(sigma_sq)
         pmf = qudit_shift_pmf(d, math.sqrt(sigma_sq))
         p_raw = 1.0 - pmf[0] ** 2  # X or Z component nonzero
-        est = simulate_concatenated(trivial_code(d), noise, 300_000, seed=74)
+        # one bare qudit, no checks: every nonidentity error is logical
+        empty, one = np.zeros((0, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64)
+        table = {("X", ()): np.zeros(1, dtype=np.int64), ("Z", ()): np.zeros(1, dtype=np.int64)}
+        bare = CssCode(d=d, n=1, k=1, hz=empty, hx=empty, logical_x=one, logical_z=one,
+                       decode_table=table)
+        est = simulate_concatenated(bare, noise, 300_000, seed=74)
         half = wilson_halfwidth(est.p_hat, est.trials)
         assert abs(est.p_hat - p_raw) <= 3.0 * half
 
