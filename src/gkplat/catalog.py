@@ -10,6 +10,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .decoder import MAX_DIM
 from .symplectic_lattice import Lattice, lattice_from_rows
 
 
@@ -24,6 +25,8 @@ class CatalogEntry:
 def _zn(n: int) -> CatalogEntry:
     if n <= 0 or n % 2:
         raise ValueError("Zn requires an even positive dimension")
+    if n > MAX_DIM:  # refused before the n x n basis is built
+        raise ValueError(f"Zn supports dimensions up to {MAX_DIM}, the decoder's limit; got {n}")
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
     return CatalogEntry(
         name=f"Zn({n})",

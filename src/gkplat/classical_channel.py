@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concatenated import (
-    _erfc,
-    dit_rate_bound,
-    entropy_base_d,
-    scan_ceiling,
-    scan_dimensions,
-)
+from .concatenated import _erfc, optimize_dit_rate, scan_ceiling
 
 
 @dataclass(frozen=True)
@@ -63,28 +57,17 @@ def classical_dit_error_prob(d: int | np.ndarray, params: ClassicalParams) -> fl
     return _erfc(np.sqrt(1.5 * params.power / (d_sq * params.sigma_sq)))
 
 
-def classical_concat_rate(d: int | np.ndarray, p) -> float | np.ndarray:
-    """Bits per variable of a random outer code on d-ary signals:
-    log2(d) (1 - H_d(p) - p log_d(d-1)), clamped at 0. Scalars or arrays."""
-    if np.any(np.asarray(d) < 2):
-        raise ValueError("signal alphabet must have d >= 2")
-    log_ratio = np.log(d - 1) / np.log(d)
-    return np.maximum(0.0, np.log2(d) * (1.0 - entropy_base_d(p, d) - p * log_ratio))
-
-
 def optimize_classical_d(params: ClassicalParams, d_max: int | None = None) -> tuple[int, float]:
     """Best signal alphabet size over 2 <= d <= d_max; ties go to the smallest d.
 
     The optimum sits near C * sqrt(P / sigma^2) with C below 1, so the
     default ceiling 8 sqrt(P / sigma^2) is comfortably interior; above
     P / sigma^2 = 2**100 it passes the scan's limit and is refused.
-    The rate is max(0, log2 d - h2(p) - p log2(d-1)) with p increasing
-    in d, so dit_rate_bound(p, 1) bounds it on each block of the scan,
-    and blocks that cannot beat the best rate so far are skipped. The
-    result equals that of an exhaustive scan, bit for bit.
+    The rate is concatenated.dit_rate(d, p, 1), a random outer code on
+    d-ary signals with p the per-variable error bound; optimize_dit_rate
+    finds its first maximum by a best-first search pruned by the rate's
+    bound, with the result of an exhaustive scan, bit for bit.
     """
     if d_max is None:
         d_max = scan_ceiling(8.0 * math.sqrt(params.snr), f"snr = {params.snr!r}")
-    return scan_dimensions(
-        lambda ds: classical_concat_rate(ds, classical_dit_error_prob(ds, params)), d_max,
-        dit_rate_bound(lambda ds: classical_dit_error_prob(ds, params), 1))
+    return optimize_dit_rate(lambda ds: classical_dit_error_prob(ds, params), 1, d_max)

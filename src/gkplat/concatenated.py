@@ -12,7 +12,7 @@ k of N qudits; the achievable asymptotic rate uses the pessimistic model
 where all d-1 shift values are equally likely, while the Monte Carlo here
 samples the true (peaked) shift distribution.
 
-Rate formulas give qudits per oscillator; multiply by log2(d) for qubits.
+dit_rate gives the rate in qubits per oscillator.
 The explicit nine-qudit block code below (three repetition blocks, block
 sums compared across blocks) stands in for the random CSS codes of the
 asymptotic argument when something concrete must be simulated.
@@ -20,6 +20,7 @@ asymptotic argument when something concrete must be simulated.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cache
@@ -39,6 +40,14 @@ class QuditPauliError:
     @property
     def is_identity(self) -> bool:
         return self.a == 0 and self.b == 0
+
+
+def _check_syndrome_keys(d: int, rows: int) -> None:
+    """Refuse a code whose syndrome keys, base-d numbers of ``rows``
+    digits, would overflow int64."""
+    if d ** rows >= 2 ** 63:
+        raise ValueError(f"syndrome keys d**{rows} overflow int64; "
+                         f"d = {d} is too large for this code")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,9 +96,7 @@ class CssCode:
         of int64 max, above every syndrome, with a zero row keeps
         searchsorted in range and stands for a missing syndrome."""
         rows = checks.shape[0]
-        if self.d ** rows >= 2 ** 63:
-            raise ValueError(f"syndrome keys d**{rows} overflow int64; "
-                             f"d = {self.d} is too large for this code")
+        _check_syndrome_keys(self.d, rows)
         weights = self.d ** np.arange(rows - 1, -1, -1, dtype=np.int64)
         entries = sorted(((int(np.array(synd, dtype=np.int64) @ weights), corr)
                           for (sec, synd), corr in self.decode_table.items() if sec == sector),
@@ -162,26 +169,16 @@ def entropy_base_d(p: float | np.ndarray, d: int | np.ndarray) -> float | np.nda
     return np.where((p > 0.0) & (p < 1.0), h, 0.0)[()]  # [()]: scalar for scalar input
 
 
-def _css_sector_rate(d, p):
-    """One sector of the random CSS rate: 1 - 2 H_d(p) - 2 p log_d(d-1)."""
+def dit_rate(d: int | np.ndarray, p, k: int) -> float | np.ndarray:
+    """Bits per d-ary symbol of a random code when each of k error sectors
+    hits a symbol with probability p, spread evenly over the d - 1 wrong
+    values: log2(d) max(0, 1 - k H_d(p) - k p log_d(d-1)). k = 1 is the
+    classical outer code, k = 2 a CSS code over Z_d with p_X = p_Z = p.
+    Scalars or arrays (broadcast together)."""
     if np.any(np.asarray(d) < 2):
-        raise ValueError("qudit dimension must be >= 2")
+        raise ValueError("dimension d must be >= 2")
     log_ratio = np.log(d - 1) / np.log(d)  # 0 when d == 2
-    return 1.0 - 2.0 * entropy_base_d(p, d) - 2.0 * p * log_ratio
-
-
-def css_rate_qudits(d: int | np.ndarray, p_x, p_z) -> float | np.ndarray:
-    """Achievable qudit rate of random CSS codes at error rates (p_x, p_z):
-    min over both sectors of 1 - 2 H_d(p) - 2 p log_d(d-1), clamped at 0."""
-    return np.maximum(0.0, np.minimum(_css_sector_rate(d, p_x), _css_sector_rate(d, p_z)))
-
-
-def concat_rate_qubits(d: int | np.ndarray, noise: NoiseModel) -> float | np.ndarray:
-    """Qubit rate log2(d) css_rate_qudits(d, p, p) of the concatenated
-    scheme at qudit dimension d, with p the grid-qudit error bound; the
-    symmetric case evaluates one sector."""
-    p = gkp_qudit_error_prob(d, noise)
-    return np.log2(d) * np.maximum(0.0, _css_sector_rate(d, p))
+    return np.log2(d) * np.maximum(0.0, 1.0 - k * entropy_base_d(p, d) - k * p * log_ratio)
 
 
 _SCAN_CHUNK = 1 << 16  # d values per block of a scan; bounds its memory
@@ -200,14 +197,16 @@ def scan_ceiling(bound: float, source: str) -> int:
 
 
 def dit_rate_bound(error_prob, k: int):
-    """Block bound for a rate R(d) = max(0, log2 d - k h2(p) - k p log2(d-1))
-    with p = error_prob(d) increasing in d and h2 the binary entropy in bits.
+    """Interval bound for dit_rate(d, p, k) = max(0, log2 d - k h2(p)
+    - k p log2(d-1)) with p = error_prob(d) increasing in d and h2 the
+    binary entropy in bits.
 
     Returns upper(a, b) = max(0, log2 b - k min(h2(p(a)), h2(p(b)))
-    - k p(a) log2(a-1)), which is >= R(d) for every a <= d <= b: log2 d
+    - k p(a) log2(a-1)), which is >= the rate for every a <= d <= b: log2 d
     <= log2 b; p(d) lies in [p(a), p(b)] and h2 is concave, so h2(p(d))
     is at least its smaller endpoint value; p(d) log2(d-1) is a product
     of nonnegative nondecreasing factors, so it is at least its value at a.
+    The bound only grows as its interval widens.
     """
     def upper(a: int, b: int) -> float:
         p_a, p_b = error_prob(np.array([a, b], dtype=np.int64))
@@ -220,41 +219,48 @@ def scan_dimensions(rate, d_max: int, upper=lambda a, b: math.inf) -> tuple[int,
     """Best (d, rate(d)) over 2 <= d <= d_max <= 2**53; ties go to the smallest d.
 
     ``rate`` maps an int64 array of d to rates elementwise. It runs on
-    blocks of at most _SCAN_CHUNK values with a running argmax, so memory
-    stays bounded and the result is that of a single whole-range call.
-    ``upper(a, b)`` bounds rate(d) from above on a <= d <= b (see
-    dit_rate_bound). A span whose bound plus the float slack
-    _BOUND_SLACK (1 + |best|) is at most the best rate so far holds no
-    value that could replace the first maximum, so it is skipped without
-    evaluating the rate; the result stays that of the whole range. The
-    default bound, infinity, skips nothing.
+    blocks of at most _SCAN_CHUNK values, on a grid of blocks starting at
+    d = 2, so memory stays bounded. ``upper(a, b)`` bounds rate(d) from
+    above on a <= d <= b (see dit_rate_bound); the default, infinity,
+    prunes nothing.
 
-    After a skip the next span tested is twice as wide (whole blocks, so
-    spans stay on the block grid); the first span that is not skipped
-    drops back to one block, which is tested, then evaluated or skipped.
-    The bound only grows as its interval widens, so a skipped span holds
-    no block that a test per block would evaluate: the evaluated blocks
-    are those of a block-by-block scan, while the empty tail above the
-    optimum costs a number of bound calls logarithmic in d_max.
+    The search is best-first: a heap holds intervals keyed on their bound,
+    starting from [2, d_max]; the top one is split in two on the block
+    grid, or evaluated if it is one block. It stops once the top bound
+    plus the float slack _BOUND_SLACK (1 + |best|) is at most the best
+    rate, when no interval left can hold a value equal to the best. A
+    block replaces the best on a higher rate, or an equal one at a smaller
+    d, so the result is the first maximum of the whole range, bit for bit.
+    With the default bound the intervals pop in ascending d: an exhaustive
+    scan.
     """
     if not 2 <= d_max <= _D_LIMIT:
         raise ValueError(f"d_max = {d_max} must lie in [2, 2**53]")
     best = (0, -math.inf)
-    start, span = 2, _SCAN_CHUNK
-    while start <= d_max:
-        stop = min(start + span, d_max + 1)
-        if upper(start, stop - 1) + _BOUND_SLACK * (1.0 + abs(best[1])) <= best[1]:
-            start, span = stop, 2 * span
-        elif span > _SCAN_CHUNK:
-            span = _SCAN_CHUNK
-        else:
-            ds = np.arange(start, stop, dtype=np.int64)
-            rates = rate(ds)
-            idx = int(np.argmax(rates))
-            if rates[idx] > best[1]:
-                best = (int(ds[idx]), float(rates[idx]))
-            start = stop
+    heap = [(-upper(2, d_max), 2, d_max)]
+    while heap and -heap[0][0] + _BOUND_SLACK * (1.0 + abs(best[1])) > best[1]:
+        _, a, b = heapq.heappop(heap)
+        blocks = (b - a) // _SCAN_CHUNK + 1
+        if blocks > 1:
+            mid = a + blocks // 2 * _SCAN_CHUNK
+            heapq.heappush(heap, (-upper(a, mid - 1), a, mid - 1))
+            heapq.heappush(heap, (-upper(mid, b), mid, b))
+            continue
+        ds = np.arange(a, b + 1, dtype=np.int64)
+        rates = rate(ds)
+        idx = int(np.argmax(rates))
+        if rates[idx] > best[1] or (rates[idx] == best[1] and ds[idx] < best[0]):
+            best = (int(ds[idx]), float(rates[idx]))
     return best
+
+
+def optimize_dit_rate(error_prob, k: int, d_max: int) -> tuple[int, float]:
+    """Best (d, dit_rate(d, error_prob(d), k)) over 2 <= d <= d_max, ties to
+    the smallest d: scan_dimensions pruned by dit_rate_bound(error_prob, k),
+    so the rate and its bound share one (error_prob, k). ``error_prob``
+    maps an int64 array of d to probabilities increasing in d."""
+    return scan_dimensions(lambda ds: dit_rate(ds, error_prob(ds), k), d_max,
+                           dit_rate_bound(error_prob, k))
 
 
 @dataclass(frozen=True)
@@ -275,15 +281,14 @@ def optimize_qudit_dimension(noise: NoiseModel, d_max: int | None = None) -> Con
     The default ceiling 8 hbar / sigma^2 leaves the optimum (near
     c_sq * hbar / sigma^2 with c_sq < 1/e) well in the interior; below
     sigma^2 = 8 hbar / 2**53 it passes the scan's limit and is refused.
-    The rate is max(0, log2 d - 2 h2(p) - 2 p log2(d-1)) with p
-    increasing in d, so dit_rate_bound(p, 2) bounds it on each block of
-    the scan, and blocks that cannot beat the best rate so far are
-    skipped. The result equals that of an exhaustive scan, bit for bit.
+    The rate is dit_rate(d, p, 2), a CSS code over Z_d on grid qudits
+    with p = p_X = p_Z the grid-qudit error bound; optimize_dit_rate
+    finds its first maximum by a best-first search pruned by the rate's
+    bound, with the result of an exhaustive scan, bit for bit.
     """
     if d_max is None:
         d_max = scan_ceiling(8.0 * noise.hbar / noise.sigma_sq, f"sigma_sq = {noise.sigma_sq!r}")
-    d_opt, rate = scan_dimensions(lambda ds: concat_rate_qubits(ds, noise), d_max,
-                                  dit_rate_bound(lambda ds: gkp_qudit_error_prob(ds, noise), 2))
+    d_opt, rate = optimize_dit_rate(lambda ds: gkp_qudit_error_prob(ds, noise), 2, d_max)
     c_sq = 2.0 ** rate * noise.sigma_sq / noise.hbar
     p = float(gkp_qudit_error_prob(d_opt, noise))
     return ConcatDesign(noise.sigma_sq, noise.hbar, d_opt, p, rate, c_sq)
@@ -330,10 +335,13 @@ def shor9_code(d: int) -> CssCode:
     Z-type checks compare neighbors within each block of three (six
     checks, diagnosing X shifts); X-type checks compare consecutive block
     sums (two checks, diagnosing Z shifts). Distance 3: every single-qudit
-    X^a Z^b error is correctable.
+    X^a Z^b error is correctable. A d too large for the six-digit X
+    syndrome keys (d >= 1449) is refused before the 9 (d - 1) entries of
+    the decode table are built.
     """
     if d < 2:
         raise ValueError("qudit dimension must be >= 2")
+    _check_syndrome_keys(d, 6)
     hz = np.zeros((6, 9), dtype=np.int64)
     for block in range(3):
         for i in range(2):

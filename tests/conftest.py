@@ -1,10 +1,10 @@
-"""Fixtures shared by the Monte Carlo tests."""
+"""Fixtures shared by the Monte Carlo and rate-scan tests."""
 
 import threading
 
 import pytest
 
-from gkplat import channel_sim
+from gkplat import channel_sim, concatenated
 
 
 class CountingThread(threading.Thread):
@@ -29,3 +29,15 @@ def on_cpus(monkeypatch):
         CountingThread.built = 0
         return call(), CountingThread.built
     return run
+
+
+@pytest.fixture
+def scan_evaluations(monkeypatch):
+    """List that receives the length of every d array that scan_dimensions
+    hands to its rate, for both optimizers."""
+    evaluated, scan = [], concatenated.scan_dimensions
+
+    def counting(rate, d_max, upper):
+        return scan(lambda ds: evaluated.append(len(ds)) or rate(ds), d_max, upper)
+    monkeypatch.setattr(concatenated, "scan_dimensions", counting)
+    return evaluated

@@ -18,6 +18,7 @@ from gkplat.channel_sim import NoiseModel, estimate_error_probability, make_gene
 from gkplat.concatenated import (
     QuditPauliError,
     css_decode,
+    dit_rate,
     gkp_qudit_error_prob,
     optimize_qudit_dimension,
     sample_qudit_errors,
@@ -26,7 +27,6 @@ from gkplat.concatenated import (
 )
 from gkplat.classical_channel import (
     ClassicalParams,
-    classical_concat_rate,
     classical_dit_error_prob,
     debuda_rate,
     minkowski_lattice_rate,
@@ -242,7 +242,7 @@ def test_criterion_9_classical_suite():
         params = ClassicalParams(1.0, 1.0 / snr)
         d_opt, rate = optimize_classical_d(params)
         best = max(
-            classical_concat_rate(d, classical_dit_error_prob(d, params))
+            dit_rate(d, classical_dit_error_prob(d, params), 1)
             for d in range(2, 201))
         assert rate == pytest.approx(best, rel=1e-12)
         gap = shannon_capacity(params) - rate

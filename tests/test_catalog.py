@@ -7,7 +7,7 @@ import pytest
 
 from gkplat import exact
 from gkplat.catalog import get
-from gkplat.decoder import shortest_vector
+from gkplat.decoder import MAX_DIM, shortest_vector
 from gkplat.symplectic_lattice import (
     code_dimension,
     dual_lattice,
@@ -95,3 +95,10 @@ def test_unknown_name():
         get("Leech")
     with pytest.raises(ValueError):
         get("Zn(3)")
+
+
+def test_zn_limited_to_decoder_dimensions():
+    assert get(f"Zn({MAX_DIM})").lattice.n == MAX_DIM
+    for n in [MAX_DIM + 2, 10**9]:  # refused before an n x n basis is built
+        with pytest.raises(ValueError, match=f"up to {MAX_DIM}"):
+            get(f"Zn({n})")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gkplat.classical_channel import (
     ClassicalParams,
-    classical_concat_rate,
     classical_dit_error_prob,
     debuda_rate,
     minkowski_lattice_rate,
@@ -17,13 +16,18 @@ from gkplat.classical_channel import (
     shannon_capacity,
 )
 from gkplat import concatenated
-from gkplat.concatenated import css_rate_qudits, dit_rate_bound, entropy_base_d, scan_dimensions
+from gkplat.concatenated import dit_rate, dit_rate_bound, entropy_base_d, scan_dimensions
 
 from oracles import erfc_oracle
 
 
 def at_snr(snr: float) -> ClassicalParams:
     return ClassicalParams(1.0, 1.0 / snr)
+
+
+def concat_rate(d, params):
+    """Bits per variable of the concatenated-dit scheme at alphabet size d."""
+    return dit_rate(d, classical_dit_error_prob(d, params), 1)
 
 
 class TestShannonCapacity:
@@ -87,21 +91,21 @@ class TestDitErrorProb:
 class TestClassicalConcatRate:
     def test_noiseless(self):
         for d in [2, 5, 64]:
-            assert classical_concat_rate(d, 0.0) == math.log2(d)
+            assert dit_rate(d, 0.0, 1) == math.log2(d)
 
     def test_binary_value(self):
         expected = 1.0 - entropy_base_d(0.11, 2)
-        assert classical_concat_rate(2, 0.11) == pytest.approx(expected, rel=1e-13)
+        assert dit_rate(2, 0.11, 1) == pytest.approx(expected, rel=1e-13)
         assert expected == pytest.approx(0.50007, abs=5e-5)
 
     def test_uniform_output_gives_zero(self):
         for d in [2, 3, 10]:
-            assert classical_concat_rate(d, (d - 1) / d) <= 1e-12
+            assert dit_rate(d, (d - 1) / d, 1) <= 1e-12
 
     def test_single_factors_beat_quantum_double_factors(self):
         for d, p in [(2, 0.01), (5, 0.02), (40, 0.005)]:
-            classical = classical_concat_rate(d, p)
-            quantum = math.log2(d) * css_rate_qudits(d, p, p)
+            classical = dit_rate(d, p, 1)
+            quantum = dit_rate(d, p, 2)
             assert quantum < classical
 
 
@@ -114,7 +118,7 @@ class TestOptimize:
         assert rate == pytest.approx(5.9, abs=0.1)
         # scalar-loop reference scan over d <= 200
         best = max(
-            classical_concat_rate(d, classical_dit_error_prob(d, params))
+            concat_rate(d, params)
             for d in range(2, 201))
         assert rate == pytest.approx(best, rel=1e-12)
 
@@ -124,7 +128,7 @@ class TestOptimize:
         cap = shannon_capacity(params)
         assert cap - rate <= 1.0
         best_d, best = max(
-            ((d, classical_concat_rate(d, classical_dit_error_prob(d, params)))
+            ((d, concat_rate(d, params))
              for d in range(2, 201)), key=lambda t: t[1])
         assert (d_opt, rate) == (best_d, pytest.approx(best, rel=1e-12))
 
@@ -147,11 +151,11 @@ class TestOptimize:
         params = at_snr(1e3)
         ds = np.arange(2, 60)
         probs = classical_dit_error_prob(ds, params)
-        rates = classical_concat_rate(ds, probs)
+        rates = dit_rate(ds, probs, 1)
         for i, d in enumerate(ds):
             p = classical_dit_error_prob(int(d), params)
             assert probs[i] == pytest.approx(p, rel=1e-15, abs=0)
-            assert rates[i] == pytest.approx(classical_concat_rate(int(d), p), rel=1e-15, abs=0)
+            assert rates[i] == pytest.approx(dit_rate(int(d), p, 1), rel=1e-15, abs=0)
 
     def test_pruned_scan_equals_exhaustive(self):
         # --snr-grid 1:1e10:50 and the README grid; without a bound
@@ -159,7 +163,7 @@ class TestOptimize:
         for snr in np.concatenate([np.geomspace(1, 1e10, 50), np.geomspace(1, 1e6, 100)]):
             params = at_snr(float(snr))
             want = scan_dimensions(
-                lambda ds: classical_concat_rate(ds, classical_dit_error_prob(ds, params)),
+                lambda ds: concat_rate(ds, params),
                 max(2, math.ceil(8.0 * math.sqrt(params.snr))))
             assert optimize_classical_d(params) == want
 
@@ -172,8 +176,13 @@ class TestOptimize:
         b = a + width
         upper = dit_rate_bound(lambda ds: classical_dit_error_prob(ds, params), 1)(a, b)
         ds = np.arange(a, b + 1)
-        rates = classical_concat_rate(ds, classical_dit_error_prob(ds, params))
+        rates = concat_rate(ds, params)
         assert rates.max() <= upper + concatenated._BOUND_SLACK
+
+    def test_pruned_scan_evaluation_count(self, scan_evaluations):
+        # SNR 1e14: 8e7 values of d; the pinned optimum is the exhaustive one
+        assert optimize_classical_d(at_snr(1e14)) == (6254393, 22.399550511286744)
+        assert 0 < sum(scan_evaluations) <= 10**6
 
     def test_d_opt_scales_like_sqrt_snr(self):
         for snr in [1e2, 1e3, 1e4]:
@@ -213,8 +222,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             classical_dit_error_prob(1, at_snr(10.0))
         with pytest.raises(ValueError):
-            classical_concat_rate(1, 0.1)
+            dit_rate(1, 0.1, 1)
         with pytest.raises(ValueError):
             classical_dit_error_prob(np.array([4, 1]), at_snr(10.0))
         with pytest.raises(ValueError):
-            classical_concat_rate(np.array([4, 1]), 0.1)
+            dit_rate(np.array([4, 1]), 0.1, 1)

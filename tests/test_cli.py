@@ -6,12 +6,13 @@ import math
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from gkplat import channel_sim, classical_channel, concatenated
+from gkplat import channel_sim, concatenated
 from gkplat.cli import _canonical_json, _grid, _scalar, main
 
 from oracles import square_lattice_failure_prob, wilson_halfwidth
@@ -21,6 +22,15 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_peak(args, capsys):
+    """run_cli plus the peak of memory traced by tracemalloc during the call."""
+    tracemalloc.start()
+    try:
+        return *run_cli(args, capsys), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def read_csv(path):
@@ -80,19 +90,19 @@ class TestConcatRatesCommand:
 
 
 class TestRateScanTail:
-    @pytest.mark.parametrize("module,command,column,d_opt", [
-        (concatenated, ["concat-rates", "--sigma-grid", "0.1:0.1:1"], 1, 30),
-        (classical_channel, ["classical-rates", "--snr-grid", "10:10:1"], 4, 3),
+    @pytest.mark.parametrize("command,column,d_opt", [
+        (["concat-rates", "--sigma-grid", "0.1:0.1:1"], 1, 30),
+        (["classical-rates", "--snr-grid", "10:10:1"], 4, 3),
     ])
-    def test_huge_d_max_costs_few_bound_calls(self, capsys, monkeypatch, module, command,
-                                              column, d_opt):
+    def test_huge_d_max_costs_few_bound_calls(self, capsys, monkeypatch, command, column,
+                                              d_opt):
         # 1.5e6 blocks above the optimum; a test per block would take minutes
         calls, bound = [], concatenated.dit_rate_bound
 
         def counting(error_prob, k):
             upper = bound(error_prob, k)
             return lambda a, b: calls.append((a, b)) or upper(a, b)
-        monkeypatch.setattr(module, "dit_rate_bound", counting)
+        monkeypatch.setattr(concatenated, "dit_rate_bound", counting)
         code, out, _ = run_cli(command + ["--d-max", "100000000000"], capsys)
         assert code == 0
         assert int(out.splitlines()[2].split(",")[column]) == d_opt
@@ -167,6 +177,14 @@ class TestConcatSimCommand:
         code, out, err = run_cli(args + ["--d", "1449"], capsys)
         assert_one_error_line(code, out, err)
 
+    def test_huge_d_refused_before_its_decode_table(self, capsys):
+        # the table of 9 (d - 1) corrections would take over a gigabyte
+        code, out, err, peak = run_cli_peak(["concat-sim", "--d", "200000", "--sigma-sq",
+                                             "1e-4", "--trials", "10", "--seed", "1"], capsys)
+        assert_one_error_line(code, out, err)
+        assert "d**6 overflow int64" in err
+        assert peak < 4 * 2**20
+
     def test_unknown_code_family(self, capsys):
         code, _, err = run_cli(["concat-sim", "--code", "steane", "--d", "2",
                                 "--sigma-sq", "0.05", "--trials", "10",
@@ -190,6 +208,15 @@ class TestLatticeInfo:
     def test_unknown_name(self, capsys):
         code, _, err = run_cli(["lattice-info", "Leech"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("command", [["lattice-info", "Zn:1000"],
+                                         ["simulate", "--lattice", "Zn:1000", "--sigma-sq",
+                                          "0.1", "--trials", "10", "--seed", "1"]])
+    def test_zn_above_the_decoder_limit_refused_before_its_basis(self, capsys, command):
+        code, out, err, peak = run_cli_peak(command, capsys)
+        assert_one_error_line(code, out, err)
+        assert "up to 12" in err
+        assert peak < 4 * 2**20
 
 
 class TestDecode:

@@ -18,13 +18,13 @@ from gkplat.channel_sim import NoiseModel, make_generator
 from gkplat.concatenated import (
     CssCode,
     QuditPauliError,
-    concat_rate_qubits,
     css_decode,
-    css_rate_qudits,
+    dit_rate,
     dit_rate_bound,
     entropy_base_d,
     gkp_qudit_error_prob,
     min_distance_comparison,
+    optimize_dit_rate,
     optimize_qudit_dimension,
     sample_qudit_errors,
     scan_dimensions,
@@ -34,6 +34,11 @@ from gkplat.concatenated import (
 from gkplat.rates import coherent_information
 
 from oracles import erfc_oracle, qudit_shift_pmf, wilson_halfwidth
+
+
+def concat_rate(d, noise):
+    """Qubit rate of the concatenated scheme at qudit dimension d."""
+    return dit_rate(d, gkp_qudit_error_prob(d, noise), 2)
 
 
 def sigma_sq_for_bound(d: int, p: float, hbar: float = 1.0) -> float:
@@ -113,25 +118,40 @@ class TestEntropy:
 
 
 class TestCssRate:
+    # dit_rate with k = 2: a CSS code over Z_d, in qubits
     def test_noiseless(self):
-        assert css_rate_qudits(7, 0.0, 0.0) == 1.0
+        for k in [1, 2]:
+            assert dit_rate(7, 0.0, k) == math.log2(7)
 
     def test_binary_value(self):
         h = entropy_base_d(0.01, 2)
-        assert css_rate_qudits(2, 0.01, 0.01) == pytest.approx(1.0 - 2.0 * h, rel=1e-13)
+        assert dit_rate(2, 0.01, 2) == pytest.approx(1.0 - 2.0 * h, rel=1e-13)
 
     def test_clamped(self):
-        assert css_rate_qudits(2, 0.3, 0.3) == 0.0
+        assert dit_rate(2, 0.3, 2) == 0.0
 
     def test_min_over_sectors(self):
-        asym = css_rate_qudits(3, 0.001, 0.05)
-        assert asym == css_rate_qudits(3, 0.05, 0.05)
+        # the rate falls as p grows, so of two sectors the one with the larger
+        # p sets the rate: the rate at max(p_x, p_z) is the min over sectors
+        assert dit_rate(3, 0.05, 2) == min(dit_rate(3, 0.001, 2), dit_rate(3, 0.05, 2))
+        assert dit_rate(3, 0.001, 2) > dit_rate(3, 0.05, 2) > 0.0
 
     def test_symmetric_case_matches_single_sector_formula(self):
         for d, p in [(2, 0.01), (3, 0.02), (17, 0.001)]:
             expected = 1.0 - 2.0 * entropy_base_d(p, d) \
                 - 2.0 * p * math.log(d - 1) / math.log(d)
-            assert css_rate_qudits(d, p, p) == pytest.approx(expected, rel=1e-13)
+            assert dit_rate(d, p, 2) == pytest.approx(math.log2(d) * expected, rel=1e-13)
+
+    def test_clamp_inside_or_outside_the_log_agrees_to_the_bit(self):
+        # log2 d > 0, so log2 d max(0, x) and max(0, log2 d x) are the same
+        # floats, signed zeros included
+        ds = np.arange(2, 3000)
+        log_ratio = np.log(ds - 1) / np.log(ds)
+        for p in [0.0, 1e-9, 0.01, 0.3, 0.5, 0.9, 1.0]:
+            for k in [1, 2]:
+                product = np.maximum(0.0, np.log2(ds) * (1.0 - k * entropy_base_d(p, ds)
+                                                         - k * p * log_ratio))
+                assert dit_rate(ds, p, k).tobytes() == product.tobytes()
 
 
 class TestArrayForms:
@@ -141,8 +161,9 @@ class TestArrayForms:
         ps = np.linspace(0.0, 1.0, len(ds))
         cases = [(gkp_qudit_error_prob(ds, noise), lambda d, p: gkp_qudit_error_prob(d, noise)),
                  (entropy_base_d(ps, ds), lambda d, p: entropy_base_d(p, d)),
-                 (css_rate_qudits(ds, ps, 1.0 - ps), lambda d, p: css_rate_qudits(d, p, 1.0 - p)),
-                 (concat_rate_qubits(ds, noise), lambda d, p: concat_rate_qubits(d, noise))]
+                 (dit_rate(ds, ps, 1), lambda d, p: dit_rate(d, p, 1)),
+                 (dit_rate(ds, ps, 2), lambda d, p: dit_rate(d, p, 2)),
+                 (concat_rate(ds, noise), lambda d, p: concat_rate(d, noise))]
         for array, scalar in cases:
             assert array.shape == ds.shape
             for i, d in enumerate(ds):
@@ -154,7 +175,7 @@ class TestArrayForms:
         with pytest.raises(ValueError):
             entropy_base_d(np.array([0.1, np.nan]), 2)
         with pytest.raises(ValueError):
-            css_rate_qudits(np.array([3, 1]), 0.1, 0.1)
+            dit_rate(np.array([3, 1]), 0.1, 2)
         with pytest.raises(ValueError):
             gkp_qudit_error_prob(np.array([2, 0]), NoiseModel(0.1))
 
@@ -163,20 +184,20 @@ class TestConcatRate:
     def test_approaches_log2_d(self):
         noise = NoiseModel(1e-6)
         for d in [2, 3, 8]:
-            rate = concat_rate_qubits(d, noise)
+            rate = concat_rate(d, noise)
             assert rate == pytest.approx(math.log2(d), rel=1e-6)
             assert rate <= math.log2(d)
 
     def test_small_noise_value(self):
         p = erfc_oracle(math.sqrt(math.pi / 0.32))
         expected = math.log2(2.0) * (1.0 - 2.0 * entropy_base_d(p, 2))
-        assert concat_rate_qubits(2, NoiseModel(0.04)) == pytest.approx(expected, rel=1e-12)
+        assert concat_rate(2, NoiseModel(0.04)) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.999656, abs=5e-6)
 
     def test_never_exceeds_log2_d(self):
         for s in np.geomspace(1e-5, 0.3, 30):
             for d in [2, 5, 31]:
-                assert concat_rate_qubits(d, NoiseModel(float(s))) <= math.log2(d)
+                assert concat_rate(d, NoiseModel(float(s))) <= math.log2(d)
 
 
 class TestOptimize:
@@ -207,7 +228,7 @@ class TestOptimize:
         assert design.rate_qubits == pytest.approx(
             math.log2(design.c_sq / design.sigma_sq), rel=1e-12)
         assert design.rate_qubits == pytest.approx(
-            concat_rate_qubits(design.d_opt, NoiseModel(3e-3)), rel=1e-12)
+            concat_rate(design.d_opt, NoiseModel(3e-3)), rel=1e-12)
 
     def test_strictly_below_coherent_information(self):
         for s in np.geomspace(1.88e-4, 0.3, 30):
@@ -237,14 +258,17 @@ class TestOptimize:
         assert (design.d_opt, design.rate_qubits) == (216623, 17.35210724242679)
 
     def test_scan_blocks_agree_with_one_array(self, monkeypatch):
-        # a rate with many ties, split into blocks of 7: the first maximum wins
+        # a rate with many ties, split into blocks of 7: the first maximum wins,
+        # also when a bound growing with d makes the blocks pop in descending d
         def rate(ds):
             return np.round(np.sin(0.37 * ds), 1)
         monkeypatch.setattr(concatenated, "_SCAN_CHUNK", 7)
         for d_max in range(2, 60):
             ds = np.arange(2, d_max + 1)
             idx = int(np.argmax(rate(ds)))
-            assert scan_dimensions(rate, d_max) == (int(ds[idx]), float(rate(ds)[idx]))
+            want = (int(ds[idx]), float(rate(ds)[idx]))
+            assert scan_dimensions(rate, d_max) == want
+            assert scan_dimensions(rate, d_max, lambda a, b: float(b)) == want
         assert scan_dimensions(lambda ds: np.zeros(len(ds)), 40) == (2, 0.0)
         with pytest.raises(ValueError):
             scan_dimensions(rate, 1)
@@ -257,29 +281,30 @@ class TestOptimize:
         for s in sigma_sq:
             noise = NoiseModel(s)
             design = optimize_qudit_dimension(noise)
-            want = scan_dimensions(lambda ds: concat_rate_qubits(ds, noise),
+            want = scan_dimensions(lambda ds: concat_rate(ds, noise),
                                    max(2, math.ceil(8.0 / s)))
             assert (design.d_opt, design.rate_qubits) == want
 
-    def test_pruned_scan_evaluation_count(self, monkeypatch):
-        evaluated = []
-
-        def counting(ds, noise):
-            evaluated.append(len(ds))
-            return concat_rate_qubits(ds, noise)
-        monkeypatch.setattr(concatenated, "concat_rate_qubits", counting)
+    def test_pruned_scan_evaluation_count(self, scan_evaluations):
         design = optimize_qudit_dimension(NoiseModel(1e-6))  # sigma = 1e-3: 8e6 values of d
         assert (design.d_opt, design.rate_qubits) == (216623, 17.35210724242679)
-        assert sum(evaluated) <= 5 * 10**5
+        assert 0 < sum(scan_evaluations) <= 2.5e5
+
+    def test_pruned_scan_evaluation_count_at_small_noise(self, scan_evaluations):
+        # sigma = 1e-4: 8e8 values of d; the pinned optimum is the exhaustive one
+        design = optimize_qudit_dimension(NoiseModel(1e-8))
+        assert (design.d_opt, design.rate_qubits) == (20102594, 23.91567380116969)
+        assert 0 < sum(scan_evaluations) <= 2.5e6
 
     @pytest.mark.parametrize("chunk,sigma_sq,d_max", [
         (1 << 16, 0.45 ** 2, None), (1 << 16, 1.88e-4, None), (1 << 16, 1e-5, None),
         (1 << 16, 1e-6, None), (1 << 16, 0.01, 10**8),
         (64, 1e-4, None), (64, 0.0137 ** 2, 10**6), (7, 0.3, 10**5),
     ])
-    def test_galloping_scan_evaluates_the_blocks_of_a_block_scan(self, monkeypatch, chunk,
-                                                                 sigma_sq, d_max):
-        # reference: test the bound on each block in turn, evaluate the blocks it keeps
+    def test_best_first_blocks_are_block_scan_blocks(self, monkeypatch, chunk, sigma_sq,
+                                                     d_max):
+        # reference: test the bound on each block in turn, evaluate the blocks
+        # it keeps; best-first order can only prune more of them
         monkeypatch.setattr(concatenated, "_SCAN_CHUNK", chunk)
         noise = NoiseModel(sigma_sq)
         d_max = d_max or math.ceil(8.0 / sigma_sq)
@@ -291,16 +316,32 @@ class TestOptimize:
                     <= best[1]:
                 continue
             want.append(start)
-            rates = concat_rate_qubits(ds, noise)
+            rates = concat_rate(ds, noise)
             if rates.max() > best[1]:
                 best = (int(ds[np.argmax(rates)]), float(rates.max()))
         got = []
 
         def rate(ds):
             got.append(int(ds[0]))
-            return concat_rate_qubits(ds, noise)
+            return concat_rate(ds, noise)
         assert scan_dimensions(rate, d_max, upper) == best
-        assert got == want
+        assert got and set(got) <= set(want)
+        assert len(got) == len(set(got))
+
+    def test_optimize_dit_rate_pairs_rate_and_bound(self, monkeypatch):
+        # one (error_prob, k) feeds both the rate and its bound; the result is
+        # the exhaustive first maximum for either k
+        noise = NoiseModel(1e-3)
+
+        def error_prob(ds):
+            return gkp_qudit_error_prob(ds, noise)
+        bounds, make_bound = [], concatenated.dit_rate_bound
+        monkeypatch.setattr(concatenated, "dit_rate_bound",
+                            lambda p, k: bounds.append((p, k)) or make_bound(p, k))
+        for k in [1, 2]:
+            want = scan_dimensions(lambda ds: dit_rate(ds, error_prob(ds), k), 8000)
+            assert optimize_dit_rate(error_prob, k, 8000) == want
+            assert bounds[-1] == (error_prob, k)
 
     def test_scan_ceiling_is_two_to_the_53(self):
         noise = NoiseModel(0.01)
@@ -319,7 +360,7 @@ class TestOptimize:
         a = 2 + int(where * math.ceil(8.0 * hbar / noise.sigma_sq))
         b = a + width
         upper = dit_rate_bound(lambda ds: gkp_qudit_error_prob(ds, noise), 2)(a, b)
-        rates = concat_rate_qubits(np.arange(a, b + 1), noise)
+        rates = concat_rate(np.arange(a, b + 1), noise)
         assert rates.max() <= upper + concatenated._BOUND_SLACK
 
     def test_c_sq_slowly_varying(self):

@@ -88,7 +88,8 @@ class TestClosestPoint:
             assert _dist_sq(m, x, c) == brute_d
 
     def test_dimension_bound(self):
-        big = get(f"Zn({MAX_DIM + 2})").lattice
+        n = MAX_DIM + 2
+        big = lattice_from_rows([[int(i == j) for j in range(n)] for i in range(n)], 1)
         with pytest.raises(ValueError):
             closest_point(big, [0.0] * (MAX_DIM + 2))
 
