@@ -166,33 +166,28 @@ def wilson_interval(failures: int, trials: int, z: float = WILSON_Z) -> tuple[fl
     return low, high
 
 
-def _coset_test_arrays(code: LatticeCode) -> tuple[np.ndarray, int]:
-    """Integer matrix/denominator pair: coeffs c are stabilizer translations
-    iff (c @ num) % den == 0 for the exact transition written over a common
-    denominator."""
-    t = code.transition
-    den = math.lcm(*(v.denominator for row in t for v in row))
-    num = np.array([[int(v * den) for v in row] for row in t], dtype=np.int64)
-    return num, den
-
-
 def failure_mask(code: LatticeCode, xi, criterion: str = "voronoi") -> np.ndarray:
     """Decoding failure of each row of an (m, n) block xi of displacements
     (lattice coordinates); ties on the cell boundary count as failures.
 
     The nearest normalizer point comes from ``closest_points``. Voronoi
     success needs that point to be the origin; coset success needs it to be
-    a stabilizer translation.
+    a stabilizer translation. The decision is made column by column: each
+    column of the coefficients (voronoi) or of ``code.coset_test`` (coset)
+    ORs one (m,) test into the tie mask.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
-    coeffs, tie = closest_points(code.normalizer, xi)
+    coeffs, fail = closest_points(code.normalizer, xi)
     if criterion == "voronoi":
-        trivial = ~coeffs.any(axis=1)
+        for col in coeffs.T:
+            fail |= col != 0
     else:
-        num, den = _coset_test_arrays(code)
-        trivial = ((coeffs @ num) % den == 0).all(axis=1)
-    return tie | ~trivial
+        num, den = code.coset_test
+        for col in num.T:
+            v = coeffs @ col
+            fail |= v != v // den * den  # den does not divide v
+    return fail
 
 
 def estimate_error_probability(code: LatticeCode, noise: NoiseModel, trials: int,

@@ -174,11 +174,13 @@ def dit_rate(d: int | np.ndarray, p, k: int) -> float | np.ndarray:
     hits a symbol with probability p, spread evenly over the d - 1 wrong
     values: log2(d) max(0, 1 - k H_d(p) - k p log_d(d-1)). k = 1 is the
     classical outer code, k = 2 a CSS code over Z_d with p_X = p_Z = p.
+    The rate is 0 from p = (d-1)/d on, where the formula would rise again.
     Scalars or arrays (broadcast together)."""
     if np.any(np.asarray(d) < 2):
         raise ValueError("dimension d must be >= 2")
     log_ratio = np.log(d - 1) / np.log(d)  # 0 when d == 2
-    return np.log2(d) * np.maximum(0.0, 1.0 - k * entropy_base_d(p, d) - k * p * log_ratio)
+    rate = np.log2(d) * np.maximum(0.0, 1.0 - k * entropy_base_d(p, d) - k * p * log_ratio)
+    return np.where(np.asarray(p) < (d - 1) / d, rate, 0.0)[()]
 
 
 _SCAN_CHUNK = 1 << 16  # d values per block of a scan; bounds its memory
@@ -206,7 +208,8 @@ def dit_rate_bound(error_prob, k: int):
     <= log2 b; p(d) lies in [p(a), p(b)] and h2 is concave, so h2(p(d))
     is at least its smaller endpoint value; p(d) log2(d-1) is a product
     of nonnegative nondecreasing factors, so it is at least its value at a.
-    The bound only grows as its interval widens.
+    The bound only grows as its interval widens; it also bounds the rate 0
+    that dit_rate gives from p = (d-1)/d on.
     """
     def upper(a: int, b: int) -> float:
         p_a, p_b = error_prob(np.array([a, b], dtype=np.int64))
@@ -295,6 +298,7 @@ def optimize_qudit_dimension(noise: NoiseModel, d_max: int | None = None) -> Con
 
 
 _SAMPLE_CHUNK = 1 << 16  # normals per fill of the one reused float buffer
+_MAX_SHIFT = 2.0 ** 53   # rounded shifts below it are exact integers, cast safely
 
 
 def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
@@ -305,7 +309,8 @@ def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
     multiple of the spacing delta = sqrt(2 pi hbar / d), modulo d. They
     are drawn _SAMPLE_CHUNK at a time into one float buffer and binned
     into the int64 output, with the values and generator state of one
-    draw of the whole (2,) + size array.
+    draw of the whole (2,) + size array. A shift of 2**53 spacings or more,
+    beyond float64's exact integers, raises ValueError before the cast.
     """
     if d < 2:
         raise ValueError("qudit dimension must be >= 2")
@@ -321,6 +326,9 @@ def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
         shifts *= sigma
         shifts /= delta
         np.rint(shifts, out=shifts)
+        if not (-_MAX_SHIFT < shifts.min() and shifts.max() < _MAX_SHIFT):
+            raise ValueError(f"sigma_sq = {noise.sigma_sq!r} gives qudit shifts of 2**53 "
+                             f"spacings or more, beyond float64's exact integers")
         flat[lo:lo + len(shifts)] = shifts  # the same cast as astype(np.int64)
     flat %= d
     return binned[0], binned[1]

@@ -125,7 +125,8 @@ def _search(lower, ys, bound=None, nonzero=False):
 
 def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
     """Nearest lattice points of the rows of an (m, n) block of targets:
-    their basis coefficients, (m, n) int64, and a tie flag per row.
+    their basis coefficients, (m, n) int64, and a tie flag per row. On an
+    orthogonal frame the tie test is decided column by column.
 
     Raises ValueError for a non-finite coordinate, for lattice
     coefficients of 2**26 or more, and for a basis so skewed that its LLL
@@ -141,12 +142,17 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
     if not (np.abs(u) < _MAX_COEFF).all():
         raise ValueError("target too far from the origin for float64: coefficients reach 2**26")
     if c_sq is not None:
-        # rounding is exact here, with tie gap c_sq * (1 - 2|frac_i|) along coordinate i
+        # rounding is exact; tie gap c_sq (1 - 2 max_i |frac_i|), bitwise the least
+        # per-coordinate gap c_sq (1 - 2|frac_i|) since 1 - 2x is monotone in float
         c_sq = float(c_sq)
         k = np.rint(u)
-        frac = u - k
+        frac = np.subtract(u, k, out=u)
         d1 = c_sq * np.einsum("ij,ij->i", frac, frac)
-        gap = c_sq * (1.0 - 2.0 * np.abs(frac)).min(axis=1)
+        np.abs(frac, out=frac)
+        worst = frac[:, 0].copy()
+        for col in frac.T[1:]:
+            np.maximum(worst, col, out=worst)
+        gap = c_sq * (1.0 - 2.0 * worst)
         return k.astype(np.int64), gap <= TIE_REL * (1.0 + d1)
     box = float(np.sum(np.diag(lower) ** 2)) / 4.0  # nearest-plane distance limit
     coeffs = np.empty(xs.shape, dtype=np.int64)

@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -315,6 +316,16 @@ class LatticeCode:
     dimension: int
     rate_qubits: float
     transition: Matrix  # coeff_transition(normalizer, stabilizer)
+
+    @cached_property
+    def coset_test(self) -> tuple[np.ndarray, int]:
+        """(num, den) with transition = num / den, built once per code:
+        coefficients c are a stabilizer translation iff den divides c @ num."""
+        den = math.lcm(*(v.denominator for row in self.transition for v in row))
+        num = np.array([[int(v * den) for v in row] for row in self.transition],
+                       dtype=np.int64)
+        num.setflags(write=False)
+        return num, den
 
 
 def make_code(lat: Lattice) -> LatticeCode:

@@ -22,7 +22,7 @@ from gkplat.channel_sim import (
     partition_trials,
     wilson_interval,
 )
-from gkplat.decoder import closest_point
+from gkplat.decoder import closest_point, closest_points
 from gkplat.symplectic_lattice import (
     lattice_from_rows,
     logical_class,
@@ -110,6 +110,56 @@ class TestRecoveryOutcome:
             failure_mask(GQ2, [[0.0, 0.0]], "ml")
         with pytest.raises(ValueError):
             estimate_error_probability(GQ2, NoiseModel(0.1), 10, seed=1, criterion="ml")
+
+
+def failure_mask_reference(code, xi, criterion):
+    """failure_mask's decision written with reductions along axis 1 and the
+    coset arrays built from the exact transition on every call, the form
+    it had before it went column by column: the reference it must match
+    bit for bit."""
+    coeffs, tie = closest_points(code.normalizer, xi)
+    if criterion == "voronoi":
+        trivial = ~coeffs.any(axis=1)
+    else:
+        t = code.transition
+        den = math.lcm(*(v.denominator for row in t for v in row))
+        num = np.array([[int(v * den) for v in row] for row in t], dtype=np.int64)
+        trivial = ((coeffs @ num) % den == 0).all(axis=1)
+    return tie | ~trivial
+
+
+COLUMNWISE_CODES = ([f"Zn({n})" for n in range(2, 13, 2)]
+                    + [f"grid_qudit({d})" for d in range(2, 6)]
+                    + ["D4", "E8x2"])  # the last two take the enumeration branch
+
+
+class TestColumnwiseDecision:
+    @pytest.mark.parametrize("name", COLUMNWISE_CODES)
+    def test_equals_axis_reductions(self, name):
+        lat = rescale(get("E8").lattice, 2) if name == "E8x2" else get(name).lattice
+        code = make_code(lat)
+        n, rng = code.normalizer.n, np.random.default_rng(43)
+        rows = 150 if orthogonal_scale_sq(code.normalizer) is None else 600
+        # Gaussian displacements, and exact half- and quarter-integer
+        # combinations of the normalizer basis (ties, nontrivial classes)
+        m = code.normalizer.effective_matrix()
+        exact_points = [rng.integers(-4 * s, 4 * s + 1, size=(rows, n)) / s for s in (2, 4)]
+        xi = np.vstack([rng.standard_normal((rows, n)) * s for s in (0.05, 0.5, 5.0)]
+                       + exact_points + [x @ m for x in exact_points])
+        masks = {}
+        for criterion in CRITERIA:
+            masks[criterion] = failure_mask(code, xi, criterion)
+            assert np.array_equal(masks[criterion], failure_mask_reference(code, xi, criterion))
+        assert 0 < masks["coset"].sum() < len(xi)
+        assert not (masks["coset"] & ~masks["voronoi"]).any()
+
+    def test_coset_arrays_built_once(self):
+        code = make_code(rescale(get("E8").lattice, 2))
+        num, den = code.coset_test
+        assert code.coset_test[0] is num and not num.flags.writeable
+        t = code.transition
+        assert all(int(num[i, j]) == t[i][j] * den for i in range(len(t)) for j in range(len(t)))
+        assert den == math.lcm(*(v.denominator for row in t for v in row))
 
 
 class TestEstimate:

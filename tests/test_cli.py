@@ -88,6 +88,16 @@ class TestConcatRatesCommand:
         for row in rows:
             assert float(row[3]) <= float(row[5])
 
+    def test_rate_zero_where_the_error_bound_is_vacuous(self, tmp_path, capsys):
+        # at sigma^2 = 900 the bound p at d = 2 is 0.98, past (d-1)/d
+        out = tmp_path / "concat.csv"
+        code, _, _ = run_cli(["concat-rates", "--sigma-grid", "3:30:3", "--out", str(out)],
+                             capsys)
+        assert code == 0
+        _, _, rows = read_csv(out)
+        for row in rows:
+            assert float(row[3]) <= float(row[5])
+
 
 class TestRateScanTail:
     @pytest.mark.parametrize("command,column,d_opt", [
@@ -123,6 +133,16 @@ class TestClassicalRatesCommand:
             assert float(row[2]) <= cap
             assert float(row[3]) <= cap
             assert float(row[5]) <= cap
+
+    def test_rates_below_capacity_at_low_snr(self, tmp_path, capsys):
+        # at SNR 0.01 the bound p at d = 2 is 0.93, past (d-1)/d
+        out = tmp_path / "classical.csv"
+        code, _, _ = run_cli(["classical-rates", "--snr-grid", "1e-2:1e12:80",
+                              "--out", str(out)], capsys)
+        assert code == 0
+        _, _, rows = read_csv(out)
+        for row in rows:
+            assert float(row[5]) <= float(row[1])
 
 
 class TestSimulateCommand:
@@ -184,6 +204,19 @@ class TestConcatSimCommand:
         assert_one_error_line(code, out, err)
         assert "d**6 overflow int64" in err
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("sigma_sq", ["1e40", "1e300"])
+    def test_shifts_beyond_float64_integers_refused(self, capsys, sigma_sq):
+        code, out, err = run_cli(["concat-sim", "--d", "3", "--sigma-sq", sigma_sq,
+                                  "--trials", "1000", "--seed", "1"], capsys)
+        assert_one_error_line(code, out, err)
+        assert "2**53" in err
+
+    def test_large_noise_runs(self, capsys):
+        code, out, _ = run_cli(["concat-sim", "--d", "3", "--sigma-sq", "1e6",
+                                "--trials", "1000", "--seed", "1"], capsys)
+        assert code == 0
+        assert 0.0 <= json.loads(out)["result"]["p_hat"] <= 1.0
 
     def test_unknown_code_family(self, capsys):
         code, _, err = run_cli(["concat-sim", "--code", "steane", "--d", "2",

@@ -144,14 +144,15 @@ class TestCssRate:
 
     def test_clamp_inside_or_outside_the_log_agrees_to_the_bit(self):
         # log2 d > 0, so log2 d max(0, x) and max(0, log2 d x) are the same
-        # floats, signed zeros included
+        # floats, signed zeros included; from p = (d-1)/d on the rate is 0
         ds = np.arange(2, 3000)
         log_ratio = np.log(ds - 1) / np.log(ds)
         for p in [0.0, 1e-9, 0.01, 0.3, 0.5, 0.9, 1.0]:
             for k in [1, 2]:
                 product = np.maximum(0.0, np.log2(ds) * (1.0 - k * entropy_base_d(p, ds)
                                                          - k * p * log_ratio))
-                assert dit_rate(ds, p, k).tobytes() == product.tobytes()
+                expected = np.where(p < (ds - 1) / ds, product, 0.0)
+                assert dit_rate(ds, p, k).tobytes() == expected.tobytes()
 
 
 class TestArrayForms:

@@ -130,6 +130,51 @@ class TestClosestPoint:
             closest_points(get("D4").lattice, np.zeros((2, 3)))
 
 
+def rounding_reference(lat, xs):
+    """The rounding branch of closest_points written with reductions along
+    axis 1, the form it had before it went column by column: the reference
+    it must match bit for bit."""
+    _, m_inv, _, _, c_sq, *_ = decoder._frame(lat)
+    c_sq = float(c_sq)
+    u = np.asarray(xs, dtype=float) @ m_inv
+    k = np.rint(u)
+    frac = u - k
+    d1 = c_sq * np.einsum("ij,ij->i", frac, frac)
+    gap = c_sq * (1.0 - 2.0 * np.abs(frac)).min(axis=1)
+    return k.astype(np.int64), gap <= decoder.TIE_REL * (1.0 + d1)
+
+
+def rounding_targets(lat, rng, rows=600):
+    """Gaussian targets at three scales, and exact half- and quarter-integer
+    targets, both as ambient coordinates and as basis coefficients."""
+    m = lat.effective_matrix()
+    exact_points = [rng.integers(-4 * s, 4 * s + 1, size=(rows, lat.n)) / s for s in (2, 4)]
+    return np.vstack([rng.standard_normal((rows, lat.n)) * s for s in (0.05, 0.5, 5.0)]
+                     + exact_points + [x @ m for x in exact_points])
+
+
+ORTHOGONAL_FRAMES = {
+    **{f"Zn({n})": get(f"Zn({n})").lattice for n in range(2, MAX_DIM + 1, 2)},
+    **{f"grid_qudit({d})": get(f"grid_qudit({d})").lattice for d in range(2, 6)},
+    "rotated_Z2": lattice_from_rows([[1, 1], [1, -1]], 3),
+    "hadamard_Z4": lattice_from_rows([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
+                                      [1, -1, -1, 1]]),
+}
+
+
+class TestColumnwiseRounding:
+    @pytest.mark.parametrize("name", list(ORTHOGONAL_FRAMES))
+    def test_equals_axis_reductions(self, name):
+        lat = ORTHOGONAL_FRAMES[name]
+        assert decoder._frame(lat)[4] is not None  # the rounding branch runs
+        xs = rounding_targets(lat, np.random.default_rng(41))
+        coeffs, tie = closest_points(lat, xs)
+        ref_coeffs, ref_tie = rounding_reference(lat, xs)
+        assert coeffs.dtype == ref_coeffs.dtype and np.array_equal(coeffs, ref_coeffs)
+        assert np.array_equal(tie, ref_tie)
+        assert 0 < tie.sum() < len(tie)  # the exact targets include ties
+
+
 def _inside(lat, x) -> bool:
     """Strictly closer to the origin than to any other lattice point."""
     res = closest_point(lat, x)
