@@ -37,10 +37,6 @@ class QuditPauliError:
     a: int
     b: int
 
-    @property
-    def is_identity(self) -> bool:
-        return self.a == 0 and self.b == 0
-
 
 def _check_syndrome_keys(d: int, rows: int) -> None:
     """Refuse a code whose syndrome keys, base-d numbers of ``rows``

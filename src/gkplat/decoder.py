@@ -137,9 +137,9 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("point/lattice dimension mismatch")
     if not np.isfinite(xs).all():
         raise ValueError("target coordinates must be finite")
-    with np.errstate(over="ignore"):  # an infinite coefficient fails the test below
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test below
         u = xs @ m_inv
-    if not (np.abs(u) < _MAX_COEFF).all():
+    if u.size and not (-_MAX_COEFF < u.min() and u.max() < _MAX_COEFF):
         raise ValueError("target too far from the origin for float64: coefficients reach 2**26")
     if c_sq is not None:
         # rounding is exact; tie gap c_sq (1 - 2 max_i |frac_i|), bitwise the least

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,16 +32,10 @@ from .exact import Matrix
 def _block_form(diag) -> Matrix:
     """The antisymmetric block matrix [[0, D], [-D, 0]], D = diag(diag)."""
     half = len(diag)
-    n = 2 * half
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * n
-        if i < half:
-            row[i + half] = Fraction(diag[i])
-        else:
-            row[i - half] = Fraction(-diag[i - half])
-        rows.append(tuple(row))
-    return tuple(rows)
+    rows = [[0] * (2 * half) for _ in range(2 * half)]
+    for i, d in enumerate(diag):
+        rows[i][half + i], rows[half + i][i] = d, -d
+    return exact.freeze(rows)
 
 
 def omega(n: int) -> Matrix:
@@ -131,8 +125,10 @@ class StandardForm:
         return _block_form(self.diag)
 
 
+@lru_cache(maxsize=128)
 def symplectic_gram(lat: Lattice) -> SymplecticGram:
-    """Exact A = scale_sq * basis omega basis^T, the pairing of lat with itself."""
+    """Exact A = scale_sq * basis omega basis^T, the pairing of lat with
+    itself; cached, so each lattice's A is formed once."""
     return SymplecticGram(symplectic_pairing(lat, lat))
 
 
@@ -142,34 +138,32 @@ def is_symplectically_integral(lat: Lattice) -> bool:
 
 
 def dual_lattice(lat: Lattice) -> Lattice:
-    """Symplectic dual, generated by A^-1 M (the normalizer lattice).
+    """Symplectic dual, generated by A^-1 M (the normalizer lattice)."""
+    return _dual(lat, exact.inverse(symplectic_gram(lat).entries))  # ValueError on singular A
 
-    The result is normalized (basis content folded into scale_sq) and the
-    defining identity M_dual omega M^T = I is re-checked exactly.
-    """
-    a = symplectic_gram(lat).entries
-    a_inv = exact.inverse(a)  # ValueError on singular A
+
+def _dual(lat: Lattice, a_inv: Matrix) -> Lattice:
+    """A^-1 M, normalized (basis content folded into scale_sq), with the
+    defining identity M_dual omega M^T = I re-checked exactly."""
     dual = Lattice(lat.n, exact.mat_mul(a_inv, lat.basis), lat.scale_sq).normalized()
-    pairing = symplectic_pairing(dual, lat)
-    if pairing != exact.identity(lat.n):
+    if symplectic_pairing(dual, lat) != exact.identity(lat.n):
         raise AssertionError("dual lattice failed the pairing identity")
     return dual
 
 
 def symplectic_pairing(lat1: Lattice, lat2: Lattice) -> Matrix:
-    """Exact M1 omega M2^T for the effective generator matrices.
-
-    Requires scale_sq(1) * scale_sq(2) to be a rational square, else the
-    pairing is irrational and a ValueError is raised.
+    """Exact M1 omega M2^T: one product of basis1 with the rotated rows
+    (beta, -alpha) of basis2, times sqrt(scale_sq(1) * scale_sq(2)); no
+    omega matrix is formed. An irrational root raises ValueError.
     """
     if lat1.n != lat2.n:
         raise ValueError("dimension mismatch")
     root = exact.fraction_sqrt(lat1.scale_sq * lat2.scale_sq)
     if root is None:
         raise ValueError("pairing scale is irrational")
-    w = omega(lat1.n)
-    prod = exact.mat_mul(exact.mat_mul(lat1.basis, w), exact.transpose(lat2.basis))
-    return exact.scale(prod, root)
+    half = lat2.num_modes
+    rotated = tuple(row[half:] + tuple(-x for x in row[:half]) for row in lat2.basis)
+    return exact.scale(exact.mat_mul(lat1.basis, exact.transpose(rotated)), root)
 
 
 def standard_form(gram: SymplecticGram) -> StandardForm:
@@ -261,11 +255,10 @@ def cell_volume(lat: Lattice) -> Fraction:
 
 def code_dimension(lat: Lattice) -> int:
     """Code-space dimension m = det D = |Pf A| of an integral lattice."""
-    if not is_symplectically_integral(lat):
+    gram = symplectic_gram(lat)
+    if not exact.is_integral(gram.entries):
         raise ValueError("lattice is not symplectically integral")
-    m = 1
-    for d in standard_form(symplectic_gram(lat)).diag:
-        m *= d
+    m = math.prod(standard_form(gram).diag)
     if cell_volume(lat) != m:  # |det M| must agree exactly
         raise AssertionError("code dimension disagrees with |det M|")
     return m
@@ -315,7 +308,7 @@ class LatticeCode:
     normalizer: Lattice
     dimension: int
     rate_qubits: float
-    transition: Matrix  # coeff_transition(normalizer, stabilizer)
+    transition: Matrix  # A^-1: normalizer coefficients -> stabilizer coefficients
 
     @cached_property
     def coset_test(self) -> tuple[np.ndarray, int]:
@@ -329,17 +322,25 @@ class LatticeCode:
 
 
 def make_code(lat: Lattice) -> LatticeCode:
-    """Build the code defined by a symplectically integral lattice."""
-    m = code_dimension(lat)  # also validates integrality
-    normalizer = dual_lattice(lat)
-    for row in lat.basis:
-        if not coset_member(normalizer, row, lat.scale_sq):
-            raise AssertionError("stabilizer generator escapes the normalizer")
+    """Build the code defined by a symplectically integral lattice.
+
+    A is formed, reduced to standard form and inverted once each. A^-1 M
+    generates the normalizer, and A^-1 is also the coefficient transition:
+    c M_perp = (c A^-1) M for normalizer coefficients c.
+    """
+    m = code_dimension(lat)  # validates integrality; certifies |det M| = m
+    a = symplectic_gram(lat).entries
+    a_inv = exact.inverse(a)
+    normalizer = _dual(lat, a_inv)
+    # M = A M_perp with A integral: every stabilizer generator is in the normalizer
+    root = exact.fraction_sqrt(normalizer.scale_sq / lat.scale_sq)
+    if exact.scale(exact.mat_mul(a, normalizer.basis), root) != lat.basis:
+        raise AssertionError("stabilizer generator escapes the normalizer")
     # unit-cell volume ratio |det M| / |det M_dual| must equal m^2
     if cell_volume(lat) != m * cell_volume(normalizer) * m:
         raise AssertionError("unit-cell volume ratio disagrees with m^2")
     rate = math.log2(m) / lat.num_modes
-    return LatticeCode(lat, normalizer, m, rate, coeff_transition(normalizer, lat))
+    return LatticeCode(lat, normalizer, m, rate, a_inv)
 
 
 def coeff_transition(src: Lattice, dst: Lattice) -> Matrix:
@@ -374,11 +375,7 @@ def orthogonal_scale_sq(lat: Lattice) -> Fraction | None:
     """
     g = gram_matrix(lat)
     c_sq = g[0][0]
-    for i in range(lat.n):
-        for j in range(lat.n):
-            if g[i][j] != (c_sq if i == j else 0):
-                return None
-    return c_sq
+    return c_sq if g == exact.scale(exact.identity(lat.n), c_sq) else None
 
 
 # ---------------------------------------------------------------------------

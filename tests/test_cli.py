@@ -330,6 +330,7 @@ class TestBadInput:
         ["decode", "D4", "1e300,1e300,0,0"],
         ["decode", "Zn:2", "1e300,0"],
         ["decode", "D4", "1.7e308,1.7e308,0,0"],  # x @ M^-1 overflows
+        ["decode", "E8", "1e308,1e308,1e308,1e308,1e308,1e308,-1e308,1e308"],  # inf - inf
         ["decode", "D4", "nan,0,0,0"],
         ["simulate", "--lattice", "D4", "--sigma-sq", "1e30", "--trials", "10", "--seed", "1"],
         ["simulate", "--lattice", "grid_qudit:2", "--sigma-sq", "1e40", "--trials", "10",

@@ -1,5 +1,6 @@
 """Exact symplectic lattice algebra."""
 
+import collections
 import json
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkplat import exact
+from gkplat import exact, symplectic_lattice
 from gkplat.catalog import get
 from gkplat.symplectic_lattice import (
     Lattice,
@@ -322,6 +323,69 @@ class TestLatticeCode:
         for lat in (get("grid_qudit(3)").lattice, get("D4").lattice, rescale(get("E8").lattice, 2)):
             code = make_code(lat)
             assert code.transition == coeff_transition(code.normalizer, code.stabilizer)
+
+    def test_one_derivation(self, derivations):
+        lat = rescale(get("E8").lattice, 2)
+        derivations.clear()  # rescale itself reduced E8 to standard form
+        make_code(Lattice(lat.n, lat.basis, lat.scale_sq))
+        assert derivations == {"inverse": 1, "standard_form": 1}
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counter of the calls to exact.inverse, standard_form, coset_member
+    and coeff_transition."""
+    calls = collections.Counter()
+
+    def count(module, name):
+        call = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or call(*a))
+    count(exact, "inverse")
+    for name in ("standard_form", "coset_member", "coeff_transition"):
+        count(symplectic_lattice, name)
+    return calls
+
+
+@st.composite
+def skewed_code_lattice(draw):
+    """(lattice, m): rescale(Zn(2N), lambda) or rescale(E8, lambda) with its
+    code dimension m = lambda^N, or D4 with m = None, in a basis skewed by
+    a random unimodular integer transform; n <= 8."""
+    name = draw(st.sampled_from(["Zn(2)", "Zn(4)", "Zn(6)", "Zn(8)", "D4", "E8"]))
+    lam = 1 if name == "D4" else draw(st.integers(1, 4))
+    lat = get(name).lattice
+    lat = lat if lam == 1 else rescale(lat, lam)
+    n = lat.n
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-3, 3))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]  # unimodular row operation
+    if draw(st.booleans()):
+        u[0] = [-x for x in u[0]]
+    m = None if name == "D4" else lam ** (n // 2)
+    return Lattice(n, exact.mat_mul(frac_mat(u), lat.basis), lat.scale_sq), m
+
+
+class TestOneDerivationProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(case=skewed_code_lattice())
+    def test_code_facts(self, case):
+        lat, m = case
+        code = make_code(lat)
+        normalizer, stabilizer = code.normalizer, code.stabilizer
+        assert code.transition == coeff_transition(normalizer, stabilizer)
+        for row in stabilizer.basis:
+            assert coset_member(normalizer, row, stabilizer.scale_sq)
+        assert symplectic_pairing(normalizer, stabilizer) == exact.identity(lat.n)
+        assert code.dimension == abs(pfaffian(symplectic_gram(lat).entries))
+        if m is not None:
+            assert code.dimension == m
+        for l1, l2 in ((normalizer, stabilizer), (stabilizer, normalizer), (lat, lat)):
+            root = exact.fraction_sqrt(l1.scale_sq * l2.scale_sq)
+            product = exact.mat_mul(exact.mat_mul(l1.basis, omega(lat.n)),
+                                    exact.transpose(l2.basis))
+            assert symplectic_pairing(l1, l2) == exact.scale(product, root)
 
 
 class TestSerialization:
