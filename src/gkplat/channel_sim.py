@@ -116,9 +116,11 @@ def _stream_threads(counts: list[int], block: int) -> int:
     return min(len(counts), _usable_cpus())
 
 
-def _count_streams(block_failures, seed: int, trials: int, workers: int, block: int) -> int:
-    """Sum of block_failures(generator, rows) over blocks of at most
-    ``block`` rows of each worker stream: stream w draws
+def _estimate(block_failures, seed: int, trials: int, workers: int,
+              block: int) -> ErrorEstimate:
+    """Failure probability with a 95% Wilson interval from the sum of
+    block_failures(generator, rows), at most ``rows`` failures each, over
+    blocks of at most ``block`` rows of each worker stream: stream w draws
     partition_trials(trials, workers)[w] rows from make_generator(seed, w).
 
     With t = _stream_threads(...) threads, thread i runs streams i, i + t,
@@ -126,6 +128,8 @@ def _count_streams(block_failures, seed: int, trials: int, workers: int, block: 
     others stop at their next block, and the exception is re-raised here
     after every thread has finished; no partial sum is returned.
     """
+    if trials < 1 or workers < 1:
+        raise ValueError("trials and workers must be positive")
     counts = partition_trials(trials, workers)
     threads = _stream_threads(counts, block)
     totals = [0] * threads
@@ -151,7 +155,10 @@ def _count_streams(block_failures, seed: int, trials: int, workers: int, block: 
     for exc in errors:
         if exc is not None:
             raise exc
-    return sum(totals)
+    failures = sum(totals)
+    low, high = wilson_interval(failures, trials)
+    return ErrorEstimate(p_hat=failures / trials, ci_low=low, ci_high=high,
+                         trials=trials, seed=seed, failures=failures)
 
 
 def wilson_interval(failures: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -201,16 +208,10 @@ def estimate_error_probability(code: LatticeCode, noise: NoiseModel, trials: int
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
-    if trials < 1 or workers < 1:
-        raise ValueError("trials and workers must be positive")
 
     def block_failures(gen, rows):
         xi = gen.standard_normal((rows, code.normalizer.n))
         xi *= noise.lattice_sigma
         return int(failure_mask(code, xi, criterion).sum())
 
-    failures = _count_streams(block_failures, seed, trials, workers, _BATCH)
-
-    low, high = wilson_interval(failures, trials)
-    return ErrorEstimate(p_hat=failures / trials, ci_low=low, ci_high=high,
-                         trials=trials, seed=seed, failures=failures)
+    return _estimate(block_failures, seed, trials, workers, _BATCH)

@@ -154,55 +154,50 @@ def _workers() -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _table(header, flag, grid, row) -> list:
+    """``header``, then row(v) for each value v of a --*-grid flag as a
+    float; an error on a value names the flag and the value."""
+    table = [header]
+    for value in map(float, grid):
+        try:
+            table.append(row(value))
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"{flag} value {value!r}: {exc}") from exc
+    return table
+
+
 def _cmd_rates(args) -> None:
     spec, grid = args.sigma_sq_grid
-    table = [["sigma_sq", "coherent_info", "hw_upper", "sphere_packing",
-              "integer_lambda_rate"]]
-    for s in grid:
-        noise = NoiseModel(float(s), args.hbar)
-        table.append([
-            float(s),
-            coherent_information(noise),
-            hw_upper_bound(noise),
-            sphere_packing_rate(noise),
-            best_integer_lambda(noise)[1],
-        ])
-    _emit(args, table, grid=spec)
+
+    def row(s):
+        noise = NoiseModel(s, args.hbar)
+        return [s, coherent_information(noise), hw_upper_bound(noise),
+                sphere_packing_rate(noise), best_integer_lambda(noise)[1]]
+    _emit(args, _table(["sigma_sq", "coherent_info", "hw_upper", "sphere_packing",
+                        "integer_lambda_rate"], "--sigma-sq-grid", grid, row), grid=spec)
 
 
 def _cmd_concat_rates(args) -> None:
     spec, grid = args.sigma_grid
-    table = [["sigma_sq", "d_opt", "p", "rate", "c_sq", "coherent_info"]]
-    for sigma in grid:
-        noise = NoiseModel(float(sigma) ** 2, args.hbar)
+
+    def row(sigma):
+        noise = NoiseModel(sigma ** 2, args.hbar)
         design = optimize_qudit_dimension(noise, args.d_max)
-        table.append([
-            noise.sigma_sq,
-            design.d_opt,
-            design.p,
-            design.rate_qubits,
-            design.c_sq,
-            coherent_information(noise),
-        ])
-    _emit(args, table, grid=spec)
+        return [noise.sigma_sq, design.d_opt, design.p, design.rate_qubits, design.c_sq,
+                coherent_information(noise)]
+    _emit(args, _table(["sigma_sq", "d_opt", "p", "rate", "c_sq", "coherent_info"],
+                       "--sigma-grid", grid, row), grid=spec)
 
 
 def _cmd_classical_rates(args) -> None:
     spec, grid = args.snr_grid
-    table = [["snr", "capacity", "minkowski_rate", "debuda_rate", "d_opt",
-              "concat_rate"]]
-    for snr in grid:
-        params = ClassicalParams(1.0, 1.0 / float(snr))
-        d_opt, rate = optimize_classical_d(params, args.d_max)
-        table.append([
-            float(snr),
-            shannon_capacity(params),
-            minkowski_lattice_rate(params),
-            debuda_rate(params),
-            d_opt,
-            rate,
-        ])
-    _emit(args, table, grid=spec)
+
+    def row(snr):
+        params = ClassicalParams(1.0, 1.0 / snr)
+        return [snr, shannon_capacity(params), minkowski_lattice_rate(params),
+                debuda_rate(params), *optimize_classical_d(params, args.d_max)]
+    _emit(args, _table(["snr", "capacity", "minkowski_rate", "debuda_rate", "d_opt",
+                        "concat_rate"], "--snr-grid", grid, row), grid=spec)
 
 
 def _emit_estimate(args, estimate, **labels) -> None:

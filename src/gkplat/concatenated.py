@@ -15,7 +15,9 @@ samples the true (peaked) shift distribution.
 dit_rate gives the rate in qubits per oscillator.
 The explicit nine-qudit block code below (three repetition blocks, block
 sums compared across blocks) stands in for the random CSS codes of the
-asymptotic argument when something concrete must be simulated.
+asymptotic argument when something concrete must be simulated. It
+corrects every single-qudit error, from syndrome tables that CssCode
+derives from its check matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import cache
 
 import numpy as np
 
-from .channel_sim import ErrorEstimate, NoiseModel, _count_streams, wilson_interval
+from .channel_sim import ErrorEstimate, NoiseModel, _estimate
 
 
 @dataclass(frozen=True)
@@ -38,35 +40,27 @@ class QuditPauliError:
     b: int
 
 
-def _check_syndrome_keys(d: int, rows: int) -> None:
-    """Refuse a code whose syndrome keys, base-d numbers of ``rows``
-    digits, would overflow int64."""
-    if d ** rows >= 2 ** 63:
-        raise ValueError(f"syndrome keys d**{rows} overflow int64; "
-                         f"d = {d} is too large for this code")
-
-
 @dataclass(frozen=True, eq=False)
 class CssCode:
-    """CSS code over Z_d with a minimal-weight syndrome decode table.
+    """CSS code over Z_d whose decoder corrects single-qudit errors.
 
     ``hz`` rows are Z-type checks (they detect X errors), ``hx`` rows are
     X-type checks (they detect Z errors); hx @ hz^T must vanish mod d.
-    ``decode_table`` maps ("X"|"Z", syndrome tuple) to a correction
-    exponent vector; syndromes outside the table are uncorrectable. It is
-    turned once into per-sector sorted syndrome keys (``x_table``,
-    ``z_table``) with the logical pairing of each correction, which the
-    batched decoder searches.
+    Each sector's decode table is derived from its checks alone: sorted
+    int64 syndrome keys (``x_table``, ``z_table``) of the zero error and
+    every single-qudit error, each with the first such error as its
+    correction and that correction's pairing with the opposite logicals.
+    Every single-qudit error is corrected when errors that share a
+    syndrome differ by a stabilizer, as in a distance-3 code; syndromes
+    outside the table are uncorrectable.
     """
 
     d: int
     n: int
-    k: int
     hz: np.ndarray
     hx: np.ndarray
     logical_x: np.ndarray
     logical_z: np.ndarray
-    decode_table: dict
     x_table: tuple = field(init=False, repr=False)
     z_table: tuple = field(init=False, repr=False)
 
@@ -82,25 +76,34 @@ class CssCode:
             raise ValueError("logical X anticommutes with a Z check")
         if self.hx.size and ((self.hx @ self.logical_z.T) % d).any():
             raise ValueError("logical Z anticommutes with an X check")
-        object.__setattr__(self, "x_table", self._syndrome_table("X", self.hz, self.logical_z))
-        object.__setattr__(self, "z_table", self._syndrome_table("Z", self.hx, self.logical_x))
+        object.__setattr__(self, "x_table", self._syndrome_table(self.hz, self.logical_z))
+        object.__setattr__(self, "z_table", self._syndrome_table(self.hx, self.logical_x))
 
-    def _syndrome_table(self, sector: str, checks: np.ndarray, opposite_logical: np.ndarray):
+    def _syndrome_table(self, checks: np.ndarray, opposite_logical: np.ndarray):
         """Sorted int64 syndrome keys (base-d digits of the syndrome), their
         correction rows, the digit weights, and the pairing of each
-        correction row with the opposite logical operators mod d. A last key
-        of int64 max, above every syndrome, with a zero row keeps
-        searchsorted in range and stands for a missing syndrome."""
-        rows = checks.shape[0]
-        _check_syndrome_keys(self.d, rows)
-        weights = self.d ** np.arange(rows - 1, -1, -1, dtype=np.int64)
-        entries = sorted(((int(np.array(synd, dtype=np.int64) @ weights), corr)
-                          for (sec, synd), corr in self.decode_table.items() if sec == sector),
-                         key=lambda entry: entry[0])
-        keys = np.array([key for key, _ in entries] + [np.iinfo(np.int64).max], dtype=np.int64)
-        corrections = np.zeros((len(keys), self.n), dtype=np.int64)
-        corrections[:-1] = [corr for _, corr in entries]
-        return keys, corrections, weights, (corrections @ opposite_logical.T) % self.d
+        correction row with the opposite logical operators mod d.
+
+        The candidate errors are the zero error, then every single-qudit
+        error, position-major and value-minor; the first candidate with a
+        syndrome becomes its correction. A last key of int64 max, above
+        every syndrome, with a zero row keeps searchsorted in range and
+        stands for a missing syndrome. Keys that would overflow int64 are
+        refused before any candidate is built.
+        """
+        d, n, rows = self.d, self.n, checks.shape[0]
+        if d ** rows >= 2 ** 63:
+            raise ValueError(f"syndrome keys d**{rows} overflow int64; "
+                             f"d = {d} is too large for this code")
+        weights = d ** np.arange(rows - 1, -1, -1, dtype=np.int64)
+        errors = np.zeros((1 + n * (d - 1), n), dtype=np.int64)
+        single = np.arange(n * (d - 1))  # position-major, value-minor
+        errors[1 + single, single // (d - 1)] = single % (d - 1) + 1
+        keys, first = np.unique(((errors @ checks.T) % d) @ weights, return_index=True)
+        keys = np.append(keys, np.iinfo(np.int64).max)
+        corrections = np.zeros((len(keys), n), dtype=np.int64)
+        corrections[:-1] = errors[first]
+        return keys, corrections, weights, (corrections @ opposite_logical.T) % d
 
 
 @cache
@@ -339,13 +342,12 @@ def shor9_code(d: int) -> CssCode:
     Z-type checks compare neighbors within each block of three (six
     checks, diagnosing X shifts); X-type checks compare consecutive block
     sums (two checks, diagnosing Z shifts). Distance 3: every single-qudit
-    X^a Z^b error is correctable. A d too large for the six-digit X
-    syndrome keys (d >= 1449) is refused before the 9 (d - 1) entries of
-    the decode table are built.
+    X^a Z^b error is correctable, from tables CssCode derives from these
+    checks. Z errors within a block share a syndrome; any one of them is
+    a correction equivalent up to a Z-type stabilizer. A d too large for
+    the six-digit X syndrome keys (d >= 1449) is refused before the
+    9 (d - 1) single errors are built.
     """
-    if d < 2:
-        raise ValueError("qudit dimension must be >= 2")
-    _check_syndrome_keys(d, 6)
     hz = np.zeros((6, 9), dtype=np.int64)
     for block in range(3):
         for i in range(2):
@@ -363,23 +365,10 @@ def shor9_code(d: int) -> CssCode:
     logical_z = np.zeros((1, 9), dtype=np.int64)
     logical_z[0, [0, 3, 6]] = 1                 # one site per block
 
-    table = {}
-    table[("X", (0,) * 6)] = np.zeros(9, dtype=np.int64)
-    table[("Z", (0,) * 2)] = np.zeros(9, dtype=np.int64)
-    for pos in range(9):
-        for val in range(1, d):
-            err = np.zeros(9, dtype=np.int64)
-            err[pos] = val
-            synd_x = ("X", tuple((hz @ err) % d))
-            if synd_x in table and not np.array_equal(table[synd_x], err):
-                raise AssertionError("colliding X syndromes for single errors")
-            table[synd_x] = err
-            synd_z = ("Z", tuple((hx @ err) % d))
-            # within-block Z errors share a syndrome; any weight-1
-            # representative is equivalent up to a Z-type stabilizer
-            table.setdefault(synd_z, err)
-    return CssCode(d=d, n=9, k=1, hz=hz, hx=hx,
-                   logical_x=logical_x, logical_z=logical_z, decode_table=table)
+    code = CssCode(d=d, n=9, hz=hz, hx=hx, logical_x=logical_x, logical_z=logical_z)
+    if len(code.x_table[0]) != 2 + 9 * (d - 1):  # the zero error, 9 (d - 1) singles, sentinel
+        raise AssertionError("colliding X syndromes for single errors")
+    return code
 
 
 def css_decode(code: CssCode, error: list[QuditPauliError]) -> tuple[list[QuditPauliError], bool]:
@@ -409,23 +398,17 @@ def simulate_concatenated(code: CssCode, noise: NoiseModel, trials: int, seed: i
     """Monte Carlo logical-failure probability of a concatenated block.
 
     Each trial draws independent grid-qudit errors for the N oscillators
-    from the true shift distribution and decodes both sectors. Stream
-    handling matches the channel simulator, blocks of batch_cap trials
-    included: deterministic for fixed (seed, trials, workers).
+    from the true shift distribution and decodes both sectors. The
+    channel simulator's estimator runs it, on blocks of batch_cap trials:
+    deterministic for fixed (seed, trials, workers).
     """
-    if trials < 1 or workers < 1:
-        raise ValueError("trials and workers must be positive")
     batch_cap = max(1, _BATCH_TRIALS // max(1, code.n))
 
     def block_failures(gen, rows):
         a, b = sample_qudit_errors(code.d, noise, gen, (rows, code.n))
         return int(_batch_failures(code, a, b)[2].sum())
 
-    failures = _count_streams(block_failures, seed, trials, workers, batch_cap)
-
-    low, high = wilson_interval(failures, trials)
-    return ErrorEstimate(p_hat=failures / trials, ci_low=low, ci_high=high,
-                         trials=trials, seed=seed, failures=failures)
+    return _estimate(block_failures, seed, trials, workers, batch_cap)
 
 
 def _decode_sector(d, errors, checks, table, opposite_logical):

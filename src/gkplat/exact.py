@@ -54,14 +54,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def vec_mat(v, a: Matrix) -> tuple[Fraction, ...]:
-    """Row vector times matrix."""
-    v = tuple(as_fraction(x) for x in v)
-    if len(v) != len(a):
-        raise ValueError("vector/matrix size mismatch")
-    return tuple(sum(x * a[i][j] for i, x in enumerate(v)) for j in range(len(a[0])))
-
-
 def scale(a: Matrix, c) -> Matrix:
     c = as_fraction(c)
     return tuple(tuple(c * v for v in row) for row in a)

@@ -177,7 +177,8 @@ def standard_form(gram: SymplecticGram) -> StandardForm:
     if not exact.is_integral(gram.entries):
         raise ValueError("standard form requires an integral gram matrix")
     n = gram.n
-    a = [[int(v) for v in row] for row in gram.entries]
+    entries = [[int(v) for v in row] for row in gram.entries]
+    a = [row[:] for row in entries]
     r = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def add(i, j, c):
@@ -238,12 +239,12 @@ def standard_form(gram: SymplecticGram) -> StandardForm:
     # interleaved symplectic pairs -> block form; each pivot divides every
     # later one, so the pairs are already in ascending order
     order = list(range(0, n, 2)) + list(range(1, n, 2))
-    r_final = exact.freeze([r[i] for i in order])
+    r = [r[i] for i in order]
     diag = tuple(a[k][k + 1] for k in range(0, n, 2))
 
-    form = StandardForm(r_final, diag)
-    check = exact.mat_mul(exact.mat_mul(r_final, gram.entries), exact.transpose(r_final))
-    if check != form.block_form() or abs(exact.determinant(r_final)) != 1:
+    form = StandardForm(exact.freeze(r), diag)
+    check = exact.mat_mul(exact.mat_mul(r, entries), exact.transpose(r))  # in Python ints
+    if check != form.block_form() or abs(exact.determinant(form.r)) != 1:
         raise AssertionError("standard form reduction failed verification")
     return form
 
@@ -278,26 +279,6 @@ def rescale(lat: Lattice, lam: int) -> Lattice:
 def gram_matrix(lat: Lattice) -> Matrix:
     """Euclidean Gram matrix G = M M^T = scale_sq * basis basis^T."""
     return exact.scale(exact.mat_mul(lat.basis, exact.transpose(lat.basis)), lat.scale_sq)
-
-
-def coset_member(lat: Lattice, v, v_scale_sq=None) -> bool:
-    """Exact membership of sqrt(v_scale_sq) * v in the lattice.
-
-    The vector scale defaults to the lattice's own. A scale whose ratio to
-    the lattice scale has no rational square root is incompatible (no
-    nonzero rational vector at that scale can be a lattice point).
-    """
-    u = tuple(exact.as_fraction(x) for x in v)
-    if len(u) != lat.n:
-        raise ValueError("vector/lattice dimension mismatch")
-    mu = lat.scale_sq if v_scale_sq is None else exact.as_fraction(v_scale_sq)
-    if all(x == 0 for x in u):
-        return True
-    root = exact.fraction_sqrt(mu / lat.scale_sq)
-    if root is None:
-        raise ValueError("vector scale is incompatible with the lattice scale")
-    coords = exact.vec_mat([root * x for x in u], exact.inverse(lat.basis))
-    return all(c.denominator == 1 for c in coords)
 
 
 @dataclass(frozen=True)
@@ -336,8 +317,8 @@ def make_code(lat: Lattice) -> LatticeCode:
     root = exact.fraction_sqrt(normalizer.scale_sq / lat.scale_sq)
     if exact.scale(exact.mat_mul(a, normalizer.basis), root) != lat.basis:
         raise AssertionError("stabilizer generator escapes the normalizer")
-    # unit-cell volume ratio |det M| / |det M_dual| must equal m^2
-    if cell_volume(lat) != m * cell_volume(normalizer) * m:
+    # unit-cell volume ratio |det M| / |det M_dual| must equal m^2 (|det M| = m, certified)
+    if m != m * cell_volume(normalizer) * m:
         raise AssertionError("unit-cell volume ratio disagrees with m^2")
     rate = math.log2(m) / lat.num_modes
     return LatticeCode(lat, normalizer, m, rate, a_inv)
@@ -359,11 +340,14 @@ def coeff_transition(src: Lattice, dst: Lattice) -> Matrix:
 def logical_class(code: LatticeCode, coeffs) -> tuple[Fraction, ...]:
     """Class of a normalizer point (by basis coefficients) in L_perp / L.
 
-    The label is the fractional part of its stabilizer-basis coordinates;
-    all zeros means the point is a stabilizer translation.
+    The label is the fractional part of its stabilizer-basis coordinates
+    c @ num / den (see LatticeCode.coset_test), in Python ints; all zeros
+    means the point is a stabilizer translation.
     """
-    coords = exact.vec_mat([int(c) for c in coeffs], code.transition)
-    return tuple(c - math.floor(c) for c in coords)
+    num, den = code.coset_test
+    c = [int(x) for x in coeffs]
+    return tuple(Fraction(sum(x * y for x, y in zip(c, col)) % den, den)
+                 for col in num.T.tolist())
 
 
 def orthogonal_scale_sq(lat: Lattice) -> Fraction | None:

@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
-the Pfaffian is a combinatorial sum over perfect matchings, closest-point
+the Pfaffian is a combinatorial sum over perfect matchings, lattice
+membership is a Fraction elimination of its own, closest-point
 references are box enumerations, erfc is a Taylor series plus a continued
 fraction, and success probabilities come from the 1D Gaussian CDF.
 """
@@ -33,6 +34,37 @@ def pfaffian(a) -> Fraction:
         return total
 
     return rec(list(range(n)))
+
+
+def coset_member(lat, v, v_scale_sq=None) -> bool:
+    """Exact membership of sqrt(v_scale_sq) * v in the lattice
+    sqrt(lat.scale_sq) * (integer row span of lat.basis).
+
+    The vector scale defaults to the lattice's own. The coordinates c solve
+    basis^T c = root * v, with root^2 the ratio of the scales, by Fraction
+    Gauss-Jordan elimination. A ratio with no rational square root raises
+    ValueError: no nonzero rational vector at that scale is a lattice point.
+    """
+    u = [Fraction(x) for x in v]
+    n = len(lat.basis)
+    if len(u) != n:
+        raise ValueError("vector/lattice dimension mismatch")
+    if not any(u):
+        return True
+    ratio = (lat.scale_sq if v_scale_sq is None else Fraction(v_scale_sq)) / lat.scale_sq
+    top, bottom = math.isqrt(ratio.numerator), math.isqrt(ratio.denominator)
+    if top * top != ratio.numerator or bottom * bottom != ratio.denominator:
+        raise ValueError("vector scale is incompatible with the lattice scale")
+    root = Fraction(top, bottom)
+    rows = [[Fraction(lat.basis[i][j]) for i in range(n)] + [root * u[j]] for j in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return all((rows[i][n] / rows[i][i]).denominator == 1 for i in range(n))
 
 
 @lru_cache(maxsize=8)

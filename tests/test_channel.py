@@ -323,7 +323,7 @@ class TestStreams:
         before = threading.active_count()
         monkeypatch.setattr(channel_sim, "_usable_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match=f"stream {failing} failed"):
-            channel_sim._count_streams(block_failures, 1, 8, 4, 1)
+            channel_sim._estimate(block_failures, 1, 8, 4, 1)
         assert threading.active_count() == before
         if failing == 0:
             assert finished == [1]  # the helper's block ran to its end first
@@ -332,16 +332,26 @@ class TestStreams:
 
     def test_streams_sum_under_switching(self, monkeypatch):
         # more threads than cores and a tiny switch interval: a lost update
-        # of a total would change the sum
-        monkeypatch.setattr(channel_sim, "make_generator", lambda seed, worker: worker)
+        # of a total would change the sum. Stream w's generator is its
+        # budget [w] of extra failures: each of its 15 blocks (100 rows in
+        # blocks of <= 7) fails 1 row plus what it takes from the budget, at
+        # most ``rows`` in all, so every block counts and the stream sums
+        # 15 + w are distinct.
+        monkeypatch.setattr(channel_sim, "make_generator", lambda seed, worker: [worker])
         monkeypatch.setattr(channel_sim, "_usable_cpus", lambda: 16)
+
+        def block_failures(budget, rows):
+            extra = min(rows - 1, budget[0])
+            budget[0] -= extra
+            return 1 + extra
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            total = channel_sim._count_streams(lambda w, rows: w * rows + 1, 1, 64 * 50, 64, 7)
+            est = channel_sim._estimate(block_failures, 1, 64 * 100, 64, 7)
         finally:
             sys.setswitchinterval(interval)
-        assert total == sum(w * 50 + 8 for w in range(64))  # 50 rows: 8 blocks of <= 7
+        assert est.failures == sum(15 + w for w in range(64))
 
 
 class TestWilson:

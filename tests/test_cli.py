@@ -309,6 +309,17 @@ class TestBadInput:
         # sigma^2 underflows to 0, or to a subnormal whose d-scan ceiling is inf
         assert_one_error_line(*run_cli(["concat-rates", "--sigma-grid", grid], capsys))
 
+    @pytest.mark.parametrize("command,value", [
+        (["rates", "--sigma-sq-grid", "1e-300:1e300:3", "--hbar", "1e-300"], 1e300),
+        (["rates", "--sigma-sq-grid", "1e-320:1e-320:1"], 1e-320),
+        (["concat-rates", "--sigma-grid", "1e-200:1e-200:1"], 1e-200),  # sigma^2 is 0
+        (["concat-rates", "--sigma-grid", "1e200:1e200:1"], 1e200),     # sigma^2 overflows
+    ])
+    def test_grid_value_out_of_range_named(self, capsys, command, value):
+        code, out, err = run_cli(command, capsys)
+        assert_one_error_line(code, out, err)
+        assert f"{command[1]} value {value!r}: " in err
+
     @pytest.mark.parametrize("command", [
         ["concat-rates", "--sigma-grid", "1e-10:1e-10:1"],  # default ceiling 8e20
         ["classical-rates", "--snr-grid", "1e31:1e31:1"],   # default ceiling 2.5e16

@@ -516,6 +516,42 @@ class TestShor9:
         with pytest.raises(ValueError):
             css_decode(shor9_code(2), [QuditPauliError(0, 0)] * 5)
 
+    @pytest.mark.parametrize("d", [*range(2, 61), 97, 128, 255, 1000, 1448])
+    def test_tables_match_dict_reference(self, d):
+        code = shor9_code(d)
+        for got, want in zip((code.x_table, code.z_table), dict_tables(code)):
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
+
+
+def dict_tables(code: CssCode):
+    """Reference (keys, corrections, weights, pairing) of both sectors,
+    built as a dict of ("X"|"Z", syndrome tuple) entries over the zero
+    error and the single errors in a loop, then sorted by key: X entries
+    overwrite, Z entries keep the first error with their syndrome."""
+    d, n = code.d, code.n
+    table = {("X", (0,) * len(code.hz)): np.zeros(n, dtype=np.int64),
+             ("Z", (0,) * len(code.hx)): np.zeros(n, dtype=np.int64)}
+    for pos in range(n):
+        for val in range(1, d):
+            err = np.zeros(n, dtype=np.int64)
+            err[pos] = val
+            table[("X", tuple((code.hz @ err) % d))] = err
+            table.setdefault(("Z", tuple((code.hx @ err) % d)), err)
+    tables = []
+    for sector, checks, opposite in (("X", code.hz, code.logical_z),
+                                     ("Z", code.hx, code.logical_x)):
+        weights = d ** np.arange(len(checks) - 1, -1, -1, dtype=np.int64)
+        entries = sorted(((int(np.array(synd, dtype=np.int64) @ weights), corr)
+                          for (sec, synd), corr in table.items() if sec == sector),
+                         key=lambda entry: entry[0])
+        keys = np.array([key for key, _ in entries] + [np.iinfo(np.int64).max], dtype=np.int64)
+        corrections = np.zeros((len(keys), n), dtype=np.int64)
+        corrections[:-1] = [corr for _, corr in entries]
+        tables.append((keys, corrections, weights, (corrections @ opposite.T) % d))
+    return tables
+
 
 def brute_force_coset_failure(code: CssCode, a_vec: np.ndarray) -> bool:
     """Minimal-weight X-sector decoding by exhausting all d^n error vectors."""
@@ -652,9 +688,7 @@ class TestSimulateConcatenated:
         p_raw = 1.0 - pmf[0] ** 2  # X or Z component nonzero
         # one bare qudit, no checks: every nonidentity error is logical
         empty, one = np.zeros((0, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64)
-        table = {("X", ()): np.zeros(1, dtype=np.int64), ("Z", ()): np.zeros(1, dtype=np.int64)}
-        bare = CssCode(d=d, n=1, k=1, hz=empty, hx=empty, logical_x=one, logical_z=one,
-                       decode_table=table)
+        bare = CssCode(d=d, n=1, hz=empty, hx=empty, logical_x=one, logical_z=one)
         est = simulate_concatenated(bare, noise, 300_000, seed=74)
         half = wilson_halfwidth(est.p_hat, est.trials)
         assert abs(est.p_hat - p_raw) <= 3.0 * half
@@ -708,8 +742,7 @@ class TestCssCodeValidation:
         hx = np.array([[1, 0, 0]], dtype=np.int64)
         logical = np.zeros((1, 3), dtype=np.int64)
         with pytest.raises(ValueError):
-            CssCode(d=2, n=3, k=1, hz=hz, hx=hx, logical_x=logical,
-                    logical_z=logical, decode_table={})
+            CssCode(d=2, n=3, hz=hz, hx=hx, logical_x=logical, logical_z=logical)
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):

@@ -19,12 +19,12 @@ from gkplat.symplectic_lattice import (
     cell_volume,
     code_dimension,
     coeff_transition,
-    coset_member,
     dual_lattice,
     gram_matrix,
     is_symplectically_integral,
     lattice_from_dict,
     lattice_from_rows,
+    logical_class,
     make_code,
     omega,
     rescale,
@@ -33,7 +33,7 @@ from gkplat.symplectic_lattice import (
     symplectic_pairing,
 )
 
-from oracles import pfaffian
+from oracles import coset_member, pfaffian
 
 I2 = [[1, 0], [0, 1]]
 I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
@@ -324,6 +324,19 @@ class TestLatticeCode:
             code = make_code(lat)
             assert code.transition == coeff_transition(code.normalizer, code.stabilizer)
 
+    def test_logical_class_is_fractional_part(self):
+        # against the fractional part of c @ transition in Fractions
+        rng = random.Random(11)
+        for lat in (get("grid_qudit(3)").lattice, get("grid_qudit(5)").lattice,
+                    get("D4").lattice, rescale(get("E8").lattice, 2),
+                    rescale(get("Zn(4)").lattice, 3)):
+            code = make_code(lat)
+            for _ in range(200):
+                c = [rng.randint(-50, 50) for _ in range(lat.n)]
+                coords = [sum(x * row[j] for x, row in zip(c, code.transition))
+                          for j in range(lat.n)]
+                assert logical_class(code, c) == tuple(v - math.floor(v) for v in coords)
+
     def test_one_derivation(self, derivations):
         lat = rescale(get("E8").lattice, 2)
         derivations.clear()  # rescale itself reduced E8 to standard form
@@ -333,15 +346,15 @@ class TestLatticeCode:
 
 @pytest.fixture
 def derivations(monkeypatch):
-    """Counter of the calls to exact.inverse, standard_form, coset_member
-    and coeff_transition."""
+    """Counter of the calls to exact.inverse, standard_form and
+    coeff_transition."""
     calls = collections.Counter()
 
     def count(module, name):
         call = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or call(*a))
     count(exact, "inverse")
-    for name in ("standard_form", "coset_member", "coeff_transition"):
+    for name in ("standard_form", "coeff_transition"):
         count(symplectic_lattice, name)
     return calls
 
