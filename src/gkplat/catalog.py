@@ -1,7 +1,6 @@
-"""Named lattices with exact generator matrices and known constants.
+"""Named lattices with exact generator matrices.
 
-These serve as code substrates and as decoder fixtures. Shortest-vector
-constants recorded here are re-derived by enumeration in the test suite.
+These serve as code substrates and as decoder fixtures.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .symplectic_lattice import Lattice, lattice_from_rows
 class CatalogEntry:
     name: str
     lattice: Lattice
-    known_shortest_sq: Fraction | None
     notes: str
 
 
@@ -31,7 +29,6 @@ def _zn(n: int) -> CatalogEntry:
     return CatalogEntry(
         name=f"Zn({n})",
         lattice=lattice_from_rows(basis, 1),
-        known_shortest_sq=Fraction(1),
         notes="Cubic lattice; symplectically self-dual (A = omega), |det basis| = 1.",
     )
 
@@ -42,7 +39,6 @@ def _grid_qudit(d: int) -> CatalogEntry:
     return CatalogEntry(
         name=f"grid_qudit({d})",
         lattice=lattice_from_rows([[1, 0], [0, 1]], d),
-        known_shortest_sq=Fraction(d),
         notes=(
             "Single-mode grid code: stabilizer sqrt(d) Z^2, normalizer "
             "(1/sqrt(d)) Z^2, code dimension d."
@@ -60,7 +56,6 @@ def _d4() -> CatalogEntry:
     return CatalogEntry(
         name="D4",
         lattice=lattice_from_rows(basis, 1),
-        known_shortest_sq=Fraction(2),
         notes="Checkerboard lattice (integer vectors with even sum); |det basis| = 2.",
     )
 
@@ -80,7 +75,6 @@ def _e8() -> CatalogEntry:
     return CatalogEntry(
         name="E8",
         lattice=lattice_from_rows(basis, 1),
-        known_shortest_sq=Fraction(2),
         notes=(
             "Even coordinate system: D8 plus the all-halves glue vector; "
             "unimodular (|det basis| = 1)."

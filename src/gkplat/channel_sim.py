@@ -78,7 +78,6 @@ class ErrorEstimate:
     trials: int
     seed: int
     failures: int
-    algorithm: str = RNG_ALGORITHM
 
 
 def stream_key(seed: int, worker: int) -> np.ndarray:
@@ -161,13 +160,13 @@ def _estimate(block_failures, seed: int, trials: int, workers: int,
                          trials=trials, seed=seed, failures=failures)
 
 
-def wilson_interval(failures: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     p = failures / trials
-    zz = z * z / trials
+    zz = WILSON_Z * WILSON_Z / trials
     denom = 1.0 + zz
     center = (p + zz / 2.0) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials)) / denom
+    half = WILSON_Z * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials)) / denom
     low = 0.0 if failures == 0 else max(0.0, center - half)
     high = 1.0 if failures == trials else min(1.0, center + half)
     return low, high

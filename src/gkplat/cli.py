@@ -34,7 +34,7 @@ from .classical_channel import (
     shannon_capacity,
 )
 from .concatenated import optimize_qudit_dimension, shor9_code, simulate_concatenated
-from .decoder import closest_point, packing_radius, shortest_vector
+from .decoder import closest_point, shortest_vector
 from .rates import (
     best_integer_lambda,
     coherent_information,
@@ -246,7 +246,7 @@ def _cmd_lattice_info(args) -> None:
         "dimension": dimension,
         "shortest_vector": [float(v) for v in vec],
         "shortest_sq": length_sq,
-        "packing_radius": packing_radius(lat),
+        "packing_radius": math.sqrt(length_sq) / 2.0,  # packing_radius(lat), no second search
         "symplectically_integral": integral,
         "symplectically_self_dual": integral and dimension == 1,
         "notes": entry.notes,

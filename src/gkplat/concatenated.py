@@ -45,7 +45,8 @@ class CssCode:
     """CSS code over Z_d whose decoder corrects single-qudit errors.
 
     ``hz`` rows are Z-type checks (they detect X errors), ``hx`` rows are
-    X-type checks (they detect Z errors); hx @ hz^T must vanish mod d.
+    X-type checks (they detect Z errors); hx @ hz^T must vanish mod d. The
+    block length n is the width of ``hz``, shared by all four matrices.
     Each sector's decode table is derived from its checks alone: sorted
     int64 syndrome keys (``x_table``, ``z_table``) of the zero error and
     every single-qudit error, each with the first such error as its
@@ -56,7 +57,6 @@ class CssCode:
     """
 
     d: int
-    n: int
     hz: np.ndarray
     hx: np.ndarray
     logical_x: np.ndarray
@@ -68,6 +68,8 @@ class CssCode:
         d = self.d
         if d < 2:
             raise ValueError("qudit dimension must be >= 2")
+        if any(m.shape[1] != self.n for m in (self.hx, self.logical_x, self.logical_z)):
+            raise ValueError("check and logical matrices must share one width")
         if self.hz.size and self.hx.size:
             if ((self.hx @ self.hz.T) % d).any():
                 raise ValueError("check matrices are not orthogonal mod d")
@@ -78,6 +80,10 @@ class CssCode:
             raise ValueError("logical Z anticommutes with an X check")
         object.__setattr__(self, "x_table", self._syndrome_table(self.hz, self.logical_z))
         object.__setattr__(self, "z_table", self._syndrome_table(self.hx, self.logical_x))
+
+    @property
+    def n(self) -> int:
+        return self.hz.shape[1]
 
     def _syndrome_table(self, checks: np.ndarray, opposite_logical: np.ndarray):
         """Sorted int64 syndrome keys (base-d digits of the syndrome), their
@@ -208,12 +214,17 @@ def dit_rate_bound(error_prob, k: int):
     is at least its smaller endpoint value; p(d) log2(d-1) is a product
     of nonnegative nondecreasing factors, so it is at least its value at a.
     The bound only grows as its interval widens; it also bounds the rate 0
-    that dit_rate gives from p = (d-1)/d on.
+    that dit_rate gives from p = (d-1)/d on. For a > 2 it is -inf where
+    every rate on [a, b] is exactly 0 (p(a) >= (b-1)/b, or the unclamped
+    bound at most -_BOUND_SLACK), which never displaces the first maximum.
     """
     def upper(a: int, b: int) -> float:
         p_a, p_b = error_prob(np.array([a, b], dtype=np.int64))
         h_min = min(entropy_base_d(p_a, 2), entropy_base_d(p_b, 2))
-        return max(0.0, math.log2(b) - k * h_min - k * p_a * math.log2(a - 1))
+        bound = math.log2(b) - k * h_min - k * p_a * math.log2(a - 1)
+        if a > 2 and (p_a >= (b - 1) / b or bound <= -_BOUND_SLACK):
+            return -math.inf
+        return max(0.0, bound)
     return upper
 
 
@@ -365,7 +376,7 @@ def shor9_code(d: int) -> CssCode:
     logical_z = np.zeros((1, 9), dtype=np.int64)
     logical_z[0, [0, 3, 6]] = 1                 # one site per block
 
-    code = CssCode(d=d, n=9, hz=hz, hx=hx, logical_x=logical_x, logical_z=logical_z)
+    code = CssCode(d=d, hz=hz, hx=hx, logical_x=logical_x, logical_z=logical_z)
     if len(code.x_table[0]) != 2 + 9 * (d - 1):  # the zero error, 9 (d - 1) singles, sentinel
         raise AssertionError("colliding X syndromes for single errors")
     return code

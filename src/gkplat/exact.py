@@ -109,21 +109,10 @@ def content(a: Matrix) -> Fraction:
 
     Zero entries are ignored; an all-zero matrix has no content.
     """
-    nums, dens = [], []
-    for row in a:
-        for v in row:
-            if v != 0:
-                nums.append(abs(v.numerator))
-                dens.append(v.denominator)
-    if not nums:
+    nonzero = [v for row in a for v in row if v]
+    if not nonzero:
         raise ValueError("all-zero matrix has no content")
-    g = 0
-    for p in nums:
-        g = gcd(g, p)
-    l = 1
-    for q in dens:
-        l = lcm(l, q)
-    return Fraction(g, l)
+    return Fraction(gcd(*(v.numerator for v in nonzero)), lcm(*(v.denominator for v in nonzero)))
 
 
 def fraction_sqrt(x: Fraction) -> Fraction | None:

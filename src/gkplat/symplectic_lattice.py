@@ -9,10 +9,10 @@ integrality, duals, standard forms, code dimensions -- is exact rational
 arithmetic with no tolerance anywhere.
 
 Conventions: coordinates are ordered (q-like..., p-like...), so the
-symplectic form is the block matrix [[0, I], [-I, 0]]. Two phase-space
-translations commute exactly when their symplectic form is an integer,
-which is why integrality of A = M omega M^T characterizes a valid
-stabilizer group.
+symplectic form omega is the block matrix [[0, I], [-I, 0]]. Two
+phase-space translations commute exactly when their symplectic form is an
+integer, which is why integrality of A = M omega M^T characterizes a valid
+stabilizer group. No omega is formed (the test oracles hold one).
 """
 
 from __future__ import annotations
@@ -38,32 +38,27 @@ def _block_form(diag) -> Matrix:
     return exact.freeze(rows)
 
 
-def omega(n: int) -> Matrix:
-    """Symplectic form [[0, I_N], [-I_N, 0]] for n = 2N coordinates."""
-    if n <= 0 or n % 2:
-        raise ValueError("phase-space dimension must be even and positive")
-    return _block_form((1,) * (n // 2))
-
-
 @dataclass(frozen=True)
 class Lattice:
-    """A full-rank lattice sqrt(scale_sq) * (integer row spans of basis)."""
+    """A full-rank lattice sqrt(scale_sq) * (integer row span of basis): basis
+    a nonsingular rational n x n matrix, n = 2N even; scale_sq > 0 rational."""
 
-    n: int
     basis: Matrix
     scale_sq: Fraction = Fraction(1)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", exact.freeze(self.basis))
         object.__setattr__(self, "scale_sq", exact.as_fraction(self.scale_sq))
-        if self.n <= 0 or self.n % 2:
-            raise ValueError("lattice dimension must be even and positive")
-        if len(self.basis) != self.n or len(self.basis[0]) != self.n:
-            raise ValueError("basis must be an n x n matrix")
+        if self.n % 2 or len(self.basis[0]) != self.n:
+            raise ValueError("basis must be a square matrix of even size")
         if self.scale_sq <= 0:
             raise ValueError("scale_sq must be positive")
         if exact.determinant(self.basis) == 0:
             raise ValueError("basis is singular")
+
+    @property
+    def n(self) -> int:
+        return len(self.basis)
 
     @property
     def num_modes(self) -> int:
@@ -84,12 +79,10 @@ class Lattice:
         if c == 1:
             return self
         basis = exact.scale(self.basis, 1 / c)
-        return Lattice(self.n, basis, self.scale_sq * c * c)
+        return Lattice(basis, self.scale_sq * c * c)
 
 
-def lattice_from_rows(rows, scale_sq=1) -> Lattice:
-    basis = exact.freeze(rows)
-    return Lattice(len(basis), basis, exact.as_fraction(scale_sq))
+lattice_from_rows = Lattice  # the public name the demos and the catalog build with
 
 
 @dataclass(frozen=True)
@@ -145,7 +138,7 @@ def dual_lattice(lat: Lattice) -> Lattice:
 def _dual(lat: Lattice, a_inv: Matrix) -> Lattice:
     """A^-1 M, normalized (basis content folded into scale_sq), with the
     defining identity M_dual omega M^T = I re-checked exactly."""
-    dual = Lattice(lat.n, exact.mat_mul(a_inv, lat.basis), lat.scale_sq).normalized()
+    dual = Lattice(exact.mat_mul(a_inv, lat.basis), lat.scale_sq).normalized()
     if symplectic_pairing(dual, lat) != exact.identity(lat.n):
         raise AssertionError("dual lattice failed the pairing identity")
     return dual
@@ -194,8 +187,6 @@ def standard_form(gram: SymplecticGram) -> StandardForm:
             ri[t] += c * rj[t]
 
     def swap(i, j):
-        if i == j:
-            return
         a[i], a[j] = a[j], a[i]
         for row in a:
             row[i], row[j] = row[j], row[i]
@@ -204,36 +195,28 @@ def standard_form(gram: SymplecticGram) -> StandardForm:
     s = 0
     while s < n:
         while True:
-            best = None
-            for i in range(s, n):
-                for j in range(i + 1, n):
-                    v = abs(a[i][j])
-                    if v and (best is None or v < best[0]):
-                        best = (v, i, j)
-            if best is None:
+            pivot = min(((abs(a[i][j]), i, j) for i in range(s, n) for j in range(i + 1, n)
+                         if a[i][j]), default=None)
+            if pivot is None:
                 raise ValueError("gram matrix is singular")
-            _, pi, pj = best
+            _, pi, pj = pivot
             swap(s, pi)
-            if pj == s:
-                pj = pi
-            swap(s + 1, pj)
+            swap(s + 1, pi if pj == s else pj)
             if a[s][s + 1] < 0:
                 swap(s, s + 1)
             d = a[s][s + 1]
-            clean = True
             for i in range(s + 2, n):
                 add(i, s, -(a[i][s + 1] // d))
                 add(i, s + 1, a[i][s] // d)
-                if a[i][s + 1] or a[i][s]:
-                    clean = False  # nonzero remainder < d; re-pivot
-            if clean:
-                # d must divide the rest; else pull a row it does not
-                # divide into pair s, leaving a remainder < d to re-pivot on
-                row = next((i for i in range(s + 2, n)
-                            if any(a[i][j] % d for j in range(s + 2, n))), None)
-                if row is None:
-                    break
-                add(s, row, 1)
+            if any(a[i][s] or a[i][s + 1] for i in range(s + 2, n)):
+                continue  # nonzero remainder < d; re-pivot
+            # d must divide the rest; else pull a row it does not divide
+            # into pair s, leaving a remainder < d to re-pivot on
+            row = next((i for i in range(s + 2, n)
+                        if any(a[i][j] % d for j in range(s + 2, n))), None)
+            if row is None:
+                break
+            add(s, row, 1)
         s += 2
 
     # interleaved symplectic pairs -> block form; each pivot divides every
@@ -273,7 +256,7 @@ def rescale(lat: Lattice, lam: int) -> Lattice:
         raise ValueError("rescale requires a symplectically self-dual lattice")
     if lam == 1:
         return lat
-    return Lattice(lat.n, lat.basis, lat.scale_sq * lam)
+    return Lattice(lat.basis, lat.scale_sq * lam)
 
 
 def gram_matrix(lat: Lattice) -> Matrix:
@@ -367,8 +350,11 @@ def orthogonal_scale_sq(lat: Lattice) -> Fraction | None:
 # through a file.
 
 def lattice_from_dict(data: dict) -> Lattice:
-    return Lattice(int(data["n"]), exact.freeze(data["basis"]),
-                   exact.as_fraction(data["lambda"]))
+    """The lattice of a {"n", "lambda", "basis"} record whose n fits the basis."""
+    lat = Lattice(data["basis"], data["lambda"])
+    if int(data["n"]) != lat.n:
+        raise ValueError(f"n = {data['n']} does not match the {lat.n} x {lat.n} basis")
+    return lat
 
 
 def load_lattice(path) -> Lattice:

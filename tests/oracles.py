@@ -1,10 +1,12 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
-the Pfaffian is a combinatorial sum over perfect matchings, lattice
-membership is a Fraction elimination of its own, closest-point
-references are box enumerations, erfc is a Taylor series plus a continued
-fraction, and success probabilities come from the 1D Gaussian CDF.
+the symplectic form omega is written out entry by entry (the library
+never forms it), the Pfaffian is a combinatorial sum over perfect
+matchings, lattice membership is a Fraction elimination of its own,
+closest-point references are box enumerations, erfc is a Taylor series
+plus a continued fraction, and success probabilities come from the 1D
+Gaussian CDF.
 """
 
 from __future__ import annotations
@@ -14,6 +16,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+
+def omega(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Symplectic form [[0, I_N], [-I_N, 0]] for n = 2N coordinates, as an
+    exact matrix comparable with the library's."""
+    if n <= 0 or n % 2:
+        raise ValueError("phase-space dimension must be even and positive")
+    half = n // 2
+    return tuple(tuple(Fraction(int(j == i + half) - int(i == j + half)) for j in range(n))
+                 for i in range(n))
 
 
 def pfaffian(a) -> Fraction:

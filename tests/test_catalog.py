@@ -12,18 +12,20 @@ from gkplat.symplectic_lattice import (
     code_dimension,
     dual_lattice,
     is_symplectically_integral,
-    omega,
     symplectic_gram,
 )
 
-from oracles import _delta_box
+from oracles import _delta_box, omega
+
+# squared shortest-vector lengths of the catalog lattices, known in closed form
+KNOWN_SHORTEST_SQ = {"Zn(2)": 1, "Zn(4)": 1, "D4": 2, "E8": 2, "grid_qudit(3)": 3}
 
 
 def test_zn_entry():
     entry = get("Zn(2)")
     assert entry.lattice.basis == exact.identity(2)
     assert entry.lattice.scale_sq == 1
-    assert entry.known_shortest_sq == 1
+    assert shortest_vector(entry.lattice)[1] == KNOWN_SHORTEST_SQ["Zn(2)"]
 
 
 def test_zn_self_dual():
@@ -58,7 +60,7 @@ def test_e8_shortest_by_enumeration():
     norms = np.einsum("ij,ij->i", vecs, vecs)
     nonzero = norms[norms > 1e-9]
     assert nonzero.min() == pytest.approx(2.0, abs=1e-12)
-    assert float(get("E8").known_shortest_sq) == pytest.approx(nonzero.min())
+    assert KNOWN_SHORTEST_SQ["E8"] == pytest.approx(nonzero.min())
 
 
 def test_d4_shortest_by_enumeration():
@@ -79,10 +81,9 @@ def test_dets_match_notes():
 
 
 def test_known_shortest_matches_enumeration():
-    for name in ["Zn(2)", "Zn(4)", "D4", "E8", "grid_qudit(3)"]:
-        entry = get(name)
-        _, length_sq = shortest_vector(entry.lattice)
-        assert length_sq == pytest.approx(float(entry.known_shortest_sq), rel=1e-12)
+    for name, known in KNOWN_SHORTEST_SQ.items():
+        _, length_sq = shortest_vector(get(name).lattice)
+        assert length_sq == pytest.approx(known, rel=1e-12)
 
 
 def test_colon_syntax():

@@ -103,6 +103,9 @@ class TestRateScanTail:
     @pytest.mark.parametrize("command,column,d_opt", [
         (["concat-rates", "--sigma-grid", "0.1:0.1:1"], 1, 30),
         (["classical-rates", "--snr-grid", "10:10:1"], 4, 3),
+        # every rate is 0: only the intervals holding d = 2 are split
+        (["concat-rates", "--sigma-grid", "100:100:1"], 1, 2),
+        (["classical-rates", "--snr-grid", "1e-3:1e-3:1"], 4, 2),
     ])
     def test_huge_d_max_costs_few_bound_calls(self, capsys, monkeypatch, command, column,
                                               d_opt):

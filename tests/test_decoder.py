@@ -266,7 +266,7 @@ def _skewed(lat: Lattice, rng) -> Lattice:
     for _ in range(2 * lat.n):
         i, j = rng.choice(lat.n, size=2, replace=False)
         u[i] += int(rng.integers(-2, 3)) * u[j]
-    return Lattice(lat.n, exact.mat_mul(exact.freeze(u.tolist()), lat.basis), lat.scale_sq)
+    return Lattice(exact.mat_mul(exact.freeze(u.tolist()), lat.basis), lat.scale_sq)
 
 
 def _box_radius(m) -> int:

@@ -1,10 +1,17 @@
-"""The package namespace holds exactly the names the demos import, and
-every name the benchmark imports from gkplat exists."""
+"""The package namespace holds exactly the names the demos import, every
+name the benchmark imports from gkplat exists, and each demo prints the
+bytes pinned here."""
 
 import ast
+import contextlib
+import hashlib
 import importlib
+import io
 import pathlib
+import runpy
 import types
+
+import pytest
 
 import gkplat
 
@@ -39,3 +46,28 @@ def test_bench_imports_resolve():
     missing = [(module, name) for module, name in imports
                if not hasattr(importlib.import_module(module), name or "__name__")]
     assert missing == []
+
+
+# sha256 of each demo's stdout; the demos are deterministic (fixed seeds,
+# one worker stream), so any change to what they print shows here
+DEMO_STDOUT_SHA256 = {
+    "achievable_rates.py": "3e2cbf1194b22e88ff783edb3058c7d60e92929bf80b3895c9535e40b2d86022",
+    "channel_monte_carlo.py": "5fd0342cb62da2880d45dbde7b569d735e6c1ff969377a0f22bcf682d11aa72c",
+    "classical_rates.py": "aef0265e1058a2599f55ee48d5d168ee991e4d081db61d29fc043264f1f8f72e",
+    "concatenated_design.py": "ba9d2c2cf5e269774d01b5578ed3481f7f0bd8bb66753e61b0ed93ee39c09103",
+    "decoding.py": "5a97aea502973117a30026c4b549a27a8f5a4d867ccf3cf3aa3ee6501106bfd1",
+    "lattice_algebra.py": "94004f1dfc034e7370a086a1923e90ca969173856d3559f22f8b738afc738daa",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(path.name for path in DEMOS.glob("*.py")) == sorted(DEMO_STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_STDOUT_SHA256))
+def test_demo_stdout_pinned(name):
+    # run in this process (as __main__): the same bytes as `python demos/<name>`
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DEMO_STDOUT_SHA256[name]

@@ -26,14 +26,13 @@ from gkplat.symplectic_lattice import (
     lattice_from_rows,
     logical_class,
     make_code,
-    omega,
     rescale,
     standard_form,
     symplectic_gram,
     symplectic_pairing,
 )
 
-from oracles import coset_member, pfaffian
+from oracles import coset_member, omega, pfaffian
 
 I2 = [[1, 0], [0, 1]]
 I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
@@ -277,7 +276,7 @@ class TestGramMatrix:
     def test_signed_permutation_invariance(self):
         base = get("D4").lattice
         perm = frac_mat([[0, 0, -1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, -1, 0, 0]])
-        rotated = Lattice(4, exact.mat_mul(base.basis, perm), base.scale_sq)
+        rotated = Lattice(exact.mat_mul(base.basis, perm), base.scale_sq)
         assert gram_matrix(rotated) == gram_matrix(base)
 
 
@@ -340,7 +339,7 @@ class TestLatticeCode:
     def test_one_derivation(self, derivations):
         lat = rescale(get("E8").lattice, 2)
         derivations.clear()  # rescale itself reduced E8 to standard form
-        make_code(Lattice(lat.n, lat.basis, lat.scale_sq))
+        make_code(Lattice(lat.basis, lat.scale_sq))
         assert derivations == {"inverse": 1, "standard_form": 1}
 
 
@@ -377,7 +376,7 @@ def skewed_code_lattice(draw):
     if draw(st.booleans()):
         u[0] = [-x for x in u[0]]
     m = None if name == "D4" else lam ** (n // 2)
-    return Lattice(n, exact.mat_mul(frac_mat(u), lat.basis), lat.scale_sq), m
+    return Lattice(exact.mat_mul(frac_mat(u), lat.basis), lat.scale_sq), m
 
 
 class TestOneDerivationProperty:
@@ -417,6 +416,12 @@ class TestSerialization:
         path.write_text(json.dumps({"n": 8, "lambda": "1", "basis": basis}))
         assert load_lattice(path) == get("E8").lattice
 
+    def test_rejects_n_unlike_basis(self):
+        for n in (4, 3):
+            data = {"n": n, "lambda": "1", "basis": [["1", "0"], ["0", "1"]]}
+            with pytest.raises(ValueError, match="does not match"):
+                lattice_from_dict(data)
+
 
 class TestValidation:
     def test_rejects_singular_basis(self):
@@ -425,7 +430,9 @@ class TestValidation:
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
-            Lattice(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], Fraction(1))
+            Lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]], Fraction(1))
+        with pytest.raises(ValueError, match="square"):
+            Lattice([[1, 0, 0], [0, 1, 0]], Fraction(1))
 
     def test_rejects_float_entries(self):
         with pytest.raises(TypeError):
