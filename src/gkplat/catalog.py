@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .decoder import MAX_DIM
 from .symplectic_lattice import Lattice, lattice_from_rows
@@ -46,40 +45,24 @@ def _grid_qudit(d: int) -> CatalogEntry:
     )
 
 
-def _d4() -> CatalogEntry:
-    basis = [
-        [1, -1, 0, 0],
-        [0, 1, -1, 0],
-        [0, 0, 1, -1],
-        [0, 0, 1, 1],
-    ]
-    return CatalogEntry(
-        name="D4",
-        lattice=lattice_from_rows(basis, 1),
-        notes="Checkerboard lattice (integer vectors with even sum); |det basis| = 2.",
-    )
-
-
-def _e8() -> CatalogEntry:
-    h = Fraction(1, 2)
-    basis = [
-        [2, 0, 0, 0, 0, 0, 0, 0],
-        [-1, 1, 0, 0, 0, 0, 0, 0],
-        [0, -1, 1, 0, 0, 0, 0, 0],
-        [0, 0, -1, 1, 0, 0, 0, 0],
-        [0, 0, 0, -1, 1, 0, 0, 0],
-        [0, 0, 0, 0, -1, 1, 0, 0],
-        [0, 0, 0, 0, 0, -1, 1, 0],
-        [h, h, h, h, h, h, h, h],
-    ]
-    return CatalogEntry(
-        name="E8",
-        lattice=lattice_from_rows(basis, 1),
-        notes=(
-            "Even coordinate system: D8 plus the all-halves glue vector; "
-            "unimodular (|det basis| = 1)."
-        ),
-    )
+# Fixed lattices: name -> (basis, notes), each at scale 1.
+_NAMED = {
+    "D4": ([[1, -1, 0, 0],
+            [0, 1, -1, 0],
+            [0, 0, 1, -1],
+            [0, 0, 1, 1]],
+           "Checkerboard lattice (integer vectors with even sum); |det basis| = 2."),
+    "E8": ([[2, 0, 0, 0, 0, 0, 0, 0],
+            [-1, 1, 0, 0, 0, 0, 0, 0],
+            [0, -1, 1, 0, 0, 0, 0, 0],
+            [0, 0, -1, 1, 0, 0, 0, 0],
+            [0, 0, 0, -1, 1, 0, 0, 0],
+            [0, 0, 0, 0, -1, 1, 0, 0],
+            [0, 0, 0, 0, 0, -1, 1, 0],
+            ["1/2"] * 8],
+           "Even coordinate system: D8 plus the all-halves glue vector; "
+           "unimodular (|det basis| = 1)."),
+}
 
 
 _PARAMETRIC = re.compile(r"^(Zn|grid_qudit)[(:]([0-9]+)\)?$")
@@ -92,10 +75,9 @@ def get(name: str) -> CatalogEntry:
     which is friendlier on a command line.
     """
     name = name.strip()
-    if name == "D4":
-        return _d4()
-    if name == "E8":
-        return _e8()
+    if name in _NAMED:
+        basis, notes = _NAMED[name]
+        return CatalogEntry(name=name, lattice=lattice_from_rows(basis, 1), notes=notes)
     m = _PARAMETRIC.match(name)
     if m:
         kind, arg = m.group(1), int(m.group(2))

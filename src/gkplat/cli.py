@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import os
 import sys
@@ -76,20 +77,18 @@ def _canonical_json(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     return _scalar(obj)
 
 
 def _manifest(args, payload_sha: str, **fields) -> dict:
-    """Provenance record of one artifact; fields that are None are left out."""
-    manifest = {
+    """Provenance record of one artifact."""
+    return {
         "command": ["gkplat", *args._argv],
         "artifact_version": __version__,
         "output_sha256": payload_sha,
         **fields,
     }
-    return {k: v for k, v in manifest.items() if v is not None}
 
 
 def _emit(args, result, **fields) -> None:
@@ -265,16 +264,44 @@ def _cmd_decode(args) -> None:
     })
 
 
-# Options several subcommands take, each declared once.
-_SHARED_OPTIONS = {
-    "--sigma-sq": dict(dest="sigma_sq", type=float, required=True),
+_GRID = dict(type=_grid, required=True, metavar="START:STOP:POINTS")
+
+# Every option and positional, declared once: its add_argument keywords.
+_OPTIONS = {
+    "--sigma-sq-grid": dict(_GRID, help="log-spaced grid of sigma^2 values"),
+    "--sigma-grid": dict(_GRID, help="log-spaced grid of sigma (standard deviation) values"),
+    "--snr-grid": _GRID,
+    "--lattice": dict(required=True,
+                      help="catalog name (e.g. grid_qudit:2, E8) or lattice JSON path"),
+    "--code": dict(default="shor9"),
+    "--d": dict(type=int, required=True),
+    "--sigma-sq": dict(type=float, required=True),
     "--trials": dict(type=int, required=True),
     "--seed": dict(type=int, required=True),
+    "--criterion": dict(choices=["voronoi", "coset"], default="voronoi"),
     "--hbar": dict(type=float, default=1.0),
-    "--d-max": dict(dest="d_max", type=int, default=None),
-    "--out": dict(default=None, help="output file (default: stdout); files get a "
-                                     ".manifest.json sidecar"),
+    "--d-max": dict(type=int),
+    "--out": dict(help="output file (default: stdout); files get a .manifest.json sidecar"),
+    "name": {},
+    "lattice": {},
+    "point": dict(help="comma-separated coordinates"),
 }
+
+# One row per subcommand: name, handler, help, and its options in --help order.
+_COMMANDS = [
+    ("rates", _cmd_rates, "quantum rate formulas on a sigma^2 grid",
+     ["--sigma-sq-grid", "--hbar", "--out"]),
+    ("concat-rates", _cmd_concat_rates, "optimized concatenated-code rates on a sigma grid",
+     ["--sigma-grid", "--hbar", "--d-max", "--out"]),
+    ("classical-rates", _cmd_classical_rates, "classical channel rates on an SNR grid (P = 1)",
+     ["--snr-grid", "--d-max", "--out"]),
+    ("simulate", _cmd_simulate, "Monte Carlo a lattice code",
+     ["--lattice", "--sigma-sq", "--trials", "--seed", "--criterion", "--hbar", "--out"]),
+    ("concat-sim", _cmd_concat_sim, "Monte Carlo a concatenated block code",
+     ["--code", "--d", "--sigma-sq", "--trials", "--seed", "--hbar", "--out"]),
+    ("lattice-info", _cmd_lattice_info, "constants of a catalog lattice", ["name", "--out"]),
+    ("decode", _cmd_decode, "closest lattice point to a target", ["lattice", "point", "--out"]),
+]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -283,55 +310,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Lattice codes for continuous quantum variables: rate "
                     "tables and Monte Carlo channel simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help_text):
+    for name, func, help_text, options in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        return p
-
-    def shared(p, *flags):
-        for flag in flags:
-            p.add_argument(flag, **_SHARED_OPTIONS[flag])
-
-    def grid(p, flag, help_text=None):
-        p.add_argument(flag, type=_grid, required=True, metavar="START:STOP:POINTS",
-                       help=help_text)
-
-    p = command("rates", _cmd_rates, "quantum rate formulas on a sigma^2 grid")
-    grid(p, "--sigma-sq-grid", "log-spaced grid of sigma^2 values")
-    shared(p, "--hbar", "--out")
-
-    p = command("concat-rates", _cmd_concat_rates,
-                "optimized concatenated-code rates on a sigma grid")
-    grid(p, "--sigma-grid", "log-spaced grid of sigma (standard deviation) values")
-    shared(p, "--hbar", "--d-max", "--out")
-
-    p = command("classical-rates", _cmd_classical_rates,
-                "classical channel rates on an SNR grid (P = 1)")
-    grid(p, "--snr-grid")
-    shared(p, "--d-max", "--out")
-
-    p = command("simulate", _cmd_simulate, "Monte Carlo a lattice code")
-    p.add_argument("--lattice", required=True,
-                   help="catalog name (e.g. grid_qudit:2, E8) or lattice JSON path")
-    shared(p, "--sigma-sq", "--trials", "--seed")
-    p.add_argument("--criterion", choices=["voronoi", "coset"], default="voronoi")
-    shared(p, "--hbar", "--out")
-
-    p = command("concat-sim", _cmd_concat_sim, "Monte Carlo a concatenated block code")
-    p.add_argument("--code", default="shor9")
-    p.add_argument("--d", type=int, required=True)
-    shared(p, "--sigma-sq", "--trials", "--seed", "--hbar", "--out")
-
-    p = command("lattice-info", _cmd_lattice_info, "constants of a catalog lattice")
-    p.add_argument("name")
-    shared(p, "--out")
-
-    p = command("decode", _cmd_decode, "closest lattice point to a target")
-    p.add_argument("lattice")
-    p.add_argument("point", help="comma-separated coordinates")
-    shared(p, "--out")
-
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -344,7 +327,7 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         args.func(args)
-    except (ValueError, KeyError, OSError, AssertionError, ArithmeticError) as exc:
+    except (ValueError, KeyError, OSError, AssertionError, ArithmeticError, RecursionError) as exc:
         print(f"gkplat: error: {exc}", file=sys.stderr)
         return 1
     return 0

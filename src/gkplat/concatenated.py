@@ -70,13 +70,12 @@ class CssCode:
             raise ValueError("qudit dimension must be >= 2")
         if any(m.shape[1] != self.n for m in (self.hx, self.logical_x, self.logical_z)):
             raise ValueError("check and logical matrices must share one width")
-        if self.hz.size and self.hx.size:
-            if ((self.hx @ self.hz.T) % d).any():
-                raise ValueError("check matrices are not orthogonal mod d")
+        if ((self.hx @ self.hz.T) % d).any():
+            raise ValueError("check matrices are not orthogonal mod d")
         # logical operators must commute with the opposite-type checks
-        if self.hz.size and ((self.hz @ self.logical_x.T) % d).any():
+        if ((self.hz @ self.logical_x.T) % d).any():
             raise ValueError("logical X anticommutes with a Z check")
-        if self.hx.size and ((self.hx @ self.logical_z.T) % d).any():
+        if ((self.hx @ self.logical_z.T) % d).any():
             raise ValueError("logical Z anticommutes with an X check")
         object.__setattr__(self, "x_table", self._syndrome_table(self.hz, self.logical_z))
         object.__setattr__(self, "z_table", self._syndrome_table(self.hx, self.logical_x))
@@ -359,22 +358,17 @@ def shor9_code(d: int) -> CssCode:
     the six-digit X syndrome keys (d >= 1449) is refused before the
     9 (d - 1) single errors are built.
     """
-    hz = np.zeros((6, 9), dtype=np.int64)
-    for block in range(3):
-        for i in range(2):
-            row = hz[2 * block + i]
-            row[3 * block + i] = 1
-            row[3 * block + i + 1] = d - 1
-    hx = np.zeros((2, 9), dtype=np.int64)
-    hx[0, 0:3] = 1
-    hx[0, 3:6] = d - 1
-    hx[1, 3:6] = 1
-    hx[1, 6:9] = d - 1
-
-    logical_x = np.zeros((1, 9), dtype=np.int64)
-    logical_x[0, 0:3] = 1                       # constant on one block
-    logical_z = np.zeros((1, 9), dtype=np.int64)
-    logical_z[0, [0, 3, 6]] = 1                 # one site per block
+    m = d - 1  # -1 mod d without %, so that a d below 2 reaches CssCode's check
+    hz = np.array([[1, m, 0, 0, 0, 0, 0, 0, 0],
+                   [0, 1, m, 0, 0, 0, 0, 0, 0],
+                   [0, 0, 0, 1, m, 0, 0, 0, 0],
+                   [0, 0, 0, 0, 1, m, 0, 0, 0],
+                   [0, 0, 0, 0, 0, 0, 1, m, 0],
+                   [0, 0, 0, 0, 0, 0, 0, 1, m]], dtype=np.int64)
+    hx = np.array([[1, 1, 1, m, m, m, 0, 0, 0],
+                   [0, 0, 0, 1, 1, 1, m, m, m]], dtype=np.int64)
+    logical_x = np.array([[1, 1, 1, 0, 0, 0, 0, 0, 0]], dtype=np.int64)  # constant on one block
+    logical_z = np.array([[1, 0, 0, 1, 0, 0, 1, 0, 0]], dtype=np.int64)  # one site per block
 
     code = CssCode(d=d, hz=hz, hx=hx, logical_x=logical_x, logical_z=logical_z)
     if len(code.x_table[0]) != 2 + 9 * (d - 1):  # the zero error, 9 (d - 1) singles, sentinel

@@ -72,10 +72,10 @@ def _frame(lat: Lattice):
     if lat.n > MAX_DIM:
         raise ValueError(f"decoder supports dimensions up to {MAX_DIM}, got {lat.n}")
     m = lat.effective_matrix()
-    q, r = np.linalg.qr(m.T)
+    r = np.linalg.qr(m.T, mode="r")
     u = _lll(m)
     q_red, r_red = np.linalg.qr((u @ m).T)
-    return m, np.linalg.inv(m), r.T, q, orthogonal_scale_sq(lat), u, r_red.T, q_red
+    return m, np.linalg.inv(m), r.T, orthogonal_scale_sq(lat), u, r_red.T, q_red
 
 
 def _search(lower, ys, bound=None, nonzero=False):
@@ -131,7 +131,7 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError for a non-finite coordinate, for lattice
     coefficients of 2**26 or more, and for a basis so skewed that its LLL
     reduction leaves the int64/float64 range."""
-    _, m_inv, _, _, c_sq, u_red, lower, q = _frame(lat)
+    _, m_inv, _, c_sq, u_red, lower, q = _frame(lat)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != lat.n:
         raise ValueError("point/lattice dimension mismatch")

@@ -18,10 +18,10 @@ def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to a Fraction.
 
     Floats are rejected: they would silently launder rounding error into
-    the exact layer.
+    the exact layer. Bools are rejected too: a JSON true is not the number 1.
     """
-    if isinstance(value, float):
-        raise TypeError("exact matrices cannot be built from floats")
+    if isinstance(value, (bool, float)):
+        raise TypeError("exact matrices cannot be built from floats or bools")
     return Fraction(value)
 
 

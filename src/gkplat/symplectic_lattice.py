@@ -350,9 +350,20 @@ def orthogonal_scale_sq(lat: Lattice) -> Fraction | None:
 # through a file.
 
 def lattice_from_dict(data: dict) -> Lattice:
-    """The lattice of a {"n", "lambda", "basis"} record whose n fits the basis."""
-    lat = Lattice(data["basis"], data["lambda"])
-    if int(data["n"]) != lat.n:
+    """The lattice of a {"n", "lambda", "basis"} record whose n fits the basis.
+    A record that is not an object, or a field that is missing or of the
+    wrong type (a float, a bool, a nested list), is a ValueError."""
+    fields = {}
+    for key, read in (("basis", exact.freeze), ("lambda", exact.as_fraction),
+                      ("n", exact.as_fraction)):
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"lattice record has no {key!r} field")
+        try:
+            fields[key] = read(data[key])
+        except TypeError as exc:
+            raise ValueError(f"lattice field {key!r}: {exc}") from exc
+    lat = Lattice(fields["basis"], fields["lambda"])
+    if fields["n"] != lat.n:
         raise ValueError(f"n = {data['n']} does not match the {lat.n} x {lat.n} basis")
     return lat
 

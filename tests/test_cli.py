@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from gkplat import channel_sim, concatenated
-from gkplat.cli import _canonical_json, _grid, _scalar, main
+from gkplat.cli import _build_parser, _canonical_json, _grid, _scalar, main
 
 from oracles import square_lattice_failure_prob, wilson_halfwidth
 
@@ -307,6 +308,26 @@ class TestBadInput:
         path.write_text('{"n": 2, "lambda": "1/0", "basis": [["1", "0"], ["0", "1"]]}')
         assert_one_error_line(*run_cli(["decode", str(path), "0.1,0.2"], capsys))
 
+    @pytest.mark.parametrize("record", [
+        pytest.param('{"n": 2, "lambda": "1", "basis": [[1.0, 0], [0, 1]]}', id="float-entry"),
+        pytest.param('{"n": 2, "lambda": 0.5, "basis": [[1, 0], [0, 1]]}', id="float-lambda"),
+        pytest.param('{"n": 2, "lambda": "1", "basis": [[1e400, 0], [0, 1]]}', id="1e400"),
+        pytest.param('{"n": 2, "lambda": "1", "basis": [[[1], 0], [0, 1]]}', id="nested-entry"),
+        pytest.param('[[1, 0], [0, 1]]', id="top-level-array"),
+        pytest.param('{"n": 2, "lambda": "1", "basis": [[true, 0], [0, 1]]}', id="bool-entry"),
+        pytest.param('{"n": 2.0, "lambda": "1", "basis": [[1, 0], [0, 1]]}', id="float-n"),
+        pytest.param("[" * 10 ** 5 + "]" * 10 ** 5, id="deep-nesting"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["decode", "PATH", "0.1,0.2"],
+        ["simulate", "--lattice", "PATH", "--sigma-sq", "0.1", "--trials", "10", "--seed", "1"],
+    ], ids=["decode", "simulate"])
+    def test_malformed_lattice_file(self, tmp_path, capsys, record, command):
+        path = tmp_path / "bad.json"
+        path.write_text(record)
+        argv = [str(path) if arg == "PATH" else arg for arg in command]
+        assert_one_error_line(*run_cli(argv, capsys))
+
     @pytest.mark.parametrize("grid", ["1e-170:1e-170:1", "1e-160:1e-160:1"])
     def test_sigma_grid_underflow(self, capsys, grid):
         # sigma^2 underflows to 0, or to a subnormal whose d-scan ceiling is inf
@@ -509,6 +530,17 @@ class TestManifest:
         if "seed" in extra_keys:
             assert (manifest["seed"], manifest["workers"]) == (1, 1)
 
+    def test_control_characters_escaped(self, tmp_path, capsys):
+        out = tmp_path / "a\tb.json"
+        assert run_cli(["lattice-info", "D4", "--out", str(out)], capsys)[0] == 0
+        artifact = json.loads(out.read_text())
+        sidecar = json.loads((tmp_path / "a\tb.json.manifest.json").read_text())
+        assert artifact["manifest"] == sidecar
+        assert sidecar["command"][-1] == str(out)
+        text = 'q"\\\t\n\0'
+        assert json.loads(_canonical_json({text: [text]})) == {text: [text]}
+        assert _canonical_json("σ²") == '"σ²"'  # non-ASCII stays raw UTF-8
+
     def test_numbers_have_17_significant_digits(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         run_cli(["rates", "--sigma-sq-grid", "1e-1:1e0:3", "--out", str(out)], capsys)
@@ -590,3 +622,94 @@ def test_erfc_fallback_gives_identical_csv():
         runs[path] = json.loads(proc.stdout)
     assert [runs["by-path"][1], runs["fallback"][1]] == [False, True]
     assert runs["fallback"][0] == runs["by-path"][0]
+
+
+# The 13 acceptance commands and the first 16 hex digits of the sha256 of
+# their stdout with GKPLAT_WORKERS=2: any change to a number, a label or
+# the JSON and CSV layout shows here.
+ACCEPTANCE_HASHES = [
+    ("rates --sigma-sq-grid 1e-4:1e0:100", "bec39ad0a0d004bb"),
+    ("concat-rates --sigma-grid 0.0137:0.45:60", "b498576b556e4246"),
+    ("concat-rates --sigma-grid 1e-3:0.0137:3", "a0e326c13de11c12"),
+    ("classical-rates --snr-grid 1:1e10:50", "afc2e0d550777426"),
+    ("simulate --lattice D4 --sigma-sq 0.2 --trials 2000 --seed 5 --criterion voronoi",
+     "eabb4959b30f8300"),
+    ("simulate --lattice D4 --sigma-sq 0.2 --trials 2000 --seed 5 --criterion coset",
+     "2dc03dcf269501f1"),
+    ("simulate --lattice grid_qudit:2 --sigma-sq 0.1 --trials 1000000 --seed 5 --criterion coset",
+     "9e498cbe46f4fd56"),
+    ("concat-sim --d 3 --sigma-sq 0.05 --trials 1000000 --seed 5", "0b4a44da1f56cbcc"),
+    ("concat-sim --d 10 --sigma-sq 0.05 --trials 1000000 --seed 5", "a4582c8808f4f496"),
+    ("lattice-info D4", "ef8a4c13ceab6c3c"),
+    ("lattice-info E8", "d619e39728fd401b"),
+    ("decode E8 0.3,-0.2,0.1,0.7,-0.4,0.25,0.05,-0.6", "704dd7b8cbc95535"),
+    ("decode Zn:2 0.4,-0.3", "eb82cae8373d90a4"),
+]
+
+
+@pytest.mark.parametrize("command,digest", ACCEPTANCE_HASHES,
+                         ids=[command for command, _ in ACCEPTANCE_HASHES])
+def test_acceptance_output_hash(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("GKPLAT_WORKERS", "2")
+    code, out, err = run_cli(command.split(), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+# Every subcommand with its help and, per action in parser order: option
+# strings, dest, default, required, choices, metavar, help and the name of
+# type. Structure rather than --help text, whose layout varies between
+# Python versions.
+_OUT = (["--out"], "out", None, False, None, None,
+        "output file (default: stdout); files get a .manifest.json sidecar", None)
+_HBAR = (["--hbar"], "hbar", 1.0, False, None, None, None, "float")
+_D_MAX = (["--d-max"], "d_max", None, False, None, None, None, "int")
+_MONTE_CARLO = [
+    (["--sigma-sq"], "sigma_sq", None, True, None, None, None, "float"),
+    (["--trials"], "trials", None, True, None, None, None, "int"),
+    (["--seed"], "seed", None, True, None, None, None, "int"),
+]
+CLI_SURFACE = {
+    "rates": ("quantum rate formulas on a sigma^2 grid", [
+        (["--sigma-sq-grid"], "sigma_sq_grid", None, True, None, "START:STOP:POINTS",
+         "log-spaced grid of sigma^2 values", "_grid"),
+        _HBAR, _OUT]),
+    "concat-rates": ("optimized concatenated-code rates on a sigma grid", [
+        (["--sigma-grid"], "sigma_grid", None, True, None, "START:STOP:POINTS",
+         "log-spaced grid of sigma (standard deviation) values", "_grid"),
+        _HBAR, _D_MAX, _OUT]),
+    "classical-rates": ("classical channel rates on an SNR grid (P = 1)", [
+        (["--snr-grid"], "snr_grid", None, True, None, "START:STOP:POINTS", None, "_grid"),
+        _D_MAX, _OUT]),
+    "simulate": ("Monte Carlo a lattice code", [
+        (["--lattice"], "lattice", None, True, None, None,
+         "catalog name (e.g. grid_qudit:2, E8) or lattice JSON path", None),
+        *_MONTE_CARLO,
+        (["--criterion"], "criterion", "voronoi", False, ["voronoi", "coset"], None, None, None),
+        _HBAR, _OUT]),
+    "concat-sim": ("Monte Carlo a concatenated block code", [
+        (["--code"], "code", "shor9", False, None, None, None, None),
+        (["--d"], "d", None, True, None, None, None, "int"),
+        *_MONTE_CARLO, _HBAR, _OUT]),
+    "lattice-info": ("constants of a catalog lattice", [
+        ([], "name", None, True, None, None, None, None),
+        _OUT]),
+    "decode": ("closest lattice point to a target", [
+        ([], "lattice", None, True, None, None, None, None),
+        ([], "point", None, True, None, None, "comma-separated coordinates", None),
+        _OUT]),
+}
+
+
+def test_cli_surface():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    surface = {
+        name: (helps[name], [
+            (a.option_strings, a.dest, a.default, a.required, a.choices, a.metavar, a.help,
+             getattr(a.type, "__name__", None))
+            for a in p._actions if not isinstance(a, argparse._HelpAction)])
+        for name, p in sub.choices.items()
+    }
+    assert list(surface.items()) == list(CLI_SURFACE.items())
