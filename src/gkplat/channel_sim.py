@@ -39,9 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import closest_points
-from .symplectic_lattice import LatticeCode
-
 RNG_ALGORITHM = "philox4x64+sha256-worker-streams/v1"
 WILSON_Z = 1.959963984540054  # 97.5th normal percentile, for 95% intervals
 _BATCH = 1 << 15  # rows per block; bounds what each running stream holds at once
@@ -184,6 +181,7 @@ def failure_mask(code: LatticeCode, xi, criterion: str = "voronoi") -> np.ndarra
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
+    from .decoder import closest_points
     coeffs, fail = closest_points(code.normalizer, xi)
     if criterion == "voronoi":
         for col in coeffs.T:

@@ -21,33 +21,6 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .catalog import get as catalog_get
-from .channel_sim import (
-    RNG_ALGORITHM,
-    NoiseModel,
-    estimate_error_probability,
-)
-from .classical_channel import (
-    ClassicalParams,
-    debuda_rate,
-    minkowski_lattice_rate,
-    optimize_classical_d,
-    shannon_capacity,
-)
-from .concatenated import optimize_qudit_dimension, shor9_code, simulate_concatenated
-from .decoder import closest_point, shortest_vector
-from .rates import (
-    best_integer_lambda,
-    coherent_information,
-    hw_upper_bound,
-    sphere_packing_rate,
-)
-from .symplectic_lattice import (
-    code_dimension,
-    is_symplectically_integral,
-    load_lattice,
-    make_code,
-)
 
 
 def _scalar(value) -> str:
@@ -135,7 +108,9 @@ def _grid(spec: str) -> tuple[str, np.ndarray]:
 
 def _resolve_lattice(spec: str):
     if os.path.sep in spec or spec.endswith(".json"):
+        from .symplectic_lattice import load_lattice
         return load_lattice(spec)
+    from .catalog import get as catalog_get
     return catalog_get(spec).lattice
 
 
@@ -166,6 +141,9 @@ def _table(header, flag, grid, row) -> list:
 
 
 def _cmd_rates(args) -> None:
+    from .channel_sim import NoiseModel
+    from .rates import (best_integer_lambda, coherent_information, hw_upper_bound,
+                        sphere_packing_rate)
     spec, grid = args.sigma_sq_grid
 
     def row(s):
@@ -177,6 +155,9 @@ def _cmd_rates(args) -> None:
 
 
 def _cmd_concat_rates(args) -> None:
+    from .channel_sim import NoiseModel
+    from .concatenated import optimize_qudit_dimension
+    from .rates import coherent_information
     spec, grid = args.sigma_grid
 
     def row(sigma):
@@ -189,6 +170,8 @@ def _cmd_concat_rates(args) -> None:
 
 
 def _cmd_classical_rates(args) -> None:
+    from .classical_channel import (ClassicalParams, debuda_rate, minkowski_lattice_rate,
+                                    optimize_classical_d, shannon_capacity)
     spec, grid = args.snr_grid
 
     def row(snr):
@@ -202,6 +185,7 @@ def _cmd_classical_rates(args) -> None:
 def _emit_estimate(args, estimate, **labels) -> None:
     """Run a Monte Carlo estimate with the shared --sigma-sq, --hbar,
     --trials and --seed flags, and emit it with the run's labels."""
+    from .channel_sim import RNG_ALGORITHM, NoiseModel
     noise = NoiseModel(args.sigma_sq, args.hbar)
     workers = _workers()
     est = estimate(noise, args.trials, args.seed, workers=workers)
@@ -220,12 +204,15 @@ def _emit_estimate(args, estimate, **labels) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    from .channel_sim import estimate_error_probability
+    from .symplectic_lattice import make_code
     code = make_code(_resolve_lattice(args.lattice))
     estimate = partial(estimate_error_probability, code, criterion=args.criterion)
     _emit_estimate(args, estimate, criterion=args.criterion, lattice=args.lattice)
 
 
 def _cmd_concat_sim(args) -> None:
+    from .concatenated import shor9_code, simulate_concatenated
     if args.code != "shor9":
         raise ValueError(f"unknown code family: {args.code!r}")
     estimate = partial(simulate_concatenated, shor9_code(args.d))
@@ -233,6 +220,9 @@ def _cmd_concat_sim(args) -> None:
 
 
 def _cmd_lattice_info(args) -> None:
+    from .catalog import get as catalog_get
+    from .decoder import shortest_vector
+    from .symplectic_lattice import code_dimension, is_symplectically_integral
     entry = catalog_get(args.name)
     lat = entry.lattice
     vec, length_sq = shortest_vector(lat)
@@ -253,8 +243,12 @@ def _cmd_lattice_info(args) -> None:
 
 
 def _cmd_decode(args) -> None:
+    from .decoder import closest_point
     lattice = _resolve_lattice(args.lattice)
-    point = [float(v) for v in args.point.split(",")]
+    try:
+        point = [float(v) for v in args.point.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"point {args.point!r}: {exc}") from exc
     res = closest_point(lattice, point)
     _emit(args, {
         "closest": [float(v) for v in res.closest],

@@ -29,15 +29,6 @@ from . import exact
 from .exact import Matrix
 
 
-def _block_form(diag) -> Matrix:
-    """The antisymmetric block matrix [[0, D], [-D, 0]], D = diag(diag)."""
-    half = len(diag)
-    rows = [[0] * (2 * half) for _ in range(2 * half)]
-    for i, d in enumerate(diag):
-        rows[i][half + i], rows[half + i][i] = d, -d
-    return exact.freeze(rows)
-
-
 @dataclass(frozen=True)
 class Lattice:
     """A full-rank lattice sqrt(scale_sq) * (integer row span of basis): basis
@@ -65,9 +56,21 @@ class Lattice:
         return self.n // 2
 
     def effective_matrix(self) -> np.ndarray:
-        """Float generator matrix M = sqrt(scale_sq) * basis."""
-        b = np.array([[float(v) for v in row] for row in self.basis])
-        return math.sqrt(float(self.scale_sq)) * b
+        """Float generator matrix M = sqrt(scale_sq) * basis. A lambda or
+        basis entry whose float64 value, or entry of M, overflows or is
+        nonzero and underflows to 0 is a ValueError naming its field."""
+        def to_float(field, exact, scale=1.0):
+            try:
+                value = scale * float(exact)
+            except OverflowError:  # a ratio of ints too large for a float
+                value = math.inf
+            if abs(value) == math.inf or (value == 0) != (exact == 0):
+                verb = "overflows" if value else "underflows to 0"
+                raise ValueError(f"lattice field {field!r} is beyond float64 in "
+                                 f"sqrt(lambda) * basis: it {verb}")
+            return value
+        root = math.sqrt(to_float("lambda", self.scale_sq))
+        return np.array([[to_float("basis", v, root) for v in row] for row in self.basis])
 
     def normalized(self) -> "Lattice":
         """Fold the rational content of the basis into scale_sq.
@@ -114,8 +117,13 @@ class StandardForm:
     diag: tuple[int, ...]
 
     def block_form(self) -> Matrix:
-        """The matrix [[0, D], [-D, 0]] this form certifies."""
-        return _block_form(self.diag)
+        """The antisymmetric matrix [[0, D], [-D, 0]] this form certifies,
+        D = diag(diag)."""
+        half = len(self.diag)
+        rows = [[0] * (2 * half) for _ in range(2 * half)]
+        for i, d in enumerate(self.diag):
+            rows[i][half + i], rows[half + i][i] = d, -d
+        return exact.freeze(rows)
 
 
 @lru_cache(maxsize=128)

@@ -328,6 +328,26 @@ class TestBadInput:
         argv = [str(path) if arg == "PATH" else arg for arg in command]
         assert_one_error_line(*run_cli(argv, capsys))
 
+    @pytest.mark.parametrize("record,field", [
+        ('{"n": 2, "lambda": "1e400", "basis": [[1, 0], [0, 1]]}', "lambda"),
+        ('{"n": 2, "lambda": "1e-400", "basis": [[1, 0], [0, 1]]}', "lambda"),
+        ('{"n": 2, "lambda": "1", "basis": [["1e400", 0], [0, 1]]}', "basis"),
+    ], ids=["huge-lambda", "tiny-lambda", "huge-basis-entry"])
+    def test_lattice_file_beyond_float64(self, tmp_path, capsys, record, field):
+        # exact rationals that float64 cannot hold: refused where M is formed
+        path = tmp_path / "far.json"
+        path.write_text(record)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code, out, err = run_cli(["decode", str(path), "0.1,0.2"], capsys)
+        assert_one_error_line(code, out, err)
+        assert f"lattice field {field!r} is beyond float64" in err
+
+    def test_decode_point_named(self, capsys):
+        code, out, err = run_cli(["decode", "D4", "0.1,,0.3,0.1"], capsys)
+        assert_one_error_line(code, out, err)
+        assert "point '0.1,,0.3,0.1': " in err
+
     @pytest.mark.parametrize("grid", ["1e-170:1e-170:1", "1e-160:1e-160:1"])
     def test_sigma_grid_underflow(self, capsys, grid):
         # sigma^2 underflows to 0, or to a subnormal whose d-scan ceiling is inf
@@ -594,6 +614,50 @@ def test_scipy_loaded_only_where_erfc_runs():
     assert list(special.values()) == [[False, False]] * 5 + [[False, True]] * 2
     # the stream threads need neither: both would add to every CLI start-up
     assert startup == {"concurrent.futures": False, "logging": False}
+
+
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+call = json.loads(sys.argv[1])
+if call == ["import gkplat"]:
+    import gkplat
+else:
+    from gkplat.cli import main
+    if call != ["import gkplat.cli"]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(call) == 0, call
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("gkplat."))))
+"""
+
+_LATTICE_MODULES = ["catalog", "decoder", "exact", "symplectic_lattice"]
+
+# each call and the gkplat modules, besides cli, that it loads
+_MODULES_LOADED = [
+    (["import gkplat"], []),
+    (["import gkplat.cli"], []),
+    (["rates", "--sigma-sq-grid", "1e-2:1e0:3"], ["channel_sim", "rates"]),
+    (["concat-rates", "--sigma-grid", "0.1:0.1:1"], ["channel_sim", "concatenated", "rates"]),
+    (["classical-rates", "--snr-grid", "10:10:1"],
+     ["channel_sim", "classical_channel", "concatenated"]),
+    (["lattice-info", "D4"], _LATTICE_MODULES),
+    (["decode", "Zn:2", "0.4,-0.3"], _LATTICE_MODULES),
+    (["simulate", "--lattice", "D4", "--sigma-sq", "0.2", "--trials", "10", "--seed", "1"],
+     _LATTICE_MODULES + ["channel_sim"]),
+    (["concat-sim", "--d", "3", "--sigma-sq", "0.05", "--trials", "100", "--seed", "1"],
+     ["channel_sim", "concatenated"]),
+]
+
+
+@pytest.mark.parametrize("call,modules", _MODULES_LOADED,
+                         ids=[call[0] for call, _ in _MODULES_LOADED])
+def test_subcommand_loads_only_its_modules(call, modules):
+    # each call pays only for the gkplat modules its handler runs, so it
+    # runs in a fresh interpreter; `import gkplat` loads none
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(call)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    cli = [] if call == ["import gkplat"] else ["cli"]
+    assert json.loads(proc.stdout) == sorted(f"gkplat.{name}" for name in modules + cli)
 
 
 _FALLBACK_PROBE = """

@@ -1,4 +1,4 @@
-"""The package namespace holds exactly the names the demos import, every
+"""The package namespace lists exactly the names the demos import, every
 name the benchmark imports from gkplat exists, and each demo prints the
 bytes pinned here."""
 
@@ -9,7 +9,7 @@ import importlib
 import io
 import pathlib
 import runpy
-import types
+import sys
 
 import pytest
 
@@ -26,9 +26,15 @@ def test_namespace_is_what_the_demos_import():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "gkplat":
                 imported.update(alias.name for alias in node.names)
-    public = {name for name, value in vars(gkplat).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert public == imported
+    assert set(gkplat.__all__) == imported
+    # each lazy name is its submodule's own object, and dir() lists it
+    for name in gkplat.__all__:
+        value = getattr(gkplat, name)
+        assert value.__module__.startswith("gkplat.")
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert set(gkplat.__all__) <= set(dir(gkplat))
+    with pytest.raises(AttributeError):
+        gkplat.no_such_name
 
 
 def test_bench_imports_resolve():
