@@ -9,6 +9,7 @@ import re
 from dataclasses import dataclass
 
 from .decoder import MAX_DIM
+from .exact import identity
 from .symplectic_lattice import Lattice, lattice_from_rows
 
 
@@ -17,32 +18,6 @@ class CatalogEntry:
     name: str
     lattice: Lattice
     notes: str
-
-
-def _zn(n: int) -> CatalogEntry:
-    if n <= 0 or n % 2:
-        raise ValueError("Zn requires an even positive dimension")
-    if n > MAX_DIM:  # refused before the n x n basis is built
-        raise ValueError(f"Zn supports dimensions up to {MAX_DIM}, the decoder's limit; got {n}")
-    basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    return CatalogEntry(
-        name=f"Zn({n})",
-        lattice=lattice_from_rows(basis, 1),
-        notes="Cubic lattice; symplectically self-dual (A = omega), |det basis| = 1.",
-    )
-
-
-def _grid_qudit(d: int) -> CatalogEntry:
-    if d < 1:
-        raise ValueError("grid_qudit requires d >= 1")
-    return CatalogEntry(
-        name=f"grid_qudit({d})",
-        lattice=lattice_from_rows([[1, 0], [0, 1]], d),
-        notes=(
-            "Single-mode grid code: stabilizer sqrt(d) Z^2, normalizer "
-            "(1/sqrt(d)) Z^2, code dimension d."
-        ),
-    )
 
 
 # Fixed lattices: name -> (basis, notes), each at scale 1.
@@ -79,7 +54,22 @@ def get(name: str) -> CatalogEntry:
         basis, notes = _NAMED[name]
         return CatalogEntry(name=name, lattice=lattice_from_rows(basis, 1), notes=notes)
     m = _PARAMETRIC.match(name)
-    if m:
-        kind, arg = m.group(1), int(m.group(2))
-        return _zn(arg) if kind == "Zn" else _grid_qudit(arg)
-    raise KeyError(f"unknown lattice name: {name!r}")
+    if m is None:
+        raise KeyError(f"unknown lattice name: {name!r}")
+    kind, arg = m.group(1), int(m.group(2))
+    # both are identity bases: Zn(n) is n x n at scale 1, grid_qudit(d) 2 x 2 at scale d
+    if kind == "Zn":
+        if arg <= 0 or arg % 2:
+            raise ValueError("Zn requires an even positive dimension")
+        if arg > MAX_DIM:  # refused before the n x n basis is built
+            raise ValueError(f"Zn supports dimensions up to {MAX_DIM}, the decoder's limit; "
+                             f"got {arg}")
+        n, scale = arg, 1
+        notes = "Cubic lattice; symplectically self-dual (A = omega), |det basis| = 1."
+    else:
+        if arg < 1:
+            raise ValueError("grid_qudit requires d >= 1")
+        n, scale = 2, arg
+        notes = ("Single-mode grid code: stabilizer sqrt(d) Z^2, normalizer "
+                 "(1/sqrt(d)) Z^2, code dimension d.")
+    return CatalogEntry(f"{kind}({arg})", lattice_from_rows(identity(n), scale), notes)

@@ -205,10 +205,14 @@ def estimate_error_probability(code: LatticeCode, noise: NoiseModel, trials: int
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
+    sigma = noise.lattice_sigma
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma_sq = {noise.sigma_sq!r} over hbar = {noise.hbar!r} gives a "
+                         f"lattice-coordinate sigma beyond float64")
 
     def block_failures(gen, rows):
         xi = gen.standard_normal((rows, code.normalizer.n))
-        xi *= noise.lattice_sigma
+        xi *= sigma
         return int(failure_mask(code, xi, criterion).sum())
 
     return _estimate(block_failures, seed, trials, workers, _BATCH)

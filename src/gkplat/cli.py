@@ -130,11 +130,12 @@ def _workers() -> int:
 
 def _table(header, flag, grid, row) -> list:
     """``header``, then row(v) for each value v of a --*-grid flag as a
-    float; an error on a value names the flag and the value."""
+    float, its cells formatted by _scalar; an error on a value, a
+    non-finite cell included, names the flag and the value."""
     table = [header]
     for value in map(float, grid):
         try:
-            table.append(row(value))
+            table.append([_scalar(cell) for cell in row(value)])
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"{flag} value {value!r}: {exc}") from exc
     return table

@@ -336,8 +336,9 @@ def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
         shifts /= delta
         np.rint(shifts, out=shifts)
         if not (-_MAX_SHIFT < shifts.min() and shifts.max() < _MAX_SHIFT):
-            raise ValueError(f"sigma_sq = {noise.sigma_sq!r} gives qudit shifts of 2**53 "
-                             f"spacings or more, beyond float64's exact integers")
+            raise ValueError(f"sigma_sq = {noise.sigma_sq!r} and hbar = {noise.hbar!r} give "
+                             f"qudit shifts of 2**53 spacings or more, beyond float64's "
+                             f"exact integers")
         flat[lo:lo + len(shifts)] = shifts  # the same cast as astype(np.int64)
     flat %= d
     return binned[0], binned[1]

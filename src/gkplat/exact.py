@@ -2,14 +2,16 @@
 
 Code-validity predicates (symplectic integrality, duals, code dimensions)
 must be decidable with no floating tolerance, so matrices are stored as
-tuples of Fractions and nothing here ever touches a float. Sizes are desk
-scale (n <= 12); plain Gaussian elimination is plenty.
+tuples of Fractions and nothing here ever touches a float. Products and
+eliminations run in Python ints over cleared denominators (integer_form).
+Sizes are desk scale (n <= 12).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -47,11 +49,18 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
+def integer_form(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, den) with a = rows / den: den the lcm of the denominators,
+    rows Python ints. The one place a rational matrix is cleared."""
+    den = lcm(*(v.denominator for row in a for v in row))
+    return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in a), den
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """Exact a @ b: int products over cleared denominators, one division per entry."""
+    (na, da), (nb, db) = integer_form(a), integer_form(b)
+    cols = tuple(zip(*nb))
+    return tuple(tuple(Fraction(sum(map(mul, row, col)), da * db) for col in cols) for row in na)
 
 
 def scale(a: Matrix, c) -> Matrix:
@@ -59,45 +68,43 @@ def scale(a: Matrix, c) -> Matrix:
     return tuple(tuple(c * v for v in row) for row in a)
 
 
-def determinant(a: Matrix) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(a)
-    m = [list(row) for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+def _gauss_jordan(a: Matrix) -> tuple[Fraction, Matrix | None]:
+    """det(a) and a^-1 (None if singular) by one fraction-free Gauss-Jordan
+    pass over [den a | I] (Bareiss, Math. Comp. 22, 1968): each entry stays a
+    minor, so every division by the last pivot is exact. It ends at
+    [p I | p (den a)^-1], p the determinant of the row-swapped den a."""
+    rows, den = integer_form(a)
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+            return Fraction(0), None
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top, p = m[k], m[k][k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+    inv = tuple(tuple(Fraction(den * x, prev) for x in row[n:]) for row in m)
+    return Fraction(sign * prev, den ** n), inv
+
+
+def determinant(a: Matrix) -> Fraction:
+    """Exact determinant of a square matrix."""
+    return _gauss_jordan(a)[0]
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises ValueError on singular input."""
-    n = len(a)
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * p for v, p in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    """Exact inverse; raises ValueError on singular input."""
+    inv = _gauss_jordan(a)[1]
+    if inv is None:
+        raise ValueError("matrix is singular")
+    return inv
 
 
 def is_integral(a: Matrix) -> bool:
@@ -105,14 +112,13 @@ def is_integral(a: Matrix) -> bool:
 
 
 def content(a: Matrix) -> Fraction:
-    """gcd of all entries: gcd of numerators over lcm of denominators.
-
-    Zero entries are ignored; an all-zero matrix has no content.
-    """
-    nonzero = [v for row in a for v in row if v]
-    if not nonzero:
+    """The largest rational c with a / c integral: the gcd of the cleared
+    entries over their common denominator. An all-zero matrix has none."""
+    rows, den = integer_form(a)
+    g = gcd(*(v for row in rows for v in row))
+    if g == 0:
         raise ValueError("all-zero matrix has no content")
-    return Fraction(gcd(*(v.numerator for v in nonzero)), lcm(*(v.denominator for v in nonzero)))
+    return Fraction(g, den)
 
 
 def fraction_sqrt(x: Fraction) -> Fraction | None:

@@ -72,18 +72,6 @@ class Lattice:
         root = math.sqrt(to_float("lambda", self.scale_sq))
         return np.array([[to_float("basis", v, root) for v in row] for row in self.basis])
 
-    def normalized(self) -> "Lattice":
-        """Fold the rational content of the basis into scale_sq.
-
-        The returned lattice generates the identical point set; entries of
-        the new basis have no common rational factor.
-        """
-        c = exact.content(self.basis)
-        if c == 1:
-            return self
-        basis = exact.scale(self.basis, 1 / c)
-        return Lattice(basis, self.scale_sq * c * c)
-
 
 lattice_from_rows = Lattice  # the public name the demos and the catalog build with
 
@@ -102,10 +90,6 @@ class SymplecticGram:
             raise ValueError("gram matrix must be square")
         if any(a[i][j] != -a[j][i] for i in range(n) for j in range(n)):
             raise ValueError("gram matrix must be antisymmetric")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -144,9 +128,12 @@ def dual_lattice(lat: Lattice) -> Lattice:
 
 
 def _dual(lat: Lattice, a_inv: Matrix) -> Lattice:
-    """A^-1 M, normalized (basis content folded into scale_sq), with the
-    defining identity M_dual omega M^T = I re-checked exactly."""
-    dual = Lattice(exact.mat_mul(a_inv, lat.basis), lat.scale_sq).normalized()
+    """A^-1 M with the content c of its basis folded into the scale
+    (basis / c at scale_sq * c^2, the same points), with the defining
+    identity M_dual omega M^T = I re-checked exactly."""
+    basis = exact.mat_mul(a_inv, lat.basis)
+    c = exact.content(basis)
+    dual = Lattice(exact.scale(basis, 1 / c), lat.scale_sq * c * c)
     if symplectic_pairing(dual, lat) != exact.identity(lat.n):
         raise AssertionError("dual lattice failed the pairing identity")
     return dual
@@ -177,7 +164,7 @@ def standard_form(gram: SymplecticGram) -> StandardForm:
     """
     if not exact.is_integral(gram.entries):
         raise ValueError("standard form requires an integral gram matrix")
-    n = gram.n
+    n = len(gram.entries)
     entries = [[int(v) for v in row] for row in gram.entries]
     a = [row[:] for row in entries]
     r = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -267,11 +254,6 @@ def rescale(lat: Lattice, lam: int) -> Lattice:
     return Lattice(lat.basis, lat.scale_sq * lam)
 
 
-def gram_matrix(lat: Lattice) -> Matrix:
-    """Euclidean Gram matrix G = M M^T = scale_sq * basis basis^T."""
-    return exact.scale(exact.mat_mul(lat.basis, exact.transpose(lat.basis)), lat.scale_sq)
-
-
 @dataclass(frozen=True)
 class LatticeCode:
     """A stabilizer lattice, its normalizer, and the code it defines."""
@@ -286,9 +268,8 @@ class LatticeCode:
     def coset_test(self) -> tuple[np.ndarray, int]:
         """(num, den) with transition = num / den, built once per code:
         coefficients c are a stabilizer translation iff den divides c @ num."""
-        den = math.lcm(*(v.denominator for row in self.transition for v in row))
-        num = np.array([[int(v * den) for v in row] for row in self.transition],
-                       dtype=np.int64)
+        rows, den = exact.integer_form(self.transition)
+        num = np.array(rows, dtype=np.int64)
         num.setflags(write=False)
         return num, den
 
@@ -304,6 +285,11 @@ def make_code(lat: Lattice) -> LatticeCode:
     a = symplectic_gram(lat).entries
     a_inv = exact.inverse(a)
     normalizer = _dual(lat, a_inv)
+    try:  # the decoders of the code work in its normalizer's float matrix
+        normalizer.effective_matrix()
+    except ValueError as exc:
+        raise ValueError("the code's normalizer is beyond float64: its "
+                         "sqrt(lambda) * basis overflows or underflows to 0") from exc
     # M = A M_perp with A integral: every stabilizer generator is in the normalizer
     root = exact.fraction_sqrt(normalizer.scale_sq / lat.scale_sq)
     if exact.scale(exact.mat_mul(a, normalizer.basis), root) != lat.basis:
@@ -348,8 +334,8 @@ def orthogonal_scale_sq(lat: Lattice) -> Fraction | None:
     Such lattices are scaled rotations of the cubic lattice, for which
     nearest-point decoding is coordinatewise rounding.
     """
-    g = gram_matrix(lat)
-    c_sq = g[0][0]
+    g = exact.scale(exact.mat_mul(lat.basis, exact.transpose(lat.basis)), lat.scale_sq)
+    c_sq = g[0][0]  # G = M M^T = scale_sq * basis basis^T
     return c_sq if g == exact.scale(exact.identity(lat.n), c_sq) else None
 
 

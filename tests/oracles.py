@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths it is used to check:
 the symplectic form omega is written out entry by entry (the library
 never forms it), the Pfaffian is a combinatorial sum over perfect
-matchings, lattice membership is a Fraction elimination of its own,
+matchings, the determinant and inverse are Fraction eliminations (the
+library's is a fraction-free pass in ints), lattice membership is a
+Fraction elimination of its own,
 closest-point references are box enumerations, erfc is a Taylor series
 plus a continued fraction, and success probabilities come from the 1D
 Gaussian CDF.
@@ -46,6 +48,48 @@ def pfaffian(a) -> Fraction:
         return total
 
     return rec(list(range(n)))
+
+
+def determinant(a) -> Fraction:
+    """Exact determinant by Fraction Gaussian elimination."""
+    n = len(a)
+    m = [[Fraction(v) for v in row] for row in a]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return det
+
+
+def inverse(a) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse by Fraction Gauss-Jordan; ValueError on singular input."""
+    n = len(a)
+    m = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * p for v, p in zip(m[r], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def coset_member(lat, v, v_scale_sq=None) -> bool:

@@ -96,6 +96,8 @@ def test_unknown_name():
         get("Leech")
     with pytest.raises(ValueError):
         get("Zn(3)")
+    with pytest.raises(ValueError, match="grid_qudit requires d >= 1"):
+        get("grid_qudit(0)")
 
 
 def test_zn_limited_to_decoder_dimensions():

@@ -343,6 +343,41 @@ class TestBadInput:
         assert_one_error_line(code, out, err)
         assert f"lattice field {field!r} is beyond float64" in err
 
+    def test_normalizer_beyond_float64_named(self, tmp_path, capsys):
+        # the file's lambda is a float64; the derived normalizer's scale is not
+        path = tmp_path / "far.json"
+        path.write_text('{"n": 2, "lambda": "1e300", "basis": [["1e200", 0], [0, 1]]}')
+        code, out, err = run_cli(["simulate", "--lattice", str(path), "--sigma-sq", "0.1",
+                                  "--trials", "10", "--seed", "1"], capsys)
+        assert_one_error_line(code, out, err)
+        assert "the code's normalizer is beyond float64" in err
+        code, out, err = run_cli(["decode", str(path), "0.1,0.2"], capsys)
+        assert_one_error_line(code, out, err)
+        assert "lattice field 'basis' is beyond float64" in err
+
+    @pytest.mark.parametrize("command,named", [
+        (["simulate", "--lattice", "D4", "--sigma-sq", "0.1", "--hbar", "1e-320",
+          "--trials", "10", "--seed", "1"], ["sigma_sq = 0.1", "hbar = 1e-320"]),
+        (["simulate", "--lattice", "D4", "--sigma-sq", "1e300", "--hbar", "1e-10",
+          "--trials", "10", "--seed", "1"], ["sigma_sq = 1e+300", "hbar = 1e-10"]),
+        (["concat-sim", "--d", "3", "--sigma-sq", "0.1", "--hbar", "1e-320",
+          "--trials", "10", "--seed", "1"], ["sigma_sq = 0.1", "hbar = 1e-320"]),
+        (["concat-rates", "--sigma-grid", "1e150:1e150:1", "--hbar", "1e-10"],
+         ["--sigma-grid value 1e+150: ", "non-finite"]),  # c_sq = sigma^2 / hbar is inf
+    ])
+    def test_noise_ratio_beyond_float64_named(self, capsys, command, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code, out, err = run_cli(command, capsys)
+        assert_one_error_line(code, out, err)
+        assert all(text in err for text in named)
+
+    def test_huge_noise_ratio_with_all_zero_rates_is_valid(self, capsys):
+        code, out, _ = run_cli(["rates", "--sigma-sq-grid", "1e300:1e300:1", "--hbar",
+                                "1e-10"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "1.0000000000000001e+300,0,0,0,0"
+
     def test_decode_point_named(self, capsys):
         code, out, err = run_cli(["decode", "D4", "0.1,,0.3,0.1"], capsys)
         assert_one_error_line(code, out, err)

@@ -115,6 +115,8 @@ class TestEntropy:
             entropy_base_d(-0.01, 2)
         with pytest.raises(ValueError):
             entropy_base_d(1.01, 2)
+        with pytest.raises(ValueError, match="entropy base must be >= 2"):
+            entropy_base_d(0.5, 1)
 
 
 class TestCssRate:
@@ -380,6 +382,10 @@ class TestOptimize:
 
 
 class TestChannelSample:
+    def test_rejects_d_one(self):
+        with pytest.raises(ValueError, match="qudit dimension must be >= 2"):
+            sample_qudit_errors(1, NoiseModel(0.1), make_generator(1), 1)
+
     def test_vanishing_noise(self):
         gen = make_generator(50)
         a, b = sample_qudit_errors(3, NoiseModel(1e-8), gen, 1)
@@ -746,6 +752,20 @@ class TestCssCodeValidation:
         logical = np.zeros((1, 3), dtype=np.int64)
         with pytest.raises(ValueError):
             CssCode(d=2, hz=hz, hx=hx, logical_x=logical, logical_z=logical)
+
+    @pytest.mark.parametrize("logical,message", [
+        ("logical_x", "logical X anticommutes with a Z check"),
+        ("logical_z", "logical Z anticommutes with an X check"),
+    ])
+    def test_rejects_logical_not_commuting_with_a_check(self, logical, message):
+        # mod 3 the Z check Z0 Z1^2, the X check X0 X1 X2 and both all-ones
+        # logicals commute; X0 fails the Z check and Z0 the X check
+        ones = np.array([[1, 1, 1]], dtype=np.int64)
+        matrices = dict(hz=np.array([[1, 2, 0]], dtype=np.int64), hx=ones,
+                        logical_x=ones, logical_z=ones)
+        matrices[logical] = np.array([[1, 0, 0]], dtype=np.int64)
+        with pytest.raises(ValueError, match=message):
+            CssCode(d=3, **matrices)
 
     def test_block_length_is_check_width(self):
         hz = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.int64)

@@ -106,6 +106,10 @@ class TestErrorProbabilityBound:
         with pytest.raises(ValueError):
             error_probability_bound(1.0, NoiseModel(0.1), 0.0, 0)
 
+    def test_zero_and_overflowing_base(self):
+        assert error_probability_bound(1.0, NoiseModel(0.0), 0.0, 10) == 0.0
+        assert error_probability_bound(1.0, NoiseModel(10.0), 0.0, 1000) == math.inf
+
 
 class TestSphereVolume:
     def test_disk(self):

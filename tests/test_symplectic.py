@@ -20,7 +20,6 @@ from gkplat.symplectic_lattice import (
     code_dimension,
     coeff_transition,
     dual_lattice,
-    gram_matrix,
     is_symplectically_integral,
     lattice_from_dict,
     lattice_from_rows,
@@ -261,23 +260,33 @@ class TestRescale:
         base = get(f"Zn({2 * modes})").lattice
         assert code_dimension(rescale(base, lam)) == lam ** modes
 
+    @pytest.mark.parametrize("lam", [0, Fraction(3, 2)])
+    def test_rejects_non_positive_integer_factor(self, lam):
+        with pytest.raises(ValueError, match="rescale factor must be a positive integer"):
+            rescale(lattice_from_rows(I2, 1), lam)
+
     def test_rejects_non_self_dual(self):
         with pytest.raises(ValueError):
             rescale(lattice_from_rows(I2, 2), 2)
 
 
+def gram(lat):
+    """Euclidean Gram matrix G = M M^T = scale_sq * basis basis^T."""
+    return exact.scale(exact.mat_mul(lat.basis, exact.transpose(lat.basis)), lat.scale_sq)
+
+
 class TestGramMatrix:
     def test_identity(self):
-        assert gram_matrix(lattice_from_rows(I2, 1)) == exact.identity(2)
+        assert gram(lattice_from_rows(I2, 1)) == exact.identity(2)
 
     def test_scaled(self):
-        assert gram_matrix(lattice_from_rows(I2, 2)) == exact.scale(exact.identity(2), 2)
+        assert gram(lattice_from_rows(I2, 2)) == exact.scale(exact.identity(2), 2)
 
     def test_signed_permutation_invariance(self):
         base = get("D4").lattice
         perm = frac_mat([[0, 0, -1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, -1, 0, 0]])
         rotated = Lattice(exact.mat_mul(base.basis, perm), base.scale_sq)
-        assert gram_matrix(rotated) == gram_matrix(base)
+        assert gram(rotated) == gram(base)
 
 
 class TestCosetMember:
@@ -437,6 +446,24 @@ class TestValidation:
     def test_rejects_float_entries(self):
         with pytest.raises(TypeError):
             lattice_from_rows([[1.5, 0], [0, 1]], 1)
+
+    @pytest.mark.parametrize("rows,message", [
+        ([[0, 1, 0], [-1, 0, 0]], "gram matrix must be square"),
+        ([[0, 1], [1, 0]], "gram matrix must be antisymmetric"),
+    ])
+    def test_gram_refuses_non_square_or_symmetric(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            SymplecticGram(rows)
+
+    def test_pairing_refuses_mismatch_or_irrational_scale(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            symplectic_pairing(lattice_from_rows(I2, 1), lattice_from_rows(I4, 1))
+        with pytest.raises(ValueError, match="pairing scale is irrational"):
+            symplectic_pairing(lattice_from_rows(I2, 1), lattice_from_rows(I2, 2))
+
+    def test_transition_refuses_incompatible_scales(self):
+        with pytest.raises(ValueError, match="lattice scales are incompatible"):
+            coeff_transition(lattice_from_rows(I2, 1), lattice_from_rows(I2, 3))
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
