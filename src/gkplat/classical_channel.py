@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concatenated import _erfc, optimize_dit_rate, scan_ceiling
+from .dit_rates import dit_error_prob, optimize_dit_rate, scan_ceiling
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,17 @@ def debuda_rate(params: ClassicalParams) -> float:
     return max(0.0, 0.5 * math.log2(params.snr))
 
 
+def signal_family(params: ClassicalParams) -> tuple:
+    """The dit_rates family (1.5 P, 1.0, 2, sigma^2) of d-ary signals."""
+    return (1.5 * params.power, 1.0, 2, params.sigma_sq)
+
+
 def classical_dit_error_prob(d: int | np.ndarray, params: ClassicalParams) -> float | np.ndarray:
     """Per-variable error bound erfc(sqrt(3 P / (2 d^2 sigma^2))) for d-ary
     signaling with spacing 2 dx, dx = sqrt(3 P) / d; d may be an array."""
     if np.any(np.asarray(d) < 2):
         raise ValueError("signal alphabet must have d >= 2")
-    d_sq = np.asarray(d, dtype=float) ** 2
-    return _erfc(np.sqrt(1.5 * params.power / (d_sq * params.sigma_sq)))
+    return dit_error_prob(d, signal_family(params))
 
 
 def optimize_classical_d(params: ClassicalParams, d_max: int | None = None) -> tuple[int, float]:
@@ -63,11 +67,9 @@ def optimize_classical_d(params: ClassicalParams, d_max: int | None = None) -> t
     The optimum sits near C * sqrt(P / sigma^2) with C below 1, so the
     default ceiling 8 sqrt(P / sigma^2) is comfortably interior; above
     P / sigma^2 = 2**100 it passes the scan's limit and is refused.
-    The rate is concatenated.dit_rate(d, p, 1), a random outer code on
-    d-ary signals with p the per-variable error bound; optimize_dit_rate
-    finds its first maximum by a best-first search pruned by the rate's
-    bound, with the result of an exhaustive scan, bit for bit.
+    The rate is dit_rate(d, p, 1), a random outer code on d-ary signals
+    with p the per-variable error bound (dit_rates.optimize_dit_rate).
     """
     if d_max is None:
         d_max = scan_ceiling(8.0 * math.sqrt(params.snr), f"snr = {params.snr!r}")
-    return optimize_dit_rate(lambda ds: classical_dit_error_prob(ds, params), 1, d_max)
+    return optimize_dit_rate(signal_family(params), 1, d_max)

@@ -163,6 +163,8 @@ def _cmd_concat_rates(args) -> None:
 
     def row(sigma):
         noise = NoiseModel(sigma ** 2, args.hbar)
+        if noise.sigma_sq == 0.0:
+            raise ValueError("sigma**2 underflows float64 to 0")
         design = optimize_qudit_dimension(noise, args.d_max)
         return [noise.sigma_sq, design.d_opt, design.p, design.rate_qubits, design.c_sq,
                 coherent_information(noise)]

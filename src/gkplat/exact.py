@@ -68,19 +68,19 @@ def scale(a: Matrix, c) -> Matrix:
     return tuple(tuple(c * v for v in row) for row in a)
 
 
-def _gauss_jordan(a: Matrix) -> tuple[Fraction, Matrix | None]:
-    """det(a) and a^-1 (None if singular) by one fraction-free Gauss-Jordan
-    pass over [den a | I] (Bareiss, Math. Comp. 22, 1968): each entry stays a
-    minor, so every division by the last pivot is exact. It ends at
-    [p I | p (den a)^-1], p the determinant of the row-swapped den a."""
+def _gauss_jordan(a: Matrix, augment: bool) -> tuple[Fraction, list[list[int]], int]:
+    """det(a), the int tableau and den of one fraction-free Gauss-Jordan pass
+    over den a, or [den a | I] if ``augment`` (Bareiss, Math. Comp. 22, 1968):
+    each entry stays a minor, so every division by the last pivot is exact.
+    A nonsingular a ends at [p I | p (den a)^-1], p the last pivot."""
     rows, den = integer_form(a)
     n = len(rows)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    m = [list(row) + [int(i == j) for j in range(n * augment)] for i, row in enumerate(rows)]
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
-            return Fraction(0), None
+            return Fraction(0), m, den
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
@@ -90,21 +90,20 @@ def _gauss_jordan(a: Matrix) -> tuple[Fraction, Matrix | None]:
                 f = m[i][k]
                 m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
         prev = p
-    inv = tuple(tuple(Fraction(den * x, prev) for x in row[n:]) for row in m)
-    return Fraction(sign * prev, den ** n), inv
+    return Fraction(sign * prev, den ** n), m, den
 
 
 def determinant(a: Matrix) -> Fraction:
     """Exact determinant of a square matrix."""
-    return _gauss_jordan(a)[0]
+    return _gauss_jordan(a, False)[0]
 
 
 def inverse(a: Matrix) -> Matrix:
     """Exact inverse; raises ValueError on singular input."""
-    inv = _gauss_jordan(a)[1]
-    if inv is None:
+    det, m, den = _gauss_jordan(a, True)
+    if not det:
         raise ValueError("matrix is singular")
-    return inv
+    return tuple(tuple(Fraction(den * x, m[0][0]) for x in row[len(m):]) for row in m)
 
 
 def is_integral(a: Matrix) -> bool:

@@ -50,24 +50,6 @@ def best_integer_lambda(noise: NoiseModel) -> tuple[int, float]:
     return lam, rate
 
 
-def error_probability_bound(rate: float, noise: NoiseModel, eps: float, n_modes: int) -> float:
-    """Union-bound failure probability (e (sigma^2 + eps) / hbar * 2^R)^N
-    for a rate-R code on N modes drawn from the lattice-averaging argument.
-
-    Values above 1 are returned as computed; only values < 1 are
-    informative.
-    """
-    if eps < 0 or n_modes < 1:
-        raise ValueError("eps must be >= 0 and n_modes positive")
-    base = (math.e * (noise.sigma_sq + eps) / noise.hbar) * 2.0 ** rate
-    if base == 0.0:
-        return 0.0
-    log_val = n_modes * math.log(base)
-    if log_val > 700.0:
-        return math.inf
-    return math.exp(log_val)
-
-
 def sphere_volume(n: int) -> float:
     """Volume of the unit n-ball, pi^(n/2) / Gamma(n/2 + 1), via log-gamma."""
     if n < 1:

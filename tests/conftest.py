@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from gkplat import channel_sim, concatenated
+from gkplat import channel_sim, dit_rates
 
 
 class CountingThread(threading.Thread):
@@ -35,9 +35,9 @@ def on_cpus(monkeypatch):
 def scan_evaluations(monkeypatch):
     """List that receives the length of every d array that scan_dimensions
     hands to its rate, for both optimizers."""
-    evaluated, scan = [], concatenated.scan_dimensions
+    evaluated, scan = [], dit_rates.scan_dimensions
 
     def counting(rate, d_max, upper):
         return scan(lambda ds: evaluated.append(len(ds)) or rate(ds), d_max, upper)
-    monkeypatch.setattr(concatenated, "scan_dimensions", counting)
+    monkeypatch.setattr(dit_rates, "scan_dimensions", counting)
     return evaluated

@@ -8,7 +8,10 @@ library's is a fraction-free pass in ints), lattice membership is a
 Fraction elimination of its own,
 closest-point references are box enumerations, erfc is a Taylor series
 plus a continued fraction, and success probabilities come from the 1D
-Gaussian CDF.
+Gaussian CDF. The two per-symbol error bounds are written out in their
+own operation order, which the library's one erfc family must reproduce
+bit for bit. The lattice-averaging error bound, which no library path
+calls, is kept here as a reference that the rate tests check.
 """
 
 from __future__ import annotations
@@ -228,6 +231,39 @@ def erfc_oracle(z: float) -> float:
     for k in range(80, 0, -1):
         f = (k / 2.0) / (z + f)
     return math.exp(-z * z) / math.sqrt(math.pi) / (z + f)
+
+
+def qudit_error_prob(d, sigma_sq: float, hbar: float):
+    """Grid-qudit bound erfc(sqrt(pi hbar / (4.0 d sigma^2))), evaluated in
+    that order with scipy.special.erfc; d an integer or an array."""
+    from scipy.special import erfc
+    return erfc(np.sqrt(math.pi * hbar / (4.0 * d * sigma_sq)))
+
+
+def signal_error_prob(d, power: float, sigma_sq: float):
+    """d-ary signal bound erfc(sqrt(1.5 P / (d^2 sigma^2))), evaluated in
+    that order with d^2 a float; d an integer or an array."""
+    from scipy.special import erfc
+    d_sq = np.asarray(d, dtype=float) ** 2
+    return erfc(np.sqrt(1.5 * power / (d_sq * sigma_sq)))
+
+
+def error_probability_bound(rate: float, noise, eps: float, n_modes: int) -> float:
+    """Union-bound failure probability (e (sigma^2 + eps) / hbar * 2^R)^N
+    for a rate-R code on N modes drawn from the lattice-averaging argument.
+
+    Values above 1 are returned as computed; only values < 1 are
+    informative.
+    """
+    if eps < 0 or n_modes < 1:
+        raise ValueError("eps must be >= 0 and n_modes positive")
+    base = (math.e * (noise.sigma_sq + eps) / noise.hbar) * 2.0 ** rate
+    if base == 0.0:
+        return 0.0
+    log_val = n_modes * math.log(base)
+    if log_val > 700.0:
+        return math.inf
+    return math.exp(log_val)
 
 
 def gauss_abs_cdf(b: float, sigma: float) -> float:

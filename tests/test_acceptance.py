@@ -18,7 +18,6 @@ from gkplat.channel_sim import NoiseModel, estimate_error_probability, make_gene
 from gkplat.concatenated import (
     QuditPauliError,
     css_decode,
-    dit_rate,
     gkp_qudit_error_prob,
     optimize_qudit_dimension,
     sample_qudit_errors,
@@ -34,10 +33,10 @@ from gkplat.classical_channel import (
     shannon_capacity,
 )
 from gkplat.decoder import closest_points, shortest_vector
+from gkplat.dit_rates import dit_rate
 from gkplat.rates import (
     best_integer_lambda,
     coherent_information,
-    error_probability_bound,
     sphere_packing_rate,
 )
 from gkplat.symplectic_lattice import (
@@ -48,7 +47,7 @@ from gkplat.symplectic_lattice import (
     standard_form,
 )
 
-from oracles import pfaffian, reference_closest, wilson_halfwidth
+from oracles import error_probability_bound, pfaffian, reference_closest, wilson_halfwidth
 from test_symplectic import random_integral_antisymmetric
 
 E = math.e

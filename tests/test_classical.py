@@ -14,11 +14,12 @@ from gkplat.classical_channel import (
     minkowski_lattice_rate,
     optimize_classical_d,
     shannon_capacity,
+    signal_family,
 )
-from gkplat import concatenated
-from gkplat.concatenated import dit_rate, dit_rate_bound, entropy_base_d, scan_dimensions
+from gkplat import dit_rates
+from gkplat.dit_rates import dit_rate, dit_rate_bound, entropy_base_d, scan_dimensions
 
-from oracles import erfc_oracle
+from oracles import erfc_oracle, signal_error_prob
 
 
 def at_snr(snr: float) -> ClassicalParams:
@@ -80,6 +81,21 @@ class TestDitErrorProb:
         params = at_snr(100.0)
         probs = [classical_dit_error_prob(d, params) for d in range(2, 40)]
         assert all(a < b for a, b in zip(probs, probs[1:]))
+
+    def test_family_gives_the_formula_bits(self):
+        # the dit_rates family keeps 1.5 P / (d^2 sigma^2) operation for
+        # operation: d up to 2**53, sigma^2 in [1e-15, 1e3], P in [1e-3, 1e3]
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            ds = np.concatenate([np.arange(2, 66),
+                                 np.exp2(rng.uniform(1.0, 53.0, 64)).astype(np.int64)])
+            params = ClassicalParams(10.0 ** rng.uniform(-3.0, 3.0),
+                                     10.0 ** rng.uniform(-15.0, 3.0))
+            want = signal_error_prob(ds, params.power, params.sigma_sq)
+            assert classical_dit_error_prob(ds, params).tobytes() == want.tobytes()
+            for d in map(int, ds[::9]):
+                assert np.asarray(classical_dit_error_prob(d, params)).tobytes() == \
+                    np.asarray(signal_error_prob(d, params.power, params.sigma_sq)).tobytes()
 
     def test_spacing_power_identity(self):
         # dx = sqrt(3P)/d inverts P = (d dx)^2 / 3
@@ -174,13 +190,13 @@ class TestOptimize:
         params = at_snr(10.0 ** log_snr)
         a = 2 + int(where * math.ceil(8.0 * math.sqrt(params.snr)))
         b = a + width
-        upper = dit_rate_bound(lambda ds: classical_dit_error_prob(ds, params), 1)(a, b)
+        upper = dit_rate_bound(signal_family(params), 1, a, b)
         ds = np.arange(a, b + 1)
         rates = concat_rate(ds, params)
         if upper == -math.inf:  # an interval past d = 2 whose rates are all exactly 0
             assert a > 2 and (rates == 0.0).all()
         else:
-            assert rates.max() <= upper + concatenated._BOUND_SLACK
+            assert rates.max() <= upper + dit_rates._BOUND_SLACK
 
     def test_pruned_scan_evaluation_count(self, scan_evaluations):
         # SNR 1e14: 8e7 values of d; the pinned optimum is the exhaustive one

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gkplat import channel_sim, concatenated
+from gkplat import channel_sim, dit_rates
 from gkplat.cli import _build_parser, _canonical_json, _grid, _scalar, main
 
 from oracles import square_lattice_failure_prob, wilson_halfwidth
@@ -111,12 +111,9 @@ class TestRateScanTail:
     def test_huge_d_max_costs_few_bound_calls(self, capsys, monkeypatch, command, column,
                                               d_opt):
         # 1.5e6 blocks above the optimum; a test per block would take minutes
-        calls, bound = [], concatenated.dit_rate_bound
-
-        def counting(error_prob, k):
-            upper = bound(error_prob, k)
-            return lambda a, b: calls.append((a, b)) or upper(a, b)
-        monkeypatch.setattr(concatenated, "dit_rate_bound", counting)
+        calls, bound = [], dit_rates.dit_rate_bound
+        monkeypatch.setattr(dit_rates, "dit_rate_bound", lambda family, k, a, b:
+                            calls.append((a, b)) or bound(family, k, a, b))
         code, out, _ = run_cli(command + ["--d-max", "100000000000"], capsys)
         assert code == 0
         assert int(out.splitlines()[2].split(",")[column]) == d_opt
@@ -364,6 +361,18 @@ class TestBadInput:
           "--trials", "10", "--seed", "1"], ["sigma_sq = 0.1", "hbar = 1e-320"]),
         (["concat-rates", "--sigma-grid", "1e150:1e150:1", "--hbar", "1e-10"],
          ["--sigma-grid value 1e+150: ", "non-finite"]),  # c_sq = sigma^2 / hbar is inf
+        # hbar / sigma^2 overflows: sigma^2 = 1e-320
+        (["concat-rates", "--sigma-grid", "1e-160:1e-160:1", "--d-max", "100"],
+         ["--sigma-grid value 1e-160: ", "leaves float64",
+          "erfc argument 3.141592653589793 / (4.0 * d**1 * 1e-320)"]),
+        # hbar / sigma^2 = 1, but pi hbar overflows
+        (["concat-rates", "--sigma-grid", "1e154:1e154:1", "--hbar", "1e308", "--d-max", "100"],
+         ["--sigma-grid value 1e+154: ", "erfc argument inf / (4.0 * d**1 * 1e+308)"]),
+        (["concat-rates", "--sigma-grid", "1e-200:1e-200:1"],
+         ["--sigma-grid value 1e-200: ", "sigma**2 underflows float64 to 0"]),
+        # d^2 sigma^2 overflows below --d-max
+        (["classical-rates", "--snr-grid", "1e-300:1e-300:1", "--d-max", "10000000000"],
+         ["--snr-grid value 1e-300: ", "erfc argument 1.5 / (1.0 * d**2 * 9.99"]),
     ])
     def test_noise_ratio_beyond_float64_named(self, capsys, command, named):
         with warnings.catch_warnings():
@@ -671,15 +680,15 @@ _MODULES_LOADED = [
     (["import gkplat"], []),
     (["import gkplat.cli"], []),
     (["rates", "--sigma-sq-grid", "1e-2:1e0:3"], ["channel_sim", "rates"]),
-    (["concat-rates", "--sigma-grid", "0.1:0.1:1"], ["channel_sim", "concatenated", "rates"]),
-    (["classical-rates", "--snr-grid", "10:10:1"],
-     ["channel_sim", "classical_channel", "concatenated"]),
+    (["concat-rates", "--sigma-grid", "0.1:0.1:1"],
+     ["channel_sim", "concatenated", "dit_rates", "rates"]),
+    (["classical-rates", "--snr-grid", "10:10:1"], ["classical_channel", "dit_rates"]),
     (["lattice-info", "D4"], _LATTICE_MODULES),
     (["decode", "Zn:2", "0.4,-0.3"], _LATTICE_MODULES),
     (["simulate", "--lattice", "D4", "--sigma-sq", "0.2", "--trials", "10", "--seed", "1"],
      _LATTICE_MODULES + ["channel_sim"]),
     (["concat-sim", "--d", "3", "--sigma-sq", "0.05", "--trials", "100", "--seed", "1"],
-     ["channel_sim", "concatenated"]),
+     ["channel_sim", "concatenated", "dit_rates"]),
 ]
 
 

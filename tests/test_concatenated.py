@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,27 +14,31 @@ from hypothesis import strategies as st
 from scipy.special import erfcinv
 from scipy.stats import chi2_contingency
 
-from gkplat import concatenated
+from gkplat import concatenated, dit_rates
 from gkplat.channel_sim import NoiseModel, make_generator
 from gkplat.concatenated import (
     CssCode,
     QuditPauliError,
     css_decode,
-    dit_rate,
-    dit_rate_bound,
-    entropy_base_d,
     gkp_qudit_error_prob,
     min_distance_comparison,
-    optimize_dit_rate,
     optimize_qudit_dimension,
+    qudit_family,
     sample_qudit_errors,
-    scan_dimensions,
     shor9_code,
     simulate_concatenated,
 )
+from gkplat.dit_rates import (
+    dit_error_prob,
+    dit_rate,
+    dit_rate_bound,
+    entropy_base_d,
+    optimize_dit_rate,
+    scan_dimensions,
+)
 from gkplat.rates import coherent_information
 
-from oracles import erfc_oracle, qudit_shift_pmf, wilson_halfwidth
+from oracles import erfc_oracle, qudit_error_prob, qudit_shift_pmf, wilson_halfwidth
 
 
 def concat_rate(d, noise):
@@ -66,11 +71,25 @@ class TestErrorProbBound:
         probs = [gkp_qudit_error_prob(d, noise) for d in range(1, 40)]
         assert all(a < b for a, b in zip(probs, probs[1:]))
 
+    def test_family_gives_the_formula_bits(self):
+        # the dit_rates family keeps pi hbar / (4.0 d sigma^2) operation for
+        # operation: d up to 2**53, sigma^2 in [1e-15, 1e3], hbar in [1e-3, 1e3]
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            ds = np.concatenate([np.arange(1, 65),
+                                 np.exp2(rng.uniform(1.0, 53.0, 64)).astype(np.int64)])
+            noise = NoiseModel(10.0 ** rng.uniform(-15.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0))
+            want = qudit_error_prob(ds, noise.sigma_sq, noise.hbar)
+            assert gkp_qudit_error_prob(ds, noise).tobytes() == want.tobytes()
+            for d in map(int, ds[::9]):
+                assert np.asarray(gkp_qudit_error_prob(d, noise)).tobytes() == \
+                    np.asarray(qudit_error_prob(d, noise.sigma_sq, noise.hbar)).tobytes()
+
 
 _ERFC_PROBE = """
 import sys
 import numpy as np
-from gkplat.concatenated import _erfc, _erfc_ufunc
+from gkplat.dit_rates import _erfc_ufunc
 rng = np.random.default_rng(7)
 d = np.arange(1, 10**6 + 1, dtype=np.float64)
 x = np.concatenate([
@@ -83,7 +102,7 @@ x = np.concatenate([
     np.sqrt(np.pi / (4.0 * d * 1e-6)),      # ... and 1e-6
     np.sqrt(1.5 / (d ** 2 * 1e-10)),        # the classical-rates scan at SNR 1e10
 ])
-fast = _erfc(x)
+fast = _erfc_ufunc()(x)
 assert "scipy.special" not in sys.modules, "erfc came from the scipy.special fallback"
 from scipy.special import erfc
 assert _erfc_ufunc() is erfc
@@ -265,7 +284,7 @@ class TestOptimize:
         # also when a bound growing with d makes the blocks pop in descending d
         def rate(ds):
             return np.round(np.sin(0.37 * ds), 1)
-        monkeypatch.setattr(concatenated, "_SCAN_CHUNK", 7)
+        monkeypatch.setattr(dit_rates, "_SCAN_CHUNK", 7)
         for d_max in range(2, 60):
             ds = np.arange(2, d_max + 1)
             idx = int(np.argmax(rate(ds)))
@@ -308,14 +327,14 @@ class TestOptimize:
                                                      d_max):
         # reference: test the bound on each block in turn, evaluate the blocks
         # it keeps; best-first order can only prune more of them
-        monkeypatch.setattr(concatenated, "_SCAN_CHUNK", chunk)
+        monkeypatch.setattr(dit_rates, "_SCAN_CHUNK", chunk)
         noise = NoiseModel(sigma_sq)
         d_max = d_max or math.ceil(8.0 / sigma_sq)
-        upper = dit_rate_bound(lambda ds: gkp_qudit_error_prob(ds, noise), 2)
+        upper = partial(dit_rate_bound, qudit_family(noise), 2)
         best, want = (0, -math.inf), []
         for start in range(2, d_max + 1, chunk):
             ds = np.arange(start, min(start + chunk, d_max + 1), dtype=np.int64)
-            if upper(start, int(ds[-1])) + concatenated._BOUND_SLACK * (1.0 + abs(best[1])) \
+            if upper(start, int(ds[-1])) + dit_rates._BOUND_SLACK * (1.0 + abs(best[1])) \
                     <= best[1]:
                 continue
             want.append(start)
@@ -332,26 +351,24 @@ class TestOptimize:
         assert len(got) == len(set(got))
 
     def test_optimize_dit_rate_pairs_rate_and_bound(self, monkeypatch):
-        # one (error_prob, k) feeds both the rate and its bound; the result is
-        # the exhaustive first maximum for either k
-        noise = NoiseModel(1e-3)
-
-        def error_prob(ds):
-            return gkp_qudit_error_prob(ds, noise)
-        bounds, make_bound = [], concatenated.dit_rate_bound
-        monkeypatch.setattr(concatenated, "dit_rate_bound",
-                            lambda p, k: bounds.append((p, k)) or make_bound(p, k))
+        # one (family, k) feeds both the rate and every bound call; the result
+        # is the exhaustive first maximum for either k
+        family = qudit_family(NoiseModel(1e-3))
+        bounds, bound = [], dit_rates.dit_rate_bound
+        monkeypatch.setattr(dit_rates, "dit_rate_bound", lambda f, k, a, b:
+                            bounds.append((f, k)) or bound(f, k, a, b))
         for k in [1, 2]:
-            want = scan_dimensions(lambda ds: dit_rate(ds, error_prob(ds), k), 8000)
-            assert optimize_dit_rate(error_prob, k, 8000) == want
-            assert bounds[-1] == (error_prob, k)
+            bounds.clear()
+            want = scan_dimensions(lambda ds: dit_rate(ds, dit_error_prob(ds, family), k), 8000)
+            assert optimize_dit_rate(family, k, 8000) == want
+            assert bounds and set(bounds) == {(family, k)}
 
     def test_scan_ceiling_is_two_to_the_53(self):
         noise = NoiseModel(0.01)
         assert optimize_qudit_dimension(noise, 2**53).d_opt == 30
         with pytest.raises(ValueError, match="2\\*\\*53"):
             optimize_qudit_dimension(noise, 2**53 + 1)
-        assert concatenated.scan_ceiling(2.0**53, "bound") == 2**53
+        assert dit_rates.scan_ceiling(2.0**53, "bound") == 2**53
         with pytest.raises(ValueError, match="sigma_sq"):
             optimize_qudit_dimension(NoiseModel(7.9 / 2**53))  # default ceiling above 2**53
 
@@ -362,12 +379,12 @@ class TestOptimize:
         noise = NoiseModel(10.0 ** log_sigma_sq, hbar)
         a = 2 + int(where * math.ceil(8.0 * hbar / noise.sigma_sq))
         b = a + width
-        upper = dit_rate_bound(lambda ds: gkp_qudit_error_prob(ds, noise), 2)(a, b)
+        upper = dit_rate_bound(qudit_family(noise), 2, a, b)
         rates = concat_rate(np.arange(a, b + 1), noise)
         if upper == -math.inf:  # an interval past d = 2 whose rates are all exactly 0
             assert a > 2 and (rates == 0.0).all()
         else:
-            assert rates.max() <= upper + concatenated._BOUND_SLACK
+            assert rates.max() <= upper + dit_rates._BOUND_SLACK
 
     def test_c_sq_slowly_varying(self):
         # variation of log2(c_sq) within each decade of sigma^2 stays under a bit

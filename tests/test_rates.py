@@ -9,12 +9,13 @@ from gkplat.channel_sim import NoiseModel
 from gkplat.rates import (
     best_integer_lambda,
     coherent_information,
-    error_probability_bound,
     hw_upper_bound,
     minkowski_radius_sq,
     sphere_packing_rate,
     sphere_volume,
 )
+
+from oracles import error_probability_bound
 
 E = math.e
 
