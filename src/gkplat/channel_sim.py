@@ -77,15 +77,10 @@ class ErrorEstimate:
     failures: int
 
 
-def stream_key(seed: int, worker: int) -> np.ndarray:
-    """128-bit Philox key for one worker's stream."""
-    material = f"gkplat/{RNG_ALGORITHM}/{seed}/{worker}".encode()
-    digest = hashlib.sha256(material).digest()
-    return np.frombuffer(digest[:16], dtype=np.uint64).copy()
-
-
 def make_generator(seed: int, worker: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, worker)))
+    """Philox stream of one worker, keyed by 128 bits of sha256(seed, worker)."""
+    digest = hashlib.sha256(f"gkplat/{RNG_ALGORITHM}/{seed}/{worker}".encode()).digest()
+    return np.random.Generator(np.random.Philox(key=np.frombuffer(digest[:16], dtype=np.uint64)))
 
 
 def partition_trials(trials: int, workers: int) -> list[int]:
@@ -203,8 +198,6 @@ def estimate_error_probability(code: LatticeCode, noise: NoiseModel, trials: int
     the derived stream hash(seed, w) and failure counts are summed,
     whether the streams run one after the other or at once.
     """
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}")
     sigma = noise.lattice_sigma
     if not math.isfinite(sigma):
         raise ValueError(f"sigma_sq = {noise.sigma_sq!r} over hbar = {noise.hbar!r} gives a "

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dit_rates import dit_error_prob, optimize_dit_rate, scan_ceiling
+from .dit_rates import optimize_dit_rate, scan_ceiling
 
 
 @dataclass(frozen=True)
@@ -49,16 +47,9 @@ def debuda_rate(params: ClassicalParams) -> float:
 
 
 def signal_family(params: ClassicalParams) -> tuple:
-    """The dit_rates family (1.5 P, 1.0, 2, sigma^2) of d-ary signals."""
+    """The dit_rates family (1.5 P, 1.0, 2, sigma^2) of d-ary signals with
+    spacing 2 dx, dx = sqrt(3 P) / d: p(d) = erfc(sqrt(3 P / (2 d^2 sigma^2)))."""
     return (1.5 * params.power, 1.0, 2, params.sigma_sq)
-
-
-def classical_dit_error_prob(d: int | np.ndarray, params: ClassicalParams) -> float | np.ndarray:
-    """Per-variable error bound erfc(sqrt(3 P / (2 d^2 sigma^2))) for d-ary
-    signaling with spacing 2 dx, dx = sqrt(3 P) / d; d may be an array."""
-    if np.any(np.asarray(d) < 2):
-        raise ValueError("signal alphabet must have d >= 2")
-    return dit_error_prob(d, signal_family(params))
 
 
 def optimize_classical_d(params: ClassicalParams, d_max: int | None = None) -> tuple[int, float]:

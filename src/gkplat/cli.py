@@ -54,16 +54,6 @@ def _canonical_json(obj) -> str:
     return _scalar(obj)
 
 
-def _manifest(args, payload_sha: str, **fields) -> dict:
-    """Provenance record of one artifact."""
-    return {
-        "command": ["gkplat", *args._argv],
-        "artifact_version": __version__,
-        "output_sha256": payload_sha,
-        **fields,
-    }
-
-
 def _emit(args, result, **fields) -> None:
     """Write one artifact, a JSON result dict or a CSV table (rows, header
     first), with the manifest of its payload: embedded in JSON, by checksum
@@ -73,8 +63,10 @@ def _emit(args, result, **fields) -> None:
         payload = _canonical_json(result)
     else:
         payload = "".join(",".join(map(_scalar, row)) + "\n" for row in result)
-    payload_sha = hashlib.sha256(payload.encode()).hexdigest()
-    man_json = _canonical_json(_manifest(args, payload_sha, **fields))
+    man_json = _canonical_json({"command": ["gkplat", *args._argv],
+                                "artifact_version": __version__,
+                                "output_sha256": hashlib.sha256(payload.encode()).hexdigest(),
+                                **fields})
     if is_json:  # the bytes of _canonical_json({"manifest": ..., "result": ...})
         text = f'{{"manifest":{man_json},"result":{payload}}}\n'
     else:
@@ -108,8 +100,9 @@ def _grid(spec: str) -> tuple[str, np.ndarray]:
 
 def _resolve_lattice(spec: str):
     if os.path.sep in spec or spec.endswith(".json"):
-        from .symplectic_lattice import load_lattice
-        return load_lattice(spec)
+        from .symplectic_lattice import lattice_from_dict
+        with open(spec) as fh:
+            return lattice_from_dict(json.load(fh))
     from .catalog import get as catalog_get
     return catalog_get(spec).lattice
 
@@ -162,7 +155,10 @@ def _cmd_concat_rates(args) -> None:
     spec, grid = args.sigma_grid
 
     def row(sigma):
-        noise = NoiseModel(sigma ** 2, args.hbar)
+        try:
+            noise = NoiseModel(sigma ** 2, args.hbar)
+        except OverflowError:  # Python's float power raises rather than give inf
+            raise ValueError("sigma**2 overflows float64") from None
         if noise.sigma_sq == 0.0:
             raise ValueError("sigma**2 underflows float64 to 0")
         design = optimize_qudit_dimension(noise, args.d_max)

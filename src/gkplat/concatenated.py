@@ -129,7 +129,6 @@ class ConcatDesign:
     """Optimized concatenated design at one noise level."""
 
     sigma_sq: float
-    hbar: float
     d_opt: int
     p: float                 # per-qudit error bound at d_opt
     rate_qubits: float
@@ -145,13 +144,15 @@ def optimize_qudit_dimension(noise: NoiseModel, d_max: int | None = None) -> Con
     The rate is dit_rate(d, p, 2), a CSS code over Z_d on grid qudits
     with p = p_X = p_Z the grid-qudit error bound (optimize_dit_rate).
     """
+    if noise.sigma_sq == 0.0:  # no errors: the rate grows without bound in d
+        raise ValueError("sigma_sq = 0 has no optimal qudit dimension")
     if d_max is None:
         d_max = scan_ceiling(8.0 * noise.hbar / noise.sigma_sq,
                              f"sigma_sq = {noise.sigma_sq!r} with hbar = {noise.hbar!r}")
     d_opt, rate = optimize_dit_rate(qudit_family(noise), 2, d_max)
     c_sq = 2.0 ** rate * noise.sigma_sq / noise.hbar
     p = float(gkp_qudit_error_prob(d_opt, noise))
-    return ConcatDesign(noise.sigma_sq, noise.hbar, d_opt, p, rate, c_sq)
+    return ConcatDesign(noise.sigma_sq, d_opt, p, rate, c_sq)
 
 
 _SAMPLE_CHUNK = 1 << 16  # normals per fill of the one reused float buffer

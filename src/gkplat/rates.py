@@ -15,15 +15,26 @@ from .channel_sim import NoiseModel
 _EPS = math.ulp(1.0)
 
 
+def _ratio(noise: NoiseModel, c: float) -> float:
+    """hbar / (c sigma^2); a quotient beyond float64, sigma^2 = 0 included,
+    is a ValueError. One that underflows to 0 is valid: every rate is 0."""
+    ratio = noise.hbar / (c * noise.sigma_sq) if noise.sigma_sq else math.inf
+    if ratio == math.inf:
+        raise ValueError(f"hbar / sigma^2 = {noise.hbar!r} / {noise.sigma_sq!r} overflows float64")
+    return ratio
+
+
 def coherent_information(noise: NoiseModel) -> float:
     """One-shot coherent information maximized over Gaussian inputs:
     log2(hbar / (e sigma^2)), zero at and below the threshold."""
-    return max(0.0, math.log2(noise.hbar / (math.e * noise.sigma_sq)))
+    ratio = _ratio(noise, math.e)
+    return math.log2(ratio) if ratio > 1.0 else 0.0
 
 
 def hw_upper_bound(noise: NoiseModel) -> float:
     """Holevo-Werner capacity upper bound log2(hbar / sigma^2)."""
-    return max(0.0, math.log2(noise.hbar / noise.sigma_sq))
+    ratio = _ratio(noise, 1.0)
+    return math.log2(ratio) if ratio > 1.0 else 0.0
 
 
 def sphere_packing_rate(noise: NoiseModel) -> float:
@@ -31,7 +42,7 @@ def sphere_packing_rate(noise: NoiseModel) -> float:
 
     Two qubits below the coherent information wherever both are positive.
     """
-    return max(0.0, math.log2(noise.hbar / (math.e * noise.sigma_sq)) - 2.0)
+    return max(0.0, coherent_information(noise) - 2.0)
 
 
 def best_integer_lambda(noise: NoiseModel) -> tuple[int, float]:
@@ -41,7 +52,7 @@ def best_integer_lambda(noise: NoiseModel) -> tuple[int, float]:
     The strict inequality is honored at float resolution: a ratio within a
     few ulps of an integer counts as that integer.
     """
-    ratio = noise.hbar / (math.e * noise.sigma_sq)
+    ratio = _ratio(noise, math.e)
     lam = math.floor(ratio)
     if ratio - lam <= 8.0 * _EPS * max(1.0, ratio):
         lam -= 1

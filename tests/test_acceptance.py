@@ -26,14 +26,14 @@ from gkplat.concatenated import (
 )
 from gkplat.classical_channel import (
     ClassicalParams,
-    classical_dit_error_prob,
     debuda_rate,
     minkowski_lattice_rate,
     optimize_classical_d,
     shannon_capacity,
+    signal_family,
 )
 from gkplat.decoder import closest_points, shortest_vector
-from gkplat.dit_rates import dit_rate
+from gkplat.dit_rates import dit_error_prob, dit_rate
 from gkplat.rates import (
     best_integer_lambda,
     coherent_information,
@@ -241,7 +241,7 @@ def test_criterion_9_classical_suite():
         params = ClassicalParams(1.0, 1.0 / snr)
         d_opt, rate = optimize_classical_d(params)
         best = max(
-            dit_rate(d, classical_dit_error_prob(d, params), 1)
+            dit_rate(d, dit_error_prob(d, signal_family(params)), 1)
             for d in range(2, 201))
         assert rate == pytest.approx(best, rel=1e-12)
         gap = shannon_capacity(params) - rate

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gkplat.classical_channel import (
     ClassicalParams,
-    classical_dit_error_prob,
     debuda_rate,
     minkowski_lattice_rate,
     optimize_classical_d,
@@ -17,7 +16,8 @@ from gkplat.classical_channel import (
     signal_family,
 )
 from gkplat import dit_rates
-from gkplat.dit_rates import dit_rate, dit_rate_bound, entropy_base_d, scan_dimensions
+from gkplat.dit_rates import (dit_error_prob, dit_rate, dit_rate_bound, entropy_base_d,
+                              scan_dimensions)
 
 from oracles import erfc_oracle, signal_error_prob
 
@@ -28,7 +28,7 @@ def at_snr(snr: float) -> ClassicalParams:
 
 def concat_rate(d, params):
     """Bits per variable of the concatenated-dit scheme at alphabet size d."""
-    return dit_rate(d, classical_dit_error_prob(d, params), 1)
+    return dit_rate(d, dit_error_prob(d, signal_family(params)), 1)
 
 
 class TestShannonCapacity:
@@ -75,11 +75,11 @@ class TestDitErrorProb:
         # d^2 = 3 P / (2 sigma^2) makes the erfc argument exactly 1
         params = ClassicalParams(2.0 * 16.0 / 3.0, 1.0)
         want = erfc_oracle(1.0)
-        assert classical_dit_error_prob(4, params) == pytest.approx(want, rel=1e-13)
+        assert dit_error_prob(4, signal_family(params)) == pytest.approx(want, rel=1e-13)
 
     def test_increasing_in_d(self):
         params = at_snr(100.0)
-        probs = [classical_dit_error_prob(d, params) for d in range(2, 40)]
+        probs = [dit_error_prob(d, signal_family(params)) for d in range(2, 40)]
         assert all(a < b for a, b in zip(probs, probs[1:]))
 
     def test_family_gives_the_formula_bits(self):
@@ -92,9 +92,9 @@ class TestDitErrorProb:
             params = ClassicalParams(10.0 ** rng.uniform(-3.0, 3.0),
                                      10.0 ** rng.uniform(-15.0, 3.0))
             want = signal_error_prob(ds, params.power, params.sigma_sq)
-            assert classical_dit_error_prob(ds, params).tobytes() == want.tobytes()
+            assert dit_error_prob(ds, signal_family(params)).tobytes() == want.tobytes()
             for d in map(int, ds[::9]):
-                assert np.asarray(classical_dit_error_prob(d, params)).tobytes() == \
+                assert np.asarray(dit_error_prob(d, signal_family(params))).tobytes() == \
                     np.asarray(signal_error_prob(d, params.power, params.sigma_sq)).tobytes()
 
     def test_spacing_power_identity(self):
@@ -166,10 +166,10 @@ class TestOptimize:
     def test_arrays_match_scalars(self):
         params = at_snr(1e3)
         ds = np.arange(2, 60)
-        probs = classical_dit_error_prob(ds, params)
+        probs = dit_error_prob(ds, signal_family(params))
         rates = dit_rate(ds, probs, 1)
         for i, d in enumerate(ds):
-            p = classical_dit_error_prob(int(d), params)
+            p = dit_error_prob(int(d), signal_family(params))
             assert probs[i] == pytest.approx(p, rel=1e-15, abs=0)
             assert rates[i] == pytest.approx(dit_rate(int(d), p, 1), rel=1e-15, abs=0)
 
@@ -218,8 +218,8 @@ class TestScaleInvariance:
             assert shannon_capacity(scaled) == shannon_capacity(base)
             assert debuda_rate(scaled) == debuda_rate(base)
             assert minkowski_lattice_rate(scaled) == minkowski_lattice_rate(base)
-            assert classical_dit_error_prob(9, scaled) == \
-                classical_dit_error_prob(9, base)
+            assert dit_error_prob(9, signal_family(scaled)) == \
+                dit_error_prob(9, signal_family(base))
             assert optimize_classical_d(scaled) == optimize_classical_d(base)
 
 
@@ -239,10 +239,6 @@ class TestValidation:
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
-            classical_dit_error_prob(1, at_snr(10.0))
-        with pytest.raises(ValueError):
             dit_rate(1, 0.1, 1)
-        with pytest.raises(ValueError):
-            classical_dit_error_prob(np.array([4, 1]), at_snr(10.0))
         with pytest.raises(ValueError):
             dit_rate(np.array([4, 1]), 0.1, 1)

@@ -373,6 +373,11 @@ class TestBadInput:
         # d^2 sigma^2 overflows below --d-max
         (["classical-rates", "--snr-grid", "1e-300:1e-300:1", "--d-max", "10000000000"],
          ["--snr-grid value 1e-300: ", "erfc argument 1.5 / (1.0 * d**2 * 9.99"]),
+        # hbar / sigma^2 overflows in the rate formulas
+        (["rates", "--sigma-sq-grid", "1e-310:1e-310:1"],
+         ["--sigma-sq-grid value 1e-310: ", "hbar / sigma^2 = 1.0 / 1e-310 overflows float64"]),
+        (["concat-rates", "--sigma-grid", "1e200:1e200:1"],
+         ["--sigma-grid value 1e+200: ", "sigma**2 overflows float64"]),
     ])
     def test_noise_ratio_beyond_float64_named(self, capsys, command, named):
         with warnings.catch_warnings():
@@ -387,6 +392,18 @@ class TestBadInput:
         assert code == 0
         assert out.splitlines()[-1] == "1.0000000000000001e+300,0,0,0,0"
 
+    @pytest.mark.parametrize("command,last", [
+        (["rates", "--sigma-sq-grid", "1e308:1e308:1"], "1e+308,0,0,0,0"),  # e sigma^2 is inf
+        (["rates", "--sigma-sq-grid", "1e-300:1e300:3", "--hbar", "1e-300"],
+         "1.0000000000000001e+300,0,0,0,0"),  # hbar / (e sigma^2) is 0
+    ])
+    def test_noise_ratio_underflow_gives_zero_rates(self, capsys, command, last):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(command, capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == last
+
     def test_decode_point_named(self, capsys):
         code, out, err = run_cli(["decode", "D4", "0.1,,0.3,0.1"], capsys)
         assert_one_error_line(code, out, err)
@@ -398,7 +415,7 @@ class TestBadInput:
         assert_one_error_line(*run_cli(["concat-rates", "--sigma-grid", grid], capsys))
 
     @pytest.mark.parametrize("command,value", [
-        (["rates", "--sigma-sq-grid", "1e-300:1e300:3", "--hbar", "1e-300"], 1e300),
+        (["rates", "--sigma-sq-grid", "1e300:1e-310:3"], 1e-310),  # rows before it print
         (["rates", "--sigma-sq-grid", "1e-320:1e-320:1"], 1e-320),
         (["concat-rates", "--sigma-grid", "1e-200:1e-200:1"], 1e-200),  # sigma^2 is 0
         (["concat-rates", "--sigma-grid", "1e200:1e200:1"], 1e200),     # sigma^2 overflows

@@ -223,6 +223,12 @@ class TestConcatRate:
 
 
 class TestOptimize:
+    @pytest.mark.parametrize("d_max", [None, 100])
+    def test_zero_noise_refused(self, d_max):
+        # no error at any d: refused before the default ceiling divides by sigma^2
+        with pytest.raises(ValueError, match="sigma_sq = 0"):
+            optimize_qudit_dimension(NoiseModel(0.0), d_max)
+
     def test_anchor_one_qubit_gap(self):
         noise = NoiseModel(1.88e-4)
         design = optimize_qudit_dimension(noise)

@@ -1,6 +1,7 @@
 """The package namespace lists exactly the names the demos import, every
-name the benchmark imports from gkplat exists, and each demo prints the
-bytes pinned here."""
+name the benchmark imports from gkplat exists, every public name of the
+package has a caller outside the tests, and each demo prints the bytes
+pinned here."""
 
 import ast
 import contextlib
@@ -15,6 +16,7 @@ import pytest
 import gkplat
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gkplat"
 DEMOS = ROOT / "demos"
 BENCH = ROOT / "bench"
 
@@ -53,6 +55,48 @@ def test_bench_imports_resolve():
         except ImportError as exc:
             failed.append(f"{ast.unparse(node)}: {exc}")
     assert failed == []
+
+
+def _top_level_names(stmt) -> list:
+    """Names a module-level statement binds: a def, a class or an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def test_every_public_name_has_a_caller():
+    # no function that only tests call: each public module-level name of
+    # src/gkplat is loaded, read as an attribute or imported by name in
+    # src/gkplat, demos/ or bench/ (read, not run), outside the statement
+    # that defines it
+    trees = {path: ast.parse(path.read_text())
+             for folder in (SRC, DEMOS, BENCH) for path in sorted(folder.glob("*.py"))}
+    definitions = {}
+    for path, tree in trees.items():
+        if path.parent == SRC:
+            for stmt in tree.body:
+                for name in _top_level_names(stmt):
+                    if not name.startswith("_"):
+                        definitions.setdefault(name, []).append(stmt)
+    called = set()
+    for tree in trees.values():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    refs = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    refs = [alias.name for alias in node.names]
+                else:
+                    continue
+                called.update(name for name in refs
+                              if name in definitions and stmt not in definitions[name])
+    assert sorted(set(definitions) - called) == []
 
 
 # sha256 of each demo's stdout; the demos are deterministic (fixed seeds,

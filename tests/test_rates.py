@@ -170,3 +170,18 @@ class TestCurveRelations:
         for fn in (coherent_information, hw_upper_bound, sphere_packing_rate):
             assert fn(noise) == 0.0
         assert best_integer_lambda(noise)[1] == 0.0
+
+    @pytest.mark.parametrize("sigma_sq,hbar", [(1e308, 1.0), (1e300, 1e-300)])
+    def test_zero_where_ratio_underflows(self, sigma_sq, hbar):
+        # e sigma^2 overflows, or hbar / (e sigma^2) underflows to 0: log2 is not reached
+        noise = NoiseModel(sigma_sq, hbar)
+        row = [fn(noise) for fn in (coherent_information, hw_upper_bound, sphere_packing_rate)]
+        assert row == [0.0, 0.0, 0.0]
+        assert best_integer_lambda(noise) == (0, 0.0)
+
+    @pytest.mark.parametrize("sigma_sq", [0.0, 1e-310])
+    def test_ratio_beyond_float64_named(self, sigma_sq):
+        for fn in (coherent_information, hw_upper_bound, sphere_packing_rate,
+                   best_integer_lambda):
+            with pytest.raises(ValueError, match=r"hbar / sigma\^2 = 1\.0 / .* overflows float64"):
+                fn(NoiseModel(sigma_sq))

@@ -417,13 +417,13 @@ class TestSerialization:
         assert lattice_from_dict(data) == lat
 
     def test_file_round_trip(self, tmp_path):
-        from gkplat.symplectic_lattice import load_lattice
+        from gkplat.cli import _resolve_lattice  # the file path a --lattice option takes
         basis = ([["2"] + ["0"] * 7]
                  + [["0"] * i + ["-1", "1"] + ["0"] * (6 - i) for i in range(6)]
                  + [["1/2"] * 8])
         path = tmp_path / "e8.json"
         path.write_text(json.dumps({"n": 8, "lambda": "1", "basis": basis}))
-        assert load_lattice(path) == get("E8").lattice
+        assert _resolve_lattice(str(path)) == get("E8").lattice
 
     def test_rejects_n_unlike_basis(self):
         for n in (4, 3):
