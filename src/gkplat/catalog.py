@@ -55,7 +55,7 @@ def get(name: str) -> CatalogEntry:
         return CatalogEntry(name=name, lattice=lattice_from_rows(basis, 1), notes=notes)
     m = _PARAMETRIC.match(name)
     if m is None:
-        raise KeyError(f"unknown lattice name: {name!r}")
+        raise ValueError(f"unknown lattice name: {name!r}")
     kind, arg = m.group(1), int(m.group(2))
     # both are identity bases: Zn(n) is n x n at scale 1, grid_qudit(d) 2 x 2 at scale d
     if kind == "Zn":

@@ -16,31 +16,18 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, astuple
 from functools import partial
-
-import numpy as np
 
 from . import __version__
 
 
-def _scalar(value) -> str:
-    """One CSV cell or JSON scalar: true/false, plain ints, .17g floats;
-    strings pass through unquoted. NaN and infinities are refused."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite number {value!r}")
-        return format(float(value), ".17g")
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
 def _canonical_json(obj) -> str:
-    """Deterministic JSON with .17g float literals and sorted keys."""
+    """The one formatter of JSON values and CSV cells: sorted keys,
+    true/false, plain ints, .17g floats, numpy values through tolist().
+    NaN and infinities are refused."""
+    if hasattr(obj, "tolist"):
+        return _canonical_json(obj.tolist())
     if isinstance(obj, dict):
         items = sorted(obj.items())
         body = ",".join(f"{_canonical_json(k)}:{_canonical_json(v)}" for k, v in items)
@@ -51,18 +38,26 @@ def _canonical_json(obj) -> str:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
-    return _scalar(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite number {obj!r}")
+        return format(obj, ".17g")
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _emit(args, result, **fields) -> None:
-    """Write one artifact, a JSON result dict or a CSV table (rows, header
-    first), with the manifest of its payload: embedded in JSON, by checksum
+    """Write one artifact, a JSON result dict or a CSV table (rows of strings,
+    header first), with the manifest of its payload: embedded in JSON, by checksum
     in a CSV comment, and with --out also in a ``<out>.manifest.json``."""
     is_json = isinstance(result, dict)
     if is_json:
         payload = _canonical_json(result)
     else:
-        payload = "".join(",".join(map(_scalar, row)) + "\n" for row in result)
+        payload = "".join(",".join(row) + "\n" for row in result)
     man_json = _canonical_json({"command": ["gkplat", *args._argv],
                                 "artifact_version": __version__,
                                 "output_sha256": hashlib.sha256(payload.encode()).hexdigest(),
@@ -81,9 +76,10 @@ def _emit(args, result, **fields) -> None:
         fh.write(man_json + "\n")
 
 
-def _grid(spec: str) -> tuple[str, np.ndarray]:
+def _grid(spec: str) -> tuple:
     """Parse a start:stop:points grid spec; returns it with its log-spaced
-    values. Endpoints must be positive and finite, points at most 10**6."""
+    values (an array). Endpoints must be positive and finite, points at
+    most 10**6."""
     try:
         start_s, stop_s, pts_s = spec.split(":")
         start, stop, pts = float(start_s), float(stop_s), int(pts_s)
@@ -95,6 +91,7 @@ def _grid(spec: str) -> tuple[str, np.ndarray]:
             "grid endpoints must be positive and finite, points >= 1")
     if pts > 10 ** 6:
         raise argparse.ArgumentTypeError("grid points must be at most 10**6")
+    import numpy as np
     return spec, np.geomspace(start, stop, pts)
 
 
@@ -123,12 +120,12 @@ def _workers() -> int:
 
 def _table(header, flag, grid, row) -> list:
     """``header``, then row(v) for each value v of a --*-grid flag as a
-    float, its cells formatted by _scalar; an error on a value, a
+    float, its cells formatted by _canonical_json; an error on a value, a
     non-finite cell included, names the flag and the value."""
     table = [header]
     for value in map(float, grid):
         try:
-            table.append([_scalar(cell) for cell in row(value)])
+            table.append([_canonical_json(cell) for cell in row(value)])
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"{flag} value {value!r}: {exc}") from exc
     return table
@@ -162,8 +159,7 @@ def _cmd_concat_rates(args) -> None:
         if noise.sigma_sq == 0.0:
             raise ValueError("sigma**2 underflows float64 to 0")
         design = optimize_qudit_dimension(noise, args.d_max)
-        return [noise.sigma_sq, design.d_opt, design.p, design.rate_qubits, design.c_sq,
-                coherent_information(noise)]
+        return [*astuple(design), coherent_information(noise)]
     _emit(args, _table(["sigma_sq", "d_opt", "p", "rate", "c_sq", "coherent_info"],
                        "--sigma-grid", grid, row), grid=spec)
 
@@ -188,17 +184,7 @@ def _emit_estimate(args, estimate, **labels) -> None:
     noise = NoiseModel(args.sigma_sq, args.hbar)
     workers = _workers()
     est = estimate(noise, args.trials, args.seed, workers=workers)
-    result = {
-        "p_hat": est.p_hat,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "trials": est.trials,
-        "failures": est.failures,
-        "seed": est.seed,
-        "sigma_sq": args.sigma_sq,
-        "hbar": args.hbar,
-        **labels,
-    }
+    result = {**asdict(est), "sigma_sq": args.sigma_sq, "hbar": args.hbar, **labels}
     _emit(args, result, seed=args.seed, rng_algorithm=RNG_ALGORITHM, workers=workers)
 
 
@@ -232,7 +218,7 @@ def _cmd_lattice_info(args) -> None:
         "n": lat.n,
         "lambda": str(lat.scale_sq),
         "dimension": dimension,
-        "shortest_vector": [float(v) for v in vec],
+        "shortest_vector": vec,
         "shortest_sq": length_sq,
         "packing_radius": math.sqrt(length_sq) / 2.0,  # packing_radius(lat), no second search
         "symplectically_integral": integral,
@@ -248,13 +234,7 @@ def _cmd_decode(args) -> None:
         point = [float(v) for v in args.point.split(",")]
     except ValueError as exc:
         raise ValueError(f"point {args.point!r}: {exc}") from exc
-    res = closest_point(lattice, point)
-    _emit(args, {
-        "closest": [float(v) for v in res.closest],
-        "coeffs": [int(v) for v in res.coeffs],
-        "dist_sq": res.dist_sq,
-        "tie": res.tie,
-    })
+    _emit(args, asdict(closest_point(lattice, point)))
 
 
 _GRID = dict(type=_grid, required=True, metavar="START:STOP:POINTS")
@@ -320,7 +300,7 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         args.func(args)
-    except (ValueError, KeyError, OSError, AssertionError, ArithmeticError, RecursionError) as exc:
+    except (ValueError, OSError, AssertionError, ArithmeticError, RecursionError) as exc:
         print(f"gkplat: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -151,6 +151,9 @@ def optimize_qudit_dimension(noise: NoiseModel, d_max: int | None = None) -> Con
                              f"sigma_sq = {noise.sigma_sq!r} with hbar = {noise.hbar!r}")
     d_opt, rate = optimize_dit_rate(qudit_family(noise), 2, d_max)
     c_sq = 2.0 ** rate * noise.sigma_sq / noise.hbar
+    if c_sq == math.inf:
+        raise ValueError(f"c_sq = 2**rate * sigma_sq / hbar overflows float64 at "
+                         f"sigma_sq = {noise.sigma_sq!r} with hbar = {noise.hbar!r}")
     p = float(gkp_qudit_error_prob(d_opt, noise))
     return ConcatDesign(noise.sigma_sq, d_opt, p, rate, c_sq)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from functools import cache, partial
 
 import numpy as np
@@ -31,7 +32,6 @@ def _erfc_ufunc() -> np.ufunc:
     import importlib.machinery
     import importlib.util
     import os
-    import sys
 
     import scipy
     name = "scipy.special._special_ufuncs"
@@ -56,7 +56,8 @@ def dit_error_prob(d: int | np.ndarray, family: tuple) -> float | np.ndarray:
     exactly the order num / (c d^j s): a folded constant rounds differently.
     A run that evaluates no p never loads scipy (see _erfc_ufunc)."""
     num, c, j, s = family
-    return _erfc_ufunc()(np.sqrt(num / (c * np.asarray(d, dtype=float) ** j * s)))
+    with np.errstate(over="ignore"):  # p = 1 where c d^j s = inf; see dit_rate_bound
+        return _erfc_ufunc()(np.sqrt(num / (c * np.asarray(d, dtype=float) ** j * s)))
 
 
 def entropy_base_d(p: float | np.ndarray, d: int | np.ndarray) -> float | np.ndarray:
@@ -115,12 +116,14 @@ def dit_rate_bound(family: tuple, k: int, a: int, b: int) -> float:
     bounds the rate 0 that dit_rate gives from p = (d-1)/d on. For a > 2
     it is -inf where every rate on [a, b] is exactly 0 (p(a) >= (b-1)/b,
     or the unclamped bound at most -_BOUND_SLACK), which never displaces
-    the first maximum. A family whose erfc argument leaves float64
-    somewhere on [a, b] is refused.
+    the first maximum. A family whose erfc argument overflows somewhere on
+    [a, b] is refused, and so is one whose c d^j s overflows there unless
+    erfc(sqrt(num / DBL_MAX)) is 1.0, so that p = 1 is exact where it does.
     """
     num, c, j, s = family
     low, high = c * float(a) ** j * s, c * float(b) ** j * s
-    if not (0.0 < low and num / low < math.inf and high < math.inf):
+    high_ok = high < math.inf or _erfc_ufunc()(math.sqrt(num / sys.float_info.max)) == 1.0
+    if not (0.0 < low and num / low < math.inf and high_ok):
         raise ValueError(f"the erfc argument {num!r} / ({c!r} * d**{j} * {s!r}) "
                          f"leaves float64 for some {a} <= d <= {b}")
     p_a, p_b = dit_error_prob(np.array([a, b], dtype=np.int64), family)

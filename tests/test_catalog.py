@@ -92,7 +92,7 @@ def test_colon_syntax():
 
 
 def test_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown lattice name: 'Leech'"):
         get("Leech")
     with pytest.raises(ValueError):
         get("Zn(3)")

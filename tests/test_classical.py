@@ -237,6 +237,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             ClassicalParams(1.0, bad)
 
+    def test_overflow_that_would_hide_p_refused(self):
+        # d^2 sigma^2 overflows at every d, but the true p(2) = erfc(sqrt(1.5 / 4)) is
+        # about 0.39, not the 1 that the overflowed argument gives
+        with pytest.raises(ValueError, match="leaves float64"):
+            optimize_classical_d(ClassicalParams(1e308, 1e308))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_where_p_is_one_gives_zero_rate(self):
+        # erfc(sqrt(1.5 / DBL_MAX)) is 1.0: p = 1 is exact where d^2 sigma^2 overflows
+        assert optimize_classical_d(ClassicalParams(1.0, 1e300), 10**10) == (2, 0.0)
+        assert dit_error_prob(np.array([2, 10**10]), signal_family(at_snr(1e-300))).tolist() == [
+            1.0, 1.0]
+
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             dit_rate(1, 0.1, 1)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gkplat import channel_sim, dit_rates
-from gkplat.cli import _build_parser, _canonical_json, _grid, _scalar, main
+from gkplat.cli import _build_parser, _canonical_json, _grid, main
 
 from oracles import square_lattice_failure_prob, wilson_halfwidth
 
@@ -240,8 +240,9 @@ class TestLatticeInfo:
         assert result["symplectically_self_dual"] is True
 
     def test_unknown_name(self, capsys):
-        code, _, err = run_cli(["lattice-info", "Leech"], capsys)
-        assert code == 1
+        for command in (["lattice-info", "Leech"], ["decode", "foo", "0,0"]):
+            assert run_cli(command, capsys) == (
+                1, "", f"gkplat: error: unknown lattice name: {command[1]!r}\n")
 
     @pytest.mark.parametrize("command", [["lattice-info", "Zn:1000"],
                                          ["simulate", "--lattice", "Zn:1000", "--sigma-sq",
@@ -360,7 +361,8 @@ class TestBadInput:
         (["concat-sim", "--d", "3", "--sigma-sq", "0.1", "--hbar", "1e-320",
           "--trials", "10", "--seed", "1"], ["sigma_sq = 0.1", "hbar = 1e-320"]),
         (["concat-rates", "--sigma-grid", "1e150:1e150:1", "--hbar", "1e-10"],
-         ["--sigma-grid value 1e+150: ", "non-finite"]),  # c_sq = sigma^2 / hbar is inf
+         ["--sigma-grid value 1e+150: ", "c_sq = 2**rate * sigma_sq / hbar overflows float64",
+          "hbar = 1e-10"]),
         # hbar / sigma^2 overflows: sigma^2 = 1e-320
         (["concat-rates", "--sigma-grid", "1e-160:1e-160:1", "--d-max", "100"],
          ["--sigma-grid value 1e-160: ", "leaves float64",
@@ -370,9 +372,9 @@ class TestBadInput:
          ["--sigma-grid value 1e+154: ", "erfc argument inf / (4.0 * d**1 * 1e+308)"]),
         (["concat-rates", "--sigma-grid", "1e-200:1e-200:1"],
          ["--sigma-grid value 1e-200: ", "sigma**2 underflows float64 to 0"]),
-        # d^2 sigma^2 overflows below --d-max
-        (["classical-rates", "--snr-grid", "1e-300:1e-300:1", "--d-max", "10000000000"],
-         ["--snr-grid value 1e-300: ", "erfc argument 1.5 / (1.0 * d**2 * 9.99"]),
+        # 4 d sigma^2 overflows, but erfc(sqrt(pi hbar / DBL_MAX)) is about 0.55, not 1
+        (["concat-rates", "--sigma-grid", "1e154:1e154:1", "--hbar", "1e307", "--d-max", "100"],
+         ["--sigma-grid value 1e+154: ", "erfc argument 3.1415926535897933e+307 / (4.0 * d**1"]),
         # hbar / sigma^2 overflows in the rate formulas
         (["rates", "--sigma-sq-grid", "1e-310:1e-310:1"],
          ["--sigma-sq-grid value 1e-310: ", "hbar / sigma^2 = 1.0 / 1e-310 overflows float64"]),
@@ -396,6 +398,13 @@ class TestBadInput:
         (["rates", "--sigma-sq-grid", "1e308:1e308:1"], "1e+308,0,0,0,0"),  # e sigma^2 is inf
         (["rates", "--sigma-sq-grid", "1e-300:1e300:3", "--hbar", "1e-300"],
          "1.0000000000000001e+300,0,0,0,0"),  # hbar / (e sigma^2) is 0
+        # c d^j sigma^2 overflows where erfc of its argument is exactly 1: p = 1, rate 0
+        (["classical-rates", "--snr-grid", "1e-308:1e-308:1"],
+         "9.9999999999999991e-309,0,0,0,2,0"),
+        (["classical-rates", "--snr-grid", "1e-300:1e-300:1"], "1e-300,0,0,0,2,0"),
+        (["classical-rates", "--snr-grid", "1e-300:1e-300:1", "--d-max", "10000000000"],
+         "1e-300,0,0,0,2,0"),
+        (["concat-rates", "--sigma-grid", "1e154:1e154:1"], "1e+308,2,1,0,1e+308,0"),
     ])
     def test_noise_ratio_underflow_gives_zero_rates(self, capsys, command, last):
         with warnings.catch_warnings():
@@ -512,11 +521,12 @@ class TestBadInput:
         # the one formatter behind CSV cells and JSON numbers
         for value in (math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(math.inf)):
             with pytest.raises(ValueError):
-                _scalar(value)
-        assert [_scalar(v) for v in (True, np.int64(7), 0.1, np.float64(1 / 3), "d_opt")] == [
-            "true", "7", "0.10000000000000001", "0.33333333333333331", "d_opt"]
+                _canonical_json(value)
+        values = (True, np.bool_(False), np.int64(7), 0.1, np.float64(1 / 3), "d_opt")
+        assert [_canonical_json(v) for v in values] == [
+            "true", "false", "7", "0.10000000000000001", "0.33333333333333331", '"d_opt"']
         with pytest.raises(TypeError):
-            _scalar(np.bool_(True))
+            _canonical_json(object())
 
 
 class TestExitCodes:
@@ -687,7 +697,8 @@ else:
     if call != ["import gkplat.cli"]:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(call) == 0, call
-print(json.dumps(sorted(name for name in sys.modules if name.startswith("gkplat."))))
+print(json.dumps([sorted(name for name in sys.modules if name.startswith("gkplat.")),
+                  "numpy" in sys.modules]))
 """
 
 _LATTICE_MODULES = ["catalog", "decoder", "exact", "symplectic_lattice"]
@@ -696,6 +707,7 @@ _LATTICE_MODULES = ["catalog", "decoder", "exact", "symplectic_lattice"]
 _MODULES_LOADED = [
     (["import gkplat"], []),
     (["import gkplat.cli"], []),
+    (["--help"], []),
     (["rates", "--sigma-sq-grid", "1e-2:1e0:3"], ["channel_sim", "rates"]),
     (["concat-rates", "--sigma-grid", "0.1:0.1:1"],
      ["channel_sim", "concatenated", "dit_rates", "rates"]),
@@ -713,12 +725,15 @@ _MODULES_LOADED = [
                          ids=[call[0] for call, _ in _MODULES_LOADED])
 def test_subcommand_loads_only_its_modules(call, modules):
     # each call pays only for the gkplat modules its handler runs, so it
-    # runs in a fresh interpreter; `import gkplat` loads none
+    # runs in a fresh interpreter; `import gkplat`, `import gkplat.cli` and
+    # `--help` load none, and no numpy either
     proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(call)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     cli = [] if call == ["import gkplat"] else ["cli"]
-    assert json.loads(proc.stdout) == sorted(f"gkplat.{name}" for name in modules + cli)
+    loaded, numpy_loaded = json.loads(proc.stdout)
+    assert loaded == sorted(f"gkplat.{name}" for name in modules + cli)
+    assert numpy_loaded == (call[0] not in ("import gkplat", "import gkplat.cli", "--help"))
 
 
 _FALLBACK_PROBE = """
