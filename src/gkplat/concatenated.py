@@ -53,7 +53,8 @@ class CssCode:
     correction and that correction's pairing with the opposite logicals.
     Every single-qudit error is corrected when errors that share a
     syndrome differ by a stabilizer, as in a distance-3 code; syndromes
-    outside the table are uncorrectable.
+    outside the table are uncorrectable. A d whose syndrome keys, d**rows
+    for the longer check matrix, overflow int64 is refused first.
     """
 
     d: int
@@ -68,6 +69,10 @@ class CssCode:
         d = self.d
         if d < 2:
             raise ValueError("qudit dimension must be >= 2")
+        rows = max(len(self.hz), len(self.hx))  # before any % d: d itself may not fit int64
+        if d ** rows >= 2 ** 63:
+            raise ValueError(f"syndrome keys d**{rows} overflow int64; "
+                             f"d = {d} is too large for this code")
         if any(m.shape[1] != self.n for m in (self.hx, self.logical_x, self.logical_z)):
             raise ValueError("check and logical matrices must share one width")
         if ((self.hx @ self.hz.T) % d).any():
@@ -93,13 +98,10 @@ class CssCode:
         error, position-major and value-minor; the first candidate with a
         syndrome becomes its correction. A last key of int64 max, above
         every syndrome, with a zero row keeps searchsorted in range and
-        stands for a missing syndrome. Keys that would overflow int64 are
-        refused before any candidate is built.
+        stands for a missing syndrome. __post_init__ has refused keys that
+        would overflow int64 before any candidate is built.
         """
         d, n, rows = self.d, self.n, checks.shape[0]
-        if d ** rows >= 2 ** 63:
-            raise ValueError(f"syndrome keys d**{rows} overflow int64; "
-                             f"d = {d} is too large for this code")
         weights = d ** np.arange(rows - 1, -1, -1, dtype=np.int64)
         errors = np.zeros((1 + n * (d - 1), n), dtype=np.int64)
         single = np.arange(n * (d - 1))  # position-major, value-minor
@@ -211,15 +213,14 @@ def shor9_code(d: int) -> CssCode:
     the six-digit X syndrome keys (d >= 1449) is refused before the
     9 (d - 1) single errors are built.
     """
-    m = d - 1  # -1 mod d without %, so that a d below 2 reaches CssCode's check
-    hz = np.array([[1, m, 0, 0, 0, 0, 0, 0, 0],
-                   [0, 1, m, 0, 0, 0, 0, 0, 0],
-                   [0, 0, 0, 1, m, 0, 0, 0, 0],
-                   [0, 0, 0, 0, 1, m, 0, 0, 0],
-                   [0, 0, 0, 0, 0, 0, 1, m, 0],
-                   [0, 0, 0, 0, 0, 0, 0, 1, m]], dtype=np.int64)
-    hx = np.array([[1, 1, 1, m, m, m, 0, 0, 0],
-                   [0, 0, 0, 1, 1, 1, m, m, m]], dtype=np.int64)
+    hz = np.array([[1, -1, 0, 0, 0, 0, 0, 0, 0],  # -1 stands for d - 1: no entry depends on d
+                   [0, 1, -1, 0, 0, 0, 0, 0, 0],
+                   [0, 0, 0, 1, -1, 0, 0, 0, 0],
+                   [0, 0, 0, 0, 1, -1, 0, 0, 0],
+                   [0, 0, 0, 0, 0, 0, 1, -1, 0],
+                   [0, 0, 0, 0, 0, 0, 0, 1, -1]], dtype=np.int64)
+    hx = np.array([[1, 1, 1, -1, -1, -1, 0, 0, 0],
+                   [0, 0, 0, 1, 1, 1, -1, -1, -1]], dtype=np.int64)
     logical_x = np.array([[1, 1, 1, 0, 0, 0, 0, 0, 0]], dtype=np.int64)  # constant on one block
     logical_z = np.array([[1, 0, 0, 1, 0, 0, 1, 0, 0]], dtype=np.int64)  # one site per block
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -26,8 +26,11 @@ def _erfc_ufunc() -> np.ufunc:
     After the cheap ``import scipy``, the extension scipy/special/
     _special_ufuncs<suffix> is loaded by path under its real module name
     and put in sys.modules, so a later ``import scipy.special`` reuses it
-    and its erfc is this very object. Where the file or its erfc ufunc is
-    missing (older scipy), ``from scipy.special import erfc`` runs instead.
+    and its erfc is this very object. The module is then no attribute of
+    that scipy.special (the import system sets one only for a submodule it
+    loads itself); no scipy code reads it so. Where the file or its erfc
+    ufunc is missing (older scipy), ``from scipy.special import erfc``
+    runs instead.
     """
     import importlib.machinery
     import importlib.util
@@ -54,10 +57,24 @@ def _erfc_ufunc() -> np.ufunc:
 def dit_error_prob(d: int | np.ndarray, family: tuple) -> float | np.ndarray:
     """The family's p(d) for an integer d or an array of them, operations in
     exactly the order num / (c d^j s): a folded constant rounds differently.
-    A run that evaluates no p never loads scipy (see _erfc_ufunc)."""
+    A run that evaluates no p never loads scipy (see _erfc_ufunc).
+
+    This decides the family's float64 domain: where c d^j s is not
+    positive or the erfc argument is not finite, or where c d^j s
+    overflows unless erfc(sqrt(num / DBL_MAX)) is 1.0 (so that p = 1 is
+    exact there), the family is refused, naming the least and greatest d.
+    """
     num, c, j, s = family
-    with np.errstate(over="ignore"):  # p = 1 where c d^j s = inf; see dit_rate_bound
-        return _erfc_ufunc()(np.sqrt(num / (c * np.asarray(d, dtype=float) ** j * s)))
+    ds = np.asarray(d, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        product = c * ds ** j * s
+        arg = num / product
+    if not ((product > 0.0).all() and np.isfinite(arg).all()) or (
+            np.isinf(product).any()
+            and _erfc_ufunc()(math.sqrt(num / sys.float_info.max)) != 1.0):
+        raise ValueError(f"the erfc argument {num!r} / ({c!r} * d**{j} * {s!r}) "
+                         f"leaves float64 for some {int(ds.min())} <= d <= {int(ds.max())}")
+    return _erfc_ufunc()(np.sqrt(arg))
 
 
 def entropy_base_d(p: float | np.ndarray, d: int | np.ndarray) -> float | np.ndarray:
@@ -116,16 +133,9 @@ def dit_rate_bound(family: tuple, k: int, a: int, b: int) -> float:
     bounds the rate 0 that dit_rate gives from p = (d-1)/d on. For a > 2
     it is -inf where every rate on [a, b] is exactly 0 (p(a) >= (b-1)/b,
     or the unclamped bound at most -_BOUND_SLACK), which never displaces
-    the first maximum. A family whose erfc argument overflows somewhere on
-    [a, b] is refused, and so is one whose c d^j s overflows there unless
-    erfc(sqrt(num / DBL_MAX)) is 1.0, so that p = 1 is exact where it does.
+    the first maximum. dit_error_prob refuses a family that leaves
+    float64 on [a, b].
     """
-    num, c, j, s = family
-    low, high = c * float(a) ** j * s, c * float(b) ** j * s
-    high_ok = high < math.inf or _erfc_ufunc()(math.sqrt(num / sys.float_info.max)) == 1.0
-    if not (0.0 < low and num / low < math.inf and high_ok):
-        raise ValueError(f"the erfc argument {num!r} / ({c!r} * d**{j} * {s!r}) "
-                         f"leaves float64 for some {a} <= d <= {b}")
     p_a, p_b = dit_error_prob(np.array([a, b], dtype=np.int64), family)
     h_min = min(entropy_base_d(p_a, 2), entropy_base_d(p_b, 2))
     bound = math.log2(b) - k * h_min - k * p_a * math.log2(a - 1)
@@ -134,49 +144,36 @@ def dit_rate_bound(family: tuple, k: int, a: int, b: int) -> float:
     return max(0.0, bound)
 
 
-def scan_dimensions(rate, d_max: int, upper=lambda a, b: math.inf) -> tuple[int, float]:
-    """Best (d, rate(d)) over 2 <= d <= d_max <= 2**53; ties go to the smallest d.
+def optimize_dit_rate(family: tuple, k: int, d_max: int) -> tuple[int, float]:
+    """Best (d, dit_rate(d, p(d), k)) over 2 <= d <= d_max <= 2**53 with p
+    the family's dit_error_prob; ties go to the smallest d.
 
-    ``rate`` maps an int64 array of d to rates elementwise. It runs on
-    blocks of at most _SCAN_CHUNK values, on a grid of blocks starting at
-    d = 2, so memory stays bounded. ``upper(a, b)`` bounds rate(d) from
-    above on a <= d <= b (see dit_rate_bound); the default, infinity,
-    prunes nothing.
-
-    The search is best-first: a heap holds intervals keyed on their bound,
-    starting from [2, d_max]; the top one is split in two on the block
-    grid, or evaluated if it is one block. It stops once the top bound
-    plus the float slack _BOUND_SLACK (1 + |best|) is at most the best
-    rate, when no interval left can hold a value equal to the best. A
-    block replaces the best on a higher rate, or an equal one at a smaller
-    d, so the result is the first maximum of the whole range, bit for bit.
-    With the default bound the intervals pop in ascending d: an exhaustive
-    scan.
+    The search is best-first: a heap holds intervals keyed on their
+    dit_rate_bound, starting from [2, d_max], so a family that leaves
+    float64 is refused before any rate is evaluated. The top interval is
+    split in two on a grid of blocks of at most _SCAN_CHUNK values
+    starting at d = 2, or evaluated as one array if it is one block, so
+    memory stays bounded. It stops once the top bound plus the float
+    slack _BOUND_SLACK (1 + |best|) is at most the best rate, when no
+    interval left can hold a value equal to the best. A block replaces
+    the best on a higher rate, or an equal one at a smaller d, so the
+    result is the first maximum of the whole range, bit for bit.
     """
     if not 2 <= d_max <= _D_LIMIT:
         raise ValueError(f"d_max = {d_max} must lie in [2, 2**53]")
     best = (0, -math.inf)
-    heap = [(-upper(2, d_max), 2, d_max)]
+    heap = [(-dit_rate_bound(family, k, 2, d_max), 2, d_max)]
     while heap and -heap[0][0] + _BOUND_SLACK * (1.0 + abs(best[1])) > best[1]:
         _, a, b = heapq.heappop(heap)
         blocks = (b - a) // _SCAN_CHUNK + 1
         if blocks > 1:
             mid = a + blocks // 2 * _SCAN_CHUNK
-            heapq.heappush(heap, (-upper(a, mid - 1), a, mid - 1))
-            heapq.heappush(heap, (-upper(mid, b), mid, b))
+            heapq.heappush(heap, (-dit_rate_bound(family, k, a, mid - 1), a, mid - 1))
+            heapq.heappush(heap, (-dit_rate_bound(family, k, mid, b), mid, b))
             continue
         ds = np.arange(a, b + 1, dtype=np.int64)
-        rates = rate(ds)
+        rates = dit_rate(ds, dit_error_prob(ds, family), k)
         idx = int(np.argmax(rates))
         if rates[idx] > best[1] or (rates[idx] == best[1] and ds[idx] < best[0]):
             best = (int(ds[idx]), float(rates[idx]))
     return best
-
-
-def optimize_dit_rate(family: tuple, k: int, d_max: int) -> tuple[int, float]:
-    """Best (d, dit_rate(d, p(d), k)) over 2 <= d <= d_max with p the
-    family's dit_error_prob, ties to the smallest d: scan_dimensions pruned
-    by dit_rate_bound, so the rate and its bound share one (family, k).
-    The result is that of an exhaustive scan, bit for bit."""
-    return scan_dimensions(lambda ds: dit_rate(ds, dit_error_prob(ds, family), k), d_max,
-                           partial(dit_rate_bound, family, k))

@@ -244,7 +244,7 @@ def code_dimension(lat: Lattice) -> int:
 
 def rescale(lat: Lattice, lam: int) -> Lattice:
     """Scale a self-dual lattice by sqrt(lam), giving code dimension lam^N."""
-    if lam < 1 or int(lam) != lam:
+    if isinstance(lam, (bool, np.bool_, float)) or lam < 1 or int(lam) != lam:
         raise ValueError("rescale factor must be a positive integer")
     if not is_symplectically_integral(lat) or code_dimension(lat) != 1:
         raise ValueError("rescale requires a symplectically self-dual lattice")

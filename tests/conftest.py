@@ -33,11 +33,12 @@ def on_cpus(monkeypatch):
 
 @pytest.fixture
 def scan_evaluations(monkeypatch):
-    """List that receives the length of every d array that scan_dimensions
-    hands to its rate, for both optimizers."""
-    evaluated, scan = [], dit_rates.scan_dimensions
+    """List that receives the length of every d array that optimize_dit_rate
+    hands to dit_rate, for both optimizers."""
+    evaluated, rate = [], dit_rates.dit_rate
 
-    def counting(rate, d_max, upper):
-        return scan(lambda ds: evaluated.append(len(ds)) or rate(ds), d_max, upper)
-    monkeypatch.setattr(dit_rates, "scan_dimensions", counting)
+    def counting(ds, p, k):
+        evaluated.append(len(ds))
+        return rate(ds, p, k)
+    monkeypatch.setattr(dit_rates, "dit_rate", counting)
     return evaluated

@@ -10,7 +10,8 @@ closest-point references are box enumerations, erfc is a Taylor series
 plus a continued fraction, and success probabilities come from the 1D
 Gaussian CDF. The two per-symbol error bounds are written out in their
 own operation order, which the library's one erfc family must reproduce
-bit for bit. The lattice-averaging error bound, which no library path
+bit for bit, and the best d of a rate scan is a blockwise argmax over
+every d. The lattice-averaging error bound, which no library path
 calls, is kept here as a reference that the rate tests check.
 """
 
@@ -246,6 +247,21 @@ def signal_error_prob(d, power: float, sigma_sq: float):
     from scipy.special import erfc
     d_sq = np.asarray(d, dtype=float) ** 2
     return erfc(np.sqrt(1.5 * power / (d_sq * sigma_sq)))
+
+
+def exhaustive_argmax(rate, d_max: int) -> tuple[int, float]:
+    """First maximum (d, rate(d)) over 2 <= d <= d_max: ``rate`` maps an
+    int64 array of d to rates elementwise and runs on consecutive blocks of
+    2**16 in ascending d, each reduced by np.argmax; a later block wins
+    only on a strictly higher rate. No bound, no heap."""
+    best = (0, -math.inf)
+    for start in range(2, d_max + 1, 1 << 16):
+        ds = np.arange(start, min(start + (1 << 16), d_max + 1), dtype=np.int64)
+        rates = rate(ds)
+        idx = int(np.argmax(rates))
+        if rates[idx] > best[1]:
+            best = (int(ds[idx]), float(rates[idx]))
+    return best
 
 
 def error_probability_bound(rate: float, noise, eps: float, n_modes: int) -> float:

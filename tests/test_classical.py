@@ -16,10 +16,9 @@ from gkplat.classical_channel import (
     signal_family,
 )
 from gkplat import dit_rates
-from gkplat.dit_rates import (dit_error_prob, dit_rate, dit_rate_bound, entropy_base_d,
-                              scan_dimensions)
+from gkplat.dit_rates import dit_error_prob, dit_rate, dit_rate_bound, entropy_base_d
 
-from oracles import erfc_oracle, signal_error_prob
+from oracles import erfc_oracle, exhaustive_argmax, signal_error_prob
 
 
 def at_snr(snr: float) -> ClassicalParams:
@@ -174,11 +173,10 @@ class TestOptimize:
             assert rates[i] == pytest.approx(dit_rate(int(d), p, 1), rel=1e-15, abs=0)
 
     def test_pruned_scan_equals_exhaustive(self):
-        # --snr-grid 1:1e10:50 and the README grid; without a bound
-        # scan_dimensions skips nothing, so it gives the exhaustive argmax
+        # --snr-grid 1:1e10:50 and the README grid, against the argmax over every d
         for snr in np.concatenate([np.geomspace(1, 1e10, 50), np.geomspace(1, 1e6, 100)]):
             params = at_snr(float(snr))
-            want = scan_dimensions(
+            want = exhaustive_argmax(
                 lambda ds: concat_rate(ds, params),
                 max(2, math.ceil(8.0 * math.sqrt(params.snr))))
             assert optimize_classical_d(params) == want

@@ -199,12 +199,14 @@ class TestConcatSimCommand:
         assert_one_error_line(code, out, err)
 
     def test_huge_d_refused_before_its_decode_table(self, capsys):
-        # the table of 9 (d - 1) corrections would take over a gigabyte
-        code, out, err, peak = run_cli_peak(["concat-sim", "--d", "200000", "--sigma-sq",
-                                             "1e-4", "--trials", "10", "--seed", "1"], capsys)
-        assert_one_error_line(code, out, err)
-        assert "d**6 overflow int64" in err
-        assert peak < 4 * 2**20
+        # the table of 9 (d - 1) corrections would take over a gigabyte; from
+        # d = 2**63 on, d itself does not fit int64
+        for d in ["200000", "9223372036854775808"]:
+            code, out, err, peak = run_cli_peak(["concat-sim", "--d", d, "--sigma-sq", "1e-4",
+                                                 "--trials", "10", "--seed", "1"], capsys)
+            assert_one_error_line(code, out, err)
+            assert "d**6 overflow int64" in err
+            assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("sigma_sq", ["1e40", "1e300"])
     def test_shifts_beyond_float64_integers_refused(self, capsys, sigma_sq):

@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcinv
 from scipy.stats import chi2_contingency
@@ -34,11 +34,11 @@ from gkplat.dit_rates import (
     dit_rate_bound,
     entropy_base_d,
     optimize_dit_rate,
-    scan_dimensions,
 )
 from gkplat.rates import coherent_information
 
-from oracles import erfc_oracle, qudit_error_prob, qudit_shift_pmf, wilson_halfwidth
+from oracles import (erfc_oracle, exhaustive_argmax, qudit_error_prob, qudit_shift_pmf,
+                     wilson_halfwidth)
 
 
 def concat_rate(d, noise):
@@ -84,6 +84,27 @@ class TestErrorProbBound:
             for d in map(int, ds[::9]):
                 assert np.asarray(gkp_qudit_error_prob(d, noise)).tobytes() == \
                     np.asarray(qudit_error_prob(d, noise.sigma_sq, noise.hbar)).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(num=st.floats(5e-324, 1e308), s=st.floats(5e-324, 1e308),
+           cj=st.sampled_from([(4.0, 1), (1.0, 2)]), d=st.integers(2, 2**53))
+    @example(num=math.pi * 1e307, s=1e308, cj=(4.0, 1), d=2)
+    def test_float64_domain_decided_by_dit_error_prob(self, num, s, cj, d):
+        # either the family is refused, or p is erfc of the argument taken in
+        # log space; never p = 1 where the true p is below 1. The example is
+        # gkp_qudit_error_prob(2, NoiseModel(1e308, 1e307)): 4 d sigma^2
+        # overflows, but the true p is about 0.78
+        c, j = cj
+        half_log_arg = 0.5 * (math.log(num) - math.log(c) - j * math.log(d) - math.log(s))
+        want = erfc_oracle(math.exp(half_log_arg)) if half_log_arg < 709.0 else 0.0
+        try:
+            p = dit_error_prob(d, (num, c, j, s))
+        except ValueError as err:
+            assert "leaves float64" in str(err)
+            return
+        assert not (p == 1.0 and want < 1.0 - 1e-9)
+        assert p == pytest.approx(want, rel=1e-8, abs=1e-300)
 
 
 _ERFC_PROBE = """
@@ -287,30 +308,35 @@ class TestOptimize:
 
     def test_scan_blocks_agree_with_one_array(self, monkeypatch):
         # a rate with many ties, split into blocks of 7: the first maximum wins,
-        # also when a bound growing with d makes the blocks pop in descending d
+        # with an infinite bound (blocks pop in ascending d) and with one
+        # growing with d (they pop in descending d)
         def rate(ds):
             return np.round(np.sin(0.37 * ds), 1)
+        family = qudit_family(NoiseModel(0.1))
         monkeypatch.setattr(dit_rates, "_SCAN_CHUNK", 7)
-        for d_max in range(2, 60):
-            ds = np.arange(2, d_max + 1)
-            idx = int(np.argmax(rate(ds)))
-            want = (int(ds[idx]), float(rate(ds)[idx]))
-            assert scan_dimensions(rate, d_max) == want
-            assert scan_dimensions(rate, d_max, lambda a, b: float(b)) == want
-        assert scan_dimensions(lambda ds: np.zeros(len(ds)), 40) == (2, 0.0)
+        monkeypatch.setattr(dit_rates, "dit_rate", lambda ds, p, k: rate(ds))
+        for bound in [lambda f, k, a, b: math.inf, lambda f, k, a, b: float(b)]:
+            monkeypatch.setattr(dit_rates, "dit_rate_bound", bound)
+            for d_max in range(2, 60):
+                ds = np.arange(2, d_max + 1)
+                idx = int(np.argmax(rate(ds)))
+                want = (int(ds[idx]), float(rate(ds)[idx]))
+                assert optimize_dit_rate(family, 2, d_max) == want
+        monkeypatch.setattr(dit_rates, "dit_rate", lambda ds, p, k: np.zeros(len(ds)))
+        assert optimize_dit_rate(family, 2, 40) == (2, 0.0)
         with pytest.raises(ValueError):
-            scan_dimensions(rate, 1)
+            optimize_dit_rate(family, 2, 1)
 
     def test_pruned_scan_equals_exhaustive(self):
-        # the README grid, --sigma-grid 1e-3:0.0137:3 and the anchor; without a
-        # bound scan_dimensions skips nothing, so it gives the exhaustive argmax
+        # the README grid, --sigma-grid 1e-3:0.0137:3 and the anchor, against
+        # the argmax over every d
         sigma_sq = [float(s) ** 2 for s in np.geomspace(0.0137, 0.45, 60)]
         sigma_sq += [float(s) ** 2 for s in np.geomspace(1e-3, 0.0137, 3)] + [1.88e-4]
         for s in sigma_sq:
             noise = NoiseModel(s)
             design = optimize_qudit_dimension(noise)
-            want = scan_dimensions(lambda ds: concat_rate(ds, noise),
-                                   max(2, math.ceil(8.0 / s)))
+            want = exhaustive_argmax(lambda ds: concat_rate(ds, noise),
+                                     max(2, math.ceil(8.0 / s)))
             assert (design.d_opt, design.rate_qubits) == want
 
     def test_pruned_scan_evaluation_count(self, scan_evaluations):
@@ -347,12 +373,10 @@ class TestOptimize:
             rates = concat_rate(ds, noise)
             if rates.max() > best[1]:
                 best = (int(ds[np.argmax(rates)]), float(rates.max()))
-        got = []
-
-        def rate(ds):
-            got.append(int(ds[0]))
-            return concat_rate(ds, noise)
-        assert scan_dimensions(rate, d_max, upper) == best
+        got, rate = [], dit_rates.dit_rate
+        monkeypatch.setattr(dit_rates, "dit_rate", lambda ds, p, k:
+                            got.append(int(ds[0])) or rate(ds, p, k))
+        assert optimize_dit_rate(qudit_family(noise), 2, d_max) == best
         assert got and set(got) <= set(want)
         assert len(got) == len(set(got))
 
@@ -365,7 +389,8 @@ class TestOptimize:
                             bounds.append((f, k)) or bound(f, k, a, b))
         for k in [1, 2]:
             bounds.clear()
-            want = scan_dimensions(lambda ds: dit_rate(ds, dit_error_prob(ds, family), k), 8000)
+            want = exhaustive_argmax(lambda ds: dit_rate(ds, dit_error_prob(ds, family), k),
+                                     8000)
             assert optimize_dit_rate(family, k, 8000) == want
             assert bounds and set(bounds) == {(family, k)}
 

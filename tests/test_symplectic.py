@@ -260,7 +260,7 @@ class TestRescale:
         base = get(f"Zn({2 * modes})").lattice
         assert code_dimension(rescale(base, lam)) == lam ** modes
 
-    @pytest.mark.parametrize("lam", [0, Fraction(3, 2)])
+    @pytest.mark.parametrize("lam", [0, Fraction(3, 2), 2.0, True])
     def test_rejects_non_positive_integer_factor(self, lam):
         with pytest.raises(ValueError, match="rescale factor must be a positive integer"):
             rescale(lattice_from_rows(I2, 1), lam)
