@@ -159,8 +159,9 @@ def optimize_dit_rate(family: tuple, k: int, d_max: int) -> tuple[int, float]:
     the best on a higher rate, or an equal one at a smaller d, so the
     result is the first maximum of the whole range, bit for bit.
     """
-    if not 2 <= d_max <= _D_LIMIT:
-        raise ValueError(f"d_max = {d_max} must lie in [2, 2**53]")
+    if (isinstance(d_max, bool) or not isinstance(d_max, (int, np.integer))
+            or not 2 <= d_max <= _D_LIMIT):
+        raise ValueError(f"d_max = {d_max} must lie in [2, 2**53] and be an integer")
     best = (0, -math.inf)
     heap = [(-dit_rate_bound(family, k, 2, d_max), 2, d_max)]
     while heap and -heap[0][0] + _BOUND_SLACK * (1.0 + abs(best[1])) > best[1]:

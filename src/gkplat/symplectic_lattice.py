@@ -6,7 +6,8 @@ coordinates) together with a rational scale factor ``scale_sq`` = lambda;
 the effective generator matrix is M = sqrt(lambda) * basis.  Keeping the
 sqrt(lambda) symbolic means every algebraic predicate -- symplectic
 integrality, duals, standard forms, code dimensions -- is exact rational
-arithmetic with no tolerance anywhere.
+arithmetic with no tolerance anywhere. A code's m = |det M| = |Pf A| = det D
+is read off |det M|; standard_form, which displays D, certifies itself.
 
 Conventions: coordinates are ordered (q-like..., p-like...), so the
 symplectic form omega is the block matrix [[0, I], [-I, 0]]. Two
@@ -226,31 +227,24 @@ def standard_form(gram: SymplecticGram) -> StandardForm:
     return form
 
 
-def cell_volume(lat: Lattice) -> Fraction:
-    """Exact unit-cell volume |det M| = |det basis| * lambda^N."""
-    return abs(exact.determinant(lat.basis)) * lat.scale_sq ** lat.num_modes
-
-
 def code_dimension(lat: Lattice) -> int:
-    """Code-space dimension m = det D = |Pf A| of an integral lattice."""
-    gram = symplectic_gram(lat)
-    if not exact.is_integral(gram.entries):
+    """Code-space dimension m = |det M| = |Pf A| = det D of an integral lattice:
+    L_perp / L has det A = (det M)^2 = m^2 elements, as det omega = 1."""
+    if not is_symplectically_integral(lat):
         raise ValueError("lattice is not symplectically integral")
-    m = math.prod(standard_form(gram).diag)
-    if cell_volume(lat) != m:  # |det M| must agree exactly
-        raise AssertionError("code dimension disagrees with |det M|")
-    return m
+    return int(abs(exact.determinant(lat.basis)) * lat.scale_sq ** lat.num_modes)
 
 
 def rescale(lat: Lattice, lam: int) -> Lattice:
     """Scale a self-dual lattice by sqrt(lam), giving code dimension lam^N."""
-    if isinstance(lam, (bool, np.bool_, float)) or lam < 1 or int(lam) != lam:
+    if (isinstance(lam, bool) or not isinstance(lam, (int, np.integer, Fraction))
+            or lam < 1 or int(lam) != lam):
         raise ValueError("rescale factor must be a positive integer")
     if not is_symplectically_integral(lat) or code_dimension(lat) != 1:
         raise ValueError("rescale requires a symplectically self-dual lattice")
     if lam == 1:
         return lat
-    return Lattice(lat.basis, lat.scale_sq * lam)
+    return Lattice(lat.basis, lat.scale_sq * int(lam))
 
 
 @dataclass(frozen=True)
@@ -276,11 +270,12 @@ class LatticeCode:
 def make_code(lat: Lattice) -> LatticeCode:
     """Build the code defined by a symplectically integral lattice.
 
-    A is formed, reduced to standard form and inverted once each. A^-1 M
-    generates the normalizer, and A^-1 is also the coefficient transition:
+    A is formed and inverted once each; a build certifies that A is integral
+    and the pairing identity M_perp omega M^T = I. A^-1 M generates the
+    normalizer, and A^-1 is also the coefficient transition:
     c M_perp = (c A^-1) M for normalizer coefficients c.
     """
-    m = code_dimension(lat)  # validates integrality; certifies |det M| = m
+    m = code_dimension(lat)  # validates integrality
     a = symplectic_gram(lat).entries
     a_inv = exact.inverse(a)
     normalizer = _dual(lat, a_inv)

@@ -6,12 +6,12 @@ never forms it), the Pfaffian is a combinatorial sum over perfect
 matchings, the determinant and inverse are Fraction eliminations (the
 library's is a fraction-free pass in ints), lattice membership is a
 Fraction elimination of its own,
-closest-point references are box enumerations, erfc is a Taylor series
-plus a continued fraction, and success probabilities come from the 1D
-Gaussian CDF. The two per-symbol error bounds are written out in their
-own operation order, which the library's one erfc family must reproduce
-bit for bit, and the best d of a rate scan is a blockwise argmax over
-every d. The lattice-averaging error bound, which no library path
+closest-point references are box enumerations, erfc is a series of
+positive terms plus a continued fraction, and success probabilities come
+from the 1D Gaussian CDF. The two per-symbol error bounds are written out
+in their own operation order, which the library's one erfc family must
+reproduce bit for bit, and the best d of a rate scan is a blockwise
+argmax over every d. The lattice-averaging error bound, which no library path
 calls, is kept here as a reference that the rate tests check.
 """
 
@@ -215,18 +215,20 @@ def reference_closest(name: str, x) -> tuple[np.ndarray, float]:
 
 
 def erfc_oracle(z: float) -> float:
-    """erfc via Taylor series (small z) or Lentz-free continued fraction."""
+    """erfc via a series of positive terms (z < 1.5) or a Lentz-free
+    continued fraction (z >= 1.5)."""
     if z < 0:
         return 2.0 - erfc_oracle(-z)
-    if z < 3.0:
-        # erf(z) = 2/sqrt(pi) sum (-1)^k z^(2k+1) / (k! (2k+1))
-        total, term = 0.0, z
-        k = 0
-        while abs(term) > 1e-20 * max(1.0, abs(total)):
-            total += term / (2 * k + 1)
+    if z < 1.5:
+        # erf(z) = 2/sqrt(pi) exp(-z^2) sum 2^k z^(2k+1) / (1 3 ... (2k+1));
+        # no term cancels another, and erfc >= 0.03 here, so 1 - erf keeps
+        # its relative accuracy
+        total, term, k = 0.0, z, 0
+        while term > 1e-17 * total:
+            total += term
             k += 1
-            term *= -z * z / k
-        return 1.0 - 2.0 / math.sqrt(math.pi) * total
+            term *= 2.0 * z * z / (2 * k + 1)
+        return 1.0 - 2.0 / math.sqrt(math.pi) * math.exp(-z * z) * total
     # erfc(z) = exp(-z^2)/sqrt(pi) / (z + (1/2)/(z + 1/(z + (3/2)/(z + ...))))
     f = 0.0
     for k in range(80, 0, -1):

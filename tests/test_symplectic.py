@@ -16,7 +16,6 @@ from gkplat.catalog import get
 from gkplat.symplectic_lattice import (
     Lattice,
     SymplecticGram,
-    cell_volume,
     code_dimension,
     coeff_transition,
     dual_lattice,
@@ -31,7 +30,7 @@ from gkplat.symplectic_lattice import (
     symplectic_pairing,
 )
 
-from oracles import coset_member, omega, pfaffian
+from oracles import coset_member, determinant, omega, pfaffian
 
 I2 = [[1, 0], [0, 1]]
 I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
@@ -227,11 +226,14 @@ class TestCodeDimension:
             assert Fraction(m) ** 2 == abs(det_a)
 
     def test_cell_volume(self):
+        def cell_volume(lat):  # |det M| = |det basis| * lambda^N, by the oracle
+            return abs(determinant(lat.basis)) * lat.scale_sq ** lat.num_modes
         for name in ["grid_qudit(3)", "D4", "E8"]:
             lat = get(name).lattice
             volume = abs(np.linalg.det(lat.effective_matrix()))
             assert float(cell_volume(lat)) == pytest.approx(volume, rel=1e-12)
             m = code_dimension(lat)
+            assert cell_volume(lat) == m
             assert cell_volume(lat) == m * m * cell_volume(dual_lattice(lat))
 
     def test_rejects_non_integral(self):
@@ -260,7 +262,7 @@ class TestRescale:
         base = get(f"Zn({2 * modes})").lattice
         assert code_dimension(rescale(base, lam)) == lam ** modes
 
-    @pytest.mark.parametrize("lam", [0, Fraction(3, 2), 2.0, True])
+    @pytest.mark.parametrize("lam", [0, Fraction(3, 2), 2.0, True, np.float32(2.0)])
     def test_rejects_non_positive_integer_factor(self, lam):
         with pytest.raises(ValueError, match="rescale factor must be a positive integer"):
             rescale(lattice_from_rows(I2, 1), lam)
@@ -347,21 +349,25 @@ class TestLatticeCode:
 
     def test_one_derivation(self, derivations):
         lat = rescale(get("E8").lattice, 2)
-        derivations.clear()  # rescale itself reduced E8 to standard form
-        make_code(Lattice(lat.basis, lat.scale_sq))
-        assert derivations == {"inverse": 1, "standard_form": 1}
+        symplectic_gram.cache_clear()  # this build forms A, not an earlier test
+        derivations.clear()  # rescale itself checked that E8 is self-dual
+        make_code(lat)
+        # det: |det M| and the normalizer's Lattice check; mat_mul: A, A^-1 M
+        # and the pairing identity
+        assert derivations == {"inverse": 1, "determinant": 2, "mat_mul": 3}
 
 
 @pytest.fixture
 def derivations(monkeypatch):
-    """Counter of the calls to exact.inverse, standard_form and
-    coeff_transition."""
+    """Counter of the calls to exact.inverse, exact.determinant,
+    exact.mat_mul, standard_form and coeff_transition."""
     calls = collections.Counter()
 
     def count(module, name):
         call = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or call(*a))
-    count(exact, "inverse")
+    for name in ("inverse", "determinant", "mat_mul"):
+        count(exact, name)
     for name in ("standard_form", "coeff_transition"):
         count(symplectic_lattice, name)
     return calls
@@ -399,7 +405,9 @@ class TestOneDerivationProperty:
         for row in stabilizer.basis:
             assert coset_member(normalizer, row, stabilizer.scale_sq)
         assert symplectic_pairing(normalizer, stabilizer) == exact.identity(lat.n)
-        assert code.dimension == abs(pfaffian(symplectic_gram(lat).entries))
+        gram = symplectic_gram(lat)
+        assert (code.dimension == code_dimension(lat) == abs(pfaffian(gram.entries))
+                == math.prod(standard_form(gram).diag))
         if m is not None:
             assert code.dimension == m
         for l1, l2 in ((normalizer, stabilizer), (stabilizer, normalizer), (lat, lat)):
