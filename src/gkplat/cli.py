@@ -2,10 +2,12 @@
 
 Numeric output is printed with 17 significant digits, grids are evaluated
 deterministically, and Monte Carlo commands record their seed, worker
-count, and RNG algorithm, so identical invocations reproduce identical
-bytes. Every CSV carries a comment line with the checksum of its manifest;
-writing to a file also drops a ``<out>.manifest.json`` sidecar. JSON
-results embed the manifest directly.
+count, and RNG algorithm, so identical invocations on one host reproduce
+identical bytes. Across numpy SIMD levels a rate table's grid values,
+taken from np.geomspace, can differ by one ulp, and so can its bytes;
+Monte Carlo failure counts do not. Every CSV carries a comment line with
+the checksum of its manifest; writing to a file also drops a
+``<out>.manifest.json`` sidecar. JSON results embed the manifest directly.
 """
 
 from __future__ import annotations
@@ -192,7 +194,12 @@ def _cmd_simulate(args) -> None:
     from .channel_sim import estimate_error_probability
     from .symplectic_lattice import make_code
     code = make_code(_resolve_lattice(args.lattice))
-    estimate = partial(estimate_error_probability, code, criterion=args.criterion)
+
+    def estimate(noise, trials, seed, workers):
+        try:
+            return estimate_error_probability(code, noise, trials, seed, args.criterion, workers)
+        except ValueError as exc:  # the noise against this lattice's scale, not one target
+            raise ValueError(f"lattice {args.lattice}: {exc}") from exc
     _emit_estimate(args, estimate, criterion=args.criterion, lattice=args.lattice)
 
 

@@ -24,6 +24,7 @@ derives from its check matrices.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +162,7 @@ def optimize_qudit_dimension(noise: NoiseModel, d_max: int | None = None) -> Con
 
 
 _SAMPLE_CHUNK = 1 << 16  # normals per fill of the one reused float buffer
-_MAX_SHIFT = 2.0 ** 53   # rounded shifts below it are exact integers, cast safely
+_MAX_SHIFT = 2.0 ** 53   # float64 holds every integer below it exactly
 
 
 def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
@@ -170,31 +171,40 @@ def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
 
     Shifts are sampled in physical units and binned to the nearest
     multiple of the spacing delta = sqrt(2 pi hbar / d), modulo d. They
-    are drawn _SAMPLE_CHUNK at a time into one float buffer and binned
-    into the int64 output, with the values and generator state of one
-    draw of the whole (2,) + size array. A shift of 2**53 spacings or more,
-    beyond float64's exact integers, raises ValueError before the cast.
+    are drawn _SAMPLE_CHUNK at a time into one float buffer, reduced mod d
+    in float as s - floor(s / d) d and cast into the int64 output, with
+    the values and generator state of one draw of the whole (2,) + size
+    array. The reduction is exact while |s| + d < 2**53; a shift beyond
+    that, or a d of 2**53 or more, raises ValueError before the cast, and
+    a d that is not an integer raises TypeError.
     """
+    d = operator.index(d)
     if d < 2:
         raise ValueError("qudit dimension must be >= 2")
     delta = math.sqrt(2.0 * math.pi * noise.hbar / d)
     sigma = math.sqrt(noise.sigma_sq)
+    limit = _MAX_SHIFT - d  # below it s, floor(s / d) d and their difference are exact
     shape = (2,) + (tuple(size) if isinstance(size, tuple) else (size,))
     binned = np.empty(shape, dtype=np.int64)
     flat = binned.reshape(-1)
     chunk = np.empty(min(_SAMPLE_CHUNK, flat.size))
     for lo in range(0, flat.size, _SAMPLE_CHUNK):
         shifts = chunk[:flat.size - lo]
+        out = flat[lo:lo + len(shifts)]
         rng.standard_normal(out=shifts)
         shifts *= sigma
         shifts /= delta
         np.rint(shifts, out=shifts)
-        if not (-_MAX_SHIFT < shifts.min() and shifts.max() < _MAX_SHIFT):
-            raise ValueError(f"sigma_sq = {noise.sigma_sq!r} and hbar = {noise.hbar!r} give "
-                             f"qudit shifts of 2**53 spacings or more, beyond float64's "
-                             f"exact integers")
-        flat[lo:lo + len(shifts)] = shifts  # the same cast as astype(np.int64)
-    flat %= d
+        if not (-limit < shifts.min() and shifts.max() < limit):
+            raise ValueError(f"d = {d} with sigma_sq = {noise.sigma_sq!r} and hbar = "
+                             f"{noise.hbar!r} gives qudit shifts s with |s| + d >= 2**53, "
+                             f"beyond float64's exact integers")
+        wraps = out.view(np.float64)  # the output slice, not yet written, as scratch
+        np.divide(shifts, d, out=wraps)
+        np.floor(wraps, out=wraps)
+        wraps *= d
+        shifts -= wraps
+        out[:] = shifts  # the same cast as astype(np.int64)
     return binned[0], binned[1]
 
 
@@ -270,28 +280,68 @@ def simulate_concatenated(code: CssCode, noise: NoiseModel, trials: int, seed: i
     return _estimate(block_failures, seed, trials, workers, batch_cap)
 
 
+_DECODE_ROWS = 1 << 12  # nonzero rows decoded per pass
+
+
 def _decode_sector(d, errors, checks, table, opposite_logical):
-    """Table rows and failure mask of one sector for (m, n) exponents; a
-    missing syndrome gets the last row (zero correction) and fails. The
-    residual errors - correction pairs with the opposite logicals as
-    errors @ opposite_logical.T minus the row's stored pairing, mod d."""
+    """Table rows and failure mask of one sector for (m, n) exponents in
+    [0, d). A row of zero exponents keeps row 0 and never fails: key 0
+    sorts first and the zero error is the first candidate, so row 0 holds
+    a zero correction and a zero pairing. Only the other rows are decoded,
+    _DECODE_ROWS at a time from a copy. Each syndrome digit, and each
+    pairing of the residual errors - correction with the opposite
+    logicals, is a sum of coefficient times column over one matrix row's
+    nonzero entries, mod d. A missing syndrome gets the last row (zero
+    correction) and fails.
+
+    The copy and the failure flags use buffers whose length depends on m
+    alone: numpy keeps freed buffers under 1 KiB for reuse by exact size,
+    so flags as long as a varying count of rows would pile up in the heap.
+    """
     keys, _, weights, pairing = table
-    synd = errors @ checks.T
-    synd %= d
-    synd = synd @ weights
-    row = np.searchsorted(keys, synd)
-    found = keys[row] == synd
-    row[~found] = -1
-    residual = errors @ opposite_logical.T
-    residual -= pairing[row]
-    residual %= d
-    return row, ~found | residual.any(axis=1)
+    row = np.zeros(len(errors), dtype=np.int64)
+    bad = np.zeros(len(errors), dtype=bool)
+    rows = np.flatnonzero(np.einsum("ij->i", errors))  # no negative exponent: sum 0 means all 0
+    size = min(_DECODE_ROWS, len(errors))
+    copy = np.empty((size, errors.shape[1]), dtype=np.int64)
+    flags = np.empty((2, size), dtype=bool)
+    for lo in range(0, len(rows), _DECODE_ROWS):
+        part = rows[lo:lo + _DECODE_ROWS]
+        # mode "clip" (the rows are in range): with "raise", take would buffer out
+        nonzero = np.take(errors, part, axis=0, out=copy[:len(part)], mode="clip")
+        synd = np.zeros(len(part), dtype=np.int64)
+        for check, weight in zip(checks, weights):
+            digit = _combine_columns(nonzero, check)
+            digit %= d
+            digit *= weight
+            synd += digit
+        found = np.searchsorted(keys, synd)
+        failed = np.not_equal(keys[found], synd, out=flags[0, :len(part)])
+        found[failed] = -1
+        for logical, paired in zip(opposite_logical, pairing.T):
+            residual = _combine_columns(nonzero, logical)
+            residual -= paired[found]
+            residual %= d
+            failed |= np.not_equal(residual, 0, out=flags[1, :len(part)])
+        row[part] = found
+        bad[part] = failed
+    return row, bad
+
+
+def _combine_columns(block, coefficients):
+    """Sum of coefficients[j] * block[:, j] over the nonzero coefficients."""
+    total = np.zeros(len(block), dtype=np.int64)
+    for j, c in enumerate(coefficients.tolist()):
+        if c:
+            total += block[:, j] * c
+    return total
 
 
 def _batch_failures(code: CssCode, a, b):
-    """Syndrome decoding of (m, n) X exponents a and Z exponents b, sectors
-    independently: returns (X table rows, Z table rows, failure mask); the
-    corrections are rows of code.x_table[1] and code.z_table[1]."""
+    """Syndrome decoding of (m, n) X exponents a and Z exponents b, each in
+    [0, d), sectors independently: returns (X table rows, Z table rows,
+    failure mask); the corrections are rows of code.x_table[1] and
+    code.z_table[1]."""
     row_a, bad_a = _decode_sector(code.d, a, code.hz, code.x_table, code.logical_z)
     row_b, bad_b = _decode_sector(code.d, b, code.hx, code.z_table, code.logical_x)
     return row_a, row_b, bad_a | bad_b

@@ -140,7 +140,8 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test below
         u = xs @ m_inv
     if u.size and not (-_MAX_COEFF < u.min() and u.max() < _MAX_COEFF):
-        raise ValueError("target too far from the origin for float64: coefficients reach 2**26")
+        raise ValueError("target coefficients in the lattice basis reach 2**26, beyond "
+                         "float64: the target is too far out for the lattice's scale")
     if c_sq is not None:
         # rounding is exact; tie gap c_sq (1 - 2 max_i |frac_i|), bitwise the least
         # per-coordinate gap c_sq (1 - 2|frac_i|) since 1 - 2x is monotone in float

@@ -12,7 +12,9 @@ from the 1D Gaussian CDF. The two per-symbol error bounds are written out
 in their own operation order, which the library's one erfc family must
 reproduce bit for bit, and the best d of a rate scan is a blockwise
 argmax over every d. The lattice-averaging error bound, which no library path
-calls, is kept here as a reference that the rate tests check.
+calls, is kept here as a reference that the rate tests check, and so is the
+dense block decoder: int64 matrix products over every row, where the
+library sums over the checks' nonzero entries on the nonzero rows only.
 """
 
 from __future__ import annotations
@@ -316,3 +318,21 @@ def qudit_shift_pmf(d: int, sigma: float, hbar: float = 1.0, k_range: int = 8) -
 def wilson_halfwidth(p_hat: float, trials: int, z: float = 1.959963984540054) -> float:
     zz = z * z / trials
     return z * math.sqrt(p_hat * (1.0 - p_hat) / trials + zz / (4.0 * trials)) / (1.0 + zz)
+
+
+def matmul_decode_sector(d, errors, checks, table, opposite_logical):
+    """Table rows and failure mask of one sector for (m, n) exponents; a
+    missing syndrome gets the last row (zero correction) and fails. The
+    residual errors - correction pairs with the opposite logicals as
+    errors @ opposite_logical.T minus the row's stored pairing, mod d."""
+    keys, _, weights, pairing = table
+    synd = errors @ checks.T
+    synd %= d
+    synd = synd @ weights
+    row = np.searchsorted(keys, synd)
+    found = keys[row] == synd
+    row[~found] = -1
+    residual = errors @ opposite_logical.T
+    residual -= pairing[row]
+    residual %= d
+    return row, ~found | residual.any(axis=1)

@@ -469,6 +469,15 @@ class TestBadInput:
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
             assert_one_error_line(*run_cli(command, capsys))
 
+    def test_lattice_too_fine_for_the_noise_named(self, capsys):
+        # the sampled displacements are ordinary; the normalizer's cells are tiny
+        lattice = "grid_qudit:99999999999999999999"
+        code, out, err = run_cli(["simulate", "--lattice", lattice, "--sigma-sq", "0.1",
+                                  "--trials", "10", "--seed", "1"], capsys)
+        assert_one_error_line(code, out, err)
+        assert err.startswith(f"gkplat: error: lattice {lattice}: ")
+        assert "2**26" in err and "lattice's scale" in err
+
     def test_undecodable_target_on_threaded_streams(self, capsys, monkeypatch, on_cpus):
         # two streams of a full block each: both raise on their own thread
         monkeypatch.setenv("GKPLAT_WORKERS", "2")

@@ -37,8 +37,8 @@ from gkplat.dit_rates import (
 )
 from gkplat.rates import coherent_information
 
-from oracles import (erfc_oracle, exhaustive_argmax, qudit_error_prob, qudit_shift_pmf,
-                     wilson_halfwidth)
+from oracles import (erfc_oracle, exhaustive_argmax, matmul_decode_sector, qudit_error_prob,
+                     qudit_shift_pmf, wilson_halfwidth)
 
 
 def concat_rate(d, noise):
@@ -480,6 +480,30 @@ class TestChannelSample:
         assert np.array_equal(a, want[0]) and np.array_equal(b, want[1])
         assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
 
+    @pytest.mark.parametrize("d", [2, 3, 1448, 2**40 + 1, 2**53 - 1])
+    def test_float_binning_exact_up_to_its_limit(self, d):
+        # shifts s at and around |s| + d = 2**53: binned as int64 % d, or refused
+        noise = NoiseModel(1.0)  # sigma = 1
+        delta = math.sqrt(2.0 * math.pi * noise.hbar / d)
+        for target in (0, 1, d - 1, d, 2**52, 2**53 - d - 2, 2**53 - d, 2**53 - d + 2,
+                       2**53 - 1, 2**53):
+            for sign in (1, -1):
+                x = sign * target * delta
+                s = float(np.rint(x * 1.0 / delta))  # the function's own float steps
+                if abs(s) + d < 2**53:
+                    a, b = sample_qudit_errors(d, noise, FixedNormals([x, -x]), 1)
+                    assert a.dtype == b.dtype == np.int64
+                    assert (int(a[0]), int(b[0])) == (int(s) % d, int(-s) % d)
+                else:
+                    with pytest.raises(ValueError, match=r"\|s\| \+ d >= 2\*\*53"):
+                        sample_qudit_errors(d, noise, FixedNormals([x, -x]), 1)
+
+    def test_qudit_dimension_must_be_an_integer_below_2_to_the_53(self):
+        with pytest.raises(TypeError):
+            sample_qudit_errors(2.0, NoiseModel(0.1), make_generator(1), 1)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            sample_qudit_errors(2**53, NoiseModel(1e-30), make_generator(1), 1)
+
     def test_batch_memory_bounded(self):
         # one full block of shor9 at d = 10: sampling, then decoding
         code = shor9_code(10)
@@ -502,6 +526,17 @@ class TestChannelSample:
         table = np.array([[((a == 0) & (b == 0)).sum(), ((a == 0) & (b != 0)).sum()],
                           [((a != 0) & (b == 0)).sum(), ((a != 0) & (b != 0)).sum()]])
         assert chi2_contingency(table).pvalue > 0.001
+
+
+class FixedNormals:
+    """Stands in for a generator: standard_normal(out=...) copies out the
+    given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def standard_normal(self, out):
+        out[:] = self.values[:len(out)]
 
 
 def all_single_errors(d):
@@ -584,6 +619,66 @@ class TestShor9:
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert np.array_equal(g, w)
+
+
+def oracle_codes():
+    """Codes for the decoder comparison: shor9 at both ends of concat-sim's
+    range and between, the mod-3 code with a coefficient 2, the bare qudit
+    with empty check matrices, and a code with all-zero check and logical
+    rows."""
+    ones = np.array([[1, 1, 1]], dtype=np.int64)
+    empty, one = np.zeros((0, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64)
+    zero_rows = CssCode(d=3, hz=np.array([[1, -1, 0], [0, 0, 0], [0, 1, -1]], dtype=np.int64),
+                        hx=np.zeros((1, 3), dtype=np.int64),
+                        logical_x=np.array([[1, 1, 1], [0, 0, 0]], dtype=np.int64),
+                        logical_z=np.array([[1, 0, 0]], dtype=np.int64))
+    return [pytest.param(shor9_code(d), id=f"shor9-d{d}") for d in (2, 3, 10, 1448)] + [
+        pytest.param(CssCode(d=3, hz=np.array([[1, 2, 0]], dtype=np.int64), hx=ones,
+                             logical_x=ones, logical_z=ones), id="coefficient-2"),
+        pytest.param(CssCode(d=5, hz=empty, hx=empty, logical_x=one, logical_z=one),
+                     id="bare-qudit"),
+        pytest.param(zero_rows, id="zero-rows"),
+    ]
+
+
+def mixed_block(code: CssCode, rng, rows: int = 3000) -> np.ndarray:
+    """(rows, n) exponents in [0, d): a third all zero, a third one nonzero
+    entry, a third drawn over the full range."""
+    d, n = code.d, code.n
+    kind = rng.integers(0, 3, rows)
+    block = rng.integers(0, d, (rows, n))
+    block[kind < 2] = 0
+    single = np.flatnonzero(kind == 1)
+    block[single, rng.integers(0, n, len(single))] = rng.integers(1, d, len(single))
+    return block
+
+
+class TestBlockDecoderOracle:
+    @pytest.mark.parametrize("code", oracle_codes())
+    def test_zero_error_is_row_zero(self, code):
+        # why an all-zero row may skip decoding: it keeps row 0 and never fails
+        for keys, corrections, _, pairing in (code.x_table, code.z_table):
+            assert keys[0] == 0
+            assert not corrections[0].any() and not pairing[0].any()
+
+    @pytest.mark.parametrize("code", oracle_codes())
+    def test_rows_and_failures_match_matmul_decoder(self, code):
+        rng = np.random.default_rng(code.d)
+        a, b = mixed_block(code, rng), mixed_block(code, rng)
+        zero = np.zeros_like(a)
+        want_a, bad_a = matmul_decode_sector(code.d, a, code.hz, code.x_table, code.logical_z)
+        want_b, bad_b = matmul_decode_sector(code.d, b, code.hx, code.z_table, code.logical_x)
+        assert 0 < bad_a.sum() + bad_b.sum()
+        for x, z, rows_x, rows_z, failed in [(a, zero, want_a, 0, bad_a),
+                                             (zero, b, 0, want_b, bad_b),
+                                             (a, b, want_a, want_b, bad_a | bad_b)]:
+            got_x, got_z, got_failed = concatenated._batch_failures(code, x, z)
+            assert got_x.dtype == got_z.dtype == np.int64
+            assert np.array_equal(got_x, np.broadcast_to(rows_x, len(x)))
+            assert np.array_equal(got_z, np.broadcast_to(rows_z, len(z)))
+            assert np.array_equal(got_failed, failed)
+        empty = concatenated._batch_failures(code, a[:0], b[:0])
+        assert [len(x) for x in empty] == [0, 0, 0]
 
 
 def dict_tables(code: CssCode):
@@ -715,10 +810,14 @@ class TestSimulateConcatenated:
         assert est.failures == fails_scalar
 
     @pytest.mark.parametrize("d,workers,failures", [
-        (3, 1, 23), (3, 2, 30), (10, 1, 71574), (10, 2, 71280)])
+        (3, 1, 23), (3, 2, 30), (10, 1, 71574), (10, 2, 71280),
+        (2, 1, 32262), (2, 2, 32254), (1448, 1, 45055), (1448, 2, 45036)])
     def test_pinned_failure_counts(self, d, workers, failures):
-        # exact counts at seed 19: a change to sampling or decoding shows here
-        est = simulate_concatenated(shor9_code(d), NoiseModel(0.05), 300_000, 19, workers)
+        # exact counts at seed 19: a change to sampling or decoding shows here.
+        # At both ends of concat-sim's d range the noise is set so that some
+        # blocks, not none or all, fail
+        sigma_sq = {2: 0.2, 1448: 3e-4}.get(d, 0.05)
+        est = simulate_concatenated(shor9_code(d), NoiseModel(sigma_sq), 300_000, 19, workers)
         assert est.failures == failures
 
     def test_threaded_counts_equal_serial(self, on_cpus):
