@@ -16,14 +16,14 @@ __version__ = "0.1.0"
 
 # Each public name and the submodule that defines it.
 _SUBMODULE = {name: module for module, names in {
-    "channel_sim": "NoiseModel estimate_error_probability",
+    "channel_sim": "estimate_error_probability",
     "classical_channel": "ClassicalParams debuda_rate minkowski_lattice_rate "
                          "optimize_classical_d shannon_capacity",
-    "concatenated": "gkp_qudit_error_prob min_distance_comparison optimize_qudit_dimension "
-                    "shor9_code simulate_concatenated",
+    "concatenated": "min_distance_comparison shor9_code simulate_concatenated",
     "decoder": "closest_point packing_radius shortest_vector",
-    "rates": "best_integer_lambda coherent_information hw_upper_bound minkowski_radius_sq "
-             "sphere_packing_rate sphere_volume",
+    "dit_rates": "gkp_qudit_error_prob optimize_qudit_dimension",
+    "rates": "NoiseModel best_integer_lambda coherent_information hw_upper_bound "
+             "minkowski_radius_sq sphere_packing_rate sphere_volume",
     "symplectic_lattice": "code_dimension dual_lattice is_symplectically_integral "
                           "lattice_from_rows make_code rescale standard_form symplectic_gram",
 }.items() for name in names.split()}

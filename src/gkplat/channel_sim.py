@@ -39,32 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rates import NoiseModel  # also imported from here, as channel_sim.NoiseModel
+
 RNG_ALGORITHM = "philox4x64+sha256-worker-streams/v1"
 WILSON_Z = 1.959963984540054  # 97.5th normal percentile, for 95% intervals
 _BATCH = 1 << 15  # rows per block; bounds what each running stream holds at once
 
 CRITERIA = ("voronoi", "coset")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Gaussian displacement channel: per-quadrature variance, physical units."""
-
-    sigma_sq: float
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if not (0 <= self.sigma_sq < math.inf and 0 < self.hbar < math.inf):
-            raise ValueError("sigma_sq must be finite and >= 0, hbar finite and > 0")
-
-    @property
-    def lattice_sigma_sq(self) -> float:
-        """Displacement variance per dimensionless lattice coordinate."""
-        return self.sigma_sq / (2.0 * math.pi * self.hbar)
-
-    @property
-    def lattice_sigma(self) -> float:
-        return math.sqrt(self.lattice_sigma_sq)
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,11 @@ def debuda_rate(params: ClassicalParams) -> float:
 
 
 def signal_family(params: ClassicalParams) -> tuple:
-    """The dit_rates family (1.5 P, 1.0, 2, sigma^2) of d-ary signals with
-    spacing 2 dx, dx = sqrt(3 P) / d: p(d) = erfc(sqrt(3 P / (2 d^2 sigma^2)))."""
-    return (1.5 * params.power, 1.0, 2, params.sigma_sq)
+    """The dit_rates family (1.5, 1.0, 2, sigma^2 / P) of d-ary signals with
+    spacing 2 dx, dx = sqrt(3 P) / d: p(d) = erfc(sqrt(3 P / (2 d^2 sigma^2))).
+    P and sigma^2 enter through their float quotient alone, so p is exactly
+    invariant wherever that quotient is; at P = 1 it is sigma^2 itself."""
+    return (1.5, 1.0, 2, params.sigma_sq / params.power)
 
 
 def optimize_classical_d(params: ClassicalParams, d_max: int | None = None) -> tuple[int, float]:

@@ -3,9 +3,11 @@
 Numeric output is printed with 17 significant digits, grids are evaluated
 deterministically, and Monte Carlo commands record their seed, worker
 count, and RNG algorithm, so identical invocations on one host reproduce
-identical bytes. Across numpy SIMD levels a rate table's grid values,
-taken from np.geomspace, can differ by one ulp, and so can its bytes;
-Monte Carlo failure counts do not. Every CSV carries a comment line with
+identical bytes. The rate tables (rates, concat-rates, classical-rates)
+are plain Python floats from the math module, grid included, and load
+neither numpy nor scipy: their bytes do not depend on numpy's SIMD level,
+though they may differ between libm builds. Monte Carlo failure counts
+depend on neither. Every CSV carries a comment line with
 the checksum of its manifest; writing to a file also drops a
 ``<out>.manifest.json`` sidecar. JSON results embed the manifest directly.
 """
@@ -80,8 +82,10 @@ def _emit(args, result, **fields) -> None:
 
 def _grid(spec: str) -> tuple:
     """Parse a start:stop:points grid spec; returns it with its log-spaced
-    values (an array). Endpoints must be positive and finite, points at
-    most 10**6."""
+    values as floats, by numpy's geomspace formula in libm's log10 and
+    pow: y_i = i * step + log10(start), then 10.0 ** y_i, with the two
+    endpoints restored exactly. Endpoints must be positive and finite,
+    points at most 10**6."""
     try:
         start_s, stop_s, pts_s = spec.split(":")
         start, stop, pts = float(start_s), float(stop_s), int(pts_s)
@@ -93,8 +97,14 @@ def _grid(spec: str) -> tuple:
             "grid endpoints must be positive and finite, points >= 1")
     if pts > 10 ** 6:
         raise argparse.ArgumentTypeError("grid points must be at most 10**6")
-    import numpy as np
-    return spec, np.geomspace(start, stop, pts)
+    log_start = math.log10(start)
+    step = (math.log10(stop) - log_start) / (pts - 1) if pts > 1 else 0.0
+    try:
+        values = [10.0 ** (i * step + log_start) for i in range(pts)]
+    except OverflowError:  # a point within rounding of DBL_MAX
+        raise argparse.ArgumentTypeError(f"grid {spec!r} has a point beyond float64")
+    values[0], values[-1] = start, stop if pts > 1 else start
+    return spec, values
 
 
 def _resolve_lattice(spec: str):
@@ -125,7 +135,7 @@ def _table(header, flag, grid, row) -> list:
     float, its cells formatted by _canonical_json; an error on a value, a
     non-finite cell included, names the flag and the value."""
     table = [header]
-    for value in map(float, grid):
+    for value in grid:
         try:
             table.append([_canonical_json(cell) for cell in row(value)])
         except (ValueError, ArithmeticError) as exc:
@@ -134,9 +144,8 @@ def _table(header, flag, grid, row) -> list:
 
 
 def _cmd_rates(args) -> None:
-    from .channel_sim import NoiseModel
-    from .rates import (best_integer_lambda, coherent_information, hw_upper_bound,
-                        sphere_packing_rate)
+    from .rates import (NoiseModel, best_integer_lambda, coherent_information,
+                        hw_upper_bound, sphere_packing_rate)
     spec, grid = args.sigma_sq_grid
 
     def row(s):
@@ -148,9 +157,8 @@ def _cmd_rates(args) -> None:
 
 
 def _cmd_concat_rates(args) -> None:
-    from .channel_sim import NoiseModel
-    from .concatenated import optimize_qudit_dimension
-    from .rates import coherent_information
+    from .dit_rates import optimize_qudit_dimension
+    from .rates import NoiseModel, coherent_information
     spec, grid = args.sigma_grid
 
     def row(sigma):

@@ -1,18 +1,17 @@
-"""Concatenated coding: a grid qudit in each oscillator, a CSS code on top.
+"""Concatenated coding: a grid qudit in each oscillator, a CSS code on
+top. This module is the Monte Carlo side.
 
 Each oscillator carries a d-dimensional system encoded in the single-mode
 grid code; a shift of q by an integer multiple a of the normalizer spacing
 delta = sqrt(2 pi hbar / d) acts as X^a on the qudit, a shift of p as Z^b.
-Under Gaussian displacements the per-qudit error probabilities obey
-
-    p_X, p_Z <= erfc(sqrt(pi hbar / (4 d sigma^2)))
-
-(qudit_family, in the erfc family of dit_rates), and the X/Z components
-are independent. A CSS code over Z_d then protects k of N qudits; the
-achievable asymptotic rate, dit_rate(d, p, 2) qubits per oscillator,
-uses the pessimistic model where all d-1 shift values are equally
-likely, while the Monte Carlo here samples the true (peaked) shift
-distribution.
+The X/Z components are independent under Gaussian displacements. The
+asymptotic side lives in dit_rates, which needs no numpy: the per-qudit
+bound p_X, p_Z <= erfc(sqrt(pi hbar / (4 d sigma^2)))
+(gkp_qudit_error_prob), the rate dit_rate(d, p, 2) qubits per oscillator
+of a random CSS code over Z_d, and its best d (optimize_qudit_dimension,
+also importable from here). That rate uses the pessimistic model where
+all d-1 shift values are equally likely, while the Monte Carlo here
+samples the true (peaked) shift distribution.
 
 The explicit nine-qudit block code below (three repetition blocks, block
 sums compared across blocks) stands in for the random CSS codes of the
@@ -29,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel_sim import ErrorEstimate, NoiseModel, _estimate
-from .dit_rates import dit_error_prob, optimize_dit_rate, scan_ceiling
+from .channel_sim import ErrorEstimate, _estimate
+from .dit_rates import optimize_qudit_dimension  # noqa: F401  (still imported from here)
+from .rates import NoiseModel
 
 
 @dataclass(frozen=True)
@@ -112,53 +112,6 @@ class CssCode:
         corrections = np.zeros((len(keys), n), dtype=np.int64)
         corrections[:-1] = errors[first]
         return keys, corrections, weights, (corrections @ opposite_logical.T) % d
-
-
-def qudit_family(noise: NoiseModel) -> tuple:
-    """The dit_rates family (pi hbar, 4.0, 1, sigma^2) of the grid-qudit bound."""
-    return (math.pi * noise.hbar, 4.0, 1, noise.sigma_sq)
-
-
-def gkp_qudit_error_prob(d: int | np.ndarray, noise: NoiseModel) -> float | np.ndarray:
-    """Tail bound erfc(sqrt(pi hbar / (4 d sigma^2))) on p_X and p_Z; d may
-    be an integer or an array of them."""
-    if np.any(np.asarray(d) < 1):
-        raise ValueError("qudit dimension must be >= 1")
-    return dit_error_prob(d, qudit_family(noise))
-
-
-@dataclass(frozen=True)
-class ConcatDesign:
-    """Optimized concatenated design at one noise level."""
-
-    sigma_sq: float
-    d_opt: int
-    p: float                 # per-qudit error bound at d_opt
-    rate_qubits: float
-    c_sq: float              # rate written as log2(c_sq * hbar / sigma_sq)
-
-
-def optimize_qudit_dimension(noise: NoiseModel, d_max: int | None = None) -> ConcatDesign:
-    """Best qudit dimension over 2 <= d <= d_max; ties go to the smallest d.
-
-    The default ceiling 8 hbar / sigma^2 leaves the optimum (near
-    c_sq * hbar / sigma^2 with c_sq < 1/e) well in the interior; below
-    sigma^2 = 8 hbar / 2**53 it passes the scan's limit and is refused.
-    The rate is dit_rate(d, p, 2), a CSS code over Z_d on grid qudits
-    with p = p_X = p_Z the grid-qudit error bound (optimize_dit_rate).
-    """
-    if noise.sigma_sq == 0.0:  # no errors: the rate grows without bound in d
-        raise ValueError("sigma_sq = 0 has no optimal qudit dimension")
-    if d_max is None:
-        d_max = scan_ceiling(8.0 * noise.hbar / noise.sigma_sq,
-                             f"sigma_sq = {noise.sigma_sq!r} with hbar = {noise.hbar!r}")
-    d_opt, rate = optimize_dit_rate(qudit_family(noise), 2, d_max)
-    c_sq = 2.0 ** rate * noise.sigma_sq / noise.hbar
-    if c_sq == math.inf:
-        raise ValueError(f"c_sq = 2**rate * sigma_sq / hbar overflows float64 at "
-                         f"sigma_sq = {noise.sigma_sq!r} with hbar = {noise.hbar!r}")
-    p = float(gkp_qudit_error_prob(d_opt, noise))
-    return ConcatDesign(noise.sigma_sq, d_opt, p, rate, c_sq)
 
 
 _SAMPLE_CHUNK = 1 << 16  # normals per fill of the one reused float buffer

@@ -9,10 +9,30 @@ the dimensionless ratio hbar / sigma_sq.
 from __future__ import annotations
 
 import math
-
-from .channel_sim import NoiseModel
+from dataclasses import dataclass
 
 _EPS = math.ulp(1.0)
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Gaussian displacement channel: per-quadrature variance, physical units."""
+
+    sigma_sq: float
+    hbar: float = 1.0
+
+    def __post_init__(self):
+        if not (0 <= self.sigma_sq < math.inf and 0 < self.hbar < math.inf):
+            raise ValueError("sigma_sq must be finite and >= 0, hbar finite and > 0")
+
+    @property
+    def lattice_sigma_sq(self) -> float:
+        """Displacement variance per dimensionless lattice coordinate."""
+        return self.sigma_sq / (2.0 * math.pi * self.hbar)
+
+    @property
+    def lattice_sigma(self) -> float:
+        return math.sqrt(self.lattice_sigma_sq)
 
 
 def _ratio(noise: NoiseModel, c: float) -> float:

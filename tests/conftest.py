@@ -33,12 +33,12 @@ def on_cpus(monkeypatch):
 
 @pytest.fixture
 def scan_evaluations(monkeypatch):
-    """List that receives the length of every d array that optimize_dit_rate
-    hands to dit_rate, for both optimizers."""
+    """List that receives every d that optimize_dit_rate hands to dit_rate,
+    for both optimizers: its length counts the scalar rate evaluations."""
     evaluated, rate = [], dit_rates.dit_rate
 
-    def counting(ds, p, k):
-        evaluated.append(len(ds))
-        return rate(ds, p, k)
+    def counting(d, p, k):
+        evaluated.append(d)
+        return rate(d, p, k)
     monkeypatch.setattr(dit_rates, "dit_rate", counting)
     return evaluated

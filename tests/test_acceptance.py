@@ -18,8 +18,6 @@ from gkplat.channel_sim import NoiseModel, estimate_error_probability, make_gene
 from gkplat.concatenated import (
     QuditPauliError,
     css_decode,
-    gkp_qudit_error_prob,
-    optimize_qudit_dimension,
     sample_qudit_errors,
     shor9_code,
     simulate_concatenated,
@@ -33,7 +31,12 @@ from gkplat.classical_channel import (
     signal_family,
 )
 from gkplat.decoder import closest_points, shortest_vector
-from gkplat.dit_rates import dit_error_prob, dit_rate
+from gkplat.dit_rates import (
+    dit_error_prob,
+    dit_rate,
+    gkp_qudit_error_prob,
+    optimize_qudit_dimension,
+)
 from gkplat.rates import (
     best_integer_lambda,
     coherent_information,

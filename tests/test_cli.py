@@ -4,6 +4,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -17,6 +20,8 @@ from gkplat import channel_sim, dit_rates
 from gkplat.cli import _build_parser, _canonical_json, _grid, main
 
 from oracles import square_lattice_failure_prob, wilson_halfwidth
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def run_cli(args, capsys):
@@ -117,7 +122,7 @@ class TestRateScanTail:
         code, out, _ = run_cli(command + ["--d-max", "100000000000"], capsys)
         assert code == 0
         assert int(out.splitlines()[2].split(",")[column]) == d_opt
-        assert len(calls) <= 64
+        assert len(calls) <= 32
 
 
 class TestClassicalRatesCommand:
@@ -568,6 +573,13 @@ class TestExitCodes:
             f"gkplat {command[0]}: error: argument {command[1]}: "
             "grid endpoints must be positive and finite, points >= 1")
 
+    def test_grid_point_beyond_float64_is_usage_error(self, capsys):
+        # 10 ** log10(DBL_MAX) rounds past DBL_MAX at the middle point
+        spec = "1.7976931348623157e308:1.7976931348623157e308:3"
+        code, out, err = run_cli(["rates", "--sigma-sq-grid", spec], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"grid {spec!r} has a point beyond float64")
+
     @pytest.mark.parametrize("points", [10 ** 6 + 1, 10 ** 15])
     def test_grid_points_bounded(self, capsys, points):
         code, out, err = run_cli(["rates", "--sigma-sq-grid", f"1e-4:1:{points}"], capsys)
@@ -659,41 +671,38 @@ def test_console_entry_point():
     assert proc.stdout.startswith("# manifest-sha256: ")
 
 
-_SCIPY_PROBE = """
+_IMPORT_PROBE = """
 import contextlib, io, json, sys
-loaded = {"import": "scipy" in sys.modules}
+loaded = {"import": ["scipy" in sys.modules, "numpy" in sys.modules]}
 from gkplat.cli import main
-loaded["import gkplat.cli"] = "scipy" in sys.modules
+loaded["import gkplat.cli"] = ["scipy" in sys.modules, "numpy" in sys.modules]
 startup = {name: name in sys.modules for name in ("concurrent.futures", "logging")}
-special = {}
 for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(args) == 0, args
-    loaded[" ".join(args)] = "scipy" in sys.modules
-    special[" ".join(args)] = [name in sys.modules
-                               for name in ("scipy.special", "scipy.special._special_ufuncs")]
-print(json.dumps([loaded, startup, special]))
+    loaded[" ".join(args)] = ["scipy" in sys.modules, "numpy" in sys.modules]
+print(json.dumps([loaded, startup]))
 """
 
 
-def test_scipy_loaded_only_where_erfc_runs():
-    # the tests import scipy themselves, so this runs in a fresh interpreter
-    calls = [["lattice-info", "D4"],
-             ["rates", "--sigma-sq-grid", "1e-2:1e0:3"],
+def test_no_subcommand_loads_scipy():
+    # the tests import numpy and scipy themselves, so this runs in a fresh
+    # interpreter: the rate tables come first and load neither, and no
+    # subcommand loads scipy
+    calls = [["rates", "--sigma-sq-grid", "1e-2:1e0:3"],
+             ["concat-rates", "--sigma-grid", "0.1:0.1:1"],
+             ["classical-rates", "--snr-grid", "10:10:1"],
+             ["lattice-info", "D4"],
              ["decode", "Zn:2", "0.4,-0.3"],
              ["simulate", "--lattice", "D4", "--sigma-sq", "0.2", "--trials", "10", "--seed", "1"],
-             ["concat-sim", "--d", "3", "--sigma-sq", "0.05", "--trials", "100", "--seed", "1"],
-             ["concat-rates", "--sigma-grid", "0.1:0.1:1"],
-             ["classical-rates", "--snr-grid", "10:10:1"]]
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)],
+             ["concat-sim", "--d", "3", "--sigma-sq", "0.05", "--trials", "100", "--seed", "1"]]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded, startup, special = json.loads(proc.stdout)
+    loaded, startup = json.loads(proc.stdout)
     assert list(loaded) == ["import", "import gkplat.cli"] + [" ".join(a) for a in calls]
-    assert list(loaded.values()) == [False] * 7 + [True, True]
-    # erfc comes from scipy's ufunc extension, loaded by path: the
-    # scipy.special package itself is never imported
-    assert list(special.values()) == [[False, False]] * 5 + [[False, True]] * 2
+    # [scipy, numpy] after each step, in order
+    assert list(loaded.values()) == [[False, False]] * 5 + [[False, True]] * 4
     # the stream threads need neither: both would add to every CLI start-up
     assert startup == {"concurrent.futures": False, "logging": False}
 
@@ -719,17 +728,20 @@ _MODULES_LOADED = [
     (["import gkplat"], []),
     (["import gkplat.cli"], []),
     (["--help"], []),
-    (["rates", "--sigma-sq-grid", "1e-2:1e0:3"], ["channel_sim", "rates"]),
-    (["concat-rates", "--sigma-grid", "0.1:0.1:1"],
-     ["channel_sim", "concatenated", "dit_rates", "rates"]),
-    (["classical-rates", "--snr-grid", "10:10:1"], ["classical_channel", "dit_rates"]),
+    (["rates", "--sigma-sq-grid", "1e-2:1e0:3"], ["rates"]),
+    (["concat-rates", "--sigma-grid", "0.1:0.1:1"], ["dit_rates", "rates"]),
+    (["classical-rates", "--snr-grid", "10:10:1"], ["classical_channel", "dit_rates", "rates"]),
     (["lattice-info", "D4"], _LATTICE_MODULES),
     (["decode", "Zn:2", "0.4,-0.3"], _LATTICE_MODULES),
     (["simulate", "--lattice", "D4", "--sigma-sq", "0.2", "--trials", "10", "--seed", "1"],
-     _LATTICE_MODULES + ["channel_sim"]),
+     _LATTICE_MODULES + ["channel_sim", "rates"]),
     (["concat-sim", "--d", "3", "--sigma-sq", "0.05", "--trials", "100", "--seed", "1"],
-     ["channel_sim", "concatenated", "dit_rates"]),
+     ["channel_sim", "concatenated", "dit_rates", "rates"]),
 ]
+
+# calls that load no numpy: besides import and --help, the three rate tables
+_WITHOUT_NUMPY = ("import gkplat", "import gkplat.cli", "--help", "rates", "concat-rates",
+                  "classical-rates")
 
 
 @pytest.mark.parametrize("call,modules", _MODULES_LOADED,
@@ -737,52 +749,24 @@ _MODULES_LOADED = [
 def test_subcommand_loads_only_its_modules(call, modules):
     # each call pays only for the gkplat modules its handler runs, so it
     # runs in a fresh interpreter; `import gkplat`, `import gkplat.cli` and
-    # `--help` load none, and no numpy either
+    # `--help` load none, and they and the rate tables load no numpy
     proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(call)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     cli = [] if call == ["import gkplat"] else ["cli"]
     loaded, numpy_loaded = json.loads(proc.stdout)
     assert loaded == sorted(f"gkplat.{name}" for name in modules + cli)
-    assert numpy_loaded == (call[0] not in ("import gkplat", "import gkplat.cli", "--help"))
-
-
-_FALLBACK_PROBE = """
-import contextlib, importlib.machinery, io, json, sys
-from gkplat.cli import main
-if sys.argv[1] == "fallback":
-    importlib.machinery.EXTENSION_SUFFIXES = []  # scipy's erfc file is not found by path
-outputs = []
-for args in json.loads(sys.argv[2]):
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert main(args) == 0, args
-    outputs.append(out.getvalue())
-print(json.dumps([outputs, "scipy.special" in sys.modules]))
-"""
-
-
-def test_erfc_fallback_gives_identical_csv():
-    # where the ufunc file cannot be found, `from scipy.special import erfc` runs
-    calls = [["concat-rates", "--sigma-grid", "1e-3:0.0137:3"],
-             ["classical-rates", "--snr-grid", "1:1e10:50"]]
-    runs = {}
-    for path in ("by-path", "fallback"):
-        proc = subprocess.run([sys.executable, "-c", _FALLBACK_PROBE, path, json.dumps(calls)],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        runs[path] = json.loads(proc.stdout)
-    assert [runs["by-path"][1], runs["fallback"][1]] == [False, True]
-    assert runs["fallback"][0] == runs["by-path"][0]
+    assert numpy_loaded == (call[0] not in _WITHOUT_NUMPY)
 
 
 # The 13 acceptance commands and the first 16 hex digits of the sha256 of
 # their stdout with GKPLAT_WORKERS=2: any change to a number, a label or
 # the JSON and CSV layout shows here.
 ACCEPTANCE_HASHES = [
-    ("rates --sigma-sq-grid 1e-4:1e0:100", "bec39ad0a0d004bb"),
-    ("concat-rates --sigma-grid 0.0137:0.45:60", "b498576b556e4246"),
-    ("concat-rates --sigma-grid 1e-3:0.0137:3", "a0e326c13de11c12"),
-    ("classical-rates --snr-grid 1:1e10:50", "afc2e0d550777426"),
+    ("rates --sigma-sq-grid 1e-4:1e0:100", "3da8ec801f3ac206"),
+    ("concat-rates --sigma-grid 0.0137:0.45:60", "5674073c0cc12bef"),
+    ("concat-rates --sigma-grid 1e-3:0.0137:3", "d0469ee5f719a82c"),
+    ("classical-rates --snr-grid 1:1e10:50", "9fb424702e689068"),
     ("simulate --lattice D4 --sigma-sq 0.2 --trials 2000 --seed 5 --criterion voronoi",
      "eabb4959b30f8300"),
     ("simulate --lattice D4 --sigma-sq 0.2 --trials 2000 --seed 5 --criterion coset",
@@ -805,6 +789,45 @@ def test_acceptance_output_hash(capsys, monkeypatch, command, digest):
     code, out, err = run_cli(command.split(), capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+_RATE_TABLES = ACCEPTANCE_HASHES[:4]
+
+
+@pytest.mark.parametrize("command,digest", _RATE_TABLES, ids=[c for c, _ in _RATE_TABLES])
+def test_rate_table_bytes_do_not_depend_on_numpy_simd(command, digest):
+    # the rate tables are computed without numpy, so turning off numpy's
+    # AVX-512 kernels changes none of their bytes
+    for cpu_features in [None, "AVX512_SPR AVX512_ICL X86_V4"]:
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        if cpu_features is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = cpu_features
+        proc = subprocess.run([sys.executable, "-m", "gkplat.cli", *command.split()],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] == digest
+
+
+_ULP_BOUND = 8  # each float cell of a rate table within 8 ulp of the reference
+
+
+@pytest.mark.parametrize("command", [c for c, _ in _RATE_TABLES])
+def test_rate_tables_match_the_numpy_scipy_reference(capsys, command):
+    # tests/data holds these tables as a numpy and scipy evaluation printed
+    # them (np.geomspace grids, scipy's erfc, numpy's log): every row keeps
+    # its d_opt, and every float cell is within a few ulp
+    reference = (DATA / (re.sub(r"[^\w.]+", "_", command) + ".csv")).read_text().splitlines()
+    code, out, _ = run_cli(command.split(), capsys)
+    assert code == 0
+    lines = out.splitlines()[1:]
+    assert lines[0] == reference[0] and len(lines) == len(reference)
+    for got_row, want_row in zip(lines[1:], reference[1:]):
+        for got, want in zip(got_row.split(","), want_row.split(",")):
+            if want.lstrip("-").isdigit():  # d_opt, and integral zeros
+                assert got == want
+            else:
+                got_f, want_f = float(got), float(want)
+                assert abs(got_f - want_f) <= _ULP_BOUND * math.ulp(want_f), (got, want)
 
 
 # Every subcommand with its help and, per action in parser order: option
