@@ -2,9 +2,9 @@
 simulate the explicit nine-qudit block code below its pseudothreshold."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfcinv
 
 from gkplat import (
     NoiseModel,
@@ -39,8 +39,9 @@ for n_modes in (10, 100, 1000):
 
 print()
 print("== The nine-qudit block code under the true shift distribution ==")
+erfcinv_001 = NormalDist().inv_cdf(0.995) / math.sqrt(2.0)  # erfc(x) = 0.01
 for d in (2, 3):
-    sigma_sq = math.pi / (4.0 * d * float(erfcinv(0.01)) ** 2)
+    sigma_sq = math.pi / (4.0 * d * erfcinv_001 ** 2)
     noise = NoiseModel(sigma_sq)
     p = gkp_qudit_error_prob(d, noise)
     est = simulate_concatenated(shor9_code(d), noise, 200_000, seed=9)

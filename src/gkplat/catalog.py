@@ -40,7 +40,7 @@ _NAMED = {
 }
 
 
-_PARAMETRIC = re.compile(r"^(Zn|grid_qudit)[(:]([0-9]+)\)?$")
+_PARAMETRIC = re.compile(r"(Zn|grid_qudit)(?:\(([0-9]+)\)|:([0-9]+))")
 
 
 def get(name: str) -> CatalogEntry:
@@ -53,10 +53,10 @@ def get(name: str) -> CatalogEntry:
     if name in _NAMED:
         basis, notes = _NAMED[name]
         return CatalogEntry(name=name, lattice=lattice_from_rows(basis, 1), notes=notes)
-    m = _PARAMETRIC.match(name)
+    m = _PARAMETRIC.fullmatch(name)
     if m is None:
         raise ValueError(f"unknown lattice name: {name!r}")
-    kind, arg = m.group(1), int(m.group(2))
+    kind, arg = m.group(1), int(m.group(2) or m.group(3))
     # both are identity bases: Zn(n) is n x n at scale 1, grid_qudit(d) 2 x 2 at scale d
     if kind == "Zn":
         if arg <= 0 or arg % 2:

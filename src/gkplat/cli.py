@@ -191,6 +191,8 @@ def _emit_estimate(args, estimate, **labels) -> None:
     """Run a Monte Carlo estimate with the shared --sigma-sq, --hbar,
     --trials and --seed flags, and emit it with the run's labels."""
     from .channel_sim import RNG_ALGORITHM, NoiseModel
+    if args.trials < 1:
+        raise ValueError(f"--trials must be positive, got {args.trials}")
     noise = NoiseModel(args.sigma_sq, args.hbar)
     workers = _workers()
     est = estimate(noise, args.trials, args.seed, workers=workers)

@@ -98,16 +98,14 @@ def dit_rate_bound(family: tuple, k: int, a: int, b: int) -> float:
     p = dit_error_prob(., family) and h2 the binary entropy in bits.
 
     p(d) lies in [p(a), p(b)] and h2 is concave, so h2(p(d)) >= h_min, the
-    smaller of h2(p(a)) and h2(p(b)). The bound is the least of three:
+    smaller of h2(p(a)) and h2(p(b)). The bound is the lesser of two:
 
-    * separate: log2 b - k h_min - k p(a) log2(a-1); log2 d is at most its
-      value at b, and p(d) log2(d-1), a product of nonnegative
-      nondecreasing factors, at least its value at a;
     * coupled: g(d) = (1 - k p) log2 d + k p log2(d/(d-1)) - k h2(p), so
       g <= (1 - k p(a)) log2 b + k p(b) log2(a/(a-1)) - k h_min, with
-      log2 a for log2 b where 1 - k p(a) < 0;
-    * mean value (Piyavskii 1972, Shubert 1972): g(d) <= g(a) + max(0, U)
-      (b - a) for U >= sup g' on [a, b], where
+      log2 a for log2 b where 1 - k p(a) < 0. Where p(b) is 0, p is 0 on
+      all of [a, b], every g(d) is log2 d, and this is log2 b exactly;
+    * mean value (Piyavskii 1972, Shubert 1972), for 0 < p(b) < 1:
+      g(d) <= g(a) + max(0, U) (b - a) for U >= sup g' on [a, b], where
       g' = 1/(d ln 2) - k p' (log2((1-p)/p) + log2(d-1)) - k p/((d-1) ln 2)
       and p'(d) = j z e^(-z^2) / (d sqrt(pi)), z = sqrt(num / (c d^j s)).
       ln p' has the slope -(j/2 + 1) + j z^2 in ln d, falling in d, so p'
@@ -130,7 +128,7 @@ def dit_rate_bound(family: tuple, k: int, a: int, b: int) -> float:
 
     The bound also bounds the rate 0 that dit_rate gives from p = (d-1)/d
     on. For a > 2 it is -inf where every rate on [a, b] is exactly 0 (p(a)
-    >= (b-1)/b, or the least bound at most -_BOUND_SLACK), which never
+    >= (b-1)/b, or the bound at most -_BOUND_SLACK), which never
     displaces the first maximum. dit_error_prob refuses a family that
     leaves float64 at a or b, and so on [a, b].
     """
@@ -141,24 +139,18 @@ def dit_rate_bound(family: tuple, k: int, a: int, b: int) -> float:
     h_a, h_b = entropy_base_d(p_a, 2), entropy_base_d(p_b, 2)
     h_min = min(h_a, h_b)
     log2_gap = math.log2(a - 1)  # 0 when a == 2
-    separate = math.log2(b) - k * h_min - k * p_a * log2_gap
     lead = 1.0 - k * p_a
-    coupled = lead * math.log2(b if lead >= 0.0 else a) \
+    bound = lead * math.log2(b if lead >= 0.0 else a) \
         + k * p_b * math.log2(a / (a - 1)) - k * h_min
-    bound = min(separate, coupled)
-    drop = None  # a lower bound on k p' L over [a, b], where one is known
-    if p_b == 0.0:  # p is 0 in float64 on [a, b], L is positive: k p' L >= 0
-        drop = 0.0
-    elif p_b < 1.0:
+    if 0.0 < p_b < 1.0:
         logs = (math.log1p(-p_b) / _LN2, -math.log2(p_b), log2_gap)
         bracket = sum(logs) - _REL * (1.0 + sum(map(abs, logs)))
         if bracket > 0.0:
             drop = k * bracket * min(j * z_a * math.exp(-arg_a) / (a * _SQRT_PI),
                                      j * z_b * math.exp(-arg_b) / (b * _SQRT_PI))
-    if drop is not None:
-        u = (1.0 + _REL) / (a * _LN2) - (1.0 - _REL) * (drop + k * p_a / ((b - 1) * _LN2))
-        g_a = math.log2(a) - k * h_a - k * p_a * log2_gap
-        bound = min(bound, g_a + max(0.0, u) * (b - a))
+            u = (1.0 + _REL) / (a * _LN2) - (1.0 - _REL) * (drop + k * p_a / ((b - 1) * _LN2))
+            g_a = math.log2(a) - k * h_a - k * p_a * log2_gap
+            bound = min(bound, g_a + max(0.0, u) * (b - a))
     if a > 2 and (p_a >= (b - 1) / b or bound <= -_BOUND_SLACK):
         return -math.inf
     return max(0.0, bound)

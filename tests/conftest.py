@@ -42,3 +42,16 @@ def scan_evaluations(monkeypatch):
         return rate(d, p, k)
     monkeypatch.setattr(dit_rates, "dit_rate", counting)
     return evaluated
+
+
+@pytest.fixture
+def scan_bound_calls(monkeypatch):
+    """List that receives every interval (a, b) that optimize_dit_rate
+    hands to dit_rate_bound: its length counts the bound calls."""
+    calls, bound = [], dit_rates.dit_rate_bound
+
+    def counting(family, k, a, b):
+        calls.append((a, b))
+        return bound(family, k, a, b)
+    monkeypatch.setattr(dit_rates, "dit_rate_bound", counting)
+    return calls

@@ -1,6 +1,7 @@
 """Catalog lattices: constants and structural claims."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,14 @@ def test_unknown_name():
         get("Zn(3)")
     with pytest.raises(ValueError, match="grid_qudit requires d >= 1"):
         get("grid_qudit(0)")
+
+
+@pytest.mark.parametrize("name", ["Zn:4)", "Zn(4", "grid_qudit:2)", "grid_qudit(2",
+                                  "Zn(4))", "Zn:(4)", "Zn:4:", "Zn4", "Zn()", "Zn:"])
+def test_unbalanced_or_mixed_parametric_name_refused(name):
+    # exactly name(n) or name:n
+    with pytest.raises(ValueError, match=f"unknown lattice name: {re.escape(repr(name))}"):
+        get(name)
 
 
 def test_zn_limited_to_decoder_dimensions():

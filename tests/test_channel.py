@@ -201,6 +201,11 @@ class TestEstimate:
         est = estimate_error_probability(GQ2, noise, 10_001, seed=1, workers=7)
         assert est.trials == 10_001
 
+    @pytest.mark.parametrize("trials,workers", [(0, 1), (-5, 1), (10, 0)])
+    def test_nonpositive_trials_or_workers_refused(self, trials, workers):
+        with pytest.raises(ValueError, match="trials and workers must be positive"):
+            estimate_error_probability(GQ2, lattice_noise(0.2), trials, seed=1, workers=workers)
+
     def test_partition_sized_by_trials(self):
         # only the workers that draw get a count, however many are requested
         assert partition_trials(3, 10**6) == [1, 1, 1]

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gkplat import channel_sim, dit_rates
+from gkplat import channel_sim
 from gkplat.cli import _build_parser, _canonical_json, _grid, main
 
 from oracles import square_lattice_failure_prob, wilson_halfwidth
@@ -113,16 +113,32 @@ class TestRateScanTail:
         (["concat-rates", "--sigma-grid", "100:100:1"], 1, 2),
         (["classical-rates", "--snr-grid", "1e-3:1e-3:1"], 4, 2),
     ])
-    def test_huge_d_max_costs_few_bound_calls(self, capsys, monkeypatch, command, column,
+    def test_huge_d_max_costs_few_bound_calls(self, capsys, scan_bound_calls, command, column,
                                               d_opt):
         # 1.5e6 blocks above the optimum; a test per block would take minutes
-        calls, bound = [], dit_rates.dit_rate_bound
-        monkeypatch.setattr(dit_rates, "dit_rate_bound", lambda family, k, a, b:
-                            calls.append((a, b)) or bound(family, k, a, b))
         code, out, _ = run_cli(command + ["--d-max", "100000000000"], capsys)
         assert code == 0
         assert int(out.splitlines()[2].split(",")[column]) == d_opt
-        assert len(calls) <= 32
+        assert len(scan_bound_calls) <= 32
+
+    _ANCHOR = repr(math.sqrt(1.88e-4))
+
+    @pytest.mark.parametrize("command,rates,bound_calls", [
+        (["concat-rates", "--sigma-grid", "0.0137:0.45:60"], 1632, 886),
+        (["concat-rates", "--sigma-grid", "1e-3:0.0137:3"], 96, 165),
+        (["concat-rates", "--sigma-grid", f"{_ANCHOR}:{_ANCHOR}:1"], 32, 39),
+        (["classical-rates", "--snr-grid", "1:1e10:50"], 1421, 1160),
+        (["classical-rates", "--snr-grid", "0.6:0.6:1", "--d-max", str(2**53)], 528, 187),
+    ], ids=["concat-grid", "concat-small-sigma", "concat-anchor", "classical-grid",
+            "snr-0.6-at-2**53"])
+    def test_scan_work_on_the_benchmark_grids(self, capsys, scan_evaluations, scan_bound_calls,
+                                              command, rates, bound_calls):
+        # the rate tables that the benchmark times, and SNR 0.6 at the top
+        # ceiling: ceilings on the scan's rate evaluations and bound calls
+        code, _, _ = run_cli(command, capsys)
+        assert code == 0
+        assert len(scan_evaluations) <= rates
+        assert len(scan_bound_calls) <= bound_calls
 
 
 class TestClassicalRatesCommand:
@@ -449,6 +465,17 @@ class TestBadInput:
     ])
     def test_d_ceiling_beyond_float64(self, capsys, command):
         assert_one_error_line(*run_cli(command, capsys))
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--lattice", "Zn:2"],
+        ["concat-sim", "--d", "3"],
+    ], ids=["simulate", "concat-sim"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_named(self, capsys, command, trials):
+        code, out, err = run_cli(command + ["--sigma-sq", "0.1", "--trials", trials,
+                                            "--seed", "1"], capsys)
+        assert_one_error_line(code, out, err)
+        assert err == f"gkplat: error: --trials must be positive, got {trials}\n"
 
     @pytest.mark.parametrize("value", ["0", "-2", "two"])
     def test_bad_worker_count(self, capsys, monkeypatch, value):

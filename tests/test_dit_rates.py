@@ -4,6 +4,7 @@ schemes' erfc families and for random ones."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +53,16 @@ def test_bound_plus_slack_covers_every_computed_rate(family, k, at_two, where, w
         assert a > 2 and set(rates) == {0.0}
     else:
         assert max(rates) <= upper + dit_rates._BOUND_SLACK
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("a,b", [(2, 2), (2, 1000), (100, 5000), (4096, 10**6)])
+def test_bound_is_the_top_rate_where_p_is_zero(k, a, b):
+    # sigma^2 = 1e-10: p underflows to 0 for d below about 1.05e6, so every
+    # rate on [a, b] is log2 d and the bound is the rate at b, bit for bit
+    family = (math.pi, 4.0, 1, 1e-10)
+    assert dit_error_prob(b, family) == 0.0
+    assert dit_rate_bound(family, k, a, b) == math.log2(b) == dit_rate(b, 0.0, k)
 
 
 @settings(max_examples=150, deadline=None)

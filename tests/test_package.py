@@ -38,6 +38,24 @@ def test_namespace_is_what_the_demos_import():
         gkplat.no_such_name
 
 
+def test_demos_import_only_the_runtime_dependencies():
+    # a demo runs on an install without the test extra: the standard
+    # library, numpy and gkplat only
+    allowed = set(sys.stdlib_module_names) | {"numpy", "gkplat"}
+    imported = {}
+    for path in sorted(DEMOS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], []).append(path.name)
+    assert {name: paths for name, paths in imported.items() if name not in allowed} == {}
+
+
 def test_bench_imports_resolve():
     # the benchmark is outside the tier-1 suite; each of its gkplat imports
     # runs here as written, so a moved or renamed name fails this test

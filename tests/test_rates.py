@@ -119,6 +119,11 @@ class TestSphereVolume:
     def test_ball(self):
         assert sphere_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_dimension_refused(self, n):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            sphere_volume(n)
+
     def test_stirling_bound(self):
         for n in range(1, 201):
             assert sphere_volume(n) <= (2.0 * math.pi * E / n) ** (n / 2.0)
@@ -127,6 +132,11 @@ class TestSphereVolume:
 class TestMinkowskiRadius:
     def test_plane(self):
         assert minkowski_radius_sq(2) == pytest.approx(1.0 / (4.0 * math.pi * E))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_dimension_refused(self, n):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            minkowski_radius_sq(n)
 
     def test_linear_in_dimension(self):
         for n in [2, 5, 24, 96]:
