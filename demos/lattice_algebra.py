@@ -7,10 +7,10 @@ forms, duals, and code dimensions involve no floating point at all.
 from fractions import Fraction
 
 from gkplat import (
+    Lattice,
     code_dimension,
     dual_lattice,
     is_symplectically_integral,
-    lattice_from_rows,
     make_code,
     rescale,
     standard_form,
@@ -24,9 +24,9 @@ def show(matrix):
 
 
 print("== The square lattice Z^2 ==")
-z2 = lattice_from_rows([[1, 0], [0, 1]], 1)
+z2 = Lattice([[1, 0], [0, 1]], 1)
 gram = symplectic_gram(z2)
-print("A = M omega M^T:", show(gram.entries))
+print("A = M omega M^T:", show(gram))
 print("symplectically integral:", is_symplectically_integral(z2))
 print("code dimension m:", code_dimension(z2), "(self-dual: trivial code space)")
 
@@ -41,15 +41,15 @@ for lam in (2, 3, 5):
 
 print()
 print("== A quarter-scale lattice fails integrality ==")
-bad = lattice_from_rows([[1, 0], [0, 1]], Fraction(1, 2))
-print("A:", show(symplectic_gram(bad).entries))
+bad = Lattice([[1, 0], [0, 1]], Fraction(1, 2))
+print("A:", show(symplectic_gram(bad)))
 print("symplectically integral:", is_symplectically_integral(bad))
 
 print()
 print("== Standard form of a two-mode gram matrix ==")
-lat = lattice_from_rows([[1, 0, 2, 0], [0, 1, 0, 0], [1, 1, 3, 1], [0, 2, 1, 2]], 1)
+lat = Lattice([[1, 0, 2, 0], [0, 1, 0, 0], [1, 1, 3, 1], [0, 2, 1, 2]], 1)
 gram = symplectic_gram(lat)
-print("A:", show(gram.entries))
+print("A:", show(gram))
 form = standard_form(gram)
 print("diagonal D:", form.diag)
 print("R A R^T:", show(form.block_form()))

@@ -25,7 +25,7 @@ _SUBMODULE = {name: module for module, names in {
     "rates": "NoiseModel best_integer_lambda coherent_information hw_upper_bound "
              "minkowski_radius_sq sphere_packing_rate sphere_volume",
     "symplectic_lattice": "code_dimension dual_lattice is_symplectically_integral "
-                          "lattice_from_rows make_code rescale standard_form symplectic_gram",
+                          "Lattice make_code rescale standard_form symplectic_gram",
 }.items() for name in names.split()}
 
 __all__ = list(_SUBMODULE)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .decoder import MAX_DIM
 from .exact import identity
-from .symplectic_lattice import Lattice, lattice_from_rows
+from .symplectic_lattice import Lattice
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def get(name: str) -> CatalogEntry:
     name = name.strip()
     if name in _NAMED:
         basis, notes = _NAMED[name]
-        return CatalogEntry(name=name, lattice=lattice_from_rows(basis, 1), notes=notes)
+        return CatalogEntry(name=name, lattice=Lattice(basis, 1), notes=notes)
     m = _PARAMETRIC.fullmatch(name)
     if m is None:
         raise ValueError(f"unknown lattice name: {name!r}")
@@ -72,4 +72,4 @@ def get(name: str) -> CatalogEntry:
         n, scale = 2, arg
         notes = ("Single-mode grid code: stabilizer sqrt(d) Z^2, normalizer "
                  "(1/sqrt(d)) Z^2, code dimension d.")
-    return CatalogEntry(f"{kind}({arg})", lattice_from_rows(identity(n), scale), notes)
+    return CatalogEntry(f"{kind}({arg})", Lattice(identity(n), scale), notes)

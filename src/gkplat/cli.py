@@ -156,9 +156,17 @@ def _cmd_rates(args) -> None:
                         "integer_lambda_rate"], "--sigma-sq-grid", grid, row), grid=spec)
 
 
+def _check_d_max(args) -> None:
+    """Refuse a --d-max outside the d-scan's range once, before any grid value."""
+    from .dit_rates import D_LIMIT
+    if args.d_max is not None and not 2 <= args.d_max <= D_LIMIT:
+        raise ValueError(f"--d-max must lie in [2, 2**53], got {args.d_max}")
+
+
 def _cmd_concat_rates(args) -> None:
     from .dit_rates import optimize_qudit_dimension
     from .rates import NoiseModel, coherent_information
+    _check_d_max(args)
     spec, grid = args.sigma_grid
 
     def row(sigma):
@@ -177,6 +185,7 @@ def _cmd_concat_rates(args) -> None:
 def _cmd_classical_rates(args) -> None:
     from .classical_channel import (ClassicalParams, debuda_rate, minkowski_lattice_rate,
                                     optimize_classical_d, shannon_capacity)
+    _check_d_max(args)
     spec, grid = args.snr_grid
 
     def row(snr):
@@ -203,12 +212,13 @@ def _emit_estimate(args, estimate, **labels) -> None:
 def _cmd_simulate(args) -> None:
     from .channel_sim import estimate_error_probability
     from .symplectic_lattice import make_code
-    code = make_code(_resolve_lattice(args.lattice))
+    lattice = _resolve_lattice(args.lattice)
 
     def estimate(noise, trials, seed, workers):
-        try:
+        try:  # the lattice's code, and the noise against its scale, not one target
+            code = make_code(lattice)
             return estimate_error_probability(code, noise, trials, seed, args.criterion, workers)
-        except ValueError as exc:  # the noise against this lattice's scale, not one target
+        except ValueError as exc:
             raise ValueError(f"lattice {args.lattice}: {exc}") from exc
     _emit_estimate(args, estimate, criterion=args.criterion, lattice=args.lattice)
 

@@ -10,9 +10,11 @@ nearest-plane (Babai) distance, children in Schnorr-Euchner order
 
 A near-tie with the runner-up is flagged and counts as a decoding failure
 (the Voronoi cell boundary has measure zero under Gaussian noise, and
-failing there is the conservative choice); at an exact tie the reported
-point is one of the tied points. Coefficients of 2**26 or more, where
-float64 no longer decodes reliably, raise ValueError.
+failing there is the conservative choice). "Near" is relative to the
+lattice's scale (c^2, or the nearest-plane distance limit), and so is the
+search margin, so a rescaled lattice decodes alike. At an exact tie the
+reported point is one of the tied points. Coefficients of 2**26 or more,
+where float64 no longer decodes reliably, raise ValueError.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
     _, m_inv, _, c_sq, u_red, lower, q = _frame(lat)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != lat.n:
-        raise ValueError("point/lattice dimension mismatch")
+        raise ValueError(f"point/lattice dimension mismatch: points of shape {xs.shape} "
+                         f"for a lattice of dimension {lat.n}")
     if not np.isfinite(xs).all():
         raise ValueError("target coordinates must be finite")
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test below
@@ -154,7 +157,7 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
         for col in frac.T[1:]:
             np.maximum(worst, col, out=worst)
         gap = c_sq * (1.0 - 2.0 * worst)
-        return k.astype(np.int64), gap <= TIE_REL * (1.0 + d1)
+        return k.astype(np.int64), gap <= TIE_REL * (c_sq + d1)
     box = float(np.sum(np.diag(lower) ** 2)) / 4.0  # nearest-plane distance limit
     coeffs = np.empty(xs.shape, dtype=np.int64)
     tie = np.empty(len(xs), dtype=bool)
@@ -163,9 +166,9 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
         _, near, _ = _search(lower, y)
         if not (near <= box * (1.0 + _SLACK_REL)).all():
             raise ValueError("target too far from the origin for float64 decoding")
-        c, d1, d2 = _search(lower, y, near * (1.0 + _SLACK_REL) + _SLACK_REL)
+        c, d1, d2 = _search(lower, y, near * (1.0 + _SLACK_REL) + _SLACK_REL * box)
         coeffs[lo:lo + _BLOCK] = c @ u_red
-        tie[lo:lo + _BLOCK] = (d2 - d1) <= TIE_REL * (1.0 + d1)
+        tie[lo:lo + _BLOCK] = (d2 - d1) <= TIE_REL * (box + d1)
     return coeffs, tie
 
 

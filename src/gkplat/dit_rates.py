@@ -79,14 +79,14 @@ def dit_rate(d: int, p: float, k: int) -> float:
 _SCAN_CHUNK = 16  # d values per leaf of the scan, each evaluated on its own
 _BOUND_SLACK = 1e-12  # float slack, relative to 1 + |best|; see dit_rate_bound
 _REL = 2.0 ** -40  # relative margin on each slope term of the mean-value bound
-_D_LIMIT = 2 ** 53  # largest scan ceiling: every d up to it is exact in float64
+D_LIMIT = 2 ** 53  # largest scan ceiling: every d up to it is exact in float64
 
 
 def scan_ceiling(bound: float, source: str) -> int:
-    """Default scan ceiling max(2, ceil(bound)). A bound above _D_LIMIT
+    """Default scan ceiling max(2, ceil(bound)). A bound above D_LIMIT
     (or an infinite one) is refused with an error naming the input,
     ``source``, that set it."""
-    if not bound <= _D_LIMIT:
+    if not bound <= D_LIMIT:
         raise ValueError(f"{source} puts the default ceiling on d at {bound:.4g}, "
                          f"above 2**53 where d is exact in float64")
     return max(2, math.ceil(bound))
@@ -174,7 +174,7 @@ def optimize_dit_rate(family: tuple, k: int, d_max: int) -> tuple[int, float]:
     whole range, bit for bit.
     """
     if (isinstance(d_max, bool) or not hasattr(d_max, "__index__")
-            or not 2 <= d_max <= _D_LIMIT):
+            or not 2 <= d_max <= D_LIMIT):
         raise ValueError(f"d_max = {d_max} must lie in [2, 2**53] and be an integer")
     d_max = int(d_max)
     best = (0, -math.inf)

@@ -19,9 +19,9 @@ stabilizer group. No omega is formed (the test oracles hold one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,25 +73,6 @@ class Lattice:
         return np.array([[to_float("basis", v, root) for v in row] for row in self.basis])
 
 
-lattice_from_rows = Lattice  # the public name the demos and the catalog build with
-
-
-@dataclass(frozen=True)
-class SymplecticGram:
-    """A = M omega M^T; antisymmetric, exact rational."""
-
-    entries: Matrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", exact.freeze(self.entries))
-        a = self.entries
-        n = len(a)
-        if any(len(row) != n for row in a):
-            raise ValueError("gram matrix must be square")
-        if any(a[i][j] != -a[j][i] for i in range(n) for j in range(n)):
-            raise ValueError("gram matrix must be antisymmetric")
-
-
 @dataclass(frozen=True)
 class StandardForm:
     """Unimodular R and positive diagonal D, each entry dividing the next,
@@ -111,20 +92,20 @@ class StandardForm:
 
 
 @lru_cache(maxsize=128)
-def symplectic_gram(lat: Lattice) -> SymplecticGram:
-    """Exact A = scale_sq * basis omega basis^T, the pairing of lat with
-    itself; cached, so each lattice's A is formed once."""
-    return SymplecticGram(symplectic_pairing(lat, lat))
+def symplectic_gram(lat: Lattice) -> Matrix:
+    """Exact antisymmetric A = scale_sq * basis omega basis^T, the pairing of
+    lat with itself; cached, so each lattice's A is formed once."""
+    return symplectic_pairing(lat, lat)
 
 
 def is_symplectically_integral(lat: Lattice) -> bool:
     """True iff every symplectic product of generators is an integer."""
-    return exact.is_integral(symplectic_gram(lat).entries)
+    return exact.is_integral(symplectic_gram(lat))
 
 
 def dual_lattice(lat: Lattice) -> Lattice:
     """Symplectic dual, generated by A^-1 M (the normalizer lattice)."""
-    return _dual(lat, exact.inverse(symplectic_gram(lat).entries))  # ValueError on singular A
+    return _dual(lat, exact.inverse(symplectic_gram(lat)))  # ValueError on singular A
 
 
 def _dual(lat: Lattice, a_inv: Matrix) -> Lattice:
@@ -154,18 +135,24 @@ def symplectic_pairing(lat1: Lattice, lat2: Lattice) -> Matrix:
     return exact.scale(exact.mat_mul(lat1.basis, exact.transpose(rotated)), root)
 
 
-def standard_form(gram: SymplecticGram) -> StandardForm:
+def standard_form(gram) -> StandardForm:
     """Reduce an integral antisymmetric A to [[0,D],[-D,0]] by a unimodular R.
 
     Integer congruence transformations only (paired row/column additions,
     swaps): a gcd-descent pivot loop, the antisymmetric analogue of Smith
     reduction. D is positive and each entry divides the next (the
-    invariant factors of A, each appearing twice).
+    invariant factors of A, each appearing twice). A matrix that is not
+    square, antisymmetric and integral is a ValueError.
     """
-    if not exact.is_integral(gram.entries):
+    gram = exact.freeze(gram)
+    n = len(gram)
+    if len(gram[0]) != n:
+        raise ValueError("gram matrix must be square")
+    if any(gram[i][j] != -gram[j][i] for i in range(n) for j in range(n)):
+        raise ValueError("gram matrix must be antisymmetric")
+    if not exact.is_integral(gram):
         raise ValueError("standard form requires an integral gram matrix")
-    n = len(gram.entries)
-    entries = [[int(v) for v in row] for row in gram.entries]
+    entries = [[int(v) for v in row] for row in gram]
     a = [row[:] for row in entries]
     r = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -255,16 +242,10 @@ class LatticeCode:
     normalizer: Lattice
     dimension: int
     rate_qubits: float
-    transition: Matrix  # A^-1: normalizer coefficients -> stabilizer coefficients
-
-    @cached_property
-    def coset_test(self) -> tuple[np.ndarray, int]:
-        """(num, den) with transition = num / den, built once per code:
-        coefficients c are a stabilizer translation iff den divides c @ num."""
-        rows, den = exact.integer_form(self.transition)
-        num = np.array(rows, dtype=np.int64)
-        num.setflags(write=False)
-        return num, den
+    # (num, den) with A^-1 = num / den, A^-1 taking normalizer coefficients to
+    # stabilizer ones: coefficients c are a stabilizer translation iff den
+    # divides c @ num. num is a read-only int64 array, left out of eq and hash.
+    coset_test: tuple[np.ndarray, int] = field(compare=False, repr=False)
 
 
 def make_code(lat: Lattice) -> LatticeCode:
@@ -272,20 +253,24 @@ def make_code(lat: Lattice) -> LatticeCode:
 
     A is formed and inverted once each; a build certifies that A is integral
     and the pairing identity M_perp omega M^T = I. A^-1 M generates the
-    normalizer, and A^-1 is also the coefficient transition:
-    c M_perp = (c A^-1) M for normalizer coefficients c.
+    normalizer, and A^-1 also maps normalizer coefficients c to stabilizer
+    ones, c M_perp = (c A^-1) M; the code keeps it as its coset test.
     """
     m = code_dimension(lat)  # validates integrality
-    a = symplectic_gram(lat).entries
-    a_inv = exact.inverse(a)
+    a_inv = exact.inverse(symplectic_gram(lat))
     normalizer = _dual(lat, a_inv)
     try:  # the decoders of the code work in its normalizer's float matrix
         normalizer.effective_matrix()
     except ValueError as exc:
         raise ValueError("the code's normalizer is beyond float64: its "
                          "sqrt(lambda) * basis overflows or underflows to 0") from exc
-    rate = math.log2(m) / lat.num_modes
-    return LatticeCode(lat, normalizer, m, rate, a_inv)
+    rows, den = exact.integer_form(a_inv)
+    try:
+        num = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("the code's coset test den * A^-1 has entries beyond int64") from None
+    num.setflags(write=False)
+    return LatticeCode(lat, normalizer, m, math.log2(m) / lat.num_modes, (num, den))
 
 
 def coeff_transition(src: Lattice, dst: Lattice) -> Matrix:

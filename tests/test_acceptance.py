@@ -43,7 +43,6 @@ from gkplat.rates import (
     sphere_packing_rate,
 )
 from gkplat.symplectic_lattice import (
-    SymplecticGram,
     code_dimension,
     make_code,
     rescale,
@@ -167,9 +166,9 @@ def test_criterion_6_symplectic_algebra_suite():
     for n in (4, 6):
         for _ in range(100):
             a = random_integral_antisymmetric(rng, n)
-            gram = SymplecticGram(exact.freeze(a))
+            gram = exact.freeze(a)
             form = standard_form(gram)
-            lhs = exact.mat_mul(exact.mat_mul(form.r, gram.entries),
+            lhs = exact.mat_mul(exact.mat_mul(form.r, gram),
                                 exact.transpose(form.r))
             assert lhs == form.block_form()
             assert abs(exact.determinant(form.r)) == 1

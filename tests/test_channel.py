@@ -24,7 +24,8 @@ from gkplat.channel_sim import (
 )
 from gkplat.decoder import closest_point, closest_points
 from gkplat.symplectic_lattice import (
-    lattice_from_rows,
+    Lattice,
+    coeff_transition,
     logical_class,
     make_code,
     orthogonal_scale_sq,
@@ -46,7 +47,7 @@ D4 = make_code(get("D4").lattice)
 def skewed_grid_code(d: int):
     """grid_qudit(d) from the basis (1, 0), (1, 1): the same point sets, but
     no orthogonal frame, so decoding takes the closest_point path."""
-    code = make_code(lattice_from_rows([[1, 0], [1, 1]], d))
+    code = make_code(Lattice([[1, 0], [1, 1]], d))
     assert orthogonal_scale_sq(code.normalizer) is None
     return code
 
@@ -114,14 +115,14 @@ class TestRecoveryOutcome:
 
 def failure_mask_reference(code, xi, criterion):
     """failure_mask's decision written with reductions along axis 1 and the
-    coset arrays built from the exact transition on every call, the form
-    it had before it went column by column: the reference it must match
-    bit for bit."""
+    coset arrays built from the exact coefficient transition on every call,
+    the form it had before it went column by column: the reference it must
+    match bit for bit."""
     coeffs, tie = closest_points(code.normalizer, xi)
     if criterion == "voronoi":
         trivial = ~coeffs.any(axis=1)
     else:
-        t = code.transition
+        t = coeff_transition(code.normalizer, code.stabilizer)
         den = math.lcm(*(v.denominator for row in t for v in row))
         num = np.array([[int(v * den) for v in row] for row in t], dtype=np.int64)
         trivial = ((coeffs @ num) % den == 0).all(axis=1)
@@ -157,7 +158,9 @@ class TestColumnwiseDecision:
         code = make_code(rescale(get("E8").lattice, 2))
         num, den = code.coset_test
         assert code.coset_test[0] is num and not num.flags.writeable
-        t = code.transition
+        again = make_code(rescale(get("E8").lattice, 2))  # eq and hash skip the array
+        assert again == code and hash(again) == hash(code) and again.coset_test[0] is not num
+        t = coeff_transition(code.normalizer, code.stabilizer)
         assert all(int(num[i, j]) == t[i][j] * den for i in range(len(t)) for j in range(len(t)))
         assert den == math.lcm(*(v.denominator for row in t for v in row))
 

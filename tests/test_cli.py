@@ -376,6 +376,21 @@ class TestBadInput:
         assert_one_error_line(code, out, err)
         assert "lattice field 'basis' is beyond float64" in err
 
+    def test_coset_test_beyond_int64_named(self, tmp_path, capsys):
+        # Z^3 x 1e12 Z in a skewed unimodular frame: A^-1 has denominator
+        # 1e12, and den * A^-1 has entries near 1.1e19, beyond int64
+        rows = [[74811640, -6232177, -706126867, -39735773], [-146132370, 12173537,
+                1379304037, 77617326], [18266547, -1521692, -172413011, -9702165],
+                [-9262366, 771600, 87424975, 4919649]]
+        path = tmp_path / "skewed_code.json"
+        path.write_text(json.dumps({"n": 4, "lambda": "1", "basis": [
+            [str(v) for v in row[:3]] + [str(row[3] * 10**12)] for row in rows]}))
+        code, out, err = run_cli(["simulate", "--lattice", str(path), "--sigma-sq", "0.01",
+                                  "--trials", "10", "--seed", "1"], capsys)
+        assert_one_error_line(code, out, err)
+        assert err.startswith(f"gkplat: error: lattice {path}: ")
+        assert "coset test den * A^-1 has entries beyond int64" in err
+
     @pytest.mark.parametrize("command,named", [
         (["simulate", "--lattice", "D4", "--sigma-sq", "0.1", "--hbar", "1e-320",
           "--trials", "10", "--seed", "1"], ["sigma_sq = 0.1", "hbar = 1e-320"]),
@@ -441,6 +456,19 @@ class TestBadInput:
         assert_one_error_line(code, out, err)
         assert "point '0.1,,0.3,0.1': " in err
 
+    def test_decode_dimension_mismatch_sized(self, capsys):
+        code, out, err = run_cli(["decode", "E8", "0.1,0.2"], capsys)
+        assert_one_error_line(code, out, err)
+        assert "points of shape (1, 2) for a lattice of dimension 8" in err
+
+    def test_non_integral_lattice_file_named(self, tmp_path, capsys):
+        path = tmp_path / "third.json"
+        path.write_text('{"n": 2, "lambda": "1/3", "basis": [["1", "0"], ["0", "1"]]}')
+        code, out, err = run_cli(["simulate", "--lattice", str(path), "--sigma-sq", "0.1",
+                                  "--trials", "10", "--seed", "1"], capsys)
+        assert_one_error_line(code, out, err)
+        assert err == f"gkplat: error: lattice {path}: lattice is not symplectically integral\n"
+
     @pytest.mark.parametrize("grid", ["1e-170:1e-170:1", "1e-160:1e-160:1"])
     def test_sigma_grid_underflow(self, capsys, grid):
         # sigma^2 underflows to 0, or to a subnormal whose d-scan ceiling is inf
@@ -465,6 +493,16 @@ class TestBadInput:
     ])
     def test_d_ceiling_beyond_float64(self, capsys, command):
         assert_one_error_line(*run_cli(command, capsys))
+
+    @pytest.mark.parametrize("command", [
+        ["concat-rates", "--sigma-grid", "1:1:1"],
+        ["classical-rates", "--snr-grid", "1:1:1"],
+    ], ids=["concat-rates", "classical-rates"])
+    @pytest.mark.parametrize("d_max", ["0", "1", str(2**53 + 1)])
+    def test_d_max_out_of_range_named(self, capsys, command, d_max):
+        code, out, err = run_cli(command + ["--d-max", d_max], capsys)
+        assert_one_error_line(code, out, err)
+        assert err == f"gkplat: error: --d-max must lie in [2, 2**53], got {d_max}\n"
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--lattice", "Zn:2"],
@@ -509,6 +547,27 @@ class TestBadInput:
         assert_one_error_line(code, out, err)
         assert err.startswith(f"gkplat: error: lattice {lattice}: ")
         assert "2**26" in err and "lattice's scale" in err
+
+    def test_huge_grid_qudit_has_no_ties(self, capsys):
+        # c^2 = 1e-12 on the normalizer: the tie test is relative to it
+        code, out, _ = run_cli(["simulate", "--lattice", "grid_qudit:1000000000000",
+                                "--sigma-sq", "1e-40", "--trials", "1000", "--seed", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["failures"] == 0
+
+    def test_fine_normalizer_decodes_in_bounded_memory(self, tmp_path, capsys):
+        # E8 at lambda = 1e12: the search margin is relative to the cells of
+        # size 1e-12, so the enumeration stays as small as at lambda = 1
+        basis = ([["2"] + ["0"] * 7]
+                 + [["0"] * i + ["-1", "1"] + ["0"] * (6 - i) for i in range(6)]
+                 + [["1/2"] * 8])
+        path = tmp_path / "e8_fine.json"
+        path.write_text(json.dumps({"n": 8, "lambda": "1000000000000", "basis": basis}))
+        code, out, err, peak = run_cli_peak(["simulate", "--lattice", str(path), "--sigma-sq",
+                                             "1e-14", "--trials", "2000", "--seed", "1"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["result"]["failures"] == 0
+        assert peak < 16 * 2**20
 
     def test_undecodable_target_on_threaded_streams(self, capsys, monkeypatch, on_cpus):
         # two streams of a full block each: both raise on their own thread

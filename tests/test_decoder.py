@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from gkplat.decoder import (
 from gkplat.symplectic_lattice import (
     Lattice,
     dual_lattice,
-    lattice_from_rows,
     make_code,
     rescale,
 )
@@ -89,7 +89,7 @@ class TestClosestPoint:
 
     def test_dimension_bound(self):
         n = MAX_DIM + 2
-        big = lattice_from_rows([[int(i == j) for j in range(n)] for i in range(n)], 1)
+        big = Lattice([[int(i == j) for j in range(n)] for i in range(n)], 1)
         with pytest.raises(ValueError):
             closest_point(big, [0.0] * (MAX_DIM + 2))
 
@@ -109,8 +109,8 @@ class TestClosestPoint:
 
     def test_refuses_undecodable_basis(self):
         # Z^4 in a basis so skewed that LLL would need transform entries beyond int64
-        lat = lattice_from_rows([[1, 0, 0, 0], [10**15, 1, 0, 0], [3, 10**12, 1, 0],
-                                 [7, 5, 10**9, 1]])
+        lat = Lattice([[1, 0, 0, 0], [10**15, 1, 0, 0], [3, 10**12, 1, 0],
+                       [7, 5, 10**9, 1]])
         with pytest.raises(ValueError, match="basis is beyond the decoder's int64/float64"):
             closest_points(lat, np.zeros((2, 4)))
         with pytest.raises(ValueError, match="basis"):
@@ -134,6 +134,22 @@ class TestClosestPoint:
         with pytest.raises(ValueError):
             closest_points(get("D4").lattice, np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("name", ["D4", "E8"])
+    @pytest.mark.parametrize("scale", [1, Fraction(1, 10**12), Fraction(1, 10**20)])
+    def test_scale_invariant(self, name, scale):
+        # the tie test and the search margin are relative to the lattice's
+        # scale: targets scaled with the lattice decode alike, ties included
+        unit = get(name).lattice
+        lat = Lattice(unit.basis, scale)
+        rng = np.random.default_rng(7)
+        m = unit.effective_matrix()
+        halves = rng.integers(-4, 5, size=(200, unit.n)) / 2 @ m  # many on cell boundaries
+        xs = np.vstack([rng.standard_normal((2000, unit.n)) * 0.4, halves])
+        want, want_tie = closest_points(unit, xs)
+        got, tie = closest_points(lat, xs * math.sqrt(scale))
+        assert np.array_equal(tie, want_tie) and 0 < tie.sum() < len(xs)
+        assert np.array_equal(got[~tie], want[~tie])
+
 
 def rounding_reference(lat, xs):
     """The rounding branch of closest_points written with reductions along
@@ -146,7 +162,7 @@ def rounding_reference(lat, xs):
     frac = u - k
     d1 = c_sq * np.einsum("ij,ij->i", frac, frac)
     gap = c_sq * (1.0 - 2.0 * np.abs(frac)).min(axis=1)
-    return k.astype(np.int64), gap <= decoder.TIE_REL * (1.0 + d1)
+    return k.astype(np.int64), gap <= decoder.TIE_REL * (c_sq + d1)
 
 
 def rounding_targets(lat, rng, rows=600):
@@ -161,9 +177,9 @@ def rounding_targets(lat, rng, rows=600):
 ORTHOGONAL_FRAMES = {
     **{f"Zn({n})": get(f"Zn({n})").lattice for n in range(2, MAX_DIM + 1, 2)},
     **{f"grid_qudit({d})": get(f"grid_qudit({d})").lattice for d in range(2, 6)},
-    "rotated_Z2": lattice_from_rows([[1, 1], [1, -1]], 3),
-    "hadamard_Z4": lattice_from_rows([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
-                                      [1, -1, -1, 1]]),
+    "rotated_Z2": Lattice([[1, 1], [1, -1]], 3),
+    "hadamard_Z4": Lattice([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
+                            [1, -1, -1, 1]]),
 }
 
 
@@ -285,7 +301,7 @@ def _random_basis(n: int, rng) -> tuple[Lattice, int]:
     while True:
         b = rng.integers(-1, 2, size=(n, n)) + np.diag(rng.integers(2, 4, size=n))
         if abs(np.linalg.det(b)) > 0.5 and _box_radius(b.astype(float)) <= limit:
-            return lattice_from_rows(b.tolist()), limit
+            return Lattice(b.tolist()), limit
 
 
 _SEEDS = st.integers(0, 2**32 - 1)

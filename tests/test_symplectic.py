@@ -15,13 +15,11 @@ from gkplat import exact, symplectic_lattice
 from gkplat.catalog import get
 from gkplat.symplectic_lattice import (
     Lattice,
-    SymplecticGram,
     code_dimension,
     coeff_transition,
     dual_lattice,
     is_symplectically_integral,
     lattice_from_dict,
-    lattice_from_rows,
     logical_class,
     make_code,
     rescale,
@@ -40,17 +38,23 @@ def frac_mat(rows):
     return exact.freeze(rows)
 
 
+def coset_test_fractions(code):
+    """The code's coset test (num, den) as the exact matrix num / den."""
+    num, den = code.coset_test
+    return tuple(tuple(Fraction(int(v), den) for v in row) for row in num)
+
+
 class TestSymplecticGram:
     def test_identity_basis(self):
-        a = symplectic_gram(lattice_from_rows(I2, 1)).entries
+        a = symplectic_gram(Lattice(I2, 1))
         assert a == omega(2)
 
     def test_scaling_law(self):
-        a = symplectic_gram(lattice_from_rows(I2, 2)).entries
+        a = symplectic_gram(Lattice(I2, 2))
         assert a == exact.scale(omega(2), 2)
 
     def test_two_modes(self):
-        a = symplectic_gram(lattice_from_rows(I4, 1)).entries
+        a = symplectic_gram(Lattice(I4, 1))
         assert a == omega(4)
 
     def test_antisymmetry_random(self):
@@ -59,38 +63,38 @@ class TestSymplecticGram:
             rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                      for _ in range(4)] for _ in range(4)]
             try:
-                lat = lattice_from_rows(rows, Fraction(3, 2))
+                lat = Lattice(rows, Fraction(3, 2))
             except ValueError:
                 continue  # singular draw
-            a = symplectic_gram(lat).entries
+            a = symplectic_gram(lat)
             assert a == exact.scale(exact.transpose(a), -1)
 
 
     def test_matches_basis_product(self):
         for lat in (get("D4").lattice, get("E8").lattice,
-                    lattice_from_rows([[1, 0], [1, 1]], Fraction(3, 2))):
+                    Lattice([[1, 0], [1, 1]], Fraction(3, 2))):
             prod = exact.mat_mul(exact.mat_mul(lat.basis, omega(lat.n)),
                                  exact.transpose(lat.basis))
-            assert symplectic_gram(lat).entries == exact.scale(prod, lat.scale_sq)
+            assert symplectic_gram(lat) == exact.scale(prod, lat.scale_sq)
 
 
 class TestIntegrality:
     def test_scaled_grid_integral(self):
-        assert is_symplectically_integral(lattice_from_rows(I2, 2))
+        assert is_symplectically_integral(Lattice(I2, 2))
 
     def test_half_scale_not_integral(self):
-        assert not is_symplectically_integral(lattice_from_rows(I2, Fraction(1, 2)))
+        assert not is_symplectically_integral(Lattice(I2, Fraction(1, 2)))
 
     def test_unimodular_symplectic_basis(self):
         # det-1 integer basis of Z^2 gives A = omega exactly
-        lat = lattice_from_rows([[2, 1], [1, 1]], 1)
-        assert symplectic_gram(lat).entries == omega(2)
+        lat = Lattice([[2, 1], [1, 1]], 1)
+        assert symplectic_gram(lat) == omega(2)
         assert is_symplectically_integral(lat)
 
 
 class TestDual:
     def test_self_dual_plane(self):
-        lat = lattice_from_rows(I2, 1)
+        lat = Lattice(I2, 1)
         dual = dual_lattice(lat)
         # same point set as Z^2
         for row in dual.basis:
@@ -99,7 +103,7 @@ class TestDual:
             assert coset_member(dual, row, lat.scale_sq)
 
     def test_grid_qudit_dual_scale(self):
-        dual = dual_lattice(lattice_from_rows(I2, 2))
+        dual = dual_lattice(Lattice(I2, 2))
         assert dual.scale_sq == Fraction(1, 2)
 
     def test_pairing_identity(self):
@@ -132,11 +136,11 @@ def random_integral_antisymmetric(rng, n, spread=9):
 
 class TestStandardForm:
     def test_omega_gives_unit(self):
-        form = standard_form(SymplecticGram(omega(2)))
+        form = standard_form(omega(2))
         assert form.diag == (1,)
 
     def test_two_omega(self):
-        form = standard_form(SymplecticGram(exact.scale(omega(2), 2)))
+        form = standard_form(exact.scale(omega(2), 2))
         assert form.diag == (2,)
 
     @pytest.mark.parametrize("n", [4, 6])
@@ -144,9 +148,9 @@ class TestStandardForm:
         rng = random.Random(n)
         for _ in range(40):
             a = random_integral_antisymmetric(rng, n)
-            gram = SymplecticGram(frac_mat(a))
+            gram = frac_mat(a)
             form = standard_form(gram)
-            lhs = exact.mat_mul(exact.mat_mul(form.r, gram.entries),
+            lhs = exact.mat_mul(exact.mat_mul(form.r, gram),
                                 exact.transpose(form.r))
             assert lhs == form.block_form()
             assert abs(exact.determinant(form.r)) == 1
@@ -158,18 +162,18 @@ class TestStandardForm:
             assert list(form.diag) == sorted(form.diag)
 
     def test_unit_block_form_is_omega(self):
-        form = standard_form(SymplecticGram(omega(6)))
+        form = standard_form(omega(6))
         assert form.diag == (1, 1, 1)
         assert form.block_form() == omega(6)
 
     def test_rejects_non_integral(self):
         with pytest.raises(ValueError):
-            standard_form(SymplecticGram(exact.scale(omega(2), Fraction(1, 2))))
+            standard_form(exact.scale(omega(2), Fraction(1, 2)))
 
     def test_rejects_singular(self):
         a = frac_mat([[0, 0], [0, 0]])
         with pytest.raises(ValueError):
-            standard_form(SymplecticGram(a))
+            standard_form(a)
 
 
 @st.composite
@@ -188,7 +192,7 @@ class TestStandardFormCertificate:
     @settings(max_examples=300, deadline=None)
     @given(a=integral_antisymmetric())
     def test_certificate(self, a):
-        gram = SymplecticGram(frac_mat(a))
+        gram = frac_mat(a)
         if len(a) % 2 or pfaffian(a) == 0:  # singular
             with pytest.raises(ValueError):
                 standard_form(gram)
@@ -200,7 +204,7 @@ class TestStandardFormCertificate:
         block = [[0] * n for _ in range(n)]
         for i, d in enumerate(form.diag):
             block[i][half + i], block[half + i][i] = d, -d
-        assert exact.mat_mul(exact.mat_mul(form.r, gram.entries),
+        assert exact.mat_mul(exact.mat_mul(form.r, gram),
                              exact.transpose(form.r)) == frac_mat(block)
         assert len(form.diag) == half and all(d > 0 for d in form.diag)
         assert all(later % d == 0 for d, later in zip(form.diag, form.diag[1:]))
@@ -209,20 +213,20 @@ class TestStandardFormCertificate:
 
 class TestCodeDimension:
     def test_self_dual(self):
-        assert code_dimension(lattice_from_rows(I2, 1)) == 1
+        assert code_dimension(Lattice(I2, 1)) == 1
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_single_mode_qudit(self, d):
-        assert code_dimension(lattice_from_rows(I2, d)) == d
+        assert code_dimension(Lattice(I2, d)) == d
 
     def test_two_mode_scaling(self):
-        assert code_dimension(lattice_from_rows(I4, 2)) == 4
+        assert code_dimension(Lattice(I4, 2)) == 4
 
     def test_squared_equals_det(self):
         for name in ["grid_qudit(3)", "D4", "E8"]:
             lat = get(name).lattice
             m = code_dimension(lat)
-            det_a = exact.determinant(symplectic_gram(lat).entries)
+            det_a = exact.determinant(symplectic_gram(lat))
             assert Fraction(m) ** 2 == abs(det_a)
 
     def test_cell_volume(self):
@@ -238,21 +242,21 @@ class TestCodeDimension:
 
     def test_rejects_non_integral(self):
         with pytest.raises(ValueError):
-            code_dimension(lattice_from_rows(I2, Fraction(1, 3)))
+            code_dimension(Lattice(I2, Fraction(1, 3)))
 
 
 class TestRescale:
     def test_z2_by_three(self):
-        lat = rescale(lattice_from_rows(I2, 1), 3)
+        lat = rescale(Lattice(I2, 1), 3)
         assert code_dimension(lat) == 3
         assert make_code(lat).rate_qubits == pytest.approx(math.log2(3))
 
     def test_identity_rescale(self):
-        lat = lattice_from_rows(I2, 1)
+        lat = Lattice(I2, 1)
         assert rescale(lat, 1) == lat
 
     def test_z4_by_two(self):
-        lat = rescale(lattice_from_rows(I4, 1), 2)
+        lat = rescale(Lattice(I4, 1), 2)
         assert code_dimension(lat) == 4
         assert make_code(lat).rate_qubits == pytest.approx(1.0)
 
@@ -265,11 +269,11 @@ class TestRescale:
     @pytest.mark.parametrize("lam", [0, Fraction(3, 2), 2.0, True, np.float32(2.0)])
     def test_rejects_non_positive_integer_factor(self, lam):
         with pytest.raises(ValueError, match="rescale factor must be a positive integer"):
-            rescale(lattice_from_rows(I2, 1), lam)
+            rescale(Lattice(I2, 1), lam)
 
     def test_rejects_non_self_dual(self):
         with pytest.raises(ValueError):
-            rescale(lattice_from_rows(I2, 2), 2)
+            rescale(Lattice(I2, 2), 2)
 
 
 def gram(lat):
@@ -279,10 +283,10 @@ def gram(lat):
 
 class TestGramMatrix:
     def test_identity(self):
-        assert gram(lattice_from_rows(I2, 1)) == exact.identity(2)
+        assert gram(Lattice(I2, 1)) == exact.identity(2)
 
     def test_scaled(self):
-        assert gram(lattice_from_rows(I2, 2)) == exact.scale(exact.identity(2), 2)
+        assert gram(Lattice(I2, 2)) == exact.scale(exact.identity(2), 2)
 
     def test_signed_permutation_invariance(self):
         base = get("D4").lattice
@@ -297,7 +301,7 @@ class TestCosetMember:
         assert coset_member(lat, lat.basis[0])
 
     def test_half_generator(self):
-        lat = lattice_from_rows(I2, 1)
+        lat = Lattice(I2, 1)
         assert not coset_member(lat, [Fraction(1, 2), 0])
 
     def test_sum_of_generators(self):
@@ -306,12 +310,12 @@ class TestCosetMember:
         assert coset_member(lat, total)
 
     def test_incompatible_scale(self):
-        lat = lattice_from_rows(I2, 2)
+        lat = Lattice(I2, 2)
         with pytest.raises(ValueError):
             coset_member(lat, [1, 0], Fraction(3))
 
     def test_compatible_square_ratio_scale(self):
-        lat = lattice_from_rows(I2, 2)  # effective sqrt(2) Z^2
+        lat = Lattice(I2, 2)  # effective sqrt(2) Z^2
         # sqrt(8) * (1, 0) = sqrt(2) * (2, 0) is a lattice point
         assert coset_member(lat, [1, 0], 8)
         assert not coset_member(lat, [1, 1], Fraction(1, 2))
@@ -332,7 +336,7 @@ class TestLatticeCode:
     def test_transition(self):
         for lat in (get("grid_qudit(3)").lattice, get("D4").lattice, rescale(get("E8").lattice, 2)):
             code = make_code(lat)
-            assert code.transition == coeff_transition(code.normalizer, code.stabilizer)
+            assert coset_test_fractions(code) == coeff_transition(code.normalizer, code.stabilizer)
 
     def test_logical_class_is_fractional_part(self):
         # against the fractional part of c @ transition in Fractions
@@ -341,10 +345,10 @@ class TestLatticeCode:
                     get("D4").lattice, rescale(get("E8").lattice, 2),
                     rescale(get("Zn(4)").lattice, 3)):
             code = make_code(lat)
+            t = coeff_transition(code.normalizer, code.stabilizer)
             for _ in range(200):
                 c = [rng.randint(-50, 50) for _ in range(lat.n)]
-                coords = [sum(x * row[j] for x, row in zip(c, code.transition))
-                          for j in range(lat.n)]
+                coords = [sum(x * row[j] for x, row in zip(c, t)) for j in range(lat.n)]
                 assert logical_class(code, c) == tuple(v - math.floor(v) for v in coords)
 
     def test_one_derivation(self, derivations):
@@ -401,12 +405,12 @@ class TestOneDerivationProperty:
         lat, m = case
         code = make_code(lat)
         normalizer, stabilizer = code.normalizer, code.stabilizer
-        assert code.transition == coeff_transition(normalizer, stabilizer)
+        assert coset_test_fractions(code) == coeff_transition(normalizer, stabilizer)
         for row in stabilizer.basis:
             assert coset_member(normalizer, row, stabilizer.scale_sq)
         assert symplectic_pairing(normalizer, stabilizer) == exact.identity(lat.n)
         gram = symplectic_gram(lat)
-        assert (code.dimension == code_dimension(lat) == abs(pfaffian(gram.entries))
+        assert (code.dimension == code_dimension(lat) == abs(pfaffian(gram))
                 == math.prod(standard_form(gram).diag))
         if m is not None:
             assert code.dimension == m
@@ -419,8 +423,7 @@ class TestOneDerivationProperty:
 
 class TestSerialization:
     def test_round_trip_preserves_exactness(self, tmp_path):
-        lat = lattice_from_rows([[Fraction(1, 3), 2], [0, Fraction(5, 7)]],
-                                Fraction(9, 2))
+        lat = Lattice([[Fraction(1, 3), 2], [0, Fraction(5, 7)]], Fraction(9, 2))
         data = {"n": 2, "lambda": "9/2", "basis": [["1/3", "2"], ["0", "5/7"]]}
         assert lattice_from_dict(data) == lat
 
@@ -443,7 +446,7 @@ class TestSerialization:
 class TestValidation:
     def test_rejects_singular_basis(self):
         with pytest.raises(ValueError):
-            lattice_from_rows([[1, 1], [1, 1]], 1)
+            Lattice([[1, 1], [1, 1]], 1)
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
@@ -453,7 +456,7 @@ class TestValidation:
 
     def test_rejects_float_entries(self):
         with pytest.raises(TypeError):
-            lattice_from_rows([[1.5, 0], [0, 1]], 1)
+            Lattice([[1.5, 0], [0, 1]], 1)
 
     @pytest.mark.parametrize("rows,message", [
         ([[0, 1, 0], [-1, 0, 0]], "gram matrix must be square"),
@@ -461,18 +464,18 @@ class TestValidation:
     ])
     def test_gram_refuses_non_square_or_symmetric(self, rows, message):
         with pytest.raises(ValueError, match=message):
-            SymplecticGram(rows)
+            standard_form(rows)
 
     def test_pairing_refuses_mismatch_or_irrational_scale(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            symplectic_pairing(lattice_from_rows(I2, 1), lattice_from_rows(I4, 1))
+            symplectic_pairing(Lattice(I2, 1), Lattice(I4, 1))
         with pytest.raises(ValueError, match="pairing scale is irrational"):
-            symplectic_pairing(lattice_from_rows(I2, 1), lattice_from_rows(I2, 2))
+            symplectic_pairing(Lattice(I2, 1), Lattice(I2, 2))
 
     def test_transition_refuses_incompatible_scales(self):
         with pytest.raises(ValueError, match="lattice scales are incompatible"):
-            coeff_transition(lattice_from_rows(I2, 1), lattice_from_rows(I2, 3))
+            coeff_transition(Lattice(I2, 1), Lattice(I2, 3))
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
-            lattice_from_rows(I2, Fraction(-1))
+            Lattice(I2, Fraction(-1))
