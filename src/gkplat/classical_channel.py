@@ -55,7 +55,8 @@ def signal_family(params: ClassicalParams) -> tuple:
 
 
 def optimize_classical_d(params: ClassicalParams, d_max: int | None = None) -> tuple[int, float]:
-    """Best signal alphabet size over 2 <= d <= d_max; ties go to the smallest d.
+    """A signal alphabet size 2 <= d <= d_max and its rate, within the
+    scan's slack 1e-12 (1 + rate) of the best rate.
 
     The optimum sits near C * sqrt(P / sigma^2) with C below 1, so the
     default ceiling 8 sqrt(P / sigma^2) is comfortably interior; above

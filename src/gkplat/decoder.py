@@ -33,6 +33,8 @@ _SLACK_REL = 1e-9  # search margin so tie partners are always enumerated
 _BLOCK = 1 << 12  # targets per enumeration block; bounds the node arrays
 _MAX_COEFF = 2.0 ** 26  # beyond it the residual keeps under 26 of 52 fraction bits
 _MAX_TRANSFORM = 2.0 ** 53  # LLL transform entries stay exact in float64, far below int64
+_LLL_ROUNDS = 4  # LLL rounds allowed per n^2 (bits + 2); see _lll
+_MAX_NODES = 1 << 20  # enumeration nodes per level of a block, about 150 MB at n = 12
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,20 @@ class DecodeResult:
 def _lll(m: np.ndarray) -> np.ndarray:
     """Integer unimodular U with U @ m LLL-reduced (delta 0.99). Floats only
     choose the integer row operations, so U @ m spans the lattice of m.
-    Raises ValueError if an entry of U would reach 2**53."""
-    u = np.eye(len(m), dtype=np.int64)
+    Raises ValueError if an entry of U would reach 2**53, or after
+    _LLL_ROUNDS n^2 (bits + 2) rounds, bits the log2 of m's largest entry
+    over its least Gram-Schmidt length: LLL's swap count is polynomial in
+    both, and float rounding beyond 53 bits can make the swaps cycle."""
+    n = len(m)
+    u = np.eye(n, dtype=np.int64)
+    r = np.linalg.qr(m.T, mode="r")
+    rounds = _LLL_ROUNDS * n * n * (math.log2(np.abs(m).max() / np.abs(np.diag(r)).min()) + 2)
     k = 1
-    while k < len(m):
+    while k < n:
+        rounds -= 1
+        if rounds < 0:
+            raise ValueError("lattice basis is beyond the decoder's float64 range: "
+                             "its LLL reduction does not settle")
         r = np.linalg.qr((u @ m).T, mode="r")
         for j in range(k - 1, -1, -1):  # size reduction of row k
             mu = np.rint(r[j, k] / r[j, j])
@@ -104,8 +116,12 @@ def _search(lower, ys, bound=None, nonzero=False):
         else:
             rad = np.sqrt(np.maximum(bound[row] - part, 0.0)) / abs(diag)
             width = 2 * np.floor(rad).astype(np.int64) + 3
+        ends = np.cumsum(width)
+        if len(ends) and ends[-1] > _MAX_NODES:
+            raise ValueError(f"the decoder's search needs {ends[-1]} nodes at one level, "
+                             f"above 2**20: the lattice basis is too skewed for the decoder")
         node = np.repeat(np.arange(len(row)), width)
-        j = np.arange(len(node)) - np.repeat(np.cumsum(width) - width, width)
+        j = np.arange(len(node)) - np.repeat(ends - width, width)
         zigzag = (j + 1) // 2 * np.where(j % 2, -1, 1)  # 0, -1, 1, -2, 2, ...
         cand = lo[node] + (step[node] > 0) + step[node] * zigzag
         t = cand * diag + s[node] - ys[row[node], k]

@@ -120,17 +120,17 @@ def dit_rate_bound(family: tuple, k: int, a: int, b: int) -> float:
     half of one per product or sum; p's relative error, up to about 2 z^2
     ulp, enters only times p log2(1/p) and p log2 d, below an ulp of the
     rate). So a computed rate, and a computed bound, are within
-    108 * 4 * 2**-52 = 9.6e-14 of their exact values, and _BOUND_SLACK =
-    1e-12 covers the three such errors that pruning adds up (rate at d,
-    rate at a, bound) with a factor of 3 to spare. Each slope term of the
-    mean-value bound, exp(-z^2) within about z^2 ulp among them, is within
-    _REL of its exact value, so moving it by _REL keeps U an upper bound.
+    108 * 4 * 2**-52 = 9.6e-14 of their exact values: a computed rate
+    exceeds the computed bound by at most 1.9e-13, under _BOUND_SLACK =
+    1e-12. Each slope term of the mean-value bound, exp(-z^2) within about
+    z^2 ulp among them, is within _REL of its exact value, so moving it by
+    _REL keeps U an upper bound.
 
     The bound also bounds the rate 0 that dit_rate gives from p = (d-1)/d
-    on. For a > 2 it is -inf where every rate on [a, b] is exactly 0 (p(a)
-    >= (b-1)/b, or the bound at most -_BOUND_SLACK), which never
-    displaces the first maximum. dit_error_prob refuses a family that
-    leaves float64 at a or b, and so on [a, b].
+    on. Where p(a) >= (b-1)/b every rate on [a, b] is that 0, and the bound
+    is 0.0 (at p = 1 the coupled bound would stay at log2(a/(a-1))).
+    dit_error_prob refuses a family that leaves float64 at a or b, and so
+    on [a, b].
     """
     j = family[2]
     arg_a, arg_b = _erfc_argument(a, family), _erfc_argument(b, family)
@@ -151,14 +151,13 @@ def dit_rate_bound(family: tuple, k: int, a: int, b: int) -> float:
             u = (1.0 + _REL) / (a * _LN2) - (1.0 - _REL) * (drop + k * p_a / ((b - 1) * _LN2))
             g_a = math.log2(a) - k * h_a - k * p_a * log2_gap
             bound = min(bound, g_a + max(0.0, u) * (b - a))
-    if a > 2 and (p_a >= (b - 1) / b or bound <= -_BOUND_SLACK):
-        return -math.inf
-    return max(0.0, bound)
+    return 0.0 if p_a >= (b - 1) / b else max(0.0, bound)
 
 
 def optimize_dit_rate(family: tuple, k: int, d_max: int) -> tuple[int, float]:
-    """Best (d, dit_rate(d, p(d), k)) over 2 <= d <= d_max <= 2**53 with p
-    the family's dit_error_prob; ties go to the smallest d.
+    """A (d, dit_rate(d, p(d), k)), p the family's dit_error_prob, whose
+    rate is within the slack _BOUND_SLACK (1 + |rate|) of the best over
+    2 <= d <= d_max <= 2**53; which d of a flat top is left open.
 
     The search is best-first: a heap holds intervals keyed on their
     dit_rate_bound, starting from [2, d_max], so a family that leaves
@@ -167,11 +166,10 @@ def optimize_dit_rate(family: tuple, k: int, d_max: int) -> tuple[int, float]:
     starting at d = 2, at the grid point nearest below sqrt(a b) but with
     a leaf on either side (so an interval much wider than its start is
     halved in log d), or, if it is one leaf, each of its d is evaluated.
-    It stops once the top bound plus the float slack _BOUND_SLACK
-    (1 + |best|) is at most the best rate, when no interval left can hold
-    a value equal to the best. A d replaces the best on a higher rate, or
-    an equal one at a smaller d, so the result is the first maximum of the
-    whole range, bit for bit.
+    It stops once the top bound is at most the best rate plus the slack
+    (NaN, and no stop, until a rate is evaluated), so no exact rate beats
+    the one returned by more than the slack plus the 1.9e-13 of
+    dit_rate_bound's error budget.
     """
     if (isinstance(d_max, bool) or not hasattr(d_max, "__index__")
             or not 2 <= d_max <= D_LIMIT):
@@ -179,7 +177,7 @@ def optimize_dit_rate(family: tuple, k: int, d_max: int) -> tuple[int, float]:
     d_max = int(d_max)
     best = (0, -math.inf)
     heap = [(-dit_rate_bound(family, k, 2, d_max), 2, d_max)]
-    while heap and -heap[0][0] + _BOUND_SLACK * (1.0 + abs(best[1])) > best[1]:
+    while heap and not -heap[0][0] <= best[1] + _BOUND_SLACK * (1.0 + abs(best[1])):
         _, a, b = heapq.heappop(heap)
         leaves = (b - a) // _SCAN_CHUNK + 1
         if leaves > 1:
@@ -190,7 +188,7 @@ def optimize_dit_rate(family: tuple, k: int, d_max: int) -> tuple[int, float]:
             continue
         for d in range(a, b + 1):
             rate = dit_rate(d, dit_error_prob(d, family), k)
-            if rate > best[1] or (rate == best[1] and d < best[0]):
+            if rate > best[1]:
                 best = (d, rate)
     return best
 
@@ -223,7 +221,8 @@ class ConcatDesign:
 
 
 def optimize_qudit_dimension(noise: NoiseModel, d_max: int | None = None) -> ConcatDesign:
-    """Best qudit dimension over 2 <= d <= d_max; ties go to the smallest d.
+    """A qudit dimension 2 <= d <= d_max whose rate is within the scan's
+    slack 1e-12 (1 + rate) of the best.
 
     The default ceiling 8 hbar / sigma^2 leaves the optimum (near
     c_sq * hbar / sigma^2 with c_sq < 1/e) well in the interior; below

@@ -10,9 +10,10 @@ closest-point references are box enumerations, erfc is a series of
 positive terms plus a continued fraction, and success probabilities come
 from the 1D Gaussian CDF. The two per-symbol error bounds are written out
 in their own operation order, which the library's one erfc family must
-reproduce bit for bit, and the best d of a rate scan is the first
-argmax over every d, screened by a numpy evaluation of the rate in bits
-where the range is long. The lattice-averaging error bound, which no library path
+reproduce bit for bit. A rate scan, which promises a rate within its
+slack of the best, is checked against the first argmax over every d,
+screened by a numpy evaluation of the rate in bits where the range is
+long. The lattice-averaging error bound, which no library path
 calls, is kept here as a reference that the rate tests check, and so is the
 dense block decoder: int64 matrix products over every row, where the
 library sums over the checks' nonzero entries on the nonzero rows only.

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkplat.classical_channel import (
@@ -173,16 +173,16 @@ class TestOptimize:
     @settings(max_examples=60, deadline=None)
     @given(log_snr=st.floats(-1.0, 12.0), where=st.floats(0.0, 1.0),
            width=st.integers(0, 3000))
+    @example(log_snr=-1.0, where=0.0, width=1)  # p(2) = 0.78 >= 2/3
     def test_block_bound_holds(self, log_snr, where, width):
         params = at_snr(10.0 ** log_snr)
         a = 2 + int(where * math.ceil(8.0 * math.sqrt(params.snr)))
         b = a + width
         upper = dit_rate_bound(signal_family(params), 1, a, b)
         rates = [concat_rate(d, params) for d in range(a, b + 1)]
-        if upper == -math.inf:  # an interval past d = 2 whose rates are all exactly 0
-            assert a > 2 and set(rates) == {0.0}
-        else:
-            assert max(rates) <= upper + dit_rates._BOUND_SLACK
+        assert max(rates) <= upper + dit_rates._BOUND_SLACK
+        if dit_error_prob(a, signal_family(params)) >= (b - 1) / b:  # every rate is 0
+            assert upper == 0.0 and set(rates) == {0.0}
 
     def test_pruned_scan_evaluation_count(self, scan_evaluations):
         # SNR 1e14: 8e7 values of d; the pinned optimum is the exhaustive one

@@ -10,11 +10,14 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gkplat import channel_sim
 from gkplat.cli import _build_parser, _canonical_json, _grid, main
@@ -105,6 +108,17 @@ class TestConcatRatesCommand:
             assert float(row[3]) <= float(row[5])
 
 
+def _point_args(command, flag, value):
+    return [command, flag, f"{value!r}:{value!r}:1"]
+
+
+def _sigma_at(hbar, where):
+    """sigma log-uniformly from just inside the default ceiling's limit,
+    8 hbar / sigma^2 = 2**53, up to 1e3."""
+    low = 0.5 * math.log10(8.0 * hbar / 2.0**53) + 1e-9
+    return 10.0 ** (low + where * (3.0 - low))
+
+
 class TestRateScanTail:
     @pytest.mark.parametrize("command,column,d_opt", [
         (["concat-rates", "--sigma-grid", "0.1:0.1:1"], 1, 30),
@@ -139,6 +153,29 @@ class TestRateScanTail:
         assert code == 0
         assert len(scan_evaluations) <= rates
         assert len(scan_bound_calls) <= bound_calls
+
+    _LOG10_SNR_MAX = 100 * math.log10(2.0)  # 8 sqrt(snr) = 2**53
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.one_of(
+        st.tuples(st.sampled_from([0.5, 1.0, 3.0]), st.floats(0.0, 1.0)).map(
+            lambda t: _point_args("concat-rates", "--sigma-grid", _sigma_at(*t)) + [
+                "--hbar", repr(t[0])]),
+        st.floats(-300.0, _LOG10_SNR_MAX - 1e-9).map(
+            lambda x: _point_args("classical-rates", "--snr-grid", 10.0 ** x))))
+    @example(command=["concat-rates", "--sigma-grid", "3e-7:3e-7:1"])
+    @example(command=["classical-rates", "--snr-grid", "1e26:1e26:1"])
+    def test_scan_work_over_the_default_ceiling_domain(self, capsys, scan_evaluations,
+                                                       scan_bound_calls, command):
+        # sigma from the default ceiling's limit, 2.98e-8 at hbar = 1, to 1e3,
+        # and SNR from 1e-300 to the limit, 1.27e30: the scan's work, counted
+        scan_evaluations.clear()
+        scan_bound_calls.clear()
+        code, _, err = run_cli(command, capsys)
+        assert code == 0, err
+        assert 0 < len(scan_evaluations) <= 64
+        assert len(scan_bound_calls) <= 256
 
 
 class TestClassicalRatesCommand:
@@ -390,6 +427,36 @@ class TestBadInput:
         assert_one_error_line(code, out, err)
         assert err.startswith(f"gkplat: error: lattice {path}: ")
         assert "coset test den * A^-1 has entries beyond int64" in err
+
+    def test_lll_that_cycles_refused(self, tmp_path, capsys):
+        # Z^3 x 1e12 Z in another skewed unimodular frame: float rounding makes
+        # the normalizer's LLL swap its first two rows back and forth
+        rows = [[56286908, -4688977, -531276917, -29896475], [6, 1, -51, 6],
+                [9004181, -750092, -84988036, -4782516], [-9262366, 771600, 87424975, 4919649]]
+        path = tmp_path / "cycling_code.json"
+        path.write_text(json.dumps({"n": 4, "lambda": "1", "basis": [
+            [str(v) for v in row[:3]] + [str(row[3] * 10**12)] for row in rows]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(["simulate", "--lattice", str(path), "--sigma-sq", "0.01",
+                                  "--trials", "100", "--seed", "1"], capsys)
+        assert time.perf_counter() - start < 10.0  # 0.3 s on a 2-core VM
+        assert_one_error_line(code, out, err)
+        assert err.startswith(f"gkplat: error: lattice {path}: ")
+        assert "LLL reduction does not settle" in err
+
+    def test_search_nodes_bounded(self, tmp_path, capsys):
+        # one LLL level of diag(5, 2**31 - 1, 1, 1)'s normalizer is about 4e8
+        # times finer than the others: 2000 targets would need 1.9e8 nodes there
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps({"n": 4, "lambda": "1", "basis": [
+            ["5", "0", "0", "0"], ["0", str(2**31 - 1), "0", "0"], ["0", "0", "1", "0"],
+            ["0", "0", "0", "1"]]}))
+        code, out, err, peak = run_cli_peak(["simulate", "--lattice", str(path), "--sigma-sq",
+                                             "1e-30", "--trials", "2000", "--seed", "1"], capsys)
+        assert_one_error_line(code, out, err)
+        assert err.startswith(f"gkplat: error: lattice {path}: ")
+        assert "nodes at one level, above 2**20" in err
+        assert peak < 64 * 2**20
 
     @pytest.mark.parametrize("command,named", [
         (["simulate", "--lattice", "D4", "--sigma-sq", "0.1", "--hbar", "1e-320",

@@ -289,9 +289,9 @@ class TestOptimize:
         assert (design.d_opt, design.rate_qubits) == (216623, 17.35210724242679)
 
     def test_scan_blocks_agree_with_one_array(self, monkeypatch):
-        # a rate with many ties, split into blocks of 7: the first maximum wins,
-        # with an infinite bound (blocks pop in ascending d) and with one
-        # growing with d (they pop in descending d)
+        # a rate with many ties, split into blocks of 7: the maximum is found,
+        # at a d that attains it, with an infinite bound (blocks pop in
+        # ascending d) and with one growing with d (they pop in descending d)
         def rate(d):
             return round(math.sin(0.37 * d), 1)
         family = qudit_family(NoiseModel(0.1))
@@ -300,11 +300,12 @@ class TestOptimize:
         for bound in [lambda f, k, a, b: math.inf, lambda f, k, a, b: float(b)]:
             monkeypatch.setattr(dit_rates, "dit_rate_bound", bound)
             for d_max in range(2, 60):
-                values = [rate(d) for d in range(2, d_max + 1)]
-                idx = values.index(max(values))  # the first maximum
-                assert optimize_dit_rate(family, 2, d_max) == (2 + idx, values[idx])
+                d, best = optimize_dit_rate(family, 2, d_max)
+                assert best == max(map(rate, range(2, d_max + 1)))
+                assert 2 <= d <= d_max and rate(d) == best
         monkeypatch.setattr(dit_rates, "dit_rate", lambda d, p, k: 0.0)
-        assert optimize_dit_rate(family, 2, 40) == (2, 0.0)
+        d, best = optimize_dit_rate(family, 2, 40)
+        assert 2 <= d <= 40 and best == 0.0
         with pytest.raises(ValueError):
             optimize_dit_rate(family, 2, 1)
 
@@ -327,17 +328,23 @@ class TestOptimize:
         assert 0 < len(scan_evaluations) <= 10**3
 
     def test_pruned_scan_evaluation_count_at_small_noise(self, scan_evaluations):
-        # sigma = 1e-4: 8e8 values of d; the pinned optimum is the exhaustive one
+        # sigma = 1e-4: 8e8 values of d; the exhaustive first maximum is
+        # (20102594, 23.91567380116969), and the scan stops within the slack of it
         design = optimize_qudit_dimension(NoiseModel(1e-8))
-        assert (design.d_opt, design.rate_qubits) == (20102594, 23.91567380116969)
-        assert 0 < len(scan_evaluations) <= 10**4
+        assert (design.d_opt, design.rate_qubits) == (20102593, 23.915673801169685)
+        assert abs(design.rate_qubits - 23.91567380116969) <= \
+            dit_rates._BOUND_SLACK * (1.0 + design.rate_qubits)
+        assert 0 < len(scan_evaluations) <= 32
 
     def test_pruned_scan_evaluation_count_at_tiny_noise(self, scan_evaluations):
         # sigma = 1e-6: 8e12 values of d, about 1e6 of them within the slack
-        # 1e-12 of the best rate, where the rate is flat to the last bits
+        # 1e-12 of the best rate, where the rate is flat to the last bits; the
+        # first of them, 182125363210, has the rate 37.09387387135325
         design = optimize_qudit_dimension(NoiseModel(1e-12))
-        assert (design.d_opt, design.rate_qubits) == (182125363210, 37.09387387135325)
-        assert 0 < len(scan_evaluations) <= 2 * 10**6
+        assert (design.d_opt, design.rate_qubits) == (182125374866, 37.09387387135325)
+        assert abs(design.rate_qubits - 37.09387387135325) <= \
+            dit_rates._BOUND_SLACK * (1.0 + design.rate_qubits)
+        assert 0 < len(scan_evaluations) <= 32
 
     @pytest.mark.parametrize("chunk,sigma_sq,d_max", [
         (1 << 16, 0.45 ** 2, None), (1 << 16, 1.88e-4, None), (1 << 16, 1e-5, None),
@@ -397,16 +404,16 @@ class TestOptimize:
     @settings(max_examples=60, deadline=None)
     @given(log_sigma_sq=st.floats(-7.0, 0.5), hbar=st.sampled_from([0.5, 1.0, 3.0]),
            where=st.floats(0.0, 1.0), width=st.integers(0, 3000))
+    @example(log_sigma_sq=0.5, hbar=0.5, where=0.0, width=1)  # p(2) = 0.72 >= 2/3
     def test_block_bound_holds(self, log_sigma_sq, hbar, where, width):
         noise = NoiseModel(10.0 ** log_sigma_sq, hbar)
         a = 2 + int(where * math.ceil(8.0 * hbar / noise.sigma_sq))
         b = a + width
         upper = dit_rate_bound(qudit_family(noise), 2, a, b)
         rates = [concat_rate(d, noise) for d in range(a, b + 1)]
-        if upper == -math.inf:  # an interval past d = 2 whose rates are all exactly 0
-            assert a > 2 and set(rates) == {0.0}
-        else:
-            assert max(rates) <= upper + dit_rates._BOUND_SLACK
+        assert max(rates) <= upper + dit_rates._BOUND_SLACK
+        if gkp_qudit_error_prob(a, noise) >= (b - 1) / b:  # every rate on [a, b] is 0
+            assert upper == 0.0 and set(rates) == {0.0}
 
     def test_c_sq_slowly_varying(self):
         # variation of log2(c_sq) within each decade of sigma^2 stays under a bit

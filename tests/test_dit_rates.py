@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkplat import dit_rates
@@ -45,14 +45,14 @@ def _p_prime(d, family):
 @settings(max_examples=150, deadline=None)
 @given(family=_FAMILIES, k=st.sampled_from([1, 2]), at_two=st.booleans(),
        where=st.floats(0.0, 1.0), width=st.integers(0, 4096))
+@example(family=(1.5, 1.0, 2, 100.0), k=1, at_two=True, where=0.0, width=3)  # p(2) = 0.93
 def test_bound_plus_slack_covers_every_computed_rate(family, k, at_two, where, width):
     a, b = _interval(family, at_two, where, width)
     upper = dit_rate_bound(family, k, a, b)
     rates = [dit_rate(d, dit_error_prob(d, family), k) for d in range(a, b + 1)]
-    if upper == -math.inf:  # an interval past d = 2 whose rates are all exactly 0
-        assert a > 2 and set(rates) == {0.0}
-    else:
-        assert max(rates) <= upper + dit_rates._BOUND_SLACK
+    assert max(rates) <= upper + dit_rates._BOUND_SLACK
+    if dit_error_prob(a, family) >= (b - 1) / b:  # every rate on [a, b] is 0
+        assert upper == 0.0 and set(rates) == {0.0}
 
 
 @pytest.mark.parametrize("k", [1, 2])
