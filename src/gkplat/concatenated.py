@@ -1,23 +1,16 @@
 """Concatenated coding: a grid qudit in each oscillator, a CSS code on
 top. This module is the Monte Carlo side.
 
-Each oscillator carries a d-dimensional system encoded in the single-mode
-grid code; a shift of q by an integer multiple a of the normalizer spacing
-delta = sqrt(2 pi hbar / d) acts as X^a on the qudit, a shift of p as Z^b.
-The X/Z components are independent under Gaussian displacements. The
-asymptotic side lives in dit_rates, which needs no numpy: the per-qudit
-bound p_X, p_Z <= erfc(sqrt(pi hbar / (4 d sigma^2)))
-(gkp_qudit_error_prob), the rate dit_rate(d, p, 2) qubits per oscillator
-of a random CSS code over Z_d, and its best d (optimize_qudit_dimension,
-also importable from here). That rate uses the pessimistic model where
-all d-1 shift values are equally likely, while the Monte Carlo here
-samples the true (peaked) shift distribution.
-
-The explicit nine-qudit block code below (three repetition blocks, block
-sums compared across blocks) stands in for the random CSS codes of the
-asymptotic argument when something concrete must be simulated. It
-corrects every single-qudit error, from syndrome tables that CssCode
-derives from its check matrices.
+A shift of q by m multiples of the spacing delta = sqrt(2 pi hbar / d)
+acts as X^m on the qudit, one of p as Z^m, independently under Gaussian
+displacements. dit_rates holds the asymptotic side (no numpy): the
+per-qudit bound erfc(sqrt(pi hbar / (4 d sigma^2))), which takes the d - 1
+nonzero shifts as equally likely, the CSS rate and the best d
+(optimize_qudit_dimension, also importable from here). The Monte Carlo
+samples the true, peaked shift distribution on a nine-qudit block code,
+which stands in for the random CSS codes of the asymptotic argument and
+corrects every single-qudit error from tables CssCode derives from its
+check matrices.
 """
 
 from __future__ import annotations
@@ -45,17 +38,13 @@ class QuditPauliError:
 class CssCode:
     """CSS code over Z_d whose decoder corrects single-qudit errors.
 
-    ``hz`` rows are Z-type checks (they detect X errors), ``hx`` rows are
-    X-type checks (they detect Z errors); hx @ hz^T must vanish mod d. The
-    block length n is the width of ``hz``, shared by all four matrices.
-    Each sector's decode table is derived from its checks alone: sorted
-    int64 syndrome keys (``x_table``, ``z_table``) of the zero error and
-    every single-qudit error, each with the first such error as its
-    correction and that correction's pairing with the opposite logicals.
-    Every single-qudit error is corrected when errors that share a
-    syndrome differ by a stabilizer, as in a distance-3 code; syndromes
-    outside the table are uncorrectable. A d whose syndrome keys, d**rows
-    for the longer check matrix, overflow int64 is refused first.
+    ``hz`` rows are Z-type checks (they detect X errors), ``hx`` rows
+    X-type checks (they detect Z errors); hx @ hz^T must vanish mod d, and
+    all four matrices share the block length n. The tables ``x_table`` and
+    ``z_table`` (see _syndrome_table) correct every single-qudit error when
+    errors that share a syndrome differ by a stabilizer, as in a distance-3
+    code. A d whose syndrome keys, d**rows for the longer check matrix,
+    overflow int64 is refused first.
     """
 
     d: int
@@ -78,7 +67,6 @@ class CssCode:
             raise ValueError("check and logical matrices must share one width")
         if ((self.hx @ self.hz.T) % d).any():
             raise ValueError("check matrices are not orthogonal mod d")
-        # logical operators must commute with the opposite-type checks
         if ((self.hz @ self.logical_x.T) % d).any():
             raise ValueError("logical X anticommutes with a Z check")
         if ((self.hx @ self.logical_z.T) % d).any():
@@ -92,15 +80,13 @@ class CssCode:
 
     def _syndrome_table(self, checks: np.ndarray, opposite_logical: np.ndarray):
         """Sorted int64 syndrome keys (base-d digits of the syndrome), their
-        correction rows, the digit weights, and the pairing of each
-        correction row with the opposite logical operators mod d.
-
-        The candidate errors are the zero error, then every single-qudit
-        error, position-major and value-minor; the first candidate with a
-        syndrome becomes its correction. A last key of int64 max, above
-        every syndrome, with a zero row keeps searchsorted in range and
-        stands for a missing syndrome. __post_init__ has refused keys that
-        would overflow int64 before any candidate is built.
+        correction rows, the digit weights, and each correction's pairing
+        with the opposite logical operators mod d. The candidates are the
+        zero error, then every single-qudit error, position-major and
+        value-minor; the first with a syndrome becomes its correction. A
+        last key of int64 max, above every syndrome, with a zero row keeps
+        searchsorted in range and stands for a missing syndrome;
+        __post_init__ has refused keys that would overflow int64.
         """
         d, n, rows = self.d, self.n, checks.shape[0]
         weights = d ** np.arange(rows - 1, -1, -1, dtype=np.int64)
@@ -114,51 +100,76 @@ class CssCode:
         return keys, corrections, weights, (corrections @ opposite_logical.T) % d
 
 
-_SAMPLE_CHUNK = 1 << 16  # normals per fill of the one reused float buffer
-_MAX_SHIFT = 2.0 ** 53   # float64 holds every integer below it exactly
+_MAX_TERMS = 1 << 16  # erfc or cosine terms of one pmf; its table has at most twice as many cells
 
 
 def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
                         size) -> tuple[np.ndarray, np.ndarray]:
     """Vector form of the single-qudit channel: arrays of X and Z exponents.
 
-    Shifts are sampled in physical units and binned to the nearest
-    multiple of the spacing delta = sqrt(2 pi hbar / d), modulo d. They
-    are drawn _SAMPLE_CHUNK at a time into one float buffer, reduced mod d
-    in float as s - floor(s / d) d and cast into the int64 output, with
-    the values and generator state of one draw of the whole (2,) + size
-    array. The reduction is exact while |s| + d < 2**53; a shift beyond
-    that, or a d of 2**53 or more, raises ValueError before the cast, and
-    a d that is not an integer raises TypeError.
+    A shift x ~ N(0, sigma^2) acts as m mod d, m = round(x / delta) with
+    delta = sqrt(2 pi hbar / d). No normal is drawn: the nonzero cells of
+    the (2,) + size output lie geometric(q) gaps apart, q = P(m != 0 mod d),
+    and take values from the pmf given nonzero by inverse CDF on
+    rng.random. A non-integer d raises TypeError; d outside [2, 2**53), a
+    pmf past _MAX_TERMS terms or sigma^2 d / hbar past float64, ValueError.
     """
+    return _draw(*_nonzero_shifts(d, noise), rng, size)
+
+
+def _nonzero_shifts(d: int, noise: NoiseModel):
+    """(residues, cdf, q): the nonzero exponents, possibly repeated, their
+    cumulative pmf given nonzero, and q, its sum. With t = sigma / delta
+    below d / 4, each probability is a difference of the tails
+    P(m > i) = erfc((i + 1/2) / (t sqrt 2)) / 2, so q keeps its precision
+    at any noise, and |m| <= top leaves out under 2**-64 of P(m > 0), as
+    erfc(y) <= erfc(x) exp(x^2 - y^2). From t = d / 4 on, the series
+    pmf(v) = (1 + 2 sum_j exp(-2 (pi t j / d)^2) sinc(j / d) cos(2 pi j v / d)) / d
+    (Poisson summation) stops at j = top = floor(1.5 d / t) <= 6, past
+    which its terms are under 2**-64."""
     d = operator.index(d)
-    if d < 2:
-        raise ValueError("qudit dimension must be >= 2")
-    delta = math.sqrt(2.0 * math.pi * noise.hbar / d)
-    sigma = math.sqrt(noise.sigma_sq)
-    limit = _MAX_SHIFT - d  # below it s, floor(s / d) d and their difference are exact
-    shape = (2,) + (tuple(size) if isinstance(size, tuple) else (size,))
-    binned = np.empty(shape, dtype=np.int64)
-    flat = binned.reshape(-1)
-    chunk = np.empty(min(_SAMPLE_CHUNK, flat.size))
-    for lo in range(0, flat.size, _SAMPLE_CHUNK):
-        shifts = chunk[:flat.size - lo]
-        out = flat[lo:lo + len(shifts)]
-        rng.standard_normal(out=shifts)
-        shifts *= sigma
-        shifts /= delta
-        np.rint(shifts, out=shifts)
-        if not (-limit < shifts.min() and shifts.max() < limit):
-            raise ValueError(f"d = {d} with sigma_sq = {noise.sigma_sq!r} and hbar = "
-                             f"{noise.hbar!r} gives qudit shifts s with |s| + d >= 2**53, "
-                             f"beyond float64's exact integers")
-        wraps = out.view(np.float64)  # the output slice, not yet written, as scratch
-        np.divide(shifts, d, out=wraps)
-        np.floor(wraps, out=wraps)
-        wraps *= d
-        shifts -= wraps
-        out[:] = shifts  # the same cast as astype(np.int64)
-    return binned[0], binned[1]
+    if not 2 <= d < 2**53:
+        raise ValueError(f"qudit dimension must be >= 2 and below 2**53, got {d}")
+    t_sq = noise.sigma_sq / noise.hbar * d / (2.0 * math.pi)
+    if t_sq == math.inf:
+        raise ValueError(f"sigma_sq d / hbar overflows float64 at d = {d}, "
+                         f"sigma_sq = {noise.sigma_sq!r}, hbar = {noise.hbar!r}")
+    t, dual = math.sqrt(t_sq), t_sq >= d * d / 16.0
+    top = math.floor(1.5 * d / t) if dual else \
+        max(1, math.ceil(math.sqrt(0.25 + 88.8 * t_sq) - 0.5))  # 88.8 > 128 ln 2
+    terms = (top + 1) * (d - 1 if dual else 1)
+    if terms > _MAX_TERMS:
+        raise ValueError(f"the qudit shift pmf at d = {d}, sigma_sq = {noise.sigma_sq!r}, "
+                         f"hbar = {noise.hbar!r} needs {terms} terms, more than 2**16")
+    if dual:
+        residues, j = np.arange(1, d), np.arange(1, top + 1)[:, None]
+        waves = np.exp(-2.0 * (math.pi * t * j / d) ** 2) * np.sinc(j / d) \
+            * np.cos(2.0 * math.pi * (j * residues) / d)
+        probs = (1.0 + 2.0 * waves.sum(axis=0)) / d
+    else:  # m = i, then m = -i, for i = 1 .. top; a cell of residue 0 gets 0
+        tails = np.array([0.5 * math.erfc((i + 0.5) / (math.sqrt(2.0) * t)) if t else 0.0
+                          for i in range(top + 1)])
+        residues = np.concatenate([np.arange(1, top + 1), np.arange(-1, -top - 1, -1)]) % d
+        probs = np.tile(tails[:-1] - tails[1:], 2) * (residues != 0)
+    cdf = np.cumsum(probs)
+    q = float(cdf[-1])
+    return residues, cdf / (q or 1.0), q
+
+
+def _draw(residues, cdf, q, rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z exponents of shape size from a _nonzero_shifts table."""
+    out = np.zeros((2,) + (tuple(size) if isinstance(size, tuple) else (size,)), dtype=np.int64)
+    flat, n, last = out.reshape(-1), out.size, -1
+    while q and last < n - 1:
+        mean = (n - 1 - last) * q
+        cells = rng.geometric(q, math.ceil(mean + 4.0 * math.sqrt(mean) + 1.0))
+        np.minimum(cells, n + 1, out=cells)  # a gap past the block ends it; sums stay in int64
+        cells[0] += last
+        np.cumsum(cells, out=cells)
+        hits = cells[:np.searchsorted(cells, n)]
+        flat[hits] = residues[np.searchsorted(cdf, rng.random(len(hits)), side="right")]
+        last = int(cells[-1])
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +178,12 @@ def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
 def shor9_code(d: int) -> CssCode:
     """Nine-qudit CSS code mod d: three repetition blocks plus block sums.
 
-    Z-type checks compare neighbors within each block of three (six
-    checks, diagnosing X shifts); X-type checks compare consecutive block
-    sums (two checks, diagnosing Z shifts). Distance 3: every single-qudit
-    X^a Z^b error is correctable, from tables CssCode derives from these
-    checks. Z errors within a block share a syndrome; any one of them is
-    a correction equivalent up to a Z-type stabilizer. A d too large for
-    the six-digit X syndrome keys (d >= 1449) is refused before the
-    9 (d - 1) single errors are built.
+    Z-type checks compare neighbors within each block of three (six, for X
+    shifts), X-type checks consecutive block sums (two, for Z shifts).
+    Distance 3: every single-qudit X^a Z^b error is corrected; Z errors
+    within a block share a syndrome, and each corrects the others up to a
+    Z-type stabilizer. A d too large for the six-digit X syndrome keys
+    (d >= 1449) is refused before the 9 (d - 1) single errors are built.
     """
     hz = np.array([[1, -1, 0, 0, 0, 0, 0, 0, 0],  # -1 stands for d - 1: no entry depends on d
                    [0, 1, -1, 0, 0, 0, 0, 0, 0],
@@ -194,14 +203,11 @@ def shor9_code(d: int) -> CssCode:
 
 
 def css_decode(code: CssCode, error: list[QuditPauliError]) -> tuple[list[QuditPauliError], bool]:
-    """Decode one block error; returns (correction, logical_failure).
-
-    X and Z sectors are handled independently. A syndrome missing from the
-    table is flagged as a failure with no correction attempted; otherwise
-    failure means the residual error acts nontrivially on the code space
-    (detected by its pairing with the opposite logical operators mod d).
-    Runs as a batch of one through the decoder the simulation uses.
-    """
+    """Decode one block error; returns (correction, logical_failure), as a
+    batch of one through the decoder the simulation uses. In each sector, a
+    syndrome missing from the table fails with no correction; otherwise
+    the residual error fails if it pairs nontrivially with the opposite
+    logical operators mod d."""
     if len(error) != code.n:
         raise ValueError("error length must equal the block length")
     a = np.array([[e.a % code.d for e in error]], dtype=np.int64)
@@ -217,17 +223,15 @@ _BATCH_TRIALS = 1 << 18  # sets which draws become X and Z shifts; changing it c
 
 def simulate_concatenated(code: CssCode, noise: NoiseModel, trials: int, seed: int,
                           workers: int = 1) -> ErrorEstimate:
-    """Monte Carlo logical-failure probability of a concatenated block.
-
-    Each trial draws independent grid-qudit errors for the N oscillators
-    from the true shift distribution and decodes both sectors. The
-    channel simulator's estimator runs it, on blocks of batch_cap trials:
-    deterministic for fixed (seed, trials, workers).
-    """
+    """Monte Carlo logical-failure probability of a concatenated block:
+    each trial samples the N qudits' errors from one shift table and
+    decodes both sectors, in blocks of batch_cap trials run by the channel
+    simulator's estimator; deterministic for fixed (seed, trials, workers)."""
     batch_cap = max(1, _BATCH_TRIALS // max(1, code.n))
+    shifts = _nonzero_shifts(code.d, noise)
 
     def block_failures(gen, rows):
-        a, b = sample_qudit_errors(code.d, noise, gen, (rows, code.n))
+        a, b = _draw(*shifts, gen, (rows, code.n))
         return int(_batch_failures(code, a, b)[2].sum())
 
     return _estimate(block_failures, seed, trials, workers, batch_cap)
@@ -301,17 +305,13 @@ def _batch_failures(code: CssCode, a, b):
 
 
 def min_distance_comparison(rate: float, n_modes: int, noise: NoiseModel) -> tuple[float, float, float]:
-    """Shortest normalizer vectors of rate-matched codes: concatenated vs
-    sphere-packing, as (len^2 concat, len^2 packing, length ratio).
-
-    With d = 2^R the concatenated normalizer spacing gives
-    len^2 = 2 pi hbar 2^-R, while a rate-R efficient packing on N modes
-    reaches len^2 = (8 N hbar / e) 2^-R; the ratio of lengths is
-    sqrt(4 N / (pi e)), independent of the rate.
-    """
+    """Shortest normalizer vectors of rate-matched codes, concatenated vs
+    sphere packing: (len^2 concat, len^2 packing, length ratio). With
+    d = 2^R the concatenated spacing gives len^2 = 2 pi hbar 2^-R, a rate-R
+    efficient packing on N modes len^2 = (8 N hbar / e) 2^-R; the length
+    ratio sqrt(4 N / (pi e)) does not depend on the rate."""
     if rate <= 0:
         raise ValueError("rate must be positive")
     l_sq_concat = 2.0 * math.pi * noise.hbar * 2.0 ** (-rate)
     l_sq_packing = (8.0 * n_modes * noise.hbar / math.e) * 2.0 ** (-rate)
-    ratio = math.sqrt(l_sq_packing / l_sq_concat)
-    return l_sq_concat, l_sq_packing, ratio
+    return l_sq_concat, l_sq_packing, math.sqrt(l_sq_packing / l_sq_concat)

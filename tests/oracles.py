@@ -17,6 +17,10 @@ long. The lattice-averaging error bound, which no library path
 calls, is kept here as a reference that the rate tests check, and so is the
 dense block decoder: int64 matrix products over every row, where the
 library sums over the checks' nonzero entries on the nonzero rows only.
+The single-qudit channel's reference draws and bins normal shifts, where
+the library samples the binned distribution; a block's exact failure
+probability is a syndrome trellis over the qudits, where the library
+decodes sampled errors.
 """
 
 from __future__ import annotations
@@ -371,3 +375,76 @@ def matmul_decode_sector(d, errors, checks, table, opposite_logical):
     residual -= pairing[row]
     residual %= d
     return row, ~found | residual.any(axis=1)
+
+
+_SAMPLE_CHUNK = 1 << 16  # normals per fill of the one reused float buffer
+_MAX_SHIFT = 2.0 ** 53   # float64 holds every integer below it exactly
+
+
+def normal_binned_qudit_errors(d: int, noise, rng, size) -> tuple[np.ndarray, np.ndarray]:
+    """Reference single-qudit channel: arrays of X and Z exponents.
+
+    Shifts are sampled in physical units and binned to the nearest
+    multiple of the spacing delta = sqrt(2 pi hbar / d), modulo d. They
+    are drawn _SAMPLE_CHUNK at a time into one float buffer, reduced mod d
+    in float as s - floor(s / d) d and cast into the int64 output, with
+    the values and generator state of one draw of the whole (2,) + size
+    array. The reduction is exact while |s| + d < 2**53; a shift beyond
+    that, or a d of 2**53 or more, raises ValueError before the cast.
+    """
+    if d < 2:
+        raise ValueError("qudit dimension must be >= 2")
+    delta = math.sqrt(2.0 * math.pi * noise.hbar / d)
+    sigma = math.sqrt(noise.sigma_sq)
+    limit = _MAX_SHIFT - d  # below it s, floor(s / d) d and their difference are exact
+    shape = (2,) + (tuple(size) if isinstance(size, tuple) else (size,))
+    binned = np.empty(shape, dtype=np.int64)
+    flat = binned.reshape(-1)
+    chunk = np.empty(min(_SAMPLE_CHUNK, flat.size))
+    for lo in range(0, flat.size, _SAMPLE_CHUNK):
+        shifts = chunk[:flat.size - lo]
+        out = flat[lo:lo + len(shifts)]
+        rng.standard_normal(out=shifts)
+        shifts *= sigma
+        shifts /= delta
+        np.rint(shifts, out=shifts)
+        if not (-limit < shifts.min() and shifts.max() < limit):
+            raise ValueError(f"d = {d} with sigma_sq = {noise.sigma_sq!r} and hbar = "
+                             f"{noise.hbar!r} gives qudit shifts s with |s| + d >= 2**53, "
+                             f"beyond float64's exact integers")
+        wraps = out.view(np.float64)  # the output slice, not yet written, as scratch
+        np.divide(shifts, d, out=wraps)
+        np.floor(wraps, out=wraps)
+        wraps *= d
+        shifts -= wraps
+        out[:] = shifts  # the same cast as astype(np.int64)
+    return binned[0], binned[1]
+
+
+def trellis_sector_failure_prob(code, pmf, sector: str) -> float:
+    """Exact logical-failure probability of one sector ("X" or "Z") of a
+    CssCode whose qudits take iid exponents with the given pmf on Z_d, by
+    a syndrome trellis (Bahl, Cocke, Jelinek, Raviv 1974; Wolf 1978).
+
+    The state is the syndrome digits and the pairing with the opposite
+    logicals, in Z_d^(r+k); each qudit column c of the checks and
+    logicals takes P to sum_v pmf[v] roll(P, v c mod d). A block succeeds
+    where its syndrome is a table key and its pairing is that key's
+    correction's pairing, so the failure probability is 1 minus P summed
+    over those states.
+    """
+    d = code.d
+    checks, table, opposite = ((code.hz, code.x_table, code.logical_z) if sector == "X"
+                               else (code.hx, code.z_table, code.logical_x))
+    columns = np.concatenate([checks, opposite]) % d
+    axes = tuple(range(len(columns)))
+    prob = np.zeros((d,) * len(columns))
+    prob[(0,) * len(columns)] = 1.0
+    for col in columns.T:
+        prob = sum(pmf[v] * np.roll(prob, tuple(int(s) for s in v * col % d), axis=axes)
+                   for v in range(d))
+    keys, _, weights, pairing = table
+    success = 0.0
+    for key, paired in zip(keys[:-1].tolist(), pairing[:-1].tolist()):
+        success += prob[tuple(key // w % d for w in weights.tolist()) + tuple(paired)]
+    return 1.0 - success

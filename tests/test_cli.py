@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 from gkplat import channel_sim
 from gkplat.cli import _build_parser, _canonical_json, _grid, main
+from gkplat.concatenated import shor9_code
 
-from oracles import square_lattice_failure_prob, wilson_halfwidth
+from oracles import square_lattice_failure_prob, trellis_sector_failure_prob, wilson_halfwidth
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -268,10 +269,17 @@ class TestConcatSimCommand:
 
     @pytest.mark.parametrize("sigma_sq", ["1e40", "1e300"])
     def test_shifts_beyond_float64_integers_refused(self, capsys, sigma_sq):
-        code, out, err = run_cli(["concat-sim", "--d", "3", "--sigma-sq", sigma_sq,
-                                  "--trials", "1000", "--seed", "1"], capsys)
-        assert_one_error_line(code, out, err)
-        assert "2**53" in err
+        # no longer refused: no shift is drawn, and a spread of about 1e20
+        # or 1e150 spacings makes the exponents uniform on Z_3, whose exact
+        # block failure probability the trellis gives
+        code, out, _ = run_cli(["concat-sim", "--d", "3", "--sigma-sq", sigma_sq,
+                                "--trials", "1000", "--seed", "1"], capsys)
+        assert code == 0
+        p_hat = json.loads(out)["result"]["p_hat"]
+        p_x, p_z = (trellis_sector_failure_prob(shor9_code(3), np.full(3, 1.0 / 3.0), sector)
+                    for sector in "XZ")
+        exact = 1.0 - (1.0 - p_x) * (1.0 - p_z)
+        assert abs(p_hat - exact) <= 3.0 * wilson_halfwidth(p_hat, 1000)
 
     def test_large_noise_runs(self, capsys):
         code, out, _ = run_cli(["concat-sim", "--d", "3", "--sigma-sq", "1e6",
@@ -926,8 +934,8 @@ ACCEPTANCE_HASHES = [
      "2dc03dcf269501f1"),
     ("simulate --lattice grid_qudit:2 --sigma-sq 0.1 --trials 1000000 --seed 5 --criterion coset",
      "9e498cbe46f4fd56"),
-    ("concat-sim --d 3 --sigma-sq 0.05 --trials 1000000 --seed 5", "0b4a44da1f56cbcc"),
-    ("concat-sim --d 10 --sigma-sq 0.05 --trials 1000000 --seed 5", "a4582c8808f4f496"),
+    ("concat-sim --d 3 --sigma-sq 0.05 --trials 1000000 --seed 5", "776f996064fcd982"),
+    ("concat-sim --d 10 --sigma-sq 0.05 --trials 1000000 --seed 5", "5c8c097e4edced18"),
     ("lattice-info D4", "ef8a4c13ceab6c3c"),
     ("lattice-info E8", "d619e39728fd401b"),
     ("decode E8 0.3,-0.2,0.1,0.7,-0.4,0.25,0.05,-0.6", "704dd7b8cbc95535"),

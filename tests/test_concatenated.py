@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from functools import partial
 
@@ -37,7 +38,8 @@ from gkplat.dit_rates import (
 from gkplat.rates import coherent_information
 
 from oracles import (dit_rate_screen, erfc_oracle, exhaustive_argmax, matmul_decode_sector,
-                     qudit_error_prob, qudit_shift_pmf, wilson_halfwidth)
+                     normal_binned_qudit_errors, qudit_error_prob, qudit_shift_pmf,
+                     trellis_sector_failure_prob, wilson_halfwidth)
 
 
 def concat_rate(d, noise):
@@ -463,11 +465,12 @@ class TestChannelSample:
     @pytest.mark.parametrize("d", [2, 10, 1448])
     @pytest.mark.parametrize("size", [1, 40_000, (29_127, 9)])
     def test_chunked_draw_equals_one_shot(self, d, size):
-        # 80,000 and 524,286 normals: not multiples of the 2**16 chunk
+        # the normal-binning reference: 80,000 and 524,286 normals are not
+        # multiples of its 2**16 chunk
         noise = NoiseModel(0.05)
         sigma, delta = math.sqrt(noise.sigma_sq), math.sqrt(2.0 * math.pi * noise.hbar / d)
         gen, ref = make_generator(63), make_generator(63)
-        a, b = sample_qudit_errors(d, noise, gen, size)
+        a, b = normal_binned_qudit_errors(d, noise, gen, size)
         shape = (2,) + (size if isinstance(size, tuple) else (size,))
         want = np.rint(ref.standard_normal(shape) * sigma / delta).astype(np.int64) % d
         assert a.dtype == b.dtype == np.int64
@@ -476,7 +479,8 @@ class TestChannelSample:
 
     @pytest.mark.parametrize("d", [2, 3, 1448, 2**40 + 1, 2**53 - 1])
     def test_float_binning_exact_up_to_its_limit(self, d):
-        # shifts s at and around |s| + d = 2**53: binned as int64 % d, or refused
+        # the normal-binning reference, at shifts s at and around
+        # |s| + d = 2**53: binned as int64 % d, or refused
         noise = NoiseModel(1.0)  # sigma = 1
         delta = math.sqrt(2.0 * math.pi * noise.hbar / d)
         for target in (0, 1, d - 1, d, 2**52, 2**53 - d - 2, 2**53 - d, 2**53 - d + 2,
@@ -485,12 +489,12 @@ class TestChannelSample:
                 x = sign * target * delta
                 s = float(np.rint(x * 1.0 / delta))  # the function's own float steps
                 if abs(s) + d < 2**53:
-                    a, b = sample_qudit_errors(d, noise, FixedNormals([x, -x]), 1)
+                    a, b = normal_binned_qudit_errors(d, noise, FixedNormals([x, -x]), 1)
                     assert a.dtype == b.dtype == np.int64
                     assert (int(a[0]), int(b[0])) == (int(s) % d, int(-s) % d)
                 else:
                     with pytest.raises(ValueError, match=r"\|s\| \+ d >= 2\*\*53"):
-                        sample_qudit_errors(d, noise, FixedNormals([x, -x]), 1)
+                        normal_binned_qudit_errors(d, noise, FixedNormals([x, -x]), 1)
 
     def test_qudit_dimension_must_be_an_integer_below_2_to_the_53(self):
         with pytest.raises(TypeError):
@@ -520,6 +524,113 @@ class TestChannelSample:
         table = np.array([[((a == 0) & (b == 0)).sum(), ((a == 0) & (b != 0)).sum()],
                           [((a != 0) & (b == 0)).sum(), ((a != 0) & (b != 0)).sum()]])
         assert chi2_contingency(table).pvalue > 0.001
+
+    @pytest.mark.parametrize("sigma_sq", [1e-8, 1e-30])
+    def test_no_nonzero_cell_where_every_tail_underflows(self, sigma_sq):
+        # q = 0: a whole block of zeros, and nothing asked of the generator
+        noise = NoiseModel(sigma_sq)
+        assert concatenated._nonzero_shifts(3, noise)[2] == 0.0
+        gen = make_generator(65)
+        state = repr(gen.bit_generator.state)
+        a, b = sample_qudit_errors(3, noise, gen, (29_127, 9))
+        assert not a.any() and not b.any()
+        assert repr(gen.bit_generator.state) == state
+
+    @pytest.mark.parametrize("sigma_sq", [8e-4, 4e-4])
+    def test_tiny_q_gap_stays_in_int64(self, sigma_sq):
+        # rng.geometric(q) returns 2**63 - 1 for such q; the gap is cut to
+        # the block, so summing gaps cannot wrap to a cell inside it
+        noise = NoiseModel(sigma_sq)
+        q = concatenated._nonzero_shifts(3, noise)[2]
+        assert 0.0 < q <= 1e-116
+        assert make_generator(66).geometric(q) == 2**63 - 1
+        a, b = sample_qudit_errors(3, noise, make_generator(66), (29_127, 9))
+        assert not a.any() and not b.any()
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 10, 37])
+    @pytest.mark.parametrize("sigma_sq", [0.01, 0.05, 0.5, 5.0])
+    def test_pmf_matches_wrap_sum_oracle(self, d, sigma_sq):
+        # both the direct window and, from sigma = d delta / 4 on (at
+        # sigma^2 = 5 for d <= 10), the Poisson-summed series
+        residues, cdf, q = concatenated._nonzero_shifts(d, NoiseModel(sigma_sq))
+        pmf = np.zeros(d)
+        np.add.at(pmf, residues, np.diff(cdf, prepend=0.0) * q)
+        pmf[0] = 1.0 - q
+        want = qudit_shift_pmf(d, math.sqrt(sigma_sq))
+        assert np.abs(pmf - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("sigma_sq", [1e-3, 1e-2])
+    def test_q_keeps_its_precision_at_small_noise(self, sigma_sq):
+        # 1 - pmf[0] would be 0 or off by 1e-4 relative here; q is within
+        # 1e-12 relative of mpmath's 50-digit sum over m != 0 mod 3
+        d = 3
+        q = concatenated._nonzero_shifts(d, NoiseModel(sigma_sq))[2]
+        with mpmath.workdps(50):
+            scale = mpmath.sqrt(2 * mpmath.mpf(sigma_sq) * d / (2 * mpmath.pi))
+            want = sum(mpmath.erfc((m - mpmath.mpf(0.5)) / scale)
+                       - mpmath.erfc((m + mpmath.mpf(0.5)) / scale)
+                       for m in range(1, 40) if m % d)
+        assert float(want) > 0.0
+        assert q == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 1448])
+    @pytest.mark.parametrize("sigma_sq", [0.05, 0.5, 5.0])
+    def test_counts_match_normal_binning_reference(self, d, sigma_sq):
+        noise = NoiseModel(sigma_sq)
+        got = np.concatenate(sample_qudit_errors(d, noise, make_generator(67), 200_000))
+        ref = np.concatenate(normal_binned_qudit_errors(d, noise, make_generator(68), 200_000))
+        counts = np.array([np.bincount(got, minlength=d), np.bincount(ref, minlength=d)])
+        assert chi2_contingency(pooled_columns(counts)).pvalue > 1e-3
+
+    def test_joint_xz_counts_match_normal_binning_reference(self):
+        d, noise = 3, NoiseModel(0.5)
+        got = sample_qudit_errors(d, noise, make_generator(69), 200_000)
+        ref = normal_binned_qudit_errors(d, noise, make_generator(70), 200_000)
+        counts = np.array([np.bincount(a * d + b, minlength=d * d) for a, b in (got, ref)])
+        assert chi2_contingency(pooled_columns(counts)).pvalue > 1e-3
+
+    @settings(max_examples=120, deadline=None)
+    @given(d=st.one_of(st.integers(2, 1448), st.sampled_from([2**40 + 1, 2**53 - 1])),
+           sigma_sq=st.sampled_from([5e-324, 1e-308, 1e-8, 0.05, 1e6, 1e40, 1e300]),
+           hbar=st.sampled_from([1e-3, 1.0, 1e3]))
+    @example(d=2**53 - 1, sigma_sq=1e-8, hbar=1.0)  # 35,680 erfc terms, far fewer than d
+    @example(d=2**53 - 1, sigma_sq=0.05, hbar=1.0)  # refused: about 8e7 erfc terms
+    @example(d=1448, sigma_sq=1e6, hbar=1e-3)       # the series, uniform on Z_d
+    @example(d=3, sigma_sq=1e300, hbar=1e-3)        # sigma^2 d / hbar overflows
+    def test_bounded_work_at_every_input(self, d, sigma_sq, hbar):
+        # int64 exponents in [0, d), or one ValueError before any pmf term;
+        # at most 2**16 erfc or cosine terms and 8 MiB traced either way
+        terms, erfc, cos = [], math.erfc, np.cos
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(math, "erfc", lambda x: terms.append(1) or erfc(x))
+            patch.setattr(np, "cos", lambda x: terms.append(np.size(x)) or cos(x))
+            tracemalloc.start()
+            try:
+                a, b = sample_qudit_errors(d, NoiseModel(sigma_sq, hbar), make_generator(71),
+                                           (100, 9))
+            except ValueError as err:
+                assert re.fullmatch(r"the qudit shift pmf at .* needs \d+ terms, more than "
+                                    r"2\*\*16|sigma_sq d / hbar overflows float64 at .*",
+                                    str(err))
+                assert terms == []
+                a = b = np.zeros((100, 9), dtype=np.int64)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+        assert concatenated._MAX_TERMS == 2**16
+        assert sum(terms) <= 2**16
+        assert peak <= 8 * 2**20
+        for x in (a, b):
+            assert x.dtype == np.int64 and x.shape == (100, 9)
+            assert 0 <= x.min() and x.max() < d
+
+
+def pooled_columns(counts: np.ndarray) -> np.ndarray:
+    """Columns of a two-row count table with at least 20 counts, then one
+    column pooling the others if they hold any."""
+    keep = counts.sum(axis=0) >= 20
+    rest = counts[:, ~keep].sum(axis=1, keepdims=True)
+    return np.hstack([counts[:, keep]] + ([rest] if rest.any() else []))
 
 
 class FixedNormals:
@@ -764,6 +875,35 @@ def exact_sector_failure_prob(code: CssCode, pmf: np.ndarray, sector: str) -> fl
     return total
 
 
+def enumerated_sector_failure_prob(code: CssCode, pmf: np.ndarray, sector: str) -> float:
+    """Exact logical-failure probability of one sector: every one of the
+    d**n error patterns, decoded at once by the dense matmul decoder and
+    weighted by its iid per-qudit probabilities."""
+    patterns = np.array(list(itertools.product(range(code.d), repeat=code.n)), dtype=np.int64)
+    checks, table, opposite = ((code.hz, code.x_table, code.logical_z) if sector == "X"
+                               else (code.hx, code.z_table, code.logical_x))
+    failed = matmul_decode_sector(code.d, patterns, checks, table, opposite)[1]
+    return float(np.prod(pmf[patterns[failed]], axis=1).sum())
+
+
+class TestTrellisOracle:
+    @pytest.mark.parametrize("sector", ["X", "Z"])
+    def test_matches_scalar_enumeration_at_d2(self, sector):
+        code = shor9_code(2)
+        pmf = qudit_shift_pmf(2, math.sqrt(sigma_sq_for_bound(2, 0.02)))
+        want = exact_sector_failure_prob(code, pmf, sector)
+        assert trellis_sector_failure_prob(code, pmf, sector) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("sector", ["X", "Z"])
+    @pytest.mark.parametrize("sigma_sq", [0.05, 0.2])
+    def test_matches_d9_enumeration_at_d3(self, sector, sigma_sq):
+        code = shor9_code(3)
+        pmf = qudit_shift_pmf(3, math.sqrt(sigma_sq))
+        want = enumerated_sector_failure_prob(code, pmf, sector)
+        assert 0.0 < want < 1.0
+        assert trellis_sector_failure_prob(code, pmf, sector) == pytest.approx(want, rel=1e-9)
+
+
 class TestSimulateConcatenated:
     def test_vanishing_noise(self):
         est = simulate_concatenated(shor9_code(2), NoiseModel(1e-6), 20_000, seed=70)
@@ -789,6 +929,18 @@ class TestSimulateConcatenated:
         half = wilson_halfwidth(est.p_hat, est.trials)
         assert abs(est.p_hat - exact) <= 3.0 * half
 
+    def test_matches_trellis_at_d5(self):
+        # at sigma^2 = 0.2 the shifts +-2 (residues 2 and 3) have about
+        # 8.5e-5 each: the sampler's pmf has four nonzero values here
+        d, sigma_sq = 5, 0.2
+        code = shor9_code(d)
+        pmf = qudit_shift_pmf(d, math.sqrt(sigma_sq))
+        assert 5e-5 < pmf[2] == pytest.approx(pmf[3], rel=1e-12)
+        p_x, p_z = (trellis_sector_failure_prob(code, pmf, s) for s in "XZ")
+        exact = 1.0 - (1.0 - p_x) * (1.0 - p_z)
+        est = simulate_concatenated(code, NoiseModel(sigma_sq), 200_000, seed=78)
+        assert abs(est.p_hat - exact) <= 3.0 * wilson_halfwidth(est.p_hat, est.trials)
+
     def test_batch_decoding_agrees_with_scalar(self):
         d = 3
         noise = NoiseModel(sigma_sq_for_bound(d, 0.15))
@@ -804,8 +956,8 @@ class TestSimulateConcatenated:
         assert est.failures == fails_scalar
 
     @pytest.mark.parametrize("d,workers,failures", [
-        (3, 1, 23), (3, 2, 30), (10, 1, 71574), (10, 2, 71280),
-        (2, 1, 32262), (2, 2, 32254), (1448, 1, 45055), (1448, 2, 45036)])
+        (3, 1, 34), (3, 2, 33), (10, 1, 71168), (10, 2, 71254),
+        (2, 1, 32611), (2, 2, 32769), (1448, 1, 44789), (1448, 2, 45240)])
     def test_pinned_failure_counts(self, d, workers, failures):
         # exact counts at seed 19: a change to sampling or decoding shows here.
         # At both ends of concat-sim's d range the noise is set so that some
