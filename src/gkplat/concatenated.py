@@ -43,8 +43,8 @@ class CssCode:
     all four matrices share the block length n. The tables ``x_table`` and
     ``z_table`` (see _syndrome_table) correct every single-qudit error when
     errors that share a syndrome differ by a stabilizer, as in a distance-3
-    code. A d whose syndrome keys, d**rows for the longer check matrix,
-    overflow int64 is refused first.
+    code, and store each single error's outcome. A d whose syndrome keys,
+    d**rows for the longer check matrix, overflow int64 is refused first.
     """
 
     d: int
@@ -80,24 +80,28 @@ class CssCode:
 
     def _syndrome_table(self, checks: np.ndarray, opposite_logical: np.ndarray):
         """Sorted int64 syndrome keys (base-d digits of the syndrome), their
-        correction rows, the digit weights, and each correction's pairing
-        with the opposite logical operators mod d. The candidates are the
-        zero error, then every single-qudit error, position-major and
-        value-minor; the first with a syndrome becomes its correction. A
-        last key of int64 max, above every syndrome, with a zero row keeps
-        searchsorted in range and stands for a missing syndrome;
-        __post_init__ has refused keys that would overflow int64.
+        correction rows, the digit weights, each correction's pairing with
+        the opposite logical operators mod d, and each single-qudit error's
+        table row and failure flag. The candidates are the zero error, then
+        every single-qudit error, position-major and value-minor; the first
+        with a syndrome becomes its correction. A last key of int64 max,
+        above every syndrome, with a zero row keeps searchsorted in range and
+        stands for a missing syndrome; __post_init__ has refused keys that
+        would overflow int64.
         """
         d, n, rows = self.d, self.n, checks.shape[0]
         weights = d ** np.arange(rows - 1, -1, -1, dtype=np.int64)
         errors = np.zeros((1 + n * (d - 1), n), dtype=np.int64)
         single = np.arange(n * (d - 1))  # position-major, value-minor
         errors[1 + single, single // (d - 1)] = single % (d - 1) + 1
-        keys, first = np.unique(((errors @ checks.T) % d) @ weights, return_index=True)
+        keys, first, row = np.unique(((errors @ checks.T) % d) @ weights,
+                                     return_index=True, return_inverse=True)
         keys = np.append(keys, np.iinfo(np.int64).max)
         corrections = np.zeros((len(keys), n), dtype=np.int64)
         corrections[:-1] = errors[first]
-        return keys, corrections, weights, (corrections @ opposite_logical.T) % d
+        pairing = (corrections @ opposite_logical.T) % d
+        failed = ((errors[1:] @ opposite_logical.T - pairing[row[1:]]) % d).any(axis=1)
+        return keys, corrections, weights, pairing, row[1:], failed
 
 
 _MAX_TERMS = 1 << 16  # erfc or cosine terms of one pmf; its table has at most twice as many cells
@@ -114,7 +118,7 @@ def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
     rng.random. A non-integer d raises TypeError; d outside [2, 2**53), a
     pmf past _MAX_TERMS terms or sigma^2 d / hbar past float64, ValueError.
     """
-    return _draw(*_nonzero_shifts(d, noise), rng, size)
+    return _draw(*_nonzero_shifts(d, noise), rng, size)[:2]
 
 
 def _nonzero_shifts(d: int, noise: NoiseModel):
@@ -156,20 +160,26 @@ def _nonzero_shifts(d: int, noise: NoiseModel):
     return residues, cdf / (q or 1.0), q
 
 
-def _draw(residues, cdf, q, rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarray]:
-    """X and Z exponents of shape size from a _nonzero_shifts table."""
+def _draw(residues, cdf, q, rng: np.random.Generator, size):
+    """X and Z exponents of shape size from a _nonzero_shifts table, then the
+    nonzero cells of each: sorted flat indices (no view of a geometric buffer), values."""
     out = np.zeros((2,) + (tuple(size) if isinstance(size, tuple) else (size,)), dtype=np.int64)
     flat, n, last = out.reshape(-1), out.size, -1
+    hits, values = [np.zeros(0, dtype=np.int64)], [residues[:0]]
     while q and last < n - 1:
         mean = (n - 1 - last) * q
         cells = rng.geometric(q, math.ceil(mean + 4.0 * math.sqrt(mean) + 1.0))
         np.minimum(cells, n + 1, out=cells)  # a gap past the block ends it; sums stay in int64
         cells[0] += last
         np.cumsum(cells, out=cells)
-        hits = cells[:np.searchsorted(cells, n)]
-        flat[hits] = residues[np.searchsorted(cdf, rng.random(len(hits)), side="right")]
+        hits.append(cells[:np.searchsorted(cells, n)])
+        values.append(residues[np.searchsorted(cdf, rng.random(len(hits[-1])), side="right")])
+        flat[hits[-1]] = values[-1]
         last = int(cells[-1])
-    return out[0], out[1]
+    # an empty first piece serves q = 0; one draw, the usual case, is not concatenated
+    hits, values = (np.concatenate(x) if len(x) > 2 else x[-1] for x in (hits, values))
+    half, cut = n // 2, np.searchsorted(hits, n // 2)
+    return out[0], out[1], (hits[:cut].copy(), values[:cut]), (hits[cut:] - half, values[cut:])
 
 
 # ---------------------------------------------------------------------------
@@ -231,39 +241,49 @@ def simulate_concatenated(code: CssCode, noise: NoiseModel, trials: int, seed: i
     shifts = _nonzero_shifts(code.d, noise)
 
     def block_failures(gen, rows):
-        a, b = _draw(*shifts, gen, (rows, code.n))
-        return int(_batch_failures(code, a, b)[2].sum())
+        return int(_decode_block(code, *_draw(*shifts, gen, (rows, code.n)))[2].sum())
 
     return _estimate(block_failures, seed, trials, workers, batch_cap)
 
 
-_DECODE_ROWS = 1 << 12  # nonzero rows decoded per pass
+_DECODE_ROWS = 1 << 12  # rows of two or more nonzero cells decoded per pass, at most
 
 
-def _decode_sector(d, errors, checks, table, opposite_logical):
+def _decode_sector(d, errors, hits, values, checks, table, opposite_logical):
     """Table rows and failure mask of one sector for (m, n) exponents in
-    [0, d). A row of zero exponents keeps row 0 and never fails: key 0
-    sorts first and the zero error is the first candidate, so row 0 holds
-    a zero correction and a zero pairing. Only the other rows are decoded,
-    _DECODE_ROWS at a time from a copy. Each syndrome digit, and each
-    pairing of the residual errors - correction with the opposite
-    logicals, is a sum of coefficient times column over one matrix row's
-    nonzero entries, mod d. A missing syndrome gets the last row (zero
-    correction) and fails.
+    [0, d) with nonzero cells at the sorted flat indices hits. A row of
+    zero exponents keeps row 0 and never fails: key 0 sorts first and the
+    zero error is the first candidate, so row 0 holds a zero correction
+    and a zero pairing. A one-cell row reads its outcome from the table at
+    position (d - 1) + value - 1. Only rows of two or more nonzero cells
+    are decoded, from a copy, in equal parts of at most _DECODE_ROWS rows.
+    Each syndrome digit, and each pairing of the residual errors -
+    correction with the opposite logicals, is a sum of coefficient times
+    column over one matrix row's nonzero entries, mod d. A missing
+    syndrome gets the last row (zero correction) and fails.
 
     The copy and the failure flags use buffers whose length depends on m
-    alone: numpy keeps freed buffers under 1 KiB for reuse by exact size,
-    so flags as long as a varying count of rows would pile up in the heap.
+    alone, and no part is a short remainder: numpy keeps freed buffers
+    under 1 KiB for reuse by exact size, so arrays as long as a varying
+    small count of rows would pile up in the heap and keep it from shrinking.
     """
-    keys, _, weights, pairing = table
-    row = np.zeros(len(errors), dtype=np.int64)
-    bad = np.zeros(len(errors), dtype=bool)
-    rows = np.flatnonzero(np.einsum("ij->i", errors))  # no negative exponent: sum 0 means all 0
-    size = min(_DECODE_ROWS, len(errors))
-    copy = np.empty((size, errors.shape[1]), dtype=np.int64)
+    keys, _, weights, pairing, single_row, single_failed = table
+    m, n = errors.shape
+    row = np.zeros(m, dtype=np.int64)
+    bad = np.zeros(m, dtype=bool)
+    rows = hits // n
+    first = np.ones(len(rows) + 1, dtype=bool)  # cell i starts a row; the last True ends one
+    np.not_equal(rows[1:], rows[:-1], out=first[1:-1])
+    alone = np.flatnonzero(first[:-1] & first[1:])  # indices, as bool masks index slowly
+    lone = rows[alone]
+    outcome = (hits[alone] - lone * n) * (d - 1) + values[alone] - 1
+    row[lone] = single_row[outcome]
+    bad[lone] = single_failed[outcome]
+    multi = rows[np.flatnonzero(first[:-1] > first[1:])]  # starts a row that goes on
+    size = min(_DECODE_ROWS, m)
+    copy = np.empty((size, n), dtype=np.int64)
     flags = np.empty((2, size), dtype=bool)
-    for lo in range(0, len(rows), _DECODE_ROWS):
-        part = rows[lo:lo + _DECODE_ROWS]
+    for part in np.array_split(multi, -(-len(multi) // _DECODE_ROWS) or 1):
         # mode "clip" (the rows are in range): with "raise", take would buffer out
         nonzero = np.take(errors, part, axis=0, out=copy[:len(part)], mode="clip")
         synd = np.zeros(len(part), dtype=np.int64)
@@ -274,7 +294,7 @@ def _decode_sector(d, errors, checks, table, opposite_logical):
             synd += digit
         found = np.searchsorted(keys, synd)
         failed = np.not_equal(keys[found], synd, out=flags[0, :len(part)])
-        found[failed] = -1
+        np.putmask(found, failed, -1)
         for logical, paired in zip(opposite_logical, pairing.T):
             residual = _combine_columns(nonzero, logical)
             residual -= paired[found]
@@ -289,7 +309,9 @@ def _combine_columns(block, coefficients):
     """Sum of coefficients[j] * block[:, j] over the nonzero coefficients."""
     total = np.zeros(len(block), dtype=np.int64)
     for j, c in enumerate(coefficients.tolist()):
-        if c:
+        if c in (1, -1):  # no product
+            (np.add if c == 1 else np.subtract)(total, block[:, j], out=total)
+        elif c:
             total += block[:, j] * c
     return total
 
@@ -298,9 +320,15 @@ def _batch_failures(code: CssCode, a, b):
     """Syndrome decoding of (m, n) X exponents a and Z exponents b, each in
     [0, d), sectors independently: returns (X table rows, Z table rows,
     failure mask); the corrections are rows of code.x_table[1] and
-    code.z_table[1]."""
-    row_a, bad_a = _decode_sector(code.d, a, code.hz, code.x_table, code.logical_z)
-    row_b, bad_b = _decode_sector(code.d, b, code.hx, code.z_table, code.logical_x)
+    code.z_table[1]. The nonzero cells come from flatnonzero."""
+    hits_a, hits_b = np.flatnonzero(a), np.flatnonzero(b)
+    return _decode_block(code, a, b, (hits_a, np.take(a, hits_a)), (hits_b, np.take(b, hits_b)))
+
+
+def _decode_block(code: CssCode, a, b, cells_a, cells_b):
+    """_batch_failures given each sector's nonzero cells, as _draw returns them."""
+    row_a, bad_a = _decode_sector(code.d, a, *cells_a, code.hz, code.x_table, code.logical_z)
+    row_b, bad_b = _decode_sector(code.d, b, *cells_b, code.hx, code.z_table, code.logical_x)
     return row_a, row_b, bad_a | bad_b
 
 

@@ -364,7 +364,7 @@ def matmul_decode_sector(d, errors, checks, table, opposite_logical):
     missing syndrome gets the last row (zero correction) and fails. The
     residual errors - correction pairs with the opposite logicals as
     errors @ opposite_logical.T minus the row's stored pairing, mod d."""
-    keys, _, weights, pairing = table
+    keys, _, weights, pairing = table[:4]
     synd = errors @ checks.T
     synd %= d
     synd = synd @ weights
@@ -443,7 +443,7 @@ def trellis_sector_failure_prob(code, pmf, sector: str) -> float:
     for col in columns.T:
         prob = sum(pmf[v] * np.roll(prob, tuple(int(s) for s in v * col % d), axis=axes)
                    for v in range(d))
-    keys, _, weights, pairing = table
+    keys, _, weights, pairing = table[:4]
     success = 0.0
     for key, paired in zip(keys[:-1].tolist(), pairing[:-1].tolist()):
         success += prob[tuple(key // w % d for w in weights.tolist()) + tuple(paired)]

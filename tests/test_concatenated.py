@@ -477,6 +477,34 @@ class TestChannelSample:
         assert np.array_equal(a, want[0]) and np.array_equal(b, want[1])
         assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
 
+    @pytest.mark.parametrize("d,sigma_sq,size", [(10, 0.05, (29_127, 9)), (5, 0.3, 40_000),
+                                                  (3, 1e-30, (100, 9))])
+    def test_draw_cells_are_the_nonzero_entries(self, d, sigma_sq, size):
+        # the cells the block decoder takes in place of a pass over the
+        # block, from the draw sample_qudit_errors makes; q = 0 gives none
+        noise = NoiseModel(sigma_sq)
+        gen, ref = make_generator(80), make_generator(80)
+        a, b, *cells = concatenated._draw(*concatenated._nonzero_shifts(d, noise), gen, size)
+        want = sample_qudit_errors(d, noise, ref, size)
+        assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
+        assert (sigma_sq == 1e-30) == (len(cells[0][0]) + len(cells[1][0]) == 0)
+        for x, w, (hits, values) in zip((a, b), want, cells):
+            assert np.array_equal(x, w)
+            assert hits.dtype == values.dtype == np.int64
+            assert hits.base is None  # no view keeps a geometric buffer alive
+            assert np.array_equal(hits, np.flatnonzero(x))
+            assert np.array_equal(values, x.reshape(-1)[hits])
+
+    def test_draw_cells_over_several_gap_draws(self):
+        gen = ShortFirstGaps(make_generator(81))
+        shifts = concatenated._nonzero_shifts(10, NoiseModel(0.05))
+        a, b, *cells = concatenated._draw(*shifts, gen, (1000, 9))
+        assert gen.draws >= 2
+        assert a.reshape(-1)[:1000].all()  # gaps of one: the first draw covers 1,517 cells
+        for x, (hits, values) in zip((a, b), cells):
+            assert np.array_equal(hits, np.flatnonzero(x))
+            assert np.array_equal(values, x.reshape(-1)[hits])
+
     @pytest.mark.parametrize("d", [2, 3, 1448, 2**40 + 1, 2**53 - 1])
     def test_float_binning_exact_up_to_its_limit(self, d):
         # the normal-binning reference, at shifts s at and around
@@ -644,6 +672,22 @@ class FixedNormals:
         out[:] = self.values[:len(out)]
 
 
+class ShortFirstGaps:
+    """Stands in for a generator whose first geometric draw is all ones:
+    those gaps cover fewer cells than the block, so the gap loop runs
+    again, on the wrapped generator's draws."""
+
+    def __init__(self, gen):
+        self.gen, self.draws = gen, 0
+
+    def geometric(self, q, size):
+        self.draws += 1
+        return np.ones(size, dtype=np.int64) if self.draws == 1 else self.gen.geometric(q, size)
+
+    def random(self, size):
+        return self.gen.random(size)
+
+
 def all_single_errors(d):
     for pos in range(9):
         for a in range(d):
@@ -747,43 +791,98 @@ def oracle_codes():
 
 
 def mixed_block(code: CssCode, rng, rows: int = 3000) -> np.ndarray:
-    """(rows, n) exponents in [0, d): a third all zero, a third one nonzero
-    entry, a third drawn over the full range."""
+    """(rows, n) exponents in [0, d), a fifth of the rows each: all zero,
+    one nonzero entry, two (one where n = 1), nonzero everywhere, drawn
+    over the full range."""
     d, n = code.d, code.n
-    kind = rng.integers(0, 3, rows)
+    kind = rng.integers(0, 5, rows)
     block = rng.integers(0, d, (rows, n))
-    block[kind < 2] = 0
-    single = np.flatnonzero(kind == 1)
-    block[single, rng.integers(0, n, len(single))] = rng.integers(1, d, len(single))
+    block[kind == 3] = rng.integers(1, d, (int((kind == 3).sum()), n))
+    block[kind < 3] = 0
+    for cells in (1, 2):
+        few = np.flatnonzero(kind == cells)
+        columns = np.argsort(rng.random((len(few), n)), axis=1)[:, :cells]
+        block[few[:, None], columns] = rng.integers(1, d, (len(few), min(cells, n)))
     return block
+
+
+def nonzero_cells(block: np.ndarray):
+    """Sorted flat indices of a block's nonzero entries, and the entries."""
+    hits = np.flatnonzero(block)
+    return hits, block.reshape(-1)[hits]
 
 
 class TestBlockDecoderOracle:
     @pytest.mark.parametrize("code", oracle_codes())
     def test_zero_error_is_row_zero(self, code):
         # why an all-zero row may skip decoding: it keeps row 0 and never fails
-        for keys, corrections, _, pairing in (code.x_table, code.z_table):
+        for keys, corrections, _, pairing, *_ in (code.x_table, code.z_table):
             assert keys[0] == 0
             assert not corrections[0].any() and not pairing[0].any()
 
     @pytest.mark.parametrize("code", oracle_codes())
+    def test_single_error_outcomes_match_matmul_decoder(self, code):
+        # the stored outcome of each single error, position-major and
+        # value-minor; shor9 corrects them all, the other codes fail some
+        d, n = code.d, code.n
+        single = np.arange(n * (d - 1))
+        errors = np.zeros((len(single), n), dtype=np.int64)
+        errors[single, single // (d - 1)] = single % (d - 1) + 1
+        failing = 0
+        for checks, table, opposite in ((code.hz, code.x_table, code.logical_z),
+                                        (code.hx, code.z_table, code.logical_x)):
+            row, failed = matmul_decode_sector(d, errors, checks, table, opposite)
+            assert table[4].dtype == np.int64 and table[5].dtype == bool
+            assert np.array_equal(table[4], row) and np.array_equal(table[5], failed)
+            failing += failed.sum()
+        assert (failing == 0) == (code.hz.shape == (6, 9))
+
+    @pytest.mark.parametrize("code", oracle_codes())
     def test_rows_and_failures_match_matmul_decoder(self, code):
+        # through the dense entry and the cell entry simulate_concatenated uses
         rng = np.random.default_rng(code.d)
         a, b = mixed_block(code, rng), mixed_block(code, rng)
         zero = np.zeros_like(a)
         want_a, bad_a = matmul_decode_sector(code.d, a, code.hz, code.x_table, code.logical_z)
         want_b, bad_b = matmul_decode_sector(code.d, b, code.hx, code.z_table, code.logical_x)
         assert 0 < bad_a.sum() + bad_b.sum()
+        by_cells = partial(concatenated._decode_block, code)
         for x, z, rows_x, rows_z, failed in [(a, zero, want_a, 0, bad_a),
                                              (zero, b, 0, want_b, bad_b),
                                              (a, b, want_a, want_b, bad_a | bad_b)]:
-            got_x, got_z, got_failed = concatenated._batch_failures(code, x, z)
-            assert got_x.dtype == got_z.dtype == np.int64
-            assert np.array_equal(got_x, np.broadcast_to(rows_x, len(x)))
-            assert np.array_equal(got_z, np.broadcast_to(rows_z, len(z)))
-            assert np.array_equal(got_failed, failed)
-        empty = concatenated._batch_failures(code, a[:0], b[:0])
-        assert [len(x) for x in empty] == [0, 0, 0]
+            for got_x, got_z, got_failed in (
+                    concatenated._batch_failures(code, x, z),
+                    by_cells(x, z, nonzero_cells(x), nonzero_cells(z))):
+                assert got_x.dtype == got_z.dtype == np.int64
+                assert np.array_equal(got_x, np.broadcast_to(rows_x, len(x)))
+                assert np.array_equal(got_z, np.broadcast_to(rows_z, len(z)))
+                assert np.array_equal(got_failed, failed)
+        for empty in (concatenated._batch_failures(code, a[:0], b[:0]),
+                      by_cells(a[:0], b[:0], nonzero_cells(a[:0]), nonzero_cells(b[:0]))):
+            assert [len(x) for x in empty] == [0, 0, 0]
+
+    def test_only_multi_cell_rows_reach_searchsorted(self, monkeypatch):
+        # one d = 10 block: the syndromes searched are those of the rows
+        # with two or more nonzero cells, in row order, X sector first
+        code = shor9_code(10)
+        shifts = concatenated._nonzero_shifts(code.d, NoiseModel(0.05))
+        rows = concatenated._BATCH_TRIALS // code.n
+        a, b, *cells = concatenated._draw(*shifts, make_generator(19), (rows, code.n))
+        needles, searchsorted = [], np.searchsorted
+        tables = (code.x_table, code.z_table)
+
+        def spy(keys, v, *args, **kwargs):
+            if any(keys is table[0] for table in tables):
+                needles.append(v.copy())
+            return searchsorted(keys, v, *args, **kwargs)
+        monkeypatch.setattr(np, "searchsorted", spy)
+        failed = concatenated._decode_block(code, a, b, *cells)[2]
+        monkeypatch.undo()
+        want = [((x[(x != 0).sum(axis=1) >= 2] @ checks.T) % code.d) @ table[2]
+                for x, checks, table in zip((a, b), (code.hz, code.hx), tables)]
+        assert 0.1 * rows < len(want[0]) < 0.2 * rows and 0.1 * rows < len(want[1]) < 0.2 * rows
+        assert np.array_equal(np.concatenate(needles), np.concatenate(want))
+        assert np.array_equal(failed, concatenated._batch_failures(code, a, b)[2])
 
 
 def dict_tables(code: CssCode):
@@ -964,6 +1063,16 @@ class TestSimulateConcatenated:
         # blocks, not none or all, fail
         sigma_sq = {2: 0.2, 1448: 3e-4}.get(d, 0.05)
         est = simulate_concatenated(shor9_code(d), NoiseModel(sigma_sq), 300_000, 19, workers)
+        assert est.failures == failures
+
+    @pytest.mark.parametrize("d,sigma_sq,workers,failures", [
+        (5, 0.3, 1, 92671), (5, 0.3, 2, 92682), (10, 0.5, 1, 99879), (10, 0.5, 2, 99886)])
+    def test_pinned_failure_counts_where_rows_hold_several_cells(self, d, sigma_sq, workers,
+                                                                  failures):
+        # exact counts at seed 19 where most rows hold two or more nonzero
+        # cells (81 % at d = 5, 99 % at d = 10) and are decoded by syndrome;
+        # 100,000 trials keep the four runs under half a second
+        est = simulate_concatenated(shor9_code(d), NoiseModel(sigma_sq), 100_000, 19, workers)
         assert est.failures == failures
 
     def test_threaded_counts_equal_serial(self, on_cpus):
