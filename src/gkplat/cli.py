@@ -109,9 +109,15 @@ def _grid(spec: str) -> tuple:
 
 def _resolve_lattice(spec: str):
     if os.path.sep in spec or spec.endswith(".json"):
+        from .decoder import MAX_DIM
         from .symplectic_lattice import lattice_from_dict
         with open(spec) as fh:
-            return lattice_from_dict(json.load(fh))
+            data = json.load(fh)
+        rows = data.get("basis") if isinstance(data, dict) else None
+        if isinstance(rows, list) and len(rows) > MAX_DIM:  # before any exact algebra
+            raise ValueError(f"lattice {spec}: the decoder supports dimensions up to "
+                             f"{MAX_DIM}, got a basis of {len(rows)} rows")
+        return lattice_from_dict(data)
     from .catalog import get as catalog_get
     return catalog_get(spec).lattice
 

@@ -214,15 +214,18 @@ def shor9_code(d: int) -> CssCode:
 
 def css_decode(code: CssCode, error: list[QuditPauliError]) -> tuple[list[QuditPauliError], bool]:
     """Decode one block error; returns (correction, logical_failure), as a
-    batch of one through the decoder the simulation uses. In each sector, a
-    syndrome missing from the table fails with no correction; otherwise
-    the residual error fails if it pairs nontrivially with the opposite
+    batch of one through the decoder the simulation uses, with each
+    sector's nonzero cells from flatnonzero. In each sector, a syndrome
+    missing from the table fails with no correction; otherwise the
+    residual error fails if it pairs nontrivially with the opposite
     logical operators mod d."""
     if len(error) != code.n:
         raise ValueError("error length must equal the block length")
     a = np.array([[e.a % code.d for e in error]], dtype=np.int64)
     b = np.array([[e.b % code.d for e in error]], dtype=np.int64)
-    row_a, row_b, failed = _batch_failures(code, a, b)
+    hits_a, hits_b = np.flatnonzero(a), np.flatnonzero(b)
+    row_a, row_b, failed = _decode_block(code, a, b, (hits_a, np.take(a, hits_a)),
+                                         (hits_b, np.take(b, hits_b)))
     corr_a, corr_b = code.x_table[1][row_a[0]], code.z_table[1][row_b[0]]
     correction = [QuditPauliError(int(x), int(y)) for x, y in zip(corr_a, corr_b)]
     return correction, bool(failed[0])
@@ -246,26 +249,18 @@ def simulate_concatenated(code: CssCode, noise: NoiseModel, trials: int, seed: i
     return _estimate(block_failures, seed, trials, workers, batch_cap)
 
 
-_DECODE_ROWS = 1 << 12  # rows of two or more nonzero cells decoded per pass, at most
-
-
 def _decode_sector(d, errors, hits, values, checks, table, opposite_logical):
     """Table rows and failure mask of one sector for (m, n) exponents in
     [0, d) with nonzero cells at the sorted flat indices hits. A row of
     zero exponents keeps row 0 and never fails: key 0 sorts first and the
     zero error is the first candidate, so row 0 holds a zero correction
     and a zero pairing. A one-cell row reads its outcome from the table at
-    position (d - 1) + value - 1. Only rows of two or more nonzero cells
-    are decoded, from a copy, in equal parts of at most _DECODE_ROWS rows.
-    Each syndrome digit, and each pairing of the residual errors -
-    correction with the opposite logicals, is a sum of coefficient times
-    column over one matrix row's nonzero entries, mod d. A missing
-    syndrome gets the last row (zero correction) and fails.
-
-    The copy and the failure flags use buffers whose length depends on m
-    alone, and no part is a short remainder: numpy keeps freed buffers
-    under 1 KiB for reuse by exact size, so arrays as long as a varying
-    small count of rows would pile up in the heap and keep it from shrinking.
+    position (d - 1) + value - 1. The rows of two or more nonzero cells are
+    decoded in one pass, from a copy no larger than the block. Each
+    syndrome digit, and each pairing of the residual errors - correction
+    with the opposite logicals, is a sum of coefficient times column over
+    one matrix row's nonzero entries, mod d. A missing syndrome gets the
+    last row (zero correction) and fails.
     """
     keys, _, weights, pairing, single_row, single_failed = table
     m, n = errors.shape
@@ -280,28 +275,23 @@ def _decode_sector(d, errors, hits, values, checks, table, opposite_logical):
     row[lone] = single_row[outcome]
     bad[lone] = single_failed[outcome]
     multi = rows[np.flatnonzero(first[:-1] > first[1:])]  # starts a row that goes on
-    size = min(_DECODE_ROWS, m)
-    copy = np.empty((size, n), dtype=np.int64)
-    flags = np.empty((2, size), dtype=bool)
-    for part in np.array_split(multi, -(-len(multi) // _DECODE_ROWS) or 1):
-        # mode "clip" (the rows are in range): with "raise", take would buffer out
-        nonzero = np.take(errors, part, axis=0, out=copy[:len(part)], mode="clip")
-        synd = np.zeros(len(part), dtype=np.int64)
-        for check, weight in zip(checks, weights):
-            digit = _combine_columns(nonzero, check)
-            digit %= d
-            digit *= weight
-            synd += digit
-        found = np.searchsorted(keys, synd)
-        failed = np.not_equal(keys[found], synd, out=flags[0, :len(part)])
-        np.putmask(found, failed, -1)
-        for logical, paired in zip(opposite_logical, pairing.T):
-            residual = _combine_columns(nonzero, logical)
-            residual -= paired[found]
-            residual %= d
-            failed |= np.not_equal(residual, 0, out=flags[1, :len(part)])
-        row[part] = found
-        bad[part] = failed
+    nonzero = np.take(errors, multi, axis=0)
+    synd = np.zeros(len(multi), dtype=np.int64)
+    for check, weight in zip(checks, weights):
+        digit = _combine_columns(nonzero, check)
+        digit %= d
+        digit *= weight
+        synd += digit
+    found = np.searchsorted(keys, synd)
+    failed = keys[found] != synd
+    np.putmask(found, failed, -1)
+    for logical, paired in zip(opposite_logical, pairing.T):
+        residual = _combine_columns(nonzero, logical)
+        residual -= paired[found]
+        residual %= d
+        failed |= residual != 0
+    row[multi] = found
+    bad[multi] = failed
     return row, bad
 
 
@@ -316,17 +306,11 @@ def _combine_columns(block, coefficients):
     return total
 
 
-def _batch_failures(code: CssCode, a, b):
-    """Syndrome decoding of (m, n) X exponents a and Z exponents b, each in
-    [0, d), sectors independently: returns (X table rows, Z table rows,
-    failure mask); the corrections are rows of code.x_table[1] and
-    code.z_table[1]. The nonzero cells come from flatnonzero."""
-    hits_a, hits_b = np.flatnonzero(a), np.flatnonzero(b)
-    return _decode_block(code, a, b, (hits_a, np.take(a, hits_a)), (hits_b, np.take(b, hits_b)))
-
-
 def _decode_block(code: CssCode, a, b, cells_a, cells_b):
-    """_batch_failures given each sector's nonzero cells, as _draw returns them."""
+    """Syndrome decoding of (m, n) X exponents a and Z exponents b, each in
+    [0, d), sectors independently, given each sector's nonzero cells as
+    _draw returns them: returns (X table rows, Z table rows, failure mask);
+    the corrections are rows of code.x_table[1] and code.z_table[1]."""
     row_a, bad_a = _decode_sector(code.d, a, *cells_a, code.hz, code.x_table, code.logical_z)
     row_b, bad_b = _decode_sector(code.d, b, *cells_b, code.hx, code.z_table, code.logical_x)
     return row_a, row_b, bad_a | bad_b

@@ -394,6 +394,25 @@ class TestBadInput:
         argv = [str(path) if arg == "PATH" else arg for arg in command]
         assert_one_error_line(*run_cli(argv, capsys))
 
+    @pytest.mark.parametrize("n", [40, 200])
+    @pytest.mark.parametrize("command", [
+        ["decode", "PATH", "0.1,0.2"],
+        ["simulate", "--lattice", "PATH", "--sigma-sq", "0.1", "--trials", "10", "--seed", "1"],
+    ], ids=["decode", "simulate"])
+    def test_lattice_file_beyond_the_decoder_limit_refused_first(self, tmp_path, capsys,
+                                                                  command, n):
+        # a random integer basis: its exact determinant alone would take seconds
+        rng = np.random.default_rng(n)
+        path = tmp_path / f"big{n}.json"
+        path.write_text(json.dumps({"n": n, "lambda": "1",
+                                    "basis": rng.integers(-9, 10, (n, n)).tolist()}))
+        argv = [str(path) if arg == "PATH" else arg for arg in command]
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 2.0
+        assert_one_error_line(code, out, err)
+        assert err.startswith(f"gkplat: error: lattice {path}: ") and "up to 12" in err
+
     @pytest.mark.parametrize("record,field", [
         ('{"n": 2, "lambda": "1e400", "basis": [[1, 0], [0, 1]]}', "lambda"),
         ('{"n": 2, "lambda": "1e-400", "basis": [[1, 0], [0, 1]]}', "lambda"),

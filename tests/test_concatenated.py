@@ -538,12 +538,32 @@ class TestChannelSample:
         tracemalloc.start()
         try:
             a, b = sample_qudit_errors(code.d, NoiseModel(0.05), gen, (rows, code.n))
-            failed = concatenated._batch_failures(code, a, b)[2]
+            failed = concatenated._decode_block(code, a, b, nonzero_cells(a), nonzero_cells(b))[2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
         assert 0 < failed.sum() < rows
+
+    def test_block_decode_memory_bounded_at_high_noise(self):
+        # one full block of shor9 at d = 10, sigma^2 = 0.5, where nearly
+        # every row holds two or more nonzero cells: its one-pass decode
+        code = shor9_code(10)
+        rows = concatenated._BATCH_TRIALS // code.n
+        shifts = concatenated._nonzero_shifts(code.d, NoiseModel(0.5))
+        a, b, *cells = concatenated._draw(*shifts, make_generator(65), (rows, code.n))
+        tracemalloc.start()
+        try:
+            row_a, row_b, failed = concatenated._decode_block(code, a, b, *cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        assert ((a != 0).sum(axis=1) >= 2).mean() > 0.9
+        want_a, bad_a = matmul_decode_sector(code.d, a, code.hz, code.x_table, code.logical_z)
+        want_b, bad_b = matmul_decode_sector(code.d, b, code.hx, code.z_table, code.logical_x)
+        assert np.array_equal(row_a, want_a) and np.array_equal(row_b, want_b)
+        assert np.array_equal(failed, bad_a | bad_b)
 
     def test_x_z_independent(self):
         noise = NoiseModel(sigma_sq_for_bound(2, 0.1))
@@ -839,7 +859,7 @@ class TestBlockDecoderOracle:
 
     @pytest.mark.parametrize("code", oracle_codes())
     def test_rows_and_failures_match_matmul_decoder(self, code):
-        # through the dense entry and the cell entry simulate_concatenated uses
+        # through the entry simulate_concatenated uses, with cells from flatnonzero
         rng = np.random.default_rng(code.d)
         a, b = mixed_block(code, rng), mixed_block(code, rng)
         zero = np.zeros_like(a)
@@ -850,16 +870,28 @@ class TestBlockDecoderOracle:
         for x, z, rows_x, rows_z, failed in [(a, zero, want_a, 0, bad_a),
                                              (zero, b, 0, want_b, bad_b),
                                              (a, b, want_a, want_b, bad_a | bad_b)]:
-            for got_x, got_z, got_failed in (
-                    concatenated._batch_failures(code, x, z),
-                    by_cells(x, z, nonzero_cells(x), nonzero_cells(z))):
-                assert got_x.dtype == got_z.dtype == np.int64
-                assert np.array_equal(got_x, np.broadcast_to(rows_x, len(x)))
-                assert np.array_equal(got_z, np.broadcast_to(rows_z, len(z)))
-                assert np.array_equal(got_failed, failed)
-        for empty in (concatenated._batch_failures(code, a[:0], b[:0]),
-                      by_cells(a[:0], b[:0], nonzero_cells(a[:0]), nonzero_cells(b[:0]))):
-            assert [len(x) for x in empty] == [0, 0, 0]
+            got_x, got_z, got_failed = by_cells(x, z, nonzero_cells(x), nonzero_cells(z))
+            assert got_x.dtype == got_z.dtype == np.int64
+            assert np.array_equal(got_x, np.broadcast_to(rows_x, len(x)))
+            assert np.array_equal(got_z, np.broadcast_to(rows_z, len(z)))
+            assert np.array_equal(got_failed, failed)
+        empty = by_cells(a[:0], b[:0], nonzero_cells(a[:0]), nonzero_cells(b[:0]))
+        assert [len(x) for x in empty] == [0, 0, 0]
+
+    @pytest.mark.parametrize("code", oracle_codes())
+    def test_css_decode_matches_matmul_decoder(self, code):
+        # one block error at a time, both sectors at once, cells built inside
+        rng = np.random.default_rng(code.d + 1)
+        a, b = mixed_block(code, rng, 300), mixed_block(code, rng, 300)
+        want_a, bad_a = matmul_decode_sector(code.d, a, code.hz, code.x_table, code.logical_z)
+        want_b, bad_b = matmul_decode_sector(code.d, b, code.hx, code.z_table, code.logical_x)
+        assert 0 < (bad_a | bad_b).sum()
+        for i in range(len(a)):
+            correction, failed = css_decode(code, [QuditPauliError(int(x), int(z))
+                                                   for x, z in zip(a[i], b[i])])
+            assert failed == bad_a[i] | bad_b[i]
+            assert [(e.a, e.b) for e in correction] == list(zip(
+                code.x_table[1][want_a[i]].tolist(), code.z_table[1][want_b[i]].tolist()))
 
     def test_only_multi_cell_rows_reach_searchsorted(self, monkeypatch):
         # one d = 10 block: the syndromes searched are those of the rows
@@ -882,7 +914,8 @@ class TestBlockDecoderOracle:
                 for x, checks, table in zip((a, b), (code.hz, code.hx), tables)]
         assert 0.1 * rows < len(want[0]) < 0.2 * rows and 0.1 * rows < len(want[1]) < 0.2 * rows
         assert np.array_equal(np.concatenate(needles), np.concatenate(want))
-        assert np.array_equal(failed, concatenated._batch_failures(code, a, b)[2])
+        assert np.array_equal(failed, concatenated._decode_block(
+            code, a, b, nonzero_cells(a), nonzero_cells(b))[2])
 
 
 def dict_tables(code: CssCode):

@@ -117,6 +117,33 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(definitions) - called) == []
 
 
+def test_every_private_function_has_a_src_caller():
+    # the same rule for each private module-level function and method of
+    # src/gkplat (dunders aside), with callers in src/gkplat alone: one
+    # that only tests or the benchmark reach fails
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    defs, refs = [], []
+    for tree in trees:
+        methods = [stmt for cls in tree.body if isinstance(cls, ast.ClassDef) for stmt in cls.body]
+        defs += [stmt for stmt in tree.body + methods
+                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and stmt.name.startswith("_")
+                 and not (stmt.name.startswith("__") and stmt.name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, node))
+            elif isinstance(node, ast.ImportFrom):
+                refs += [(alias.name, node) for alias in node.names]
+    uncalled = []
+    for definition in defs:
+        own = set(map(id, ast.walk(definition)))
+        if not any(name == definition.name and id(node) not in own for name, node in refs):
+            uncalled.append(definition.name)
+    assert uncalled == []
+
+
 # sha256 of each demo's stdout; the demos are deterministic (fixed seeds,
 # one worker stream), so any change to what they print shows here
 DEMO_STDOUT_SHA256 = {
