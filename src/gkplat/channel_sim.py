@@ -19,6 +19,19 @@ The coset success set contains the Voronoi one, so the coset criterion
 never reports more failures. Ties on the cell boundary count as failures
 under both.
 
+Where the normalizer has an orthogonal frame (G = c^2 I: Z^n, grid_qudit(d)
+and every scaled rotation of the cubic lattice), nearest-point decoding is
+rounding, and the rounded basis coefficients of a displacement are
+independent integers, m = round(N(0, t^2)) with t = sigma / c. There no
+normal is drawn and nothing is decoded: the nonzero coefficients of each
+block are sampled as cells, geometric(q) gaps apart with q = P(m != 0),
+and for the coset test valued by inverse CDF on a table built once per
+call. Only the rows holding a cell can fail: each fails voronoi, and
+under coset they go through the criterion's integer test. Ties never
+arise there. The same table builder and cell sampler draw the qudit
+shifts of the concatenated Monte Carlo. Any other lattice draws normal displacements and decodes
+them with ``closest_points``.
+
 Trials use the Philox counter-based generator. Worker streams are derived
 by hashing (master seed, worker index), so a run is bit-reproducible for a
 fixed (seed, trials, worker count) and may be partitioned freely. When
@@ -149,25 +162,170 @@ def failure_mask(code: LatticeCode, xi, criterion: str = "voronoi") -> np.ndarra
     """Decoding failure of each row of an (m, n) block xi of displacements
     (lattice coordinates); ties on the cell boundary count as failures.
 
-    The nearest normalizer point comes from ``closest_points``. Voronoi
-    success needs that point to be the origin; coset success needs it to be
-    a stabilizer translation. The decision is made column by column: each
-    column of the coefficients (voronoi) or of ``code.coset_test`` (coset)
-    ORs one (m,) test into the tie mask.
+    The nearest normalizer point comes from ``closest_points``; its
+    coefficients then go through the criterion's integer test
+    (_criterion_fails), ORed into the tie mask.
     """
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}")
+    _check_criterion(criterion)
     from .decoder import closest_points
     coeffs, fail = closest_points(code.normalizer, xi)
+    return _criterion_fails(code, coeffs, criterion, fail)
+
+
+def _check_criterion(criterion: str) -> None:
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}")
+
+
+def _criterion_fails(code: LatticeCode, coeffs, criterion: str, fail) -> np.ndarray:
+    """ORs into the (m,) mask fail the rows of (m, n) int64 normalizer
+    coefficients that fail: voronoi success needs them all zero, coset
+    success a stabilizer translation. The test goes column by column: each
+    column of the coefficients (voronoi), or each combination of them by a
+    column of ``code.coset_test`` (coset), ORs one (m,) test into fail."""
     if criterion == "voronoi":
         for col in coeffs.T:
             fail |= col != 0
     else:
         num, den = code.coset_test
+        v, floor = np.empty((2, len(coeffs)), dtype=np.int64)
         for col in num.T:
-            v = coeffs @ col
-            fail |= v != v // den * den  # den does not divide v
+            _combine_columns(coeffs, col, v)
+            np.floor_divide(v, den, out=floor)  # several times faster than % by a scalar
+            floor *= den
+            fail |= floor != v  # den does not divide v
     return fail
+
+
+def _combine_columns(block, coefficients, out) -> np.ndarray:
+    """out = the sum of coefficients[j] * block[:, j] over the nonzero
+    coefficients, a column of coefficient 1 or -1 added or subtracted."""
+    out.fill(0)
+    for j, c in enumerate(coefficients.tolist()):
+        if c in (1, -1):
+            (np.add if c == 1 else np.subtract)(out, block[:, j], out=out)
+        elif c:
+            out += block[:, j] * c
+    return out
+
+
+_MAX_TERMS = 1 << 16  # erfc or cosine terms of one pmf; its table has at most twice as many cells
+
+
+def _binned_table(t_sq: float, den: int, wrap: bool, name: str):
+    """(values, cdf, q) of m = round(x), x ~ N(0, t_sq): q = P(m is a cell),
+    the values a cell carries, possibly repeated, and their cumulative pmf
+    given a cell. With ``wrap``, a cell is m != 0 mod den and carries
+    m mod den in [1, den) (a qudit shift); without, a cell is m != 0 and
+    carries m itself while t = sqrt(t_sq) < den / 4, then a representative
+    of m mod den in [1, den] (den standing for 0), which keeps it nonzero.
+
+    While t < den / 4, each probability is a difference of the tails
+    P(m > i) = erfc((i + 1/2) / (t sqrt 2)) / 2, so q keeps its precision
+    at any noise, and |m| <= top leaves out under 2**-64 of P(m > 0), as
+    erfc(y) <= erfc(x) exp(x^2 - y^2). From t = den / 4 on, the series
+    pmf(v) = (1 + 2 sum_j exp(-2 (pi t j / den)^2) sinc(j / den) cos(2 pi j v / den)) / den
+    (Poisson summation) stops at j = top = floor(1.5 den / t) <= 6, past
+    which its terms are under 2**-64; without ``wrap``, P(m = 0) is taken
+    off residue 0. A table of more than _MAX_TERMS erfc or cosine terms is
+    a ValueError naming ``name``, raised before any term is computed.
+    """
+    t, dual = math.sqrt(t_sq), 16.0 * t_sq >= den * den
+    residues = den - 1 if wrap else den  # the series regime's values: 1 .. residues
+    top = math.floor(1.5 * den / t) if dual else \
+        max(1, math.ceil(math.sqrt(0.25 + 88.8 * t_sq) - 0.5))  # 88.8 > 128 ln 2
+    terms = (top + 1) * (residues if dual else 1)
+    if terms > _MAX_TERMS:
+        raise ValueError(f"{name} needs {terms} terms, more than 2**16")
+    if dual:
+        values, j = np.arange(1, residues + 1), np.arange(1, top + 1)[:, None]
+        waves = np.exp(-2.0 * (math.pi * t * j / den) ** 2) * np.sinc(j / den) \
+            * np.cos(2.0 * math.pi * (j * values) / den)
+        probs = (1.0 + 2.0 * waves.sum(axis=0)) / den
+        if not wrap:  # the last value, den, is residue 0
+            probs[-1] = max(0.0, probs[-1] - math.erf(0.5 / (math.sqrt(2.0) * t)))
+    else:  # m = i, then m = -i, for i = 1 .. top
+        tails = np.array([0.5 * math.erfc((i + 0.5) / (math.sqrt(2.0) * t)) if t else 0.0
+                          for i in range(top + 1)])
+        values = np.concatenate([np.arange(1, top + 1), np.arange(-1, -top - 1, -1)])
+        probs = np.tile(tails[:-1] - tails[1:], 2)
+        if wrap:  # a cell of residue 0 gets 0
+            values %= den
+            probs *= values != 0
+    cdf = np.cumsum(probs)
+    q = float(cdf[-1])
+    return values, cdf / (q or 1.0), q
+
+
+def _sample_cells(values, cdf, q, rng: np.random.Generator, size: int):
+    """The cells of a flat block of ``size`` entries from a cell table
+    (values, cdf, q), as _binned_table builds: their sorted indices,
+    possibly a slice of the gap buffer, and their values. The cells lie
+    geometric(q) gaps apart and take values by inverse CDF on rng.random;
+    q = 0 draws nothing."""
+    last = -1
+    hits, picked = [np.zeros(0, dtype=np.int64)], [values[:0]]
+    while q and last < size - 1:
+        mean = (size - 1 - last) * q
+        cells = rng.geometric(q, math.ceil(mean + 4.0 * math.sqrt(mean) + 1.0))
+        np.minimum(cells, size + 1, out=cells)  # a gap past the block ends it; sums stay in int64
+        cells[0] += last
+        np.cumsum(cells, out=cells)
+        hits.append(cells[:np.searchsorted(cells, size)])
+        picked.append(values[np.searchsorted(cdf, rng.random(len(hits[-1])), side="right")])
+        last = int(cells[-1])
+    # an empty first piece serves q = 0; one draw, the usual case, is not concatenated
+    return tuple(np.concatenate(x) if len(x) > 2 else x[-1] for x in (hits, picked))
+
+
+def _coefficient_table(code: LatticeCode, noise: NoiseModel, criterion: str):
+    """The cell table (values, cdf, q) of the rounded normalizer
+    coefficients of one displacement when the normalizer has an orthogonal
+    frame (G = c^2 I), else None. There the coefficients xi M^-1 of
+    xi ~ N(0, sigma^2 I) are independent N(0, t^2), t = sigma / c, and a
+    cell is a nonzero one, q = P(m != 0) = erfc(1 / (2 sqrt 2 t)) for both
+    criteria. Voronoi needs no values, so its cells all carry 1; coset
+    takes them from the _binned_table of m at the coset test's den, of
+    which only the residues mod den enter the test. A spread that makes a
+    coefficient of 2**26 or more plausible (2**26 within the window of the
+    erfc table) is refused with the decoder's ValueError."""
+    from .decoder import _MAX_COEFF, _TOO_FAR, _frame
+    m, _, _, c_sq, *_ = _frame(code.normalizer)
+    if c_sq is None:
+        return None
+    t = noise.lattice_sigma / math.hypot(*m[0])
+    if 88.8 * t * t >= (_MAX_COEFF - 0.5) ** 2:
+        raise ValueError(_TOO_FAR)
+    if criterion == "voronoi":
+        values, cdf = np.ones(1, dtype=np.int64), np.ones(1)
+    else:
+        den = code.coset_test[1]
+        values, cdf, _ = _binned_table(t * t, den, False,
+                                       f"the coefficient pmf at coset denominator {den}, "
+                                       f"sigma_sq = {noise.sigma_sq!r}, hbar = {noise.hbar!r}")
+    return values, cdf, math.erfc(0.5 / (math.sqrt(2.0) * t)) if t else 0.0
+
+
+def _cell_failures(code: LatticeCode, criterion: str, hits, values, n: int) -> int:
+    """Failures among the rows of a flat block of n-coefficient rows whose
+    nonzero coefficients are the given cells: only a row holding a cell
+    can fail. Under voronoi each such row fails, a cell being a nonzero
+    coefficient; under coset those rows, scattered into a block of their
+    own, go through _criterion_fails."""
+    rows = hits // n
+    slot = np.empty(len(rows), dtype=np.int64)  # each cell's row in the block below
+    slot[:1] = 0
+    np.not_equal(rows[1:], rows[:-1], out=slot[1:])
+    if criterion == "voronoi":
+        return int(np.count_nonzero(slot)) + (len(slot) > 0)
+    np.cumsum(slot, out=slot)
+    coeffs = np.zeros((int(slot[-1]) + 1 if len(slot) else 0, n), dtype=np.int64)
+    np.subtract(slot, rows, out=rows)  # each cell's flat index in that block
+    rows *= n
+    rows += hits
+    coeffs.reshape(-1)[rows] = values
+    del rows, slot  # the test below reuses their memory
+    return int(_criterion_fails(code, coeffs, criterion, np.zeros(len(coeffs), dtype=bool)).sum())
 
 
 def estimate_error_probability(code: LatticeCode, noise: NoiseModel, trials: int,
@@ -175,17 +333,30 @@ def estimate_error_probability(code: LatticeCode, noise: NoiseModel, trials: int
                                workers: int = 1) -> ErrorEstimate:
     """Monte Carlo logical-error probability with a 95% Wilson interval.
 
+    On a normalizer with an orthogonal frame no normal is drawn: the nonzero
+    rounded coefficients of each block are sampled as cells of
+    _coefficient_table and decided by _cell_failures, so ties never arise.
+    Otherwise each block of displacements is drawn by standard_normal and
+    decided by failure_mask. The draws do not depend on the criterion (a
+    voronoi cell only ignores its value), so at one seed the coset
+    failures are among the voronoi ones.
+
     Deterministic for a fixed (seed, trials, workers): worker w consumes
     the derived stream hash(seed, w) and failure counts are summed,
     whether the streams run one after the other or at once.
     """
+    _check_criterion(criterion)
     sigma = noise.lattice_sigma
     if not math.isfinite(sigma):
         raise ValueError(f"sigma_sq = {noise.sigma_sq!r} over hbar = {noise.hbar!r} gives a "
                          f"lattice-coordinate sigma beyond float64")
+    n = code.normalizer.n
+    table = _coefficient_table(code, noise, criterion)
 
     def block_failures(gen, rows):
-        xi = gen.standard_normal((rows, code.normalizer.n))
+        if table is not None:
+            return _cell_failures(code, criterion, *_sample_cells(*table, gen, rows * n), n)
+        xi = gen.standard_normal((rows, n))
         xi *= sigma
         return int(failure_mask(code, xi, criterion).sum())
 

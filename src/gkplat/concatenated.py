@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel_sim import ErrorEstimate, _estimate
+from .channel_sim import (ErrorEstimate, _binned_table, _combine_columns, _estimate,
+                          _sample_cells)
 from .dit_rates import optimize_qudit_dimension  # noqa: F401  (still imported from here)
 from .rates import NoiseModel
 
@@ -104,9 +105,6 @@ class CssCode:
         return keys, corrections, weights, pairing, row[1:], failed
 
 
-_MAX_TERMS = 1 << 16  # erfc or cosine terms of one pmf; its table has at most twice as many cells
-
-
 def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
                         size) -> tuple[np.ndarray, np.ndarray]:
     """Vector form of the single-qudit channel: arrays of X and Z exponents.
@@ -116,21 +114,16 @@ def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
     the (2,) + size output lie geometric(q) gaps apart, q = P(m != 0 mod d),
     and take values from the pmf given nonzero by inverse CDF on
     rng.random. A non-integer d raises TypeError; d outside [2, 2**53), a
-    pmf past _MAX_TERMS terms or sigma^2 d / hbar past float64, ValueError.
+    pmf past 2**16 terms or sigma^2 d / hbar past float64, ValueError.
     """
-    return _draw(*_nonzero_shifts(d, noise), rng, size)[:2]
+    out = _scatter(_nonzero_shifts(d, noise), rng, size)[0]
+    return out[0], out[1]
 
 
 def _nonzero_shifts(d: int, noise: NoiseModel):
-    """(residues, cdf, q): the nonzero exponents, possibly repeated, their
-    cumulative pmf given nonzero, and q, its sum. With t = sigma / delta
-    below d / 4, each probability is a difference of the tails
-    P(m > i) = erfc((i + 1/2) / (t sqrt 2)) / 2, so q keeps its precision
-    at any noise, and |m| <= top leaves out under 2**-64 of P(m > 0), as
-    erfc(y) <= erfc(x) exp(x^2 - y^2). From t = d / 4 on, the series
-    pmf(v) = (1 + 2 sum_j exp(-2 (pi t j / d)^2) sinc(j / d) cos(2 pi j v / d)) / d
-    (Poisson summation) stops at j = top = floor(1.5 d / t) <= 6, past
-    which its terms are under 2**-64."""
+    """(residues, cdf, q): the channel_sim._binned_table of m mod d, with
+    t = sigma / delta: the nonzero exponents, possibly repeated, their
+    cumulative pmf given nonzero, and q, its sum."""
     d = operator.index(d)
     if not 2 <= d < 2**53:
         raise ValueError(f"qudit dimension must be >= 2 and below 2**53, got {d}")
@@ -138,47 +131,24 @@ def _nonzero_shifts(d: int, noise: NoiseModel):
     if t_sq == math.inf:
         raise ValueError(f"sigma_sq d / hbar overflows float64 at d = {d}, "
                          f"sigma_sq = {noise.sigma_sq!r}, hbar = {noise.hbar!r}")
-    t, dual = math.sqrt(t_sq), t_sq >= d * d / 16.0
-    top = math.floor(1.5 * d / t) if dual else \
-        max(1, math.ceil(math.sqrt(0.25 + 88.8 * t_sq) - 0.5))  # 88.8 > 128 ln 2
-    terms = (top + 1) * (d - 1 if dual else 1)
-    if terms > _MAX_TERMS:
-        raise ValueError(f"the qudit shift pmf at d = {d}, sigma_sq = {noise.sigma_sq!r}, "
-                         f"hbar = {noise.hbar!r} needs {terms} terms, more than 2**16")
-    if dual:
-        residues, j = np.arange(1, d), np.arange(1, top + 1)[:, None]
-        waves = np.exp(-2.0 * (math.pi * t * j / d) ** 2) * np.sinc(j / d) \
-            * np.cos(2.0 * math.pi * (j * residues) / d)
-        probs = (1.0 + 2.0 * waves.sum(axis=0)) / d
-    else:  # m = i, then m = -i, for i = 1 .. top; a cell of residue 0 gets 0
-        tails = np.array([0.5 * math.erfc((i + 0.5) / (math.sqrt(2.0) * t)) if t else 0.0
-                          for i in range(top + 1)])
-        residues = np.concatenate([np.arange(1, top + 1), np.arange(-1, -top - 1, -1)]) % d
-        probs = np.tile(tails[:-1] - tails[1:], 2) * (residues != 0)
-    cdf = np.cumsum(probs)
-    q = float(cdf[-1])
-    return residues, cdf / (q or 1.0), q
+    return _binned_table(t_sq, d, True, f"the qudit shift pmf at d = {d}, sigma_sq = "
+                                        f"{noise.sigma_sq!r}, hbar = {noise.hbar!r}")
+
+
+def _scatter(shifts, rng: np.random.Generator, size):
+    """X and Z exponents, (2,) + size, drawn from a _nonzero_shifts table,
+    and their nonzero cells as channel_sim._sample_cells returns them."""
+    out = np.zeros((2,) + (tuple(size) if isinstance(size, tuple) else (size,)), dtype=np.int64)
+    hits, values = _sample_cells(*shifts, rng, out.size)
+    out.reshape(-1)[hits] = values
+    return out, hits, values
 
 
 def _draw(residues, cdf, q, rng: np.random.Generator, size):
     """X and Z exponents of shape size from a _nonzero_shifts table, then the
     nonzero cells of each: sorted flat indices (no view of a geometric buffer), values."""
-    out = np.zeros((2,) + (tuple(size) if isinstance(size, tuple) else (size,)), dtype=np.int64)
-    flat, n, last = out.reshape(-1), out.size, -1
-    hits, values = [np.zeros(0, dtype=np.int64)], [residues[:0]]
-    while q and last < n - 1:
-        mean = (n - 1 - last) * q
-        cells = rng.geometric(q, math.ceil(mean + 4.0 * math.sqrt(mean) + 1.0))
-        np.minimum(cells, n + 1, out=cells)  # a gap past the block ends it; sums stay in int64
-        cells[0] += last
-        np.cumsum(cells, out=cells)
-        hits.append(cells[:np.searchsorted(cells, n)])
-        values.append(residues[np.searchsorted(cdf, rng.random(len(hits[-1])), side="right")])
-        flat[hits[-1]] = values[-1]
-        last = int(cells[-1])
-    # an empty first piece serves q = 0; one draw, the usual case, is not concatenated
-    hits, values = (np.concatenate(x) if len(x) > 2 else x[-1] for x in (hits, values))
-    half, cut = n // 2, np.searchsorted(hits, n // 2)
+    out, hits, values = _scatter((residues, cdf, q), rng, size)
+    half, cut = out.size // 2, np.searchsorted(hits, out.size // 2)
     return out[0], out[1], (hits[:cut].copy(), values[:cut]), (hits[cut:] - half, values[cut:])
 
 
@@ -277,8 +247,9 @@ def _decode_sector(d, errors, hits, values, checks, table, opposite_logical):
     multi = rows[np.flatnonzero(first[:-1] > first[1:])]  # starts a row that goes on
     nonzero = np.take(errors, multi, axis=0)
     synd = np.zeros(len(multi), dtype=np.int64)
+    digit = np.empty(len(multi), dtype=np.int64)
     for check, weight in zip(checks, weights):
-        digit = _combine_columns(nonzero, check)
+        _combine_columns(nonzero, check, digit)
         digit %= d
         digit *= weight
         synd += digit
@@ -286,24 +257,13 @@ def _decode_sector(d, errors, hits, values, checks, table, opposite_logical):
     failed = keys[found] != synd
     np.putmask(found, failed, -1)
     for logical, paired in zip(opposite_logical, pairing.T):
-        residual = _combine_columns(nonzero, logical)
+        residual = _combine_columns(nonzero, logical, digit)
         residual -= paired[found]
         residual %= d
         failed |= residual != 0
     row[multi] = found
     bad[multi] = failed
     return row, bad
-
-
-def _combine_columns(block, coefficients):
-    """Sum of coefficients[j] * block[:, j] over the nonzero coefficients."""
-    total = np.zeros(len(block), dtype=np.int64)
-    for j, c in enumerate(coefficients.tolist()):
-        if c in (1, -1):  # no product
-            (np.add if c == 1 else np.subtract)(total, block[:, j], out=total)
-        elif c:
-            total += block[:, j] * c
-    return total
 
 
 def _decode_block(code: CssCode, a, b, cells_a, cells_b):

@@ -32,6 +32,8 @@ TIE_REL = 1e-12
 _SLACK_REL = 1e-9  # search margin so tie partners are always enumerated
 _BLOCK = 1 << 12  # targets per enumeration block; bounds the node arrays
 _MAX_COEFF = 2.0 ** 26  # beyond it the residual keeps under 26 of 52 fraction bits
+_TOO_FAR = ("target coefficients in the lattice basis reach 2**26, beyond float64: "
+            "the target is too far out for the lattice's scale")
 _MAX_TRANSFORM = 2.0 ** 53  # LLL transform entries stay exact in float64, far below int64
 _LLL_ROUNDS = 4  # LLL rounds allowed per n^2 (bits + 2); see _lll
 _MAX_NODES = 1 << 20  # enumeration nodes per level of a block, about 150 MB at n = 12
@@ -159,8 +161,7 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test below
         u = xs @ m_inv
     if u.size and not (-_MAX_COEFF < u.min() and u.max() < _MAX_COEFF):
-        raise ValueError("target coefficients in the lattice basis reach 2**26, beyond "
-                         "float64: the target is too far out for the lattice's scale")
+        raise ValueError(_TOO_FAR)
     if c_sq is not None:
         # rounding is exact; tie gap c_sq (1 - 2 max_i |frac_i|), bitwise the least
         # per-coordinate gap c_sq (1 - 2|frac_i|) since 1 - 2x is monotone in float

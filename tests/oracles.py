@@ -338,6 +338,35 @@ def square_lattice_failure_prob(d: int, n: int, sigma_lattice: float) -> float:
     per_coord = gauss_abs_cdf(1.0 / (2.0 * math.sqrt(d)), sigma_lattice)
     return 1.0 - per_coord ** n
 
+
+def normal_rounding_outcomes(code, noise, rows: int, rng):
+    """Reference for the Monte Carlo of a code whose normalizer has an
+    orthogonal frame: the rounded coefficients of ``rows`` displacements
+    drawn by standard_normal, and their voronoi and coset failure masks
+    from failure_mask on the decoder's rounding path. This was the
+    library's estimator before it sampled binned coefficients."""
+    from gkplat.channel_sim import failure_mask
+    from gkplat.decoder import closest_points
+    xi = rng.standard_normal((rows, code.normalizer.n))
+    xi *= noise.lattice_sigma
+    return (closest_points(code.normalizer, xi)[0], failure_mask(code, xi, "voronoi"),
+            failure_mask(code, xi, "coset"))
+
+
+def binned_row_failures(code, hits, values, rows: int, criterion: str) -> np.ndarray:
+    """Failure of each of ``rows`` rows whose nonzero rounded normalizer
+    coefficients are the cells (hits, values) of the flat (rows, n) block:
+    voronoi fails a row with any nonzero coefficient, coset a row whose
+    coefficients c leave den not dividing some entry of c @ num."""
+    coeffs = np.zeros(rows * code.normalizer.n, dtype=np.int64)
+    coeffs[hits] = values
+    coeffs = coeffs.reshape(rows, -1)
+    if criterion == "voronoi":
+        return coeffs.any(axis=1)
+    num, den = code.coset_test
+    return ((coeffs @ num) % den != 0).any(axis=1)
+
+
 def qudit_shift_pmf(d: int, sigma: float, hbar: float = 1.0, k_range: int = 8) -> np.ndarray:
     """Distribution of round(shift/delta) mod d for a N(0, sigma^2) shift,
     delta = sqrt(2 pi hbar / d), with wrap-around windows summed."""
@@ -352,6 +381,14 @@ def qudit_shift_pmf(d: int, sigma: float, hbar: float = 1.0, k_range: int = 8) -
             total += 0.5 * (math.erf(hi) - math.erf(lo))
         pmf[v] = total
     return pmf
+
+
+def pooled_columns(counts: np.ndarray) -> np.ndarray:
+    """Columns of a two-row count table with at least 20 counts, then one
+    column pooling the others if they hold any."""
+    keep = counts.sum(axis=0) >= 20
+    rest = counts[:, ~keep].sum(axis=1, keepdims=True)
+    return np.hstack([counts[:, keep]] + ([rest] if rest.any() else []))
 
 
 def wilson_halfwidth(p_hat: float, trials: int, z: float = 1.959963984540054) -> float:

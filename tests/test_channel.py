@@ -2,16 +2,19 @@
 
 import math
 import os
+import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
-from gkplat import channel_sim
+from gkplat import channel_sim, decoder
 from gkplat.catalog import get
 from gkplat.channel_sim import (
     CRITERIA,
@@ -26,13 +29,15 @@ from gkplat.decoder import closest_point, closest_points
 from gkplat.symplectic_lattice import (
     Lattice,
     coeff_transition,
+    lattice_from_dict,
     logical_class,
     make_code,
     orthogonal_scale_sq,
     rescale,
 )
 
-from oracles import square_lattice_failure_prob, wilson_halfwidth
+from oracles import (binned_row_failures, normal_rounding_outcomes, pooled_columns,
+                     square_lattice_failure_prob, wilson_halfwidth)
 
 
 def lattice_noise(sigma_lattice: float, hbar: float = 1.0) -> NoiseModel:
@@ -64,15 +69,27 @@ class TestSampling:
                 assert est.failures == 0
 
     def test_estimate_reads_worker_streams(self):
-        # worker w decodes rows of its own stream, scaled by lattice_sigma
+        # worker w decides rows of its own stream: on GQ2 (an orthogonal
+        # frame) from the binned cells of each block of at most _BATCH rows,
+        # on D4 from normals scaled by lattice_sigma
         noise = lattice_noise(0.3)
-        for code, trials in ((GQ2, 100_001), (D4, 1001)):
-            expected = 0
-            for worker, count in enumerate(partition_trials(trials, 2)):
-                block = make_generator(4, worker).standard_normal((count, code.normalizer.n))
-                expected += int(failure_mask(code, block * noise.lattice_sigma, "coset").sum())
-            est = estimate_error_probability(code, noise, trials, 4, "coset", workers=2)
-            assert est.failures == expected
+        trials, table = 100_001, channel_sim._coefficient_table(GQ2, noise, "coset")
+        expected = 0
+        for worker, count in enumerate(partition_trials(trials, 2)):
+            gen = make_generator(4, worker)
+            for done in range(0, count, channel_sim._BATCH):
+                rows = min(channel_sim._BATCH, count - done)
+                hits, values = channel_sim._sample_cells(*table, gen, rows * 2)
+                expected += int(binned_row_failures(GQ2, hits, values, rows, "coset").sum())
+        assert count > channel_sim._BATCH  # each stream draws two blocks
+        est = estimate_error_probability(GQ2, noise, trials, 4, "coset", workers=2)
+        assert est.failures == expected
+        trials, expected = 1001, 0
+        for worker, count in enumerate(partition_trials(trials, 2)):
+            block = make_generator(4, worker).standard_normal((count, D4.normalizer.n))
+            expected += int(failure_mask(D4, block * noise.lattice_sigma, "coset").sum())
+        est = estimate_error_probability(D4, noise, trials, 4, "coset", workers=2)
+        assert est.failures == expected
 
 
 class TestRecoveryOutcome:
@@ -255,8 +272,8 @@ class TestEstimate:
                            ("coset", 1): 422, ("coset", 2): 427}),
         ("E8x2", 0.5, 200, {("voronoi", 1): 173, ("voronoi", 2): 164,
                             ("coset", 1): 173, ("coset", 2): 164}),
-        ("grid_qudit(2)", 1.0, 200_000, {("voronoi", 1): 121650, ("voronoi", 2): 121965,
-                                         ("coset", 1): 119706, ("coset", 2): 119927}),
+        ("grid_qudit(2)", 1.0, 200_000, {("voronoi", 1): 121757, ("voronoi", 2): 121793,
+                                         ("coset", 1): 119756, ("coset", 2): 119745}),
     ])
     def test_pinned_failure_counts(self, name, sigma_sq, trials, failures):
         # exact counts at seed 17: a change to sampling or decoding shows here
@@ -271,6 +288,162 @@ class TestEstimate:
         code = make_code(get("D4").lattice)
         est = estimate_error_probability(code, lattice_noise(0.2), 2_000, seed=6)
         assert 0.0 <= est.p_hat <= 1.0
+
+
+# 3 times a rotation of Z^4: its normalizer has an orthogonal frame (c^2 = 1/9)
+# and a coset test that mixes coordinates (den = 81), so signs matter
+ROTATED = lattice_from_dict({"n": 4, "lambda": "1", "basis": [
+    ["1", "2", "2", "0"], ["2", "-1", "0", "-2"], ["2", "0", "-1", "2"], ["0", "-2", "2", "1"]]})
+
+# (code name, sigma^2, whether t >= den / 4 puts the table in its series
+# regime): each code on both sides, but at d = 10**12 the series regime lies
+# past the 2**26 refusal
+BINNED_CASES = [("Zn(2)", 0.1, False), ("Zn(2)", 1.0, True),
+                ("Zn(12)", 0.1, False), ("Zn(12)", 1.0, True),
+                ("grid_qudit(2)", 0.3, False), ("grid_qudit(2)", 3.0, True),
+                ("grid_qudit(3)", 0.4, False), ("grid_qudit(3)", 4.0, True),
+                ("grid_qudit(1448)", 500.0, False), ("grid_qudit(1448)", 700.0, True),
+                ("grid_qudit(1000000000000)", 1e-12, False),
+                ("grid_qudit(1000000000000)", 1e-11, False),
+                ("rotated", 0.3, False), ("rotated", 300.0, True)]
+
+
+def binned_code(name):
+    return make_code(ROTATED if name == "rotated" else get(name).lattice)
+
+
+class TestBinnedLatticePath:
+    """On a normalizer with an orthogonal frame the Monte Carlo samples the
+    nonzero rounded coefficients as cells, in place of normals and the
+    rounding decode."""
+
+    @pytest.mark.parametrize("name,sigma_sq,series", BINNED_CASES)
+    def test_cells_and_row_outcomes_match_normal_rounding_reference(self, name, sigma_sq,
+                                                                    series):
+        # 100,000 rows of each estimator, by chi-square: the coefficient
+        # values (0 included; in the series regime nonzero m mod den, den
+        # for 0), and each row's outcome (passes, fails voronoi only, fails
+        # both)
+        code, noise, rows = binned_code(name), NoiseModel(sigma_sq), 100_000
+        n, den = code.normalizer.n, code.coset_test[1]
+        t_sq = noise.lattice_sigma_sq / float(orthogonal_scale_sq(code.normalizer))
+        assert (16.0 * t_sq >= den * den) == series
+        tables = [channel_sim._coefficient_table(code, noise, c) for c in CRITERIA]
+        assert tables[0][2] == tables[1][2]  # one cell rate q: voronoi's cells only carry 1
+        hits, values = channel_sim._sample_cells(*tables[CRITERIA.index("coset")],
+                                                 make_generator(91), rows * n)
+        binned = [binned_row_failures(code, hits, values, rows, c) for c in CRITERIA]
+        for criterion, mask in zip(CRITERIA, binned):
+            assert channel_sim._cell_failures(code, criterion, hits, values, n) == mask.sum()
+        coeffs, *reference = normal_rounding_outcomes(code, noise, rows, make_generator(92))
+        nonzero = coeffs[coeffs != 0]
+        cells = [values, (nonzero - 1) % den + 1 if series else nonzero]
+        kinds = np.unique(np.concatenate(cells))
+        counts = np.array([np.append(rows * n - len(c), np.bincount(np.searchsorted(kinds, c),
+                                                                    minlength=len(kinds)))
+                           for c in cells])
+        assert chi2_contingency(pooled_columns(counts)).pvalue > 1e-3
+        counts = []
+        for voronoi, coset in (binned, reference):
+            assert not (coset & ~voronoi).any()
+            counts.append(np.bincount(voronoi.astype(int) + coset, minlength=3))
+        if den == 1:
+            assert counts[0][2] == counts[1][2] == 0  # Zn: coset never fails
+        table = pooled_columns(np.array(counts))
+        if table.shape[1] > 1:
+            assert chi2_contingency(table).pvalue > 1e-3
+        else:
+            assert np.array_equal(*(np.flatnonzero(c) for c in counts))
+
+    def test_coset_failures_are_voronoi_failures_at_one_seed(self, monkeypatch):
+        # the draws do not depend on the criterion: both runs see the same
+        # cells (voronoi's all valued 1), and each coset-failing row also
+        # fails voronoi
+        sample, draws, failures = channel_sim._sample_cells, {}, {}
+        for criterion in CRITERIA:
+            seen = draws[criterion] = []
+            monkeypatch.setattr(channel_sim, "_sample_cells",
+                                lambda *args, seen=seen: seen.append(sample(*args)) or seen[-1])
+            failures[criterion] = estimate_error_probability(
+                GQ2, lattice_noise(0.4), 3 * channel_sim._BATCH + 5, 29, criterion).failures
+        assert len(draws["voronoi"]) == 4
+        masks = {c: [] for c in CRITERIA}
+        for (hits, ones), (again, values) in zip(draws["voronoi"], draws["coset"]):
+            assert np.array_equal(hits, again) and (ones == 1).all()
+            rows = channel_sim._BATCH if len(masks["coset"]) < 3 else 5
+            for criterion in CRITERIA:
+                masks[criterion].append(binned_row_failures(GQ2, hits, values, rows, criterion))
+        voronoi, coset = (np.concatenate(masks[c]) for c in CRITERIA)
+        assert not (coset & ~voronoi).any() and 0 < coset.sum() < voronoi.sum()
+        assert (coset.sum(), voronoi.sum()) == (failures["coset"], failures["voronoi"])
+
+    def test_no_normal_and_no_decode_on_an_orthogonal_frame(self, monkeypatch):
+        class NoNormals(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                raise AssertionError("standard_normal called")
+
+        def no_decode(*args):
+            raise AssertionError("closest_points called")
+        make = channel_sim.make_generator
+        monkeypatch.setattr(channel_sim, "make_generator",
+                            lambda seed, worker=0: NoNormals(make(seed, worker).bit_generator))
+        monkeypatch.setattr(decoder, "closest_points", no_decode)
+        for code in (GQ2, make_code(get("Zn(12)").lattice), make_code(ROTATED)):
+            for criterion in CRITERIA:
+                est = estimate_error_probability(code, lattice_noise(0.3), 70_000, 3, criterion,
+                                                 workers=2)
+                assert 0 < est.failures or (criterion == "coset" and code.coset_test[1] == 1)
+        with pytest.raises(AssertionError, match="called"):  # the patches do bite
+            estimate_error_probability(D4, lattice_noise(0.3), 10, 3)
+
+    def test_coefficient_pmf_past_the_term_cap_named(self):
+        # t = 5,046 >= den / 4 at den = 20,000: the coset test's series
+        # needs 6 * 20,000 terms, and the binned sampler refuses it.
+        # Voronoi values no cell, builds no table and answers, as decoding
+        # normals did: nearly every trial fails.
+        code, noise = make_code(get("grid_qudit(20000)").lattice), NoiseModel(8000.0)
+        with pytest.raises(ValueError, match=r"^the coefficient pmf at coset denominator "
+                                             r"20000, sigma_sq = 8000\.0, hbar = 1\.0 needs "
+                                             r"120000 terms, more than 2\*\*16$"):
+            estimate_error_probability(code, noise, 10, 1, "coset")
+        est = estimate_error_probability(code, noise, 1000, 1, "voronoi")
+        assert est.failures == 1000
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.one_of(st.integers(1, 1448), st.sampled_from([20_000, 10**6, 2**40 + 1, 10**12])),
+           sigma_sq=st.sampled_from([0.0, 5e-324, 1e-30, 1e-8, 0.05, 5.0, 1e4, 1e12, 1e40,
+                                     1e300]),
+           hbar=st.sampled_from([1e-3, 1.0, 1e3]), criterion=st.sampled_from(CRITERIA))
+    @example(d=20_000, sigma_sq=8000.0, hbar=1.0, criterion="coset")  # past 2**16 terms
+    @example(d=2, sigma_sq=1e12, hbar=1.0, criterion="voronoi")  # series, refused by 2**26
+    @example(d=1448, sigma_sq=1e4, hbar=1.0, criterion="coset")  # series, 8,688 terms
+    def test_bounded_work_at_every_input(self, d, sigma_sq, hbar, criterion):
+        # grid_qudit(d) over one full block: a valid estimate or one named
+        # ValueError, at most 2**16 erf, erfc or cosine terms, 8 MiB traced
+        code = make_code(Lattice([[1, 0], [0, 1]], d))
+        terms, erf, erfc, cos = [], math.erf, math.erfc, np.cos
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(math, "erf", lambda x: terms.append(1) or erf(x))
+            patch.setattr(math, "erfc", lambda x: terms.append(1) or erfc(x))
+            patch.setattr(np, "cos", lambda x: terms.append(np.size(x)) or cos(x))
+            tracemalloc.start()
+            try:
+                est = estimate_error_probability(code, NoiseModel(sigma_sq, hbar),
+                                                 channel_sim._BATCH, 5, criterion)
+                assert 0 <= est.failures <= est.trials == channel_sim._BATCH
+                assert est.ci_low <= est.p_hat <= est.ci_high
+            except ValueError as err:
+                assert re.fullmatch(r"the coefficient pmf at coset denominator \d+, .* needs "
+                                    r"\d+ terms, more than 2\*\*16|target coefficients .* "
+                                    r"reach 2\*\*26, .* lattice's scale|sigma_sq = .* beyond "
+                                    r"float64", str(err))
+                assert terms == []
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+        assert channel_sim._MAX_TERMS == 2**16
+        assert sum(terms) <= 2**16
+        assert peak <= 8 * 2**20
 
 
 class TestStreams:

@@ -952,7 +952,7 @@ ACCEPTANCE_HASHES = [
     ("simulate --lattice D4 --sigma-sq 0.2 --trials 2000 --seed 5 --criterion coset",
      "2dc03dcf269501f1"),
     ("simulate --lattice grid_qudit:2 --sigma-sq 0.1 --trials 1000000 --seed 5 --criterion coset",
-     "9e498cbe46f4fd56"),
+     "b930e5d7b276e191"),
     ("concat-sim --d 3 --sigma-sq 0.05 --trials 1000000 --seed 5", "776f996064fcd982"),
     ("concat-sim --d 10 --sigma-sq 0.05 --trials 1000000 --seed 5", "5c8c097e4edced18"),
     ("lattice-info D4", "ef8a4c13ceab6c3c"),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import erfcinv
 from scipy.stats import chi2_contingency
 
-from gkplat import concatenated, dit_rates
+from gkplat import channel_sim, concatenated, dit_rates
 from gkplat.channel_sim import NoiseModel, make_generator
 from gkplat.concatenated import (
     CssCode,
@@ -38,7 +38,7 @@ from gkplat.dit_rates import (
 from gkplat.rates import coherent_information
 
 from oracles import (dit_rate_screen, erfc_oracle, exhaustive_argmax, matmul_decode_sector,
-                     normal_binned_qudit_errors, qudit_error_prob, qudit_shift_pmf,
+                     normal_binned_qudit_errors, pooled_columns, qudit_error_prob, qudit_shift_pmf,
                      trellis_sector_failure_prob, wilson_halfwidth)
 
 
@@ -665,20 +665,12 @@ class TestChannelSample:
             finally:
                 peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
-        assert concatenated._MAX_TERMS == 2**16
+        assert channel_sim._MAX_TERMS == 2**16
         assert sum(terms) <= 2**16
         assert peak <= 8 * 2**20
         for x in (a, b):
             assert x.dtype == np.int64 and x.shape == (100, 9)
             assert 0 <= x.min() and x.max() < d
-
-
-def pooled_columns(counts: np.ndarray) -> np.ndarray:
-    """Columns of a two-row count table with at least 20 counts, then one
-    column pooling the others if they hold any."""
-    keep = counts.sum(axis=0) >= 20
-    rest = counts[:, ~keep].sum(axis=1, keepdims=True)
-    return np.hstack([counts[:, keep]] + ([rest] if rest.any() else []))
 
 
 class FixedNormals:

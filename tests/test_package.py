@@ -148,7 +148,7 @@ def test_every_private_function_has_a_src_caller():
 # one worker stream), so any change to what they print shows here
 DEMO_STDOUT_SHA256 = {
     "achievable_rates.py": "3e2cbf1194b22e88ff783edb3058c7d60e92929bf80b3895c9535e40b2d86022",
-    "channel_monte_carlo.py": "5fd0342cb62da2880d45dbde7b569d735e6c1ff969377a0f22bcf682d11aa72c",
+    "channel_monte_carlo.py": "90a60b7e417af7f5115c42b437533e577784062d047afb63cf63466b83e30151",
     "classical_rates.py": "aef0265e1058a2599f55ee48d5d168ee991e4d081db61d29fc043264f1f8f72e",
     "concatenated_design.py": "0a724cf16a53a7c926fb9f7c7715043f6c7b908664c9fcd651945b7d5556791a",
     "decoding.py": "5a97aea502973117a30026c4b549a27a8f5a4d867ccf3cf3aa3ee6501106bfd1",
