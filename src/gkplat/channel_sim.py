@@ -166,15 +166,20 @@ def failure_mask(code: LatticeCode, xi, criterion: str = "voronoi") -> np.ndarra
     coefficients then go through the criterion's integer test
     (_criterion_fails), ORed into the tie mask.
     """
-    _check_criterion(criterion)
+    _check_criterion(code, criterion)
     from .decoder import closest_points
     coeffs, fail = closest_points(code.normalizer, xi)
     return _criterion_fails(code, coeffs, criterion, fail)
 
 
-def _check_criterion(criterion: str) -> None:
+def _check_criterion(code: LatticeCode, criterion: str) -> None:
+    """A ValueError for an unknown criterion, and for a coset test whose
+    denominator int64 arithmetic cannot hold."""
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
+    den = code.coset_test[1]
+    if criterion == "coset" and den > np.iinfo(np.int64).max:
+        raise ValueError(f"the coset test's denominator {den} is beyond int64")
 
 
 def _criterion_fails(code: LatticeCode, coeffs, criterion: str, fail) -> np.ndarray:
@@ -345,7 +350,7 @@ def estimate_error_probability(code: LatticeCode, noise: NoiseModel, trials: int
     the derived stream hash(seed, w) and failure counts are summed,
     whether the streams run one after the other or at once.
     """
-    _check_criterion(criterion)
+    _check_criterion(code, criterion)
     sigma = noise.lattice_sigma
     if not math.isfinite(sigma):
         raise ValueError(f"sigma_sq = {noise.sigma_sq!r} over hbar = {noise.hbar!r} gives a "

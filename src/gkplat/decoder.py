@@ -4,9 +4,30 @@
 a batch of one and ``shortest_vector`` runs the same enumeration around
 the origin. Orthogonal frames (G = c^2 I exactly) decode by rounding.
 Otherwise blocks of targets are decoded in the QR frame of an LLL-reduced
-basis by enumerating, level by level, every coefficient vector within the
-nearest-plane (Babai) distance, children in Schnorr-Euchner order
-(Agrell, Eriksson, Vardy, Zeger, *Closest point search in lattices*).
+basis. A nearest-plane (Babai) pass takes, level by level, the nearer
+child of each row. Rows past the packing-radius margin below then go to a
+bounded search that enumerates every coefficient vector within the
+nearest-plane distance, children in Schnorr-Euchner order (Agrell,
+Eriksson, Vardy, Zeger, *Closest point search in lattices*).
+
+The margin is bounded-distance decoding (Conway & Sloane, *Sphere
+Packings, Lattices and Groups*, ch. 20). Let b be a row's nearest-plane
+point, at squared distance near from the target y, and 2 rho the length
+of a shortest nonzero lattice vector. Any other lattice point v has
+|v - y| >= |v - b| - |b - y| >= 2 rho - sqrt(near). The bounded search
+keeps the points within bound = near (1 + slack) + slack box, b among
+them. So where (2 rho - sqrt(near))^2 exceeds the bound, b is the only
+point it keeps: it would return b, its runner-up distance inf and tie
+False. Such a row keeps b, and the search runs only on the others. The
+test is (2 rho - sqrt(near))^2 (1 - 1e-9) > bound. The 1 - 1e-9 factor
+covers the float error in near and in the float length 2 rho, each a few
+ulps at n <= 12. 2 rho is that of the float frame the search runs in,
+found once per lattice by the same enumeration around the origin. The
+test never passes for sqrt(near) >= rho, and where it passes,
+2 rho - sqrt(near) > rho; another point would need its computed distance
+off by 1e-9 rho^2 to enter the bound. The search's per-coordinate
+rounding, a few ulps of |y|, stays far below that for targets within
+about 10^5 rho of the origin.
 
 A near-tie with the runner-up is flagged and counts as a decoding failure
 (the Voronoi cell boundary has measure zero under Gaussian noise, and
@@ -83,15 +104,20 @@ def _lll(m: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _frame(lat: Lattice):
     """Float generator matrix and its inverse, the triangular frame of the
-    basis, the exact orthogonal scale c^2 (or None), and the LLL transform
-    U with the (lower, q) frame of U M."""
+    basis, the exact orthogonal scale c^2 (or None), the LLL transform
+    U with the (lower, q) frame of U M, and, where c^2 is None, the float
+    length 2 rho of a shortest nonzero vector of that frame (else None)."""
     if lat.n > MAX_DIM:
         raise ValueError(f"decoder supports dimensions up to {MAX_DIM}, got {lat.n}")
     m = lat.effective_matrix()
     r = np.linalg.qr(m.T, mode="r")
     u = _lll(m)
     q_red, r_red = np.linalg.qr((u @ m).T)
-    return m, np.linalg.inv(m), r.T, orthogonal_scale_sq(lat), u, r_red.T, q_red
+    lower, c_sq, min_len = r_red.T, orthogonal_scale_sq(lat), None
+    if c_sq is None:  # the packing-radius margin of closest_points
+        _, length_sq = _shortest(lower, float(np.einsum("ij,ij->i", lower, lower).min()))
+        min_len = math.sqrt(length_sq)
+    return m, np.linalg.inv(m), r.T, c_sq, u, lower, q_red, min_len
 
 
 def _search(lower, ys, bound=None, nonzero=False):
@@ -99,8 +125,9 @@ def _search(lower, ys, bound=None, nonzero=False):
     |c @ lower - y|^2 <= bound for each row y of ys; returns the first
     minimum of each row in depth-first Schnorr-Euchner order, its squared
     distance and the runner-up distance (inf if none). With bound None
-    only the first child of each node is taken: the nearest-plane point.
-    ``nonzero`` leaves out the zero vector."""
+    only the nearer child of each node is taken: the nearest-plane point,
+    with no runner-up. ``nonzero`` leaves out the zero vector of a bounded
+    search."""
     rows, n = ys.shape
     row = np.arange(rows)
     part = np.zeros(rows)
@@ -112,20 +139,20 @@ def _search(lower, ys, bound=None, nonzero=False):
         diag = lower[k, k]
         mu = (ys[row, k] - s) / diag
         lo = np.floor(mu)
-        step = np.where(lo + 1 - mu <= mu - lo, 1.0, -1.0)  # +1: lo + 1 comes first
-        if bound is None:
-            width = np.ones(len(row), dtype=np.int64)
+        first = lo + 1 - mu <= mu - lo  # lo + 1 is the nearer child
+        if bound is None:  # nearest plane: each row keeps its nearer child only
+            node, cand = slice(None), lo + first
         else:
             rad = np.sqrt(np.maximum(bound[row] - part, 0.0)) / abs(diag)
             width = 2 * np.floor(rad).astype(np.int64) + 3
-        ends = np.cumsum(width)
-        if len(ends) and ends[-1] > _MAX_NODES:
-            raise ValueError(f"the decoder's search needs {ends[-1]} nodes at one level, "
-                             f"above 2**20: the lattice basis is too skewed for the decoder")
-        node = np.repeat(np.arange(len(row)), width)
-        j = np.arange(len(node)) - np.repeat(ends - width, width)
-        zigzag = (j + 1) // 2 * np.where(j % 2, -1, 1)  # 0, -1, 1, -2, 2, ...
-        cand = lo[node] + (step[node] > 0) + step[node] * zigzag
+            ends = np.cumsum(width)
+            if len(ends) and ends[-1] > _MAX_NODES:
+                raise ValueError(f"the decoder's search needs {ends[-1]} nodes at one level, "
+                                 f"above 2**20: the lattice basis is too skewed for the decoder")
+            node = np.repeat(np.arange(len(row)), width)
+            j = np.arange(len(node)) - np.repeat(ends - width, width)
+            zigzag = (j + 1) // 2 * np.where(j % 2, -1, 1)  # 0, -1, 1, -2, 2, ...
+            cand = lo[node] + first[node] + np.where(first, 1.0, -1.0)[node] * zigzag
         t = cand * diag + s[node] - ys[row[node], k]
         p = part[node] + t * t
         if bound is not None:
@@ -133,6 +160,8 @@ def _search(lower, ys, bound=None, nonzero=False):
             node, cand, p = node[keep], cand[keep], p[keep]
         row, part, c = row[node], p, c[node]
         c[:, k] = cand
+    if bound is None:
+        return c, part, np.full(rows, np.inf)
     if nonzero:
         keep = c.any(axis=1)
         row, part, c = row[keep], part[keep], c[keep]
@@ -143,15 +172,29 @@ def _search(lower, ys, bound=None, nonzero=False):
     return c[order[start]], dist[start], dist[second]
 
 
+def _shortest(lower, length_sq):
+    """Coefficients and squared length of the first shortest nonzero vector
+    of the frame ``lower``, searched within length_sq (1 + slack), where
+    length_sq is the squared length of some nonzero lattice vector."""
+    bound = np.array([length_sq * (1.0 + _SLACK_REL)])
+    c, d, _ = _search(lower, np.zeros((1, len(lower))), bound, nonzero=True)
+    return c[0], float(d[0])
+
+
 def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
     """Nearest lattice points of the rows of an (m, n) block of targets:
     their basis coefficients, (m, n) int64, and a tie flag per row. On an
-    orthogonal frame the tie test is decided column by column.
+    orthogonal frame the tie test is decided column by column. Otherwise a
+    row whose nearest-plane point b lies well inside the packing radius,
+    (2 rho - sqrt(near))^2 (1 - 1e-9) > the search bound, keeps b with tie
+    False: no other point lies within that bound (module docstring), so
+    the bounded search would return b, no runner-up and tie False. Only
+    the other rows are searched.
 
     Raises ValueError for a non-finite coordinate, for lattice
     coefficients of 2**26 or more, and for a basis so skewed that its LLL
     reduction leaves the int64/float64 range."""
-    _, m_inv, _, c_sq, u_red, lower, q = _frame(lat)
+    _, m_inv, _, c_sq, u_red, lower, q, min_len = _frame(lat)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != lat.n:
         raise ValueError(f"point/lattice dimension mismatch: points of shape {xs.shape} "
@@ -177,15 +220,18 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
         return k.astype(np.int64), gap <= TIE_REL * (c_sq + d1)
     box = float(np.sum(np.diag(lower) ** 2)) / 4.0  # nearest-plane distance limit
     coeffs = np.empty(xs.shape, dtype=np.int64)
-    tie = np.empty(len(xs), dtype=bool)
+    tie = np.zeros(len(xs), dtype=bool)
     for lo in range(0, len(xs), _BLOCK):
         y = xs[lo:lo + _BLOCK] @ q
-        _, near, _ = _search(lower, y)
+        c, near, _ = _search(lower, y)
         if not (near <= box * (1.0 + _SLACK_REL)).all():
             raise ValueError("target too far from the origin for float64 decoding")
-        c, d1, d2 = _search(lower, y, near * (1.0 + _SLACK_REL) + _SLACK_REL * box)
+        bound = near * (1.0 + _SLACK_REL) + _SLACK_REL * box
+        far = np.flatnonzero((min_len - np.sqrt(near)) ** 2 * (1.0 - 1e-9) <= bound)
+        if len(far):  # only there can another point lie within the bound
+            c[far], d1, d2 = _search(lower, y[far], bound[far])
+            tie[lo + far] = (d2 - d1) <= TIE_REL * (box + d1)
         coeffs[lo:lo + _BLOCK] = c @ u_red
-        tie[lo:lo + _BLOCK] = (d2 - d1) <= TIE_REL * (box + d1)
     return coeffs, tie
 
 
@@ -205,9 +251,8 @@ def shortest_vector(lat: Lattice) -> tuple[np.ndarray, float]:
     The search runs in the lattice's own basis, so the vector reported
     among the minimal ones is the first in that basis's search order."""
     m, _, lower, *_ = _frame(lat)
-    bound = float(np.einsum("ij,ij->i", m, m).min()) * (1.0 + _SLACK_REL)
-    c, _, _ = _search(lower, np.zeros((1, lat.n)), np.array([bound]), nonzero=True)
-    vec = c[0].astype(float) @ m
+    c, _ = _shortest(lower, float(np.einsum("ij,ij->i", m, m).min()))
+    vec = c.astype(float) @ m
     return vec, float(vec @ vec)
 
 

@@ -46,6 +46,12 @@ class Lattice:
             raise ValueError("scale_sq must be positive")
         if exact.determinant(self.basis) == 0:
             raise ValueError("basis is singular")
+        # the fields' hash, formed once: each cache lookup keyed by a lattice
+        # would otherwise hash every Fraction again
+        object.__setattr__(self, "_hash", hash((self.basis, self.scale_sq)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

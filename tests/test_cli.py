@@ -369,6 +369,16 @@ class TestBadInput:
     def test_non_finite_sigma_sq(self, capsys, command, value):
         assert_one_error_line(*run_cli(command + ["--sigma-sq", value], capsys))
 
+    def test_coset_denominator_beyond_int64(self, capsys, monkeypatch):
+        argv = ["simulate", "--lattice", "grid_qudit:99999999999999999999", "--sigma-sq",
+                "1e-22", "--trials", "100", "--seed", "1", "--criterion"]
+        with monkeypatch.context() as mp:
+            mp.setattr(channel_sim, "_sample_cells", None)  # refused before any sampling
+            code, out, err = run_cli(argv + ["coset"], capsys)
+        assert_one_error_line(code, out, err)
+        assert "the coset test's denominator 99999999999999999999 is beyond int64" in err
+        assert run_cli(argv + ["voronoi"], capsys)[0] == 0
+
     def test_lattice_file_with_zero_denominator(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 2, "lambda": "1/0", "basis": [["1", "0"], ["0", "1"]]}')

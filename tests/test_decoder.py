@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gkplat import decoder, exact
 from gkplat.catalog import get
+from gkplat.rates import NoiseModel
 from gkplat.decoder import (
     MAX_DIM,
     closest_point,
@@ -221,6 +222,85 @@ class TestVoronoi:
             inside = [~tie & ~coeffs.any(axis=1)
                       for coeffs, tie in (closest_points(lat, xs), closest_points(lat, -xs))]
             assert np.array_equal(inside[0], inside[1])
+
+
+def full_search(lat, xs):
+    """closest_points with the bounded search run on every row, as it ran
+    before rows inside the packing-radius margin kept their nearest-plane
+    point: the reference the shortcut must match bit for bit."""
+    *_, u_red, lower, q, _ = decoder._frame(lat)
+    y = np.asarray(xs, dtype=float) @ q
+    box = float(np.sum(np.diag(lower) ** 2)) / 4.0
+    _, near, _ = decoder._search(lower, y)
+    bound = near * (1.0 + decoder._SLACK_REL) + decoder._SLACK_REL * box
+    c, d1, d2 = decoder._search(lower, y, bound)
+    return c @ u_red, (d2 - d1) <= decoder.TIE_REL * (box + d1)
+
+
+def midpoints(lat, rng, rows=500):
+    """Exact midpoints of lattice points one basis vector apart: ties."""
+    m = lat.effective_matrix()
+    c = rng.integers(-3, 4, size=(rows, lat.n))
+    step = np.zeros_like(c)
+    step[np.arange(rows), rng.integers(0, lat.n, size=rows)] = rng.choice([-1, 1], size=rows)
+    return (c @ m + (c + step) @ m) / 2
+
+
+SHORTCUT_LATTICES = {
+    "D4": get("D4").lattice,
+    "E8": get("E8").lattice,
+    "E8x2": rescale(get("E8").lattice, 2),
+}
+
+
+class TestPackingRadiusShortcut:
+    @pytest.mark.parametrize("name", sorted(SHORTCUT_LATTICES))
+    @pytest.mark.parametrize("sigma_sq", [0.1, 0.3])
+    def test_equals_full_search(self, name, sigma_sq):
+        rng = np.random.default_rng(17)
+        lat = SHORTCUT_LATTICES[name]
+        for target in (lat, make_code(lat).normalizer):
+            xs = rng.standard_normal((2000, lat.n)) * NoiseModel(sigma_sq).lattice_sigma
+            coeffs, tie = closest_points(target, xs)
+            want, want_tie = full_search(target, xs)
+            assert np.array_equal(coeffs, want) and np.array_equal(tie, want_tie)
+
+    @pytest.mark.parametrize("name", sorted(SHORTCUT_LATTICES))
+    def test_exact_ties_equal_full_search(self, name):
+        lat = SHORTCUT_LATTICES[name]
+        xs = midpoints(lat, np.random.default_rng(5))
+        coeffs, tie = closest_points(lat, xs)
+        want, want_tie = full_search(lat, xs)
+        assert tie.all() and np.array_equal(coeffs, want) and np.array_equal(tie, want_tie)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_unimodular_frames_equal_full_search(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            lat = _skewed(get(f"Zn({n})").lattice, rng)
+            assert decoder._frame(lat)[3] is None  # the general path runs
+            xs = np.vstack([rng.standard_normal((1000, n)) * s for s in (0.1, 0.3, 1.0)]
+                           + [midpoints(lat, rng)])
+            coeffs, tie = closest_points(lat, xs)
+            want, want_tie = full_search(lat, xs)
+            assert np.array_equal(coeffs, want) and np.array_equal(tie, want_tie)
+
+    def test_most_rows_skip_the_bounded_search(self, monkeypatch):
+        lat = make_code(get("D4").lattice).normalizer
+        decoder._frame(lat)  # its shortest-vector search is not counted
+        searched = []
+        search = decoder._search
+
+        def counting(lower, ys, bound=None, nonzero=False):
+            if bound is not None:
+                searched.append(len(ys))
+            return search(lower, ys, bound, nonzero)
+
+        monkeypatch.setattr(decoder, "_search", counting)
+        rows = 4000
+        xs = np.random.default_rng(2).standard_normal((rows, 4)) * NoiseModel(0.1).lattice_sigma
+        closest_points(lat, xs)
+        assert sum(searched) <= 0.1 * rows
 
 
 class TestShortestVector:

@@ -1,8 +1,10 @@
 """Exact symplectic lattice algebra."""
 
 import collections
+import dataclasses
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -441,6 +443,31 @@ class TestSerialization:
             data = {"n": n, "lambda": "1", "basis": [["1", "0"], ["0", "1"]]}
             with pytest.raises(ValueError, match="does not match"):
                 lattice_from_dict(data)
+
+
+class TestCachedHash:
+    def test_equal_lattices_hash_equal(self):
+        a = Lattice([[Fraction(1, 3), 2], [0, Fraction(5, 7)]], Fraction(9, 2))
+        b = Lattice([["1/3", "2"], ["0", "5/7"]], "9/2")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.basis, a.scale_sq))
+        assert len({a, b}) == 1
+
+    def test_cache_is_not_a_field(self):
+        lat = get("D4").lattice
+        assert [f.name for f in dataclasses.fields(lat)] == ["basis", "scale_sq"]
+        assert dataclasses.asdict(lat) == {"basis": lat.basis, "scale_sq": lat.scale_sq}
+        assert repr(lat) == f"Lattice(basis={lat.basis!r}, scale_sq={lat.scale_sq!r})"
+        other = Lattice(lat.basis, lat.scale_sq)
+        object.__setattr__(other, "_hash", 0)  # == compares the fields alone
+        assert other == lat
+
+    def test_survives_round_trips(self):
+        lat = rescale(get("E8").lattice, 2)
+        data = {"n": lat.n, "lambda": str(lat.scale_sq),
+                "basis": [[str(x) for x in row] for row in lat.basis]}
+        for again in (lattice_from_dict(data), pickle.loads(pickle.dumps(lat))):
+            assert again == lat and hash(again) == hash(lat)
 
 
 class TestValidation:
