@@ -295,10 +295,10 @@ def _coefficient_table(code: LatticeCode, noise: NoiseModel, criterion: str):
     coefficient of 2**26 or more plausible (2**26 within the window of the
     erfc table) is refused with the decoder's ValueError."""
     from .decoder import _MAX_COEFF, _TOO_FAR, _frame
-    m, _, _, c_sq, *_ = _frame(code.normalizer)
-    if c_sq is None:
+    frame = _frame(code.normalizer)
+    if frame.c_sq is None:
         return None
-    t = noise.lattice_sigma / math.hypot(*m[0])
+    t = noise.lattice_sigma / math.hypot(*frame.m[0])
     if 88.8 * t * t >= (_MAX_COEFF - 0.5) ** 2:
         raise ValueError(_TOO_FAR)
     if criterion == "voronoi":

@@ -8,7 +8,10 @@ basis. A nearest-plane (Babai) pass takes, level by level, the nearer
 child of each row. Rows past the packing-radius margin below then go to a
 bounded search that enumerates every coefficient vector within the
 nearest-plane distance, children in Schnorr-Euchner order (Agrell,
-Eriksson, Vardy, Zeger, *Closest point search in lattices*).
+Eriksson, Vardy, Zeger, *Closest point search in lattices*). A level lays
+every node's children out in that order as a row of one padded rectangle,
+whose padding the bound drops. Partial sums run left to right, as
+np.add.accumulate runs; np.add.reduce or @ may sum pairwise instead.
 
 The margin is bounded-distance decoding (Conway & Sloane, *Sphere
 Packings, Lattices and Groups*, ch. 20). Let b be a row's nearest-plane
@@ -41,6 +44,7 @@ where float64 no longer decodes reliably, raise ValueError.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,12 +105,16 @@ def _lll(m: np.ndarray) -> np.ndarray:
     return u
 
 
+_Frame = namedtuple("_Frame", "m m_inv tri c_sq u lower q min_len box")
+
+
 @lru_cache(maxsize=128)
-def _frame(lat: Lattice):
-    """Float generator matrix and its inverse, the triangular frame of the
-    basis, the exact orthogonal scale c^2 (or None), the LLL transform
-    U with the (lower, q) frame of U M, and, where c^2 is None, the float
-    length 2 rho of a shortest nonzero vector of that frame (else None)."""
+def _frame(lat: Lattice) -> _Frame:
+    """The decoder's frame of a lattice: float generator matrix m, its inverse,
+    triangular frame tri of the basis, exact orthogonal scale c_sq = c^2 (or
+    None), LLL transform u and frame u m = lower q^T, where c_sq is None the
+    float length min_len = 2 rho of a shortest nonzero vector of lower (else
+    None), and box = sum diag(lower)^2 / 4, the nearest-plane distance limit."""
     if lat.n > MAX_DIM:
         raise ValueError(f"decoder supports dimensions up to {MAX_DIM}, got {lat.n}")
     m = lat.effective_matrix()
@@ -117,7 +125,16 @@ def _frame(lat: Lattice):
     if c_sq is None:  # the packing-radius margin of closest_points
         _, length_sq = _shortest(lower, float(np.einsum("ij,ij->i", lower, lower).min()))
         min_len = math.sqrt(length_sq)
-    return m, np.linalg.inv(m), r.T, c_sq, u, lower, q_red, min_len
+    return _Frame(m, np.linalg.inv(m), r.T, c_sq, u, lower, q_red, min_len,
+                  float(np.sum(np.diag(lower) ** 2)) / 4.0)
+
+
+@lru_cache(maxsize=None)
+def _offsets(size):
+    """A node's first size children minus lo, in Schnorr-Euchner order, where lo (row 0) or
+    lo + 1 (row 1) is nearer. size is a power of two, so few tables are cached."""
+    zigzag = np.arange(1, size + 1) // 2 * (1 - 2 * (np.arange(size) % 2))  # 0, -1, 1, -2, ...
+    return np.array([-zigzag, 1 + zigzag], dtype=float)
 
 
 def _search(lower, ys, bound=None, nonzero=False):
@@ -127,49 +144,48 @@ def _search(lower, ys, bound=None, nonzero=False):
     distance and the runner-up distance (inf if none). With bound None
     only the nearer child of each node is taken: the nearest-plane point,
     with no runner-up. ``nonzero`` leaves out the zero vector of a bounded
-    search."""
+    search. Coefficients are held level-major, as floats."""
     rows, n = ys.shape
-    row = np.arange(rows)
-    part = np.zeros(rows)
-    c = np.zeros((rows, n), dtype=np.int64)
+    row, part, c = np.arange(rows), np.zeros(rows), np.zeros((n, rows))
     for k in range(n - 1, -1, -1):
-        s = np.zeros(len(row))
-        for i in range(k + 1, n):
-            s = s + c[:, i] * lower[i, k]
+        s = np.add.accumulate(c[k:] * lower[k:, k, None])[-1]  # left to right; c[k] is 0
         diag = lower[k, k]
-        mu = (ys[row, k] - s) / diag
+        y = ys[:, k] if bound is None else ys[:, k][row]
+        mu = (y - s) / diag
         lo = np.floor(mu)
-        first = lo + 1 - mu <= mu - lo  # lo + 1 is the nearer child
+        first = mu - lo >= 0.5  # lo + 1 is the nearer child; mu - lo is exact
         if bound is None:  # nearest plane: each row keeps its nearer child only
-            node, cand = slice(None), lo + first
+            cand = lo + first
+            t = cand * diag + s - y
+            part = part + t * t
         else:
-            rad = np.sqrt(np.maximum(bound[row] - part, 0.0)) / abs(diag)
-            width = 2 * np.floor(rad).astype(np.int64) + 3
-            ends = np.cumsum(width)
-            if len(ends) and ends[-1] > _MAX_NODES:
-                raise ValueError(f"the decoder's search needs {ends[-1]} nodes at one level, "
+            gap = (lim := bound[row]) - part  # children reach rad = sqrt(max(gap, 0)) / |diag|
+            wide = 2 * int(math.sqrt(gap.max(initial=0.0)) / abs(diag)) + 3  # 2 floor(rad) + 3
+            if len(row) * wide > _MAX_NODES and (total := int(np.sum(2.0 * np.floor(
+                    np.sqrt(np.maximum(gap, 0.0)) / abs(diag)) + 3.0))) > _MAX_NODES:
+                raise ValueError(f"the decoder's search needs {total} nodes at one level, "
                                  f"above 2**20: the lattice basis is too skewed for the decoder")
-            node = np.repeat(np.arange(len(row)), width)
-            j = np.arange(len(node)) - np.repeat(ends - width, width)
-            zigzag = (j + 1) // 2 * np.where(j % 2, -1, 1)  # 0, -1, 1, -2, 2, ...
-            cand = lo[node] + first[node] + np.where(first, 1.0, -1.0)[node] * zigzag
-        t = cand * diag + s[node] - ys[row[node], k]
-        p = part[node] + t * t
-        if bound is not None:
-            keep = p <= bound[row[node]]
-            node, cand, p = node[keep], cand[keep], p[keep]
-        row, part, c = row[node], p, c[node]
-        c[:, k] = cand
+            offsets, step, kept = _offsets(1 << (wide - 1).bit_length()), _MAX_NODES // wide, []
+            for a in range(0, len(row) or 1, step):  # node chunks of at most 2**20 cells
+                b = slice(a, a + step)
+                kids = lo[b, None] + offsets[first[b].view(np.uint8), :wide]
+                t = kids * diag + s[b, None] - y[b, None]
+                p = part[b, None] + t * t
+                keep = p <= lim[b, None]
+                kept.append((keep.nonzero()[0] + a, kids[keep], p[keep]))
+            node, cand, part = kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept))
+            row, c = row[node], c.take(node, axis=1)
+        c[k] = cand
     if bound is None:
-        return c, part, np.full(rows, np.inf)
+        return c.T.astype(np.int64), part, np.full(rows, np.inf)
     if nonzero:
-        keep = c.any(axis=1)
-        row, part, c = row[keep], part[keep], c[keep]
+        keep = c.any(axis=0)
+        row, part, c = row[keep], part[keep], c[:, keep]
     order = np.lexsort((part, row))  # stable: the first of equal minima wins
     start = np.searchsorted(row, np.arange(rows))
     second = np.where(np.bincount(row, minlength=rows) > 1, start + 1, -1)
     dist = np.append(part[order], np.inf)
-    return c[order[start]], dist[start], dist[second]
+    return c[:, order[start]].T.astype(np.int64), dist[start], dist[second]
 
 
 def _shortest(lower, length_sq):
@@ -185,24 +201,24 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
     """Nearest lattice points of the rows of an (m, n) block of targets:
     their basis coefficients, (m, n) int64, and a tie flag per row. On an
     orthogonal frame the tie test is decided column by column. Otherwise a
-    row whose nearest-plane point b lies well inside the packing radius,
-    (2 rho - sqrt(near))^2 (1 - 1e-9) > the search bound, keeps b with tie
-    False: no other point lies within that bound (module docstring), so
-    the bounded search would return b, no runner-up and tie False. Only
-    the other rows are searched.
+    row within the packing-radius margin keeps its nearest-plane point, tie
+    False, and only the other rows are searched (module docstring).
 
     Raises ValueError for a non-finite coordinate, for lattice
     coefficients of 2**26 or more, and for a basis so skewed that its LLL
     reduction leaves the int64/float64 range."""
-    _, m_inv, _, c_sq, u_red, lower, q, min_len = _frame(lat)
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != lat.n:
+    return _closest(_frame(lat), xs)
+
+
+def _closest(frame: _Frame, xs) -> tuple[np.ndarray, np.ndarray]:
+    xs, lower, c_sq, box = np.asarray(xs, dtype=float), frame.lower, frame.c_sq, frame.box
+    if xs.ndim != 2 or xs.shape[1] != len(lower):
         raise ValueError(f"point/lattice dimension mismatch: points of shape {xs.shape} "
-                         f"for a lattice of dimension {lat.n}")
+                         f"for a lattice of dimension {len(lower)}")
     if not np.isfinite(xs).all():
         raise ValueError("target coordinates must be finite")
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test below
-        u = xs @ m_inv
+        u = xs @ frame.m_inv
     if u.size and not (-_MAX_COEFF < u.min() and u.max() < _MAX_COEFF):
         raise ValueError(_TOO_FAR)
     if c_sq is not None:
@@ -218,28 +234,27 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
             np.maximum(worst, col, out=worst)
         gap = c_sq * (1.0 - 2.0 * worst)
         return k.astype(np.int64), gap <= TIE_REL * (c_sq + d1)
-    box = float(np.sum(np.diag(lower) ** 2)) / 4.0  # nearest-plane distance limit
     coeffs = np.empty(xs.shape, dtype=np.int64)
     tie = np.zeros(len(xs), dtype=bool)
     for lo in range(0, len(xs), _BLOCK):
-        y = xs[lo:lo + _BLOCK] @ q
+        y = xs[lo:lo + _BLOCK] @ frame.q
         c, near, _ = _search(lower, y)
         if not (near <= box * (1.0 + _SLACK_REL)).all():
             raise ValueError("target too far from the origin for float64 decoding")
         bound = near * (1.0 + _SLACK_REL) + _SLACK_REL * box
-        far = np.flatnonzero((min_len - np.sqrt(near)) ** 2 * (1.0 - 1e-9) <= bound)
+        far = np.flatnonzero((frame.min_len - np.sqrt(near)) ** 2 * (1.0 - 1e-9) <= bound)
         if len(far):  # only there can another point lie within the bound
             c[far], d1, d2 = _search(lower, y[far], bound[far])
             tie[lo + far] = (d2 - d1) <= TIE_REL * (box + d1)
-        coeffs[lo:lo + _BLOCK] = c @ u_red
+        coeffs[lo:lo + _BLOCK] = c @ frame.u
     return coeffs, tie
 
 
 def closest_point(lat: Lattice, x) -> DecodeResult:
     """True nearest lattice point of one target: a batch of one."""
-    x = np.asarray(x, dtype=float)
-    coeffs, tie = closest_points(lat, x.reshape(1, -1))
-    closest = coeffs[0].astype(float) @ _frame(lat)[0]
+    x, frame = np.asarray(x, dtype=float), _frame(lat)
+    coeffs, tie = _closest(frame, x.reshape(1, -1))
+    closest = coeffs[0].astype(float) @ frame.m
     delta = x - closest
     return DecodeResult(closest=closest, coeffs=coeffs[0], dist_sq=float(delta @ delta),
                         tie=bool(tie[0]))
@@ -250,9 +265,9 @@ def shortest_vector(lat: Lattice) -> tuple[np.ndarray, float]:
 
     The search runs in the lattice's own basis, so the vector reported
     among the minimal ones is the first in that basis's search order."""
-    m, _, lower, *_ = _frame(lat)
-    c, _ = _shortest(lower, float(np.einsum("ij,ij->i", m, m).min()))
-    vec = c.astype(float) @ m
+    frame = _frame(lat)
+    c, _ = _shortest(frame.tri, float(np.einsum("ij,ij->i", frame.m, frame.m).min()))
+    vec = c.astype(float) @ frame.m
     return vec, float(vec @ vec)
 
 

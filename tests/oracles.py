@@ -20,7 +20,9 @@ library sums over the checks' nonzero entries on the nonzero rows only.
 The single-qudit channel's reference draws and bins normal shifts, where
 the library samples the binned distribution; a block's exact failure
 probability is a syndrome trellis over the qudits, where the library
-decodes sampled errors.
+decodes sampled errors. The general-path search is kept in the form it
+had before its level loop went level-major, with a node and a zigzag
+index per child.
 """
 
 from __future__ import annotations
@@ -485,3 +487,62 @@ def trellis_sector_failure_prob(code, pmf, sector: str) -> float:
     for key, paired in zip(keys[:-1].tolist(), pairing[:-1].tolist()):
         success += prob[tuple(key // w % d for w in weights.tolist()) + tuple(paired)]
     return 1.0 - success
+
+
+_MAX_NODES = 1 << 20  # the decoder's enumeration nodes per level
+
+
+def reference_search(lower, ys, bound=None, nonzero=False):
+    """The decoder's search as it was written with per-node index arrays,
+    integer coefficients and a partial sum built term by term: the
+    reference its level loop must match bit for bit.
+
+    Enumerate, level by level, the coefficient vectors c with
+    |c @ lower - y|^2 <= bound for each row y of ys; returns the first
+    minimum of each row in depth-first Schnorr-Euchner order, its squared
+    distance and the runner-up distance (inf if none). With bound None
+    only the nearer child of each node is taken: the nearest-plane point,
+    with no runner-up. ``nonzero`` leaves out the zero vector of a bounded
+    search."""
+    rows, n = ys.shape
+    row = np.arange(rows)
+    part = np.zeros(rows)
+    c = np.zeros((rows, n), dtype=np.int64)
+    for k in range(n - 1, -1, -1):
+        s = np.zeros(len(row))
+        for i in range(k + 1, n):
+            s = s + c[:, i] * lower[i, k]
+        diag = lower[k, k]
+        mu = (ys[row, k] - s) / diag
+        lo = np.floor(mu)
+        first = lo + 1 - mu <= mu - lo  # lo + 1 is the nearer child
+        if bound is None:  # nearest plane: each row keeps its nearer child only
+            node, cand = slice(None), lo + first
+        else:
+            rad = np.sqrt(np.maximum(bound[row] - part, 0.0)) / abs(diag)
+            width = 2 * np.floor(rad).astype(np.int64) + 3
+            ends = np.cumsum(width)
+            if len(ends) and ends[-1] > _MAX_NODES:
+                raise ValueError(f"the decoder's search needs {ends[-1]} nodes at one level, "
+                                 f"above 2**20: the lattice basis is too skewed for the decoder")
+            node = np.repeat(np.arange(len(row)), width)
+            j = np.arange(len(node)) - np.repeat(ends - width, width)
+            zigzag = (j + 1) // 2 * np.where(j % 2, -1, 1)  # 0, -1, 1, -2, 2, ...
+            cand = lo[node] + first[node] + np.where(first, 1.0, -1.0)[node] * zigzag
+        t = cand * diag + s[node] - ys[row[node], k]
+        p = part[node] + t * t
+        if bound is not None:
+            keep = p <= bound[row[node]]
+            node, cand, p = node[keep], cand[keep], p[keep]
+        row, part, c = row[node], p, c[node]
+        c[:, k] = cand
+    if bound is None:
+        return c, part, np.full(rows, np.inf)
+    if nonzero:
+        keep = c.any(axis=1)
+        row, part, c = row[keep], part[keep], c[keep]
+    order = np.lexsort((part, row))  # stable: the first of equal minima wins
+    start = np.searchsorted(row, np.arange(rows))
+    second = np.where(np.bincount(row, minlength=rows) > 1, start + 1, -1)
+    dist = np.append(part[order], np.inf)
+    return c[order[start]], dist[start], dist[second]

@@ -26,7 +26,8 @@ from gkplat.symplectic_lattice import (
     rescale,
 )
 
-from oracles import BruteForceCVP, reference_closest
+import oracles
+from oracles import BruteForceCVP, reference_closest, reference_search
 
 
 def _dist_sq(m, x, coeffs) -> float:
@@ -156,9 +157,9 @@ def rounding_reference(lat, xs):
     """The rounding branch of closest_points written with reductions along
     axis 1, the form it had before it went column by column: the reference
     it must match bit for bit."""
-    _, m_inv, _, c_sq, *_ = decoder._frame(lat)
-    c_sq = float(c_sq)
-    u = np.asarray(xs, dtype=float) @ m_inv
+    frame = decoder._frame(lat)
+    c_sq = float(frame.c_sq)
+    u = np.asarray(xs, dtype=float) @ frame.m_inv
     k = np.rint(u)
     frac = u - k
     d1 = c_sq * np.einsum("ij,ij->i", frac, frac)
@@ -188,7 +189,7 @@ class TestColumnwiseRounding:
     @pytest.mark.parametrize("name", list(ORTHOGONAL_FRAMES))
     def test_equals_axis_reductions(self, name):
         lat = ORTHOGONAL_FRAMES[name]
-        assert decoder._frame(lat)[3] is not None  # the rounding branch runs
+        assert decoder._frame(lat).c_sq is not None  # the rounding branch runs
         xs = rounding_targets(lat, np.random.default_rng(41))
         coeffs, tie = closest_points(lat, xs)
         ref_coeffs, ref_tie = rounding_reference(lat, xs)
@@ -228,13 +229,12 @@ def full_search(lat, xs):
     """closest_points with the bounded search run on every row, as it ran
     before rows inside the packing-radius margin kept their nearest-plane
     point: the reference the shortcut must match bit for bit."""
-    *_, u_red, lower, q, _ = decoder._frame(lat)
-    y = np.asarray(xs, dtype=float) @ q
-    box = float(np.sum(np.diag(lower) ** 2)) / 4.0
-    _, near, _ = decoder._search(lower, y)
-    bound = near * (1.0 + decoder._SLACK_REL) + decoder._SLACK_REL * box
-    c, d1, d2 = decoder._search(lower, y, bound)
-    return c @ u_red, (d2 - d1) <= decoder.TIE_REL * (box + d1)
+    frame = decoder._frame(lat)
+    y = np.asarray(xs, dtype=float) @ frame.q
+    _, near, _ = decoder._search(frame.lower, y)
+    bound = near * (1.0 + decoder._SLACK_REL) + decoder._SLACK_REL * frame.box
+    c, d1, d2 = decoder._search(frame.lower, y, bound)
+    return c @ frame.u, (d2 - d1) <= decoder.TIE_REL * (frame.box + d1)
 
 
 def midpoints(lat, rng, rows=500):
@@ -278,7 +278,7 @@ class TestPackingRadiusShortcut:
         rng = np.random.default_rng(n)
         for _ in range(3):
             lat = _skewed(get(f"Zn({n})").lattice, rng)
-            assert decoder._frame(lat)[3] is None  # the general path runs
+            assert decoder._frame(lat).c_sq is None  # the general path runs
             xs = np.vstack([rng.standard_normal((1000, n)) * s for s in (0.1, 0.3, 1.0)]
                            + [midpoints(lat, rng)])
             coeffs, tie = closest_points(lat, xs)
@@ -301,6 +301,110 @@ class TestPackingRadiusShortcut:
         xs = np.random.default_rng(2).standard_normal((rows, 4)) * NoiseModel(0.1).lattice_sigma
         closest_points(lat, xs)
         assert sum(searched) <= 0.1 * rows
+
+
+def search_frames(n, rng):
+    """A Gaussian lower-triangular frame, and a dyadic one with a power-of-two
+    diagonal, on which targets at half-integer coefficients are exact and so
+    meet the nearer-child test at mu - floor(mu) = 0.5 exactly."""
+    gauss = np.tril(rng.standard_normal((n, n)) * 0.5)
+    gauss[np.diag_indices(n)] = rng.uniform(0.5, 1.5, n)
+    dyadic = np.tril(rng.integers(-8, 9, (n, n)) / 8.0)
+    dyadic[np.diag_indices(n)] = 2.0 ** rng.integers(-1, 2, n)
+    return gauss, dyadic
+
+
+def search_outcome(search, *args):
+    """A search's (c, d1, d2), or its ValueError message."""
+    try:
+        return search(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def assert_same_search(*args):
+    """decoder._search and reference_search agree bit for bit, or refuse alike."""
+    got, want = search_outcome(decoder._search, *args), search_outcome(reference_search, *args)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    return want
+
+
+class TestLevelMajorSearch:
+    @pytest.mark.parametrize("n", range(2, MAX_DIM + 1))
+    def test_bitwise_equals_reference_search(self, n):
+        rng = np.random.default_rng(100 + n)
+        slack, ties = 1.0 + decoder._SLACK_REL, 0
+        for lower in search_frames(n, rng):
+            box = float(np.sum(np.diag(lower) ** 2)) / 4.0
+            shortest = float(np.einsum("ij,ij->i", lower, lower).min())
+            assert_same_search(lower, np.zeros((1, n)), np.array([shortest * slack]), True)
+            for rows in (1, 300):
+                halves = rng.integers(-4, 5, size=(rows, n)) / 2
+                for ys in (rng.standard_normal((rows, n)) * 0.5, halves @ lower):
+                    _, near, _ = assert_same_search(lower, ys)
+                    bound = near * slack + decoder._SLACK_REL * box
+                    _, d1, d2 = assert_same_search(lower, ys, bound)
+                    ties += int((d1 == d2).sum())
+                    # +-e_i @ lower, one of them within near + shortest: a nonzero vector
+                    assert_same_search(lower, ys, (near + shortest) * slack, True)
+        assert ties  # the dyadic frame's half-integer targets include exact ties
+
+    def test_chunked_expansion(self, monkeypatch):
+        # one target's bound reaches 20 steps out, the other 19,999 barely past their
+        # nearest-plane points: a level's rectangle of every node by the widest node's
+        # 43 children would hold about 900,000 cells. Under a cap of 2**17 cells it is
+        # expanded in chunks of consecutive nodes, and the peak stays far below the
+        # 40 MB of one rectangle
+        rng = np.random.default_rng(3)
+        lower = np.array([[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [-0.2, 0.4, 1.0]])
+        ys = rng.standard_normal((20000, 3))
+        _, near, _ = reference_search(lower, ys)
+        bound = near * (1.0 + decoder._SLACK_REL) + decoder._SLACK_REL
+        bound[0] = 20.0 ** 2
+        want = reference_search(lower, ys, bound)
+        monkeypatch.setattr(decoder, "_MAX_NODES", 1 << 17)
+        tracemalloc.start()
+        try:
+            got = decoder._search(lower, ys, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert peak < 16 * 2**20
+        # the cap still refuses on the sum of the nodes' own widths, 71,359 here
+        for module in (decoder, oracles):
+            monkeypatch.setattr(module, "_MAX_NODES", 1 << 16)
+        message = assert_same_search(lower, ys, bound)
+        assert "needs 71359 nodes at one level, above 2**20" in message
+
+
+class TestEdgeBlocks:
+    @pytest.mark.parametrize("name", ["D4", "grid_qudit(2)"])
+    def test_empty_block(self, name):
+        lat = get(name).lattice
+        coeffs, tie = closest_points(lat, np.empty((0, lat.n)))
+        assert coeffs.dtype == np.int64 and coeffs.shape == (0, lat.n)
+        assert tie.dtype == bool and tie.shape == (0,)
+
+    def test_block_inside_the_margin_skips_the_bounded_search(self, monkeypatch):
+        lat = get("D4").lattice
+        decoder._frame(lat)  # its shortest-vector search is not counted
+        bounded = []
+        search = decoder._search
+
+        def counting(lower, ys, bound=None, nonzero=False):
+            bounded.append(bound is not None)
+            return search(lower, ys, bound, nonzero)
+
+        monkeypatch.setattr(decoder, "_search", counting)
+        xs = np.random.default_rng(4).standard_normal((500, 4)) * 0.05
+        coeffs, tie = closest_points(lat, xs)
+        assert bounded == [False]
+        assert not coeffs.any() and not tie.any()
 
 
 class TestShortestVector:
