@@ -291,16 +291,11 @@ def _coefficient_table(code: LatticeCode, noise: NoiseModel, criterion: str):
     cell is a nonzero one, q = P(m != 0) = erfc(1 / (2 sqrt 2 t)) for both
     criteria. Voronoi needs no values, so its cells all carry 1; coset
     takes them from the _binned_table of m at the coset test's den, of
-    which only the residues mod den enter the test. A spread that makes a
-    coefficient of 2**26 or more plausible (2**26 within the window of the
-    erfc table) is refused with the decoder's ValueError."""
-    from .decoder import _MAX_COEFF, _TOO_FAR, _frame
-    frame = _frame(code.normalizer)
-    if frame.c_sq is None:
+    which only the residues mod den enter the test."""
+    from .symplectic_lattice import orthogonal_scale_sq
+    if orthogonal_scale_sq(code.normalizer) is None:
         return None
-    t = noise.lattice_sigma / math.hypot(*frame.m[0])
-    if 88.8 * t * t >= (_MAX_COEFF - 0.5) ** 2:
-        raise ValueError(_TOO_FAR)
+    t = noise.lattice_sigma / math.hypot(*code.normalizer.effective_matrix()[0])
     if criterion == "voronoi":
         values, cdf = np.ones(1, dtype=np.int64), np.ones(1)
     else:

@@ -2,16 +2,17 @@
 
 ``closest_points`` is the one nearest-point search: ``closest_point`` is
 a batch of one and ``shortest_vector`` runs the same enumeration around
-the origin. Orthogonal frames (G = c^2 I exactly) decode by rounding.
-Otherwise blocks of targets are decoded in the QR frame of an LLL-reduced
-basis. A nearest-plane (Babai) pass takes, level by level, the nearer
-child of each row. Rows past the packing-radius margin below then go to a
-bounded search that enumerates every coefficient vector within the
-nearest-plane distance, children in Schnorr-Euchner order (Agrell,
-Eriksson, Vardy, Zeger, *Closest point search in lattices*). A level lays
-every node's children out in that order as a row of one padded rectangle,
-whose padding the bound drops. Partial sums run left to right, as
-np.add.accumulate runs; np.add.reduce or @ may sum pairwise instead.
+the origin. Every lattice's blocks of targets are decoded in the QR frame
+of an LLL-reduced basis. A nearest-plane (Babai) pass takes, level by
+level, the nearer child of each row; on an orthogonal frame (G = c^2 I)
+that is coordinatewise rounding. Rows past the packing-radius margin
+below then go to a bounded search that enumerates every coefficient
+vector within the nearest-plane distance, children in Schnorr-Euchner
+order (Agrell, Eriksson, Vardy, Zeger, *Closest point search in
+lattices*). A level lays every node's children out in that order as a
+row of one padded rectangle, whose padding the bound drops. Partial sums
+run left to right, as np.add.accumulate runs; np.add.reduce or @ may sum
+pairwise instead.
 
 The margin is bounded-distance decoding (Conway & Sloane, *Sphere
 Packings, Lattices and Groups*, ch. 20). Let b be a row's nearest-plane
@@ -35,8 +36,8 @@ about 10^5 rho of the origin.
 A near-tie with the runner-up is flagged and counts as a decoding failure
 (the Voronoi cell boundary has measure zero under Gaussian noise, and
 failing there is the conservative choice). "Near" is relative to the
-lattice's scale (c^2, or the nearest-plane distance limit), and so is the
-search margin, so a rescaled lattice decodes alike. At an exact tie the
+lattice's scale (the nearest-plane distance limit), and so is the search
+margin, so a rescaled lattice decodes alike. At an exact tie the
 reported point is one of the tied points. Coefficients of 2**26 or more,
 where float64 no longer decodes reliably, raise ValueError.
 """
@@ -50,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .symplectic_lattice import Lattice, orthogonal_scale_sq
+from .symplectic_lattice import Lattice
 
 MAX_DIM = 12
 TIE_REL = 1e-12
@@ -105,27 +106,25 @@ def _lll(m: np.ndarray) -> np.ndarray:
     return u
 
 
-_Frame = namedtuple("_Frame", "m m_inv tri c_sq u lower q min_len box")
+_Frame = namedtuple("_Frame", "m m_inv tri u lower q min_len box")
 
 
 @lru_cache(maxsize=128)
 def _frame(lat: Lattice) -> _Frame:
     """The decoder's frame of a lattice: float generator matrix m, its inverse,
-    triangular frame tri of the basis, exact orthogonal scale c_sq = c^2 (or
-    None), LLL transform u and frame u m = lower q^T, where c_sq is None the
-    float length min_len = 2 rho of a shortest nonzero vector of lower (else
-    None), and box = sum diag(lower)^2 / 4, the nearest-plane distance limit."""
+    triangular frame tri of the basis, LLL transform u and frame
+    u m = lower q^T, the float length min_len = 2 rho of a shortest nonzero
+    vector of lower, and box = sum diag(lower)^2 / 4, the nearest-plane
+    distance limit."""
     if lat.n > MAX_DIM:
         raise ValueError(f"decoder supports dimensions up to {MAX_DIM}, got {lat.n}")
     m = lat.effective_matrix()
     r = np.linalg.qr(m.T, mode="r")
     u = _lll(m)
     q_red, r_red = np.linalg.qr((u @ m).T)
-    lower, c_sq, min_len = r_red.T, orthogonal_scale_sq(lat), None
-    if c_sq is None:  # the packing-radius margin of closest_points
-        _, length_sq = _shortest(lower, float(np.einsum("ij,ij->i", lower, lower).min()))
-        min_len = math.sqrt(length_sq)
-    return _Frame(m, np.linalg.inv(m), r.T, c_sq, u, lower, q_red, min_len,
+    lower = r_red.T
+    _, length_sq = _shortest(lower, float(np.einsum("ij,ij->i", lower, lower).min()))
+    return _Frame(m, np.linalg.inv(m), r.T, u, lower, q_red, math.sqrt(length_sq),
                   float(np.sum(np.diag(lower) ** 2)) / 4.0)
 
 
@@ -199,9 +198,8 @@ def _shortest(lower, length_sq):
 
 def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
     """Nearest lattice points of the rows of an (m, n) block of targets:
-    their basis coefficients, (m, n) int64, and a tie flag per row. On an
-    orthogonal frame the tie test is decided column by column. Otherwise a
-    row within the packing-radius margin keeps its nearest-plane point, tie
+    their basis coefficients, (m, n) int64, and a tie flag per row. A row
+    within the packing-radius margin keeps its nearest-plane point, tie
     False, and only the other rows are searched (module docstring).
 
     Raises ValueError for a non-finite coordinate, for lattice
@@ -211,7 +209,7 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _closest(frame: _Frame, xs) -> tuple[np.ndarray, np.ndarray]:
-    xs, lower, c_sq, box = np.asarray(xs, dtype=float), frame.lower, frame.c_sq, frame.box
+    xs, lower, box = np.asarray(xs, dtype=float), frame.lower, frame.box
     if xs.ndim != 2 or xs.shape[1] != len(lower):
         raise ValueError(f"point/lattice dimension mismatch: points of shape {xs.shape} "
                          f"for a lattice of dimension {len(lower)}")
@@ -221,19 +219,6 @@ def _closest(frame: _Frame, xs) -> tuple[np.ndarray, np.ndarray]:
         u = xs @ frame.m_inv
     if u.size and not (-_MAX_COEFF < u.min() and u.max() < _MAX_COEFF):
         raise ValueError(_TOO_FAR)
-    if c_sq is not None:
-        # rounding is exact; tie gap c_sq (1 - 2 max_i |frac_i|), bitwise the least
-        # per-coordinate gap c_sq (1 - 2|frac_i|) since 1 - 2x is monotone in float
-        c_sq = float(c_sq)
-        k = np.rint(u)
-        frac = np.subtract(u, k, out=u)
-        d1 = c_sq * np.einsum("ij,ij->i", frac, frac)
-        np.abs(frac, out=frac)
-        worst = frac[:, 0].copy()
-        for col in frac.T[1:]:
-            np.maximum(worst, col, out=worst)
-        gap = c_sq * (1.0 - 2.0 * worst)
-        return k.astype(np.int64), gap <= TIE_REL * (c_sq + d1)
     coeffs = np.empty(xs.shape, dtype=np.int64)
     tie = np.zeros(len(xs), dtype=bool)
     for lo in range(0, len(xs), _BLOCK):

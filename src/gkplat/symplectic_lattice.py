@@ -305,6 +305,7 @@ def logical_class(code: LatticeCode, coeffs) -> tuple[Fraction, ...]:
                  for col in num.T.tolist())
 
 
+@lru_cache(maxsize=128)
 def orthogonal_scale_sq(lat: Lattice) -> Fraction | None:
     """c^2 when the effective generator rows are orthogonal with equal
     norm c (G = c^2 I exactly); None otherwise.

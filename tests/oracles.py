@@ -343,16 +343,16 @@ def square_lattice_failure_prob(d: int, n: int, sigma_lattice: float) -> float:
 
 def normal_rounding_outcomes(code, noise, rows: int, rng):
     """Reference for the Monte Carlo of a code whose normalizer has an
-    orthogonal frame: the rounded coefficients of ``rows`` displacements
-    drawn by standard_normal, and their voronoi and coset failure masks
-    from failure_mask on the decoder's rounding path. This was the
-    library's estimator before it sampled binned coefficients."""
-    from gkplat.channel_sim import failure_mask
-    from gkplat.decoder import closest_points
+    orthogonal frame: the rounded coefficients xi M^-1 of ``rows``
+    displacements xi drawn by standard_normal, rounding being nearest-point
+    decoding there, and their voronoi and coset failure masks, tested as
+    binned_row_failures tests them. This was the library's estimator,
+    decoder and all, before it sampled binned coefficients."""
     xi = rng.standard_normal((rows, code.normalizer.n))
     xi *= noise.lattice_sigma
-    return (closest_points(code.normalizer, xi)[0], failure_mask(code, xi, "voronoi"),
-            failure_mask(code, xi, "coset"))
+    coeffs = np.rint(xi @ np.linalg.inv(code.normalizer.effective_matrix())).astype(np.int64)
+    num, den = code.coset_test
+    return coeffs, coeffs.any(axis=1), ((coeffs @ num) % den != 0).any(axis=1)
 
 
 def binned_row_failures(code, hits, values, rows: int, criterion: str) -> np.ndarray:

@@ -297,7 +297,7 @@ ROTATED = lattice_from_dict({"n": 4, "lambda": "1", "basis": [
 
 # (code name, sigma^2, whether t >= den / 4 puts the table in its series
 # regime): each code on both sides, but at d = 10**12 the series regime lies
-# past the 2**26 refusal
+# past the 2**16-term cap
 BINNED_CASES = [("Zn(2)", 0.1, False), ("Zn(2)", 1.0, True),
                 ("Zn(12)", 0.1, False), ("Zn(12)", 1.0, True),
                 ("grid_qudit(2)", 0.3, False), ("grid_qudit(2)", 3.0, True),
@@ -382,19 +382,27 @@ class TestBinnedLatticePath:
             def standard_normal(self, *args, **kwargs):
                 raise AssertionError("standard_normal called")
 
-        def no_decode(*args):
-            raise AssertionError("closest_points called")
+        def never(name):
+            def called(*args):
+                raise AssertionError(f"{name} called")
+            return called
         make = channel_sim.make_generator
         monkeypatch.setattr(channel_sim, "make_generator",
                             lambda seed, worker=0: NoNormals(make(seed, worker).bit_generator))
-        monkeypatch.setattr(decoder, "closest_points", no_decode)
+        monkeypatch.setattr(decoder, "closest_points", never("closest_points"))
+        monkeypatch.setattr(decoder, "_frame", never("the decoder's _frame"))  # nor its frame
         for code in (GQ2, make_code(get("Zn(12)").lattice), make_code(ROTATED)):
             for criterion in CRITERIA:
                 est = estimate_error_probability(code, lattice_noise(0.3), 70_000, 3, criterion,
                                                  workers=2)
                 assert 0 < est.failures or (criterion == "coset" and code.coset_test[1] == 1)
-        with pytest.raises(AssertionError, match="called"):  # the patches do bite
-            estimate_error_probability(D4, lattice_noise(0.3), 10, 3)
+        for name, call in (  # the patches do bite on D4
+                ("standard_normal", lambda: estimate_error_probability(D4, lattice_noise(0.3),
+                                                                       10, 3)),
+                ("closest_points", lambda: failure_mask(D4, np.zeros((1, 4)))),
+                ("the decoder's _frame", lambda: closest_point(D4.normalizer, np.zeros(4)))):
+            with pytest.raises(AssertionError, match=f"^{name} called$"):
+                call()
 
     def test_coefficient_pmf_past_the_term_cap_named(self):
         # t = 5,046 >= den / 4 at den = 20,000: the coset test's series
@@ -415,7 +423,7 @@ class TestBinnedLatticePath:
                                      1e300]),
            hbar=st.sampled_from([1e-3, 1.0, 1e3]), criterion=st.sampled_from(CRITERIA))
     @example(d=20_000, sigma_sq=8000.0, hbar=1.0, criterion="coset")  # past 2**16 terms
-    @example(d=2, sigma_sq=1e12, hbar=1.0, criterion="voronoi")  # series, refused by 2**26
+    @example(d=2, sigma_sq=1e12, hbar=1.0, criterion="voronoi")  # series, t about 6e5
     @example(d=1448, sigma_sq=1e4, hbar=1.0, criterion="coset")  # series, 8,688 terms
     def test_bounded_work_at_every_input(self, d, sigma_sq, hbar, criterion):
         # grid_qudit(d) over one full block: a valid estimate or one named
@@ -434,8 +442,7 @@ class TestBinnedLatticePath:
                 assert est.ci_low <= est.p_hat <= est.ci_high
             except ValueError as err:
                 assert re.fullmatch(r"the coefficient pmf at coset denominator \d+, .* needs "
-                                    r"\d+ terms, more than 2\*\*16|target coefficients .* "
-                                    r"reach 2\*\*26, .* lattice's scale|sigma_sq = .* beyond "
+                                    r"\d+ terms, more than 2\*\*16|sigma_sq = .* beyond "
                                     r"float64", str(err))
                 assert terms == []
             finally:

@@ -634,8 +634,6 @@ class TestBadInput:
         ["decode", "E8", "1e308,1e308,1e308,1e308,1e308,1e308,-1e308,1e308"],  # inf - inf
         ["decode", "D4", "nan,0,0,0"],
         ["simulate", "--lattice", "D4", "--sigma-sq", "1e30", "--trials", "10", "--seed", "1"],
-        ["simulate", "--lattice", "grid_qudit:2", "--sigma-sq", "1e40", "--trials", "10",
-         "--seed", "1", "--criterion", "coset"],
     ])
     def test_undecodable_target(self, capsys, command):
         # float64 cannot decode coefficients this large (or non-finite ones)
@@ -643,17 +641,34 @@ class TestBadInput:
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
             assert_one_error_line(*run_cli(command, capsys))
 
+    @pytest.mark.parametrize("noise", [["--sigma-sq", "1e40"],
+                                       ["--sigma-sq", "1.7e308", "--hbar", "0.16"]],
+                             ids=["1e40", "t_sq_overflows"])
+    def test_uniform_limit_on_an_orthogonal_frame(self, capsys, noise):
+        # grid_qudit(2) decodes nothing: a spread of 1e20 cells, or one whose
+        # t^2 overflows to inf, makes the normalizer coefficients uniform mod 2,
+        # so the four logical classes are equally likely and coset fails 3/4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code, out, err = run_cli(["simulate", "--lattice", "grid_qudit:2", *noise,
+                                      "--trials", "10000", "--seed", "1", "--criterion",
+                                      "coset"], capsys)
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result["ci_low"] <= 0.75 <= result["ci_high"]
+
     def test_lattice_too_fine_for_the_noise_named(self, capsys):
-        # the sampled displacements are ordinary; the normalizer's cells are tiny
+        # the sampled displacements are ordinary; the normalizer's cells are
+        # tiny, about 1e-9 of a standard deviation, so every trial fails
         lattice = "grid_qudit:99999999999999999999"
         code, out, err = run_cli(["simulate", "--lattice", lattice, "--sigma-sq", "0.1",
                                   "--trials", "10", "--seed", "1"], capsys)
-        assert_one_error_line(code, out, err)
-        assert err.startswith(f"gkplat: error: lattice {lattice}: ")
-        assert "2**26" in err and "lattice's scale" in err
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result["failures"] == result["trials"] == 10
 
     def test_huge_grid_qudit_has_no_ties(self, capsys):
-        # c^2 = 1e-12 on the normalizer: the tie test is relative to it
+        # c^2 = 1e-12 on the normalizer, and sigma^2 far below it: no cell is drawn
         code, out, _ = run_cli(["simulate", "--lattice", "grid_qudit:1000000000000",
                                 "--sigma-sq", "1e-40", "--trials", "1000", "--seed", "1"], capsys)
         assert code == 0
