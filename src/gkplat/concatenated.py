@@ -107,7 +107,7 @@ class CssCode:
 
 def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
                         size) -> tuple[np.ndarray, np.ndarray]:
-    """Vector form of the single-qudit channel: arrays of X and Z exponents.
+    """Vector form of the single-qudit channel: _draw's X and Z exponents.
 
     A shift x ~ N(0, sigma^2) acts as m mod d, m = round(x / delta) with
     delta = sqrt(2 pi hbar / d). No normal is drawn: the nonzero cells of
@@ -116,8 +116,7 @@ def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
     rng.random. A non-integer d raises TypeError; d outside [2, 2**53), a
     pmf past 2**16 terms or sigma^2 d / hbar past float64, ValueError.
     """
-    out = _scatter(_nonzero_shifts(d, noise), rng, size)[0]
-    return out[0], out[1]
+    return _draw(*_nonzero_shifts(d, noise), rng, size)[:2]
 
 
 def _nonzero_shifts(d: int, noise: NoiseModel):
@@ -135,19 +134,13 @@ def _nonzero_shifts(d: int, noise: NoiseModel):
                                         f"{noise.sigma_sq!r}, hbar = {noise.hbar!r}")
 
 
-def _scatter(shifts, rng: np.random.Generator, size):
-    """X and Z exponents, (2,) + size, drawn from a _nonzero_shifts table,
-    and their nonzero cells as channel_sim._sample_cells returns them."""
-    out = np.zeros((2,) + (tuple(size) if isinstance(size, tuple) else (size,)), dtype=np.int64)
-    hits, values = _sample_cells(*shifts, rng, out.size)
-    out.reshape(-1)[hits] = values
-    return out, hits, values
-
-
 def _draw(residues, cdf, q, rng: np.random.Generator, size):
-    """X and Z exponents of shape size from a _nonzero_shifts table, then the
-    nonzero cells of each: sorted flat indices (no view of a geometric buffer), values."""
-    out, hits, values = _scatter((residues, cdf, q), rng, size)
+    """X and Z exponents of shape size from a _nonzero_shifts table, the cells
+    of channel_sim._sample_cells scattered into zeros, then the nonzero cells
+    of each: sorted flat indices (no view of a geometric buffer), values."""
+    out = np.zeros((2,) + (tuple(size) if isinstance(size, tuple) else (size,)), dtype=np.int64)
+    hits, values = _sample_cells(residues, cdf, q, rng, out.size)
+    out.reshape(-1)[hits] = values
     half, cut = out.size // 2, np.searchsorted(hits, out.size // 2)
     return out[0], out[1], (hits[:cut].copy(), values[:cut]), (hits[cut:] - half, values[cut:])
 

@@ -26,7 +26,8 @@ False. Such a row keeps b, and the search runs only on the others. The
 test is (2 rho - sqrt(near))^2 (1 - 1e-9) > bound. The 1 - 1e-9 factor
 covers the float error in near and in the float length 2 rho, each a few
 ulps at n <= 12. 2 rho is that of the float frame the search runs in,
-found once per lattice by the same enumeration around the origin. The
+found once per lattice by the same enumeration around the origin: the
+runner-up of the zero vector, the one point at distance 0. The
 test never passes for sqrt(near) >= rho, and where it passes,
 2 rho - sqrt(near) > rho; another point would need its computed distance
 off by 1e-9 rho^2 to enter the bound. The search's per-coordinate
@@ -63,6 +64,7 @@ _TOO_FAR = ("target coefficients in the lattice basis reach 2**26, beyond float6
 _MAX_TRANSFORM = 2.0 ** 53  # LLL transform entries stay exact in float64, far below int64
 _LLL_ROUNDS = 4  # LLL rounds allowed per n^2 (bits + 2); see _lll
 _MAX_NODES = 1 << 20  # enumeration nodes per level of a block, about 150 MB at n = 12
+_CHUNK_CELLS = 1 << 16  # cells of a level's padded rectangle expanded at once
 
 
 @dataclass(frozen=True)
@@ -73,16 +75,15 @@ class DecodeResult:
     tie: bool                # a second lattice point at (numerically) equal distance
 
 
-def _lll(m: np.ndarray) -> np.ndarray:
-    """Integer unimodular U with U @ m LLL-reduced (delta 0.99). Floats only
-    choose the integer row operations, so U @ m spans the lattice of m.
-    Raises ValueError if an entry of U would reach 2**53, or after
-    _LLL_ROUNDS n^2 (bits + 2) rounds, bits the log2 of m's largest entry
-    over its least Gram-Schmidt length: LLL's swap count is polynomial in
-    both, and float rounding beyond 53 bits can make the swaps cycle."""
+def _lll(m: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Integer unimodular U with U @ m LLL-reduced (delta 0.99); r is R in
+    m^T = QR. Floats only choose the integer row operations, so U @ m spans
+    the lattice of m. Raises ValueError if an entry of U would reach 2**53,
+    or after _LLL_ROUNDS n^2 (bits + 2) rounds, bits the log2 of m's largest
+    entry over its least Gram-Schmidt length: LLL's swap count is polynomial
+    in both, and float rounding beyond 53 bits can make the swaps cycle."""
     n = len(m)
     u = np.eye(n, dtype=np.int64)
-    r = np.linalg.qr(m.T, mode="r")
     rounds = _LLL_ROUNDS * n * n * (math.log2(np.abs(m).max() / np.abs(np.diag(r)).min()) + 2)
     k = 1
     while k < n:
@@ -114,17 +115,19 @@ def _frame(lat: Lattice) -> _Frame:
     """The decoder's frame of a lattice: float generator matrix m, its inverse,
     triangular frame tri of the basis, LLL transform u and frame
     u m = lower q^T, the float length min_len = 2 rho of a shortest nonzero
-    vector of lower, and box = sum diag(lower)^2 / 4, the nearest-plane
-    distance limit."""
+    vector of lower (the runner-up of a search around the origin, where the
+    zero vector is the one point at 0), and box = sum diag(lower)^2 / 4, the
+    nearest-plane distance limit."""
     if lat.n > MAX_DIM:
         raise ValueError(f"decoder supports dimensions up to {MAX_DIM}, got {lat.n}")
     m = lat.effective_matrix()
     r = np.linalg.qr(m.T, mode="r")
-    u = _lll(m)
+    u = _lll(m, r)
     q_red, r_red = np.linalg.qr((u @ m).T)
     lower = r_red.T
-    _, length_sq = _shortest(lower, float(np.einsum("ij,ij->i", lower, lower).min()))
-    return _Frame(m, np.linalg.inv(m), r.T, u, lower, q_red, math.sqrt(length_sq),
+    bound = np.array([float(np.einsum("ij,ij->i", lower, lower).min()) * (1.0 + _SLACK_REL)])
+    _, _, length_sq = _search(lower, np.zeros((1, lat.n)), bound)
+    return _Frame(m, np.linalg.inv(m), r.T, u, lower, q_red, math.sqrt(length_sq[0]),
                   float(np.sum(np.diag(lower) ** 2)) / 4.0)
 
 
@@ -164,8 +167,9 @@ def _search(lower, ys, bound=None, nonzero=False):
                     np.sqrt(np.maximum(gap, 0.0)) / abs(diag)) + 3.0))) > _MAX_NODES:
                 raise ValueError(f"the decoder's search needs {total} nodes at one level, "
                                  f"above 2**20: the lattice basis is too skewed for the decoder")
-            offsets, step, kept = _offsets(1 << (wide - 1).bit_length()), _MAX_NODES // wide, []
-            for a in range(0, len(row) or 1, step):  # node chunks of at most 2**20 cells
+            offsets, kept = _offsets(1 << (wide - 1).bit_length()), []
+            step = max(1, _CHUNK_CELLS // wide)
+            for a in range(0, len(row) or 1, step):  # chunks of at most 2**16 cells, or one node
                 b = slice(a, a + step)
                 kids = lo[b, None] + offsets[first[b].view(np.uint8), :wide]
                 t = kids * diag + s[b, None] - y[b, None]
@@ -187,15 +191,6 @@ def _search(lower, ys, bound=None, nonzero=False):
     return c[:, order[start]].T.astype(np.int64), dist[start], dist[second]
 
 
-def _shortest(lower, length_sq):
-    """Coefficients and squared length of the first shortest nonzero vector
-    of the frame ``lower``, searched within length_sq (1 + slack), where
-    length_sq is the squared length of some nonzero lattice vector."""
-    bound = np.array([length_sq * (1.0 + _SLACK_REL)])
-    c, d, _ = _search(lower, np.zeros((1, len(lower))), bound, nonzero=True)
-    return c[0], float(d[0])
-
-
 def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
     """Nearest lattice points of the rows of an (m, n) block of targets:
     their basis coefficients, (m, n) int64, and a tie flag per row. A row
@@ -205,10 +200,7 @@ def closest_points(lat: Lattice, xs) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError for a non-finite coordinate, for lattice
     coefficients of 2**26 or more, and for a basis so skewed that its LLL
     reduction leaves the int64/float64 range."""
-    return _closest(_frame(lat), xs)
-
-
-def _closest(frame: _Frame, xs) -> tuple[np.ndarray, np.ndarray]:
+    frame = _frame(lat)
     xs, lower, box = np.asarray(xs, dtype=float), frame.lower, frame.box
     if xs.ndim != 2 or xs.shape[1] != len(lower):
         raise ValueError(f"point/lattice dimension mismatch: points of shape {xs.shape} "
@@ -237,9 +229,9 @@ def _closest(frame: _Frame, xs) -> tuple[np.ndarray, np.ndarray]:
 
 def closest_point(lat: Lattice, x) -> DecodeResult:
     """True nearest lattice point of one target: a batch of one."""
-    x, frame = np.asarray(x, dtype=float), _frame(lat)
-    coeffs, tie = _closest(frame, x.reshape(1, -1))
-    closest = coeffs[0].astype(float) @ frame.m
+    x = np.asarray(x, dtype=float)
+    coeffs, tie = closest_points(lat, x.reshape(1, -1))
+    closest = coeffs[0].astype(float) @ _frame(lat).m
     delta = x - closest
     return DecodeResult(closest=closest, coeffs=coeffs[0], dist_sq=float(delta @ delta),
                         tie=bool(tie[0]))
@@ -251,8 +243,9 @@ def shortest_vector(lat: Lattice) -> tuple[np.ndarray, float]:
     The search runs in the lattice's own basis, so the vector reported
     among the minimal ones is the first in that basis's search order."""
     frame = _frame(lat)
-    c, _ = _shortest(frame.tri, float(np.einsum("ij,ij->i", frame.m, frame.m).min()))
-    vec = c.astype(float) @ frame.m
+    bound = np.array([float(np.einsum("ij,ij->i", frame.m, frame.m).min()) * (1.0 + _SLACK_REL)])
+    c, _, _ = _search(frame.tri, np.zeros((1, lat.n)), bound, nonzero=True)
+    vec = c[0].astype(float) @ frame.m
     return vec, float(vec @ vec)
 
 

@@ -400,7 +400,7 @@ class TestBinnedLatticePath:
                 ("standard_normal", lambda: estimate_error_probability(D4, lattice_noise(0.3),
                                                                        10, 3)),
                 ("closest_points", lambda: failure_mask(D4, np.zeros((1, 4)))),
-                ("the decoder's _frame", lambda: closest_point(D4.normalizer, np.zeros(4)))):
+                ("the decoder's _frame", lambda: decoder.shortest_vector(D4.normalizer))):
             with pytest.raises(AssertionError, match=f"^{name} called$"):
                 call()
 

@@ -255,7 +255,34 @@ SHORTCUT_LATTICES = {
 }
 
 
+def unimodular_frames(n):
+    """Zn(n) in three random unimodular bases, each with its targets:
+    Gaussian at three scales, then exact midpoints."""
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        lat = _skewed(get(f"Zn({n})").lattice, rng)
+        yield lat, np.vstack([rng.standard_normal((1000, n)) * s for s in (0.1, 0.3, 1.0)]
+                             + [midpoints(lat, rng)])
+
+
 class TestPackingRadiusShortcut:
+    @pytest.mark.parametrize("name", sorted(SHORTCUT_LATTICES) + ["Zn(4)", "Zn(6)", "Zn(8)"])
+    def test_min_len_is_the_shortest_nonzero_search(self, name):
+        # _frame reads 2 rho off the runner-up of a search around the origin
+        # that keeps the zero vector; leaving the zero vector out gives the
+        # same bits as the minimum
+        if name in SHORTCUT_LATTICES:
+            lats = [SHORTCUT_LATTICES[name], make_code(SHORTCUT_LATTICES[name]).normalizer]
+        else:
+            lats = [lat for lat, _ in unimodular_frames(int(name[3:-1]))]
+        for lat in lats:
+            frame = decoder._frame(lat)
+            shortest_row = float(np.einsum("ij,ij->i", frame.lower, frame.lower).min())
+            bound = np.array([shortest_row * (1.0 + decoder._SLACK_REL)])
+            _, d, _ = reference_search(frame.lower, np.zeros((1, lat.n)), bound, nonzero=True)
+            assert math.isfinite(frame.min_len)
+            assert frame.min_len.hex() == math.sqrt(d[0]).hex()
+
     @pytest.mark.parametrize("name", sorted(SHORTCUT_LATTICES))
     @pytest.mark.parametrize("sigma_sq", [0.1, 0.3])
     def test_equals_full_search(self, name, sigma_sq):
@@ -277,12 +304,8 @@ class TestPackingRadiusShortcut:
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_unimodular_frames_equal_full_search(self, n):
-        rng = np.random.default_rng(n)
-        for _ in range(3):
-            lat = _skewed(get(f"Zn({n})").lattice, rng)
+        for lat, xs in unimodular_frames(n):
             assert orthogonal_scale_sq(lat) is None  # not a rotated cubic frame
-            xs = np.vstack([rng.standard_normal((1000, n)) * s for s in (0.1, 0.3, 1.0)]
-                           + [midpoints(lat, rng)])
             coeffs, tie = closest_points(lat, xs)
             want, want_tie = full_search(lat, xs)
             assert np.array_equal(coeffs, want) and np.array_equal(tie, want_tie)
@@ -355,12 +378,15 @@ class TestLevelMajorSearch:
                     assert_same_search(lower, ys, (near + shortest) * slack, True)
         assert ties  # the dyadic frame's half-integer targets include exact ties
 
-    def test_chunked_expansion(self, monkeypatch):
+    @pytest.mark.parametrize("cap", [None, 1 << 17], ids=["default_cap", "cap_2**17"])
+    def test_chunked_expansion(self, monkeypatch, cap):
         # one target's bound reaches 20 steps out, the other 19,999 barely past their
         # nearest-plane points: a level's rectangle of every node by the widest node's
-        # 43 children would hold about 900,000 cells. Under a cap of 2**17 cells it is
-        # expanded in chunks of consecutive nodes, and the peak stays far below the
-        # 40 MB of one rectangle
+        # 43 children would hold about 900,000 cells. It is expanded in chunks of
+        # _CHUNK_CELLS cells of consecutive nodes, and the peak stays far below the
+        # 40 MB of one rectangle (chunks of 2**20 cells reach 43 MB). A cap of 2**17
+        # is below the rectangle but above the sum of the nodes' own widths, so the
+        # search goes on past the exact count rather than refusing on the rectangle
         rng = np.random.default_rng(3)
         lower = np.array([[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [-0.2, 0.4, 1.0]])
         ys = rng.standard_normal((20000, 3))
@@ -368,7 +394,9 @@ class TestLevelMajorSearch:
         bound = near * (1.0 + decoder._SLACK_REL) + decoder._SLACK_REL
         bound[0] = 20.0 ** 2
         want = reference_search(lower, ys, bound)
-        monkeypatch.setattr(decoder, "_MAX_NODES", 1 << 17)
+        if cap is not None:
+            for module in (decoder, oracles):
+                monkeypatch.setattr(module, "_MAX_NODES", cap)
         tracemalloc.start()
         try:
             got = decoder._search(lower, ys, bound)
