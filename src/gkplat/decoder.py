@@ -1,18 +1,18 @@
 """Closest-point and shortest-vector search for desk-scale lattices.
 
-``closest_points`` is the one nearest-point search: ``closest_point`` is
-a batch of one and ``shortest_vector`` runs the same enumeration around
-the origin. Every lattice's blocks of targets are decoded in the QR frame
-of an LLL-reduced basis. A nearest-plane (Babai) pass takes, level by
-level, the nearer child of each row; on an orthogonal frame (G = c^2 I)
-that is coordinatewise rounding. Rows past the packing-radius margin
-below then go to a bounded search that enumerates every coefficient
-vector within the nearest-plane distance, children in Schnorr-Euchner
-order (Agrell, Eriksson, Vardy, Zeger, *Closest point search in
-lattices*). A level lays every node's children out in that order as a
-row of one padded rectangle, whose padding the bound drops. Partial sums
-run left to right, as np.add.accumulate runs; np.add.reduce or @ may sum
-pairwise instead.
+``closest_points`` is the one nearest-point search, ``closest_point`` a
+batch of one. Each lattice's blocks of targets are decoded in the QR
+frame of an LLL-reduced basis, and the same enumeration, run once around
+the origin there, gives ``shortest_vector``. A nearest-plane (Babai)
+pass takes, level by level, the nearer child of each row; on an
+orthogonal frame (G = c^2 I) that is coordinatewise rounding. Rows past
+the packing-radius margin below then go to a bounded search that
+enumerates every coefficient vector within the nearest-plane distance,
+children in Schnorr-Euchner order (Agrell, Eriksson, Vardy, Zeger,
+*Closest point search in lattices*). A level lays every node's children
+out in that order as a row of one padded rectangle, whose padding the
+bound drops. Partial sums run left to right, as np.add.accumulate runs;
+np.add.reduce or @ may sum pairwise instead.
 
 The margin is bounded-distance decoding (Conway & Sloane, *Sphere
 Packings, Lattices and Groups*, ch. 20). Let b be a row's nearest-plane
@@ -25,10 +25,9 @@ point it keeps: it would return b, its runner-up distance inf and tie
 False. Such a row keeps b, and the search runs only on the others. The
 test is (2 rho - sqrt(near))^2 (1 - 1e-9) > bound. The 1 - 1e-9 factor
 covers the float error in near and in the float length 2 rho, each a few
-ulps at n <= 12. 2 rho is that of the float frame the search runs in,
-found once per lattice by the same enumeration around the origin: the
-runner-up of the zero vector, the one point at distance 0. The
-test never passes for sqrt(near) >= rho, and where it passes,
+ulps at n <= 12. 2 rho is that of the float frame the search runs in:
+the least nonzero length that the origin enumeration finds. The test
+never passes for sqrt(near) >= rho, and where it passes,
 2 rho - sqrt(near) > rho; another point would need its computed distance
 off by 1e-9 rho^2 to enter the bound. The search's per-coordinate
 rounding, a few ulps of |y|, stays far below that for targets within
@@ -75,15 +74,16 @@ class DecodeResult:
     tie: bool                # a second lattice point at (numerically) equal distance
 
 
-def _lll(m: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Integer unimodular U with U @ m LLL-reduced (delta 0.99); r is R in
-    m^T = QR. Floats only choose the integer row operations, so U @ m spans
-    the lattice of m. Raises ValueError if an entry of U would reach 2**53,
-    or after _LLL_ROUNDS n^2 (bits + 2) rounds, bits the log2 of m's largest
-    entry over its least Gram-Schmidt length: LLL's swap count is polynomial
-    in both, and float rounding beyond 53 bits can make the swaps cycle."""
+def _lll(m: np.ndarray) -> np.ndarray:
+    """Integer unimodular U with U @ m LLL-reduced (delta 0.99). Floats only
+    choose the integer row operations, so U @ m spans the lattice of m.
+    Raises ValueError if an entry of U would reach 2**53, or after
+    _LLL_ROUNDS n^2 (bits + 2) rounds, bits the log2 of m's largest entry
+    over its least Gram-Schmidt length: LLL's swap count is polynomial in
+    both, and float rounding beyond 53 bits can make the swaps cycle."""
     n = len(m)
     u = np.eye(n, dtype=np.int64)
+    r = np.linalg.qr(m.T, mode="r")
     rounds = _LLL_ROUNDS * n * n * (math.log2(np.abs(m).max() / np.abs(np.diag(r)).min()) + 2)
     k = 1
     while k < n:
@@ -107,27 +107,29 @@ def _lll(m: np.ndarray, r: np.ndarray) -> np.ndarray:
     return u
 
 
-_Frame = namedtuple("_Frame", "m m_inv tri u lower q min_len box")
+_Frame = namedtuple("_Frame", "m m_inv u lower q min_len shortest box")
 
 
 @lru_cache(maxsize=128)
 def _frame(lat: Lattice) -> _Frame:
     """The decoder's frame of a lattice: float generator matrix m, its inverse,
-    triangular frame tri of the basis, LLL transform u and frame
-    u m = lower q^T, the float length min_len = 2 rho of a shortest nonzero
-    vector of lower (the runner-up of a search around the origin, where the
-    zero vector is the one point at 0), and box = sum diag(lower)^2 / 4, the
-    nearest-plane distance limit."""
+    LLL transform u, frame u m = lower q^T, and, off one search around the
+    origin, lower's float length min_len = 2 rho and shortest_vector's
+    coefficients in m; box = sum diag(lower)^2 / 4 limits nearest-plane distance."""
     if lat.n > MAX_DIM:
         raise ValueError(f"decoder supports dimensions up to {MAX_DIM}, got {lat.n}")
     m = lat.effective_matrix()
-    r = np.linalg.qr(m.T, mode="r")
-    u = _lll(m, r)
+    u = _lll(m)
     q_red, r_red = np.linalg.qr((u @ m).T)
     lower = r_red.T
     bound = np.array([float(np.einsum("ij,ij->i", lower, lower).min()) * (1.0 + _SLACK_REL)])
-    _, _, length_sq = _search(lower, np.zeros((1, lat.n)), bound)
-    return _Frame(m, np.linalg.inv(m), r.T, u, lower, q_red, math.sqrt(length_sq[0]),
+    c, part = _search(lower, np.zeros((1, lat.n)), bound, every=True)
+    length_sq = part[c.any(axis=1)].min()
+    short = c[c.any(axis=1) & (part <= length_sq * (1.0 + TIE_REL))] @ u  # minimal, in m
+    tol = TIE_REL * (np.abs(short) @ np.abs(m)).max()  # far above short @ m's float error
+    for col in m.T:  # the lexicographically greatest, coordinates within tol counting equal
+        short = short[(x := short @ col) >= x.max() - tol]
+    return _Frame(m, np.linalg.inv(m), u, lower, q_red, math.sqrt(length_sq), short[0],
                   float(np.sum(np.diag(lower) ** 2)) / 4.0)
 
 
@@ -139,14 +141,15 @@ def _offsets(size):
     return np.array([-zigzag, 1 + zigzag], dtype=float)
 
 
-def _search(lower, ys, bound=None, nonzero=False):
+def _search(lower, ys, bound=None, every=False):
     """Enumerate, level by level, the coefficient vectors c with
     |c @ lower - y|^2 <= bound for each row y of ys; returns the first
     minimum of each row in depth-first Schnorr-Euchner order, its squared
     distance and the runner-up distance (inf if none). With bound None
     only the nearer child of each node is taken: the nearest-plane point,
-    with no runner-up. ``nonzero`` leaves out the zero vector of a bounded
-    search. Coefficients are held level-major, as floats."""
+    with no runner-up. ``every`` returns instead, for one target, every
+    vector within the bound and its squared distance, in that order.
+    Coefficients are held level-major, as floats."""
     rows, n = ys.shape
     row, part, c = np.arange(rows), np.zeros(rows), np.zeros((n, rows))
     for k in range(n - 1, -1, -1):
@@ -181,9 +184,8 @@ def _search(lower, ys, bound=None, nonzero=False):
         c[k] = cand
     if bound is None:
         return c.T.astype(np.int64), part, np.full(rows, np.inf)
-    if nonzero:
-        keep = c.any(axis=0)
-        row, part, c = row[keep], part[keep], c[:, keep]
+    if every:
+        return c.T.astype(np.int64), part
     order = np.lexsort((part, row))  # stable: the first of equal minima wins
     start = np.searchsorted(row, np.arange(rows))
     second = np.where(np.bincount(row, minlength=rows) > 1, start + 1, -1)
@@ -238,14 +240,11 @@ def closest_point(lat: Lattice, x) -> DecodeResult:
 
 
 def shortest_vector(lat: Lattice) -> tuple[np.ndarray, float]:
-    """A nonzero lattice vector of minimal norm and its squared length.
-
-    The search runs in the lattice's own basis, so the vector reported
-    among the minimal ones is the first in that basis's search order."""
+    """A shortest nonzero lattice vector and its squared length: of those
+    within TIE_REL of the least squared length, the lexicographically
+    greatest (coordinates equal to float error tie), whatever the basis."""
     frame = _frame(lat)
-    bound = np.array([float(np.einsum("ij,ij->i", frame.m, frame.m).min()) * (1.0 + _SLACK_REL)])
-    c, _, _ = _search(frame.tri, np.zeros((1, lat.n)), bound, nonzero=True)
-    vec = c[0].astype(float) @ frame.m
+    vec = frame.shortest.astype(float) @ frame.m
     return vec, float(vec @ vec)
 
 

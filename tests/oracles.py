@@ -492,7 +492,7 @@ def trellis_sector_failure_prob(code, pmf, sector: str) -> float:
 _MAX_NODES = 1 << 20  # the decoder's enumeration nodes per level
 
 
-def reference_search(lower, ys, bound=None, nonzero=False):
+def reference_search(lower, ys, bound=None, nonzero=False, every=False):
     """The decoder's search as it was written with per-node index arrays,
     integer coefficients and a partial sum built term by term: the
     reference its level loop must match bit for bit.
@@ -503,7 +503,9 @@ def reference_search(lower, ys, bound=None, nonzero=False):
     distance and the runner-up distance (inf if none). With bound None
     only the nearer child of each node is taken: the nearest-plane point,
     with no runner-up. ``nonzero`` leaves out the zero vector of a bounded
-    search."""
+    search. ``every``, for one target, returns instead every coefficient
+    vector within the bound and its squared distance, in depth-first
+    Schnorr-Euchner order."""
     rows, n = ys.shape
     row = np.arange(rows)
     part = np.zeros(rows)
@@ -538,6 +540,8 @@ def reference_search(lower, ys, bound=None, nonzero=False):
         c[:, k] = cand
     if bound is None:
         return c, part, np.full(rows, np.inf)
+    if every:
+        return c, part
     if nonzero:
         keep = c.any(axis=1)
         row, part, c = row[keep], part[keep], c[keep]

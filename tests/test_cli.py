@@ -750,6 +750,60 @@ class TestBadInput:
             _canonical_json(object())
 
 
+def _with_neighbours(values):
+    """The values and their floating-point neighbours, negated too."""
+    near = {float(y) for x in values for y in (np.nextafter(x, -math.inf), x,
+                                               np.nextafter(x, math.inf))}
+    return sorted(near | {-x for x in near})
+
+
+# ROADMAP item 7's boundary values; nan has no neighbours
+_COORDINATES = _with_neighbours([0.0, 5e-324, 1e-308, 1e-200, 1e200, 1e308, 2.0 ** 53,
+                                 2.0 ** 63, math.inf]) + [math.nan]
+_DECODE_DIMS = {"Zn:2": 2, "Zn:12": 12, "D4": 4, "E8": 8, "grid_qudit:3": 2}
+_SIZES = sorted({n + step for n in (0, 1, 2, 12, 13, 2 ** 31, 2 ** 53, 2 ** 63, 10 ** 20)
+                 for step in (-1, 0, 1)})
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def assert_domain_outcome(command, capsys):
+    """An exit of 0, 1 or 2 in bounded memory: one error line for 1, and
+    strict JSON, with no NaN or inf, for 0."""
+    code, out, err, peak = run_cli_peak(command, capsys)
+    assert code in (0, 1, 2), (command, err)
+    if code == 1:
+        assert_one_error_line(code, out, err)
+    elif code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    assert peak < 64 * 2**20
+
+
+class TestDomain:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(args=st.sampled_from(sorted(_DECODE_DIMS)).flatmap(
+        lambda name: st.lists(st.sampled_from(_COORDINATES), min_size=_DECODE_DIMS[name],
+                              max_size=_DECODE_DIMS[name]).map(lambda xs: (name, xs))))
+    @example(args=("E8", [2.0 ** 63] * 8))
+    @example(args=("Zn:12", [5e-324] * 12))
+    @example(args=("grid_qudit:3", [math.nan, 0.0]))
+    def test_decode(self, capsys, args):
+        name, xs = args
+        # "--" keeps a leading minus sign off argparse's option parsing
+        assert_domain_outcome(["decode", name, "--", ",".join(map(repr, xs))], capsys)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(family=st.sampled_from(["Zn", "grid_qudit"]), size=st.sampled_from(_SIZES))
+    @example(family="grid_qudit", size=10 ** 20)
+    @example(family="Zn", size=12)
+    def test_lattice_info(self, capsys, family, size):
+        assert_domain_outcome(["lattice-info", f"{family}:{size}"], capsys)
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         assert main(["rates", "--sigma-sq-grid", "nonsense"]) == 2

@@ -268,9 +268,9 @@ def unimodular_frames(n):
 class TestPackingRadiusShortcut:
     @pytest.mark.parametrize("name", sorted(SHORTCUT_LATTICES) + ["Zn(4)", "Zn(6)", "Zn(8)"])
     def test_min_len_is_the_shortest_nonzero_search(self, name):
-        # _frame reads 2 rho off the runner-up of a search around the origin
-        # that keeps the zero vector; leaving the zero vector out gives the
-        # same bits as the minimum
+        # _frame takes 2 rho as the least nonzero distance of every vector that
+        # its one search around the origin keeps: the same bits as the minimum
+        # of a search that leaves the zero vector out
         if name in SHORTCUT_LATTICES:
             lats = [SHORTCUT_LATTICES[name], make_code(SHORTCUT_LATTICES[name]).normalizer]
         else:
@@ -316,10 +316,10 @@ class TestPackingRadiusShortcut:
         searched = []
         search = decoder._search
 
-        def counting(lower, ys, bound=None, nonzero=False):
+        def counting(lower, ys, bound=None, every=False):
             if bound is not None:
                 searched.append(len(ys))
-            return search(lower, ys, bound, nonzero)
+            return search(lower, ys, bound, every)
 
         monkeypatch.setattr(decoder, "_search", counting)
         rows = 4000
@@ -339,20 +339,22 @@ def search_frames(n, rng):
     return gauss, dyadic
 
 
-def search_outcome(search, *args):
-    """A search's (c, d1, d2), or its ValueError message."""
+def search_outcome(search, *args, **kwargs):
+    """A search's (c, d1, d2), or (c, d) with every=True, or its ValueError message."""
     try:
-        return search(*args)
+        return search(*args, **kwargs)
     except ValueError as err:
         return str(err)
 
 
-def assert_same_search(*args):
+def assert_same_search(*args, **kwargs):
     """decoder._search and reference_search agree bit for bit, or refuse alike."""
-    got, want = search_outcome(decoder._search, *args), search_outcome(reference_search, *args)
+    got = search_outcome(decoder._search, *args, **kwargs)
+    want = search_outcome(reference_search, *args, **kwargs)
     if isinstance(got, str) or isinstance(want, str):
         assert got == want
     else:
+        assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
     return want
@@ -366,7 +368,9 @@ class TestLevelMajorSearch:
         for lower in search_frames(n, rng):
             box = float(np.sum(np.diag(lower) ** 2)) / 4.0
             shortest = float(np.einsum("ij,ij->i", lower, lower).min())
-            assert_same_search(lower, np.zeros((1, n)), np.array([shortest * slack]), True)
+            c, _ = assert_same_search(lower, np.zeros((1, n)), np.array([shortest * slack]),
+                                      every=True)
+            assert len(c) > 1 and not c[0].any()  # the origin's first child is the origin
             for rows in (1, 300):
                 halves = rng.integers(-4, 5, size=(rows, n)) / 2
                 for ys in (rng.standard_normal((rows, n)) * 0.5, halves @ lower):
@@ -374,8 +378,9 @@ class TestLevelMajorSearch:
                     bound = near * slack + decoder._SLACK_REL * box
                     _, d1, d2 = assert_same_search(lower, ys, bound)
                     ties += int((d1 == d2).sum())
-                    # +-e_i @ lower, one of them within near + shortest: a nonzero vector
-                    assert_same_search(lower, ys, (near + shortest) * slack, True)
+                    # a wider bound: b the nearest-plane point, one of b +- e_i @ lower
+                    # is within near + shortest, so each row keeps at least two points
+                    assert_same_search(lower, ys, (near + shortest) * slack)
         assert ties  # the dyadic frame's half-integer targets include exact ties
 
     @pytest.mark.parametrize("cap", [None, 1 << 17], ids=["default_cap", "cap_2**17"])
@@ -426,9 +431,9 @@ class TestEdgeBlocks:
         bounded = []
         search = decoder._search
 
-        def counting(lower, ys, bound=None, nonzero=False):
+        def counting(lower, ys, bound=None, every=False):
             bounded.append(bound is not None)
-            return search(lower, ys, bound, nonzero)
+            return search(lower, ys, bound, every)
 
         monkeypatch.setattr(decoder, "_search", counting)
         xs = np.random.default_rng(4).standard_normal((500, 4)) * 0.05
@@ -470,6 +475,66 @@ class TestShortestVector:
         vec, _ = shortest_vector(lat)
         assert vec.tolist() == first + [0.0] * (lat.n - len(first))
 
+    @pytest.mark.parametrize("name", ["D4", "E8", "Zn(4)", "Zn(8)"])
+    def test_same_vector_in_every_basis(self, name):
+        # the lexicographic rule makes the reported vector the lattice's, not its basis's
+        lat = get(name).lattice
+        want = shortest_vector(lat)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            vec, length_sq = shortest_vector(_skewed(lat, rng, 4 * lat.n, 3))
+            assert vec.tolist() == want[0].tolist() and length_sq == want[1]
+
+    def test_same_point_in_every_basis_at_an_irrational_scale(self):
+        lat = get("grid_qudit(3)").lattice
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            vec, length_sq = shortest_vector(_skewed(lat, rng, 8, 3))
+            assert np.allclose(vec, [math.sqrt(3), 0.0], rtol=0, atol=1e-9)
+            assert length_sq == pytest.approx(3.0, rel=1e-9)
+
+    def test_skewed_cubic_frames_answer(self):
+        # Z^n in 100 skewed bases that closest_points decodes: shortest_vector
+        # answers wherever the decoder can decode
+        rng = np.random.default_rng(5)
+        for i in range(100):
+            lat = _skewed(get(f"Zn({2 + 2 * (i % 4)})").lattice, rng, 30, 3)
+            _, length_sq = shortest_vector(lat)
+            assert length_sq == pytest.approx(1.0, rel=1e-9)
+            assert packing_radius(lat) == pytest.approx(0.5, rel=1e-9)
+
+    @pytest.mark.parametrize("lat, want", [
+        pytest.param(make_code(get("E8").lattice).normalizer, [1, 1, 0, 0, 0, 0, 0, 0],
+                     id="E8-normalizer"),
+        pytest.param(make_code(get("grid_qudit(2)").lattice).normalizer, [math.sqrt(0.5), 0],
+                     id="grid_qudit(2)-normalizer"),
+        pytest.param(dual_lattice(get("grid_qudit(3)").lattice), [math.sqrt(1 / 3), 0],
+                     id="grid_qudit(3)-dual"),
+        pytest.param(make_code(rescale(get("E8").lattice, 2)).normalizer,
+                     [math.sqrt(0.5), math.sqrt(0.5), 0, 0, 0, 0, 0, 0], id="E8x2-normalizer"),
+    ])
+    def test_canonical_vector_off_the_catalog(self, lat, want):
+        # the lexicographically greatest minimal vector, at irrational scales
+        # up to float rounding
+        vec, length_sq = shortest_vector(lat)
+        assert np.allclose(vec, want, rtol=0, atol=1e-12)
+        assert length_sq == pytest.approx(float(np.dot(want, want)), rel=1e-12)
+
+    def test_one_origin_search_per_lattice(self, monkeypatch):
+        # a cold frame and shortest_vector share one bounded search around the origin
+        bounded, search = [], decoder._search
+
+        def counting(lower, ys, bound=None, every=False):
+            bounded.append(bound is not None)
+            return search(lower, ys, bound, every)
+
+        monkeypatch.setattr(decoder, "_search", counting)
+        decoder._frame.cache_clear()
+        lat = make_code(get("D4").lattice).normalizer
+        shortest_vector(lat)
+        packing_radius(lat)
+        assert bounded == [True]
+
 
 class TestPackingRadius:
     def test_cubic(self):
@@ -490,12 +555,13 @@ class TestPackingRadius:
                 math.sqrt(lam) * packing_radius(base), rel=1e-12)
 
 
-def _skewed(lat: Lattice, rng) -> Lattice:
-    """The same lattice in a random unimodular basis."""
+def _skewed(lat: Lattice, rng, ops=None, k=2) -> Lattice:
+    """The same lattice in a random unimodular basis, made by ops (default 2n)
+    row operations u[i] += a u[j] with a in -k..k."""
     u = np.eye(lat.n, dtype=int)
-    for _ in range(2 * lat.n):
+    for _ in range(ops or 2 * lat.n):
         i, j = rng.choice(lat.n, size=2, replace=False)
-        u[i] += int(rng.integers(-2, 3)) * u[j]
+        u[i] += int(rng.integers(-k, k + 1)) * u[j]
     return Lattice(exact.mat_mul(exact.freeze(u.tolist()), lat.basis), lat.scale_sq)
 
 
