@@ -28,9 +28,9 @@ block are sampled as cells, geometric(q) gaps apart with q = P(m != 0),
 and for the coset test valued by inverse CDF on a table built once per
 call. Only the rows holding a cell can fail: each fails voronoi, and
 under coset they go through the criterion's integer test. Ties never
-arise there. The same table builder and cell sampler draw the qudit
-shifts of the concatenated Monte Carlo. Any other lattice draws normal displacements and decodes
-them with ``closest_points``.
+arise there. The concatenated Monte Carlo shares the table builder, the
+cell sampler and the row gatherer _cell_rows. Any other lattice draws
+normal displacements and decodes them with ``closest_points``.
 
 Trials use the Philox counter-based generator. Worker streams are derived
 by hashing (master seed, worker index), so a run is bit-reproducible for a
@@ -306,25 +306,33 @@ def _coefficient_table(code: LatticeCode, noise: NoiseModel, criterion: str):
     return values, cdf, math.erfc(0.5 / (math.sqrt(2.0) * t)) if t else 0.0
 
 
+def _cell_rows(hits, values, n: int, rows, skip=slice(0)):
+    """The rows of a flat block of n-entry rows that hold cells at sorted
+    flat indices hits, in order, and a (k, n) int64 block of them, the cell
+    values scattered into zeros. rows = hits // n is overwritten. The cells
+    that skip indexes, whole rows of them, are left out."""
+    slot = np.diff(rows, prepend=-1)  # nonzero where a row starts, then 1 + its place
+    slot[skip] = 0
+    kept = rows[np.flatnonzero(slot)]
+    np.cumsum(slot != 0, out=slot)
+    np.subtract(slot, rows, out=rows)  # each cell's flat index in the block, past a spare row
+    rows *= n
+    rows += hits
+    del slot
+    rows[skip] = 0  # into the spare row
+    block = np.zeros((len(kept) + 1, n), dtype=np.int64)
+    block.reshape(-1)[rows] = values
+    return kept, block[1:]
+
+
 def _cell_failures(code: LatticeCode, criterion: str, hits, values, n: int) -> int:
     """Failures among the rows of a flat block of n-coefficient rows whose
     nonzero coefficients are the given cells: only a row holding a cell
-    can fail. Under voronoi each such row fails, a cell being a nonzero
-    coefficient; under coset those rows, scattered into a block of their
-    own, go through _criterion_fails."""
-    rows = hits // n
-    slot = np.empty(len(rows), dtype=np.int64)  # each cell's row in the block below
-    slot[:1] = 0
-    np.not_equal(rows[1:], rows[:-1], out=slot[1:])
+    can fail. Under voronoi each such row fails; under coset the block of
+    them from _cell_rows goes through _criterion_fails."""
     if criterion == "voronoi":
-        return int(np.count_nonzero(slot)) + (len(slot) > 0)
-    np.cumsum(slot, out=slot)
-    coeffs = np.zeros((int(slot[-1]) + 1 if len(slot) else 0, n), dtype=np.int64)
-    np.subtract(slot, rows, out=rows)  # each cell's flat index in that block
-    rows *= n
-    rows += hits
-    coeffs.reshape(-1)[rows] = values
-    del rows, slot  # the test below reuses their memory
+        return int(np.count_nonzero(np.diff(hits // n))) + (len(hits) > 0)
+    coeffs = _cell_rows(hits, values, n, hits // n)[1]
     return int(_criterion_fails(code, coeffs, criterion, np.zeros(len(coeffs), dtype=bool)).sum())
 
 

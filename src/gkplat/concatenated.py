@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel_sim import (ErrorEstimate, _binned_table, _combine_columns, _estimate,
-                          _sample_cells)
+from .channel_sim import (ErrorEstimate, _binned_table, _cell_rows, _combine_columns,
+                          _estimate, _sample_cells)
 from .dit_rates import optimize_qudit_dimension  # noqa: F401  (still imported from here)
 from .rates import NoiseModel
 
@@ -107,7 +107,8 @@ class CssCode:
 
 def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
                         size) -> tuple[np.ndarray, np.ndarray]:
-    """Vector form of the single-qudit channel: _draw's X and Z exponents.
+    """Vector form of the single-qudit channel: X and Z exponents of shape
+    size, the cells simulate_concatenated draws scattered into zeros.
 
     A shift x ~ N(0, sigma^2) acts as m mod d, m = round(x / delta) with
     delta = sqrt(2 pi hbar / d). No normal is drawn: the nonzero cells of
@@ -116,7 +117,10 @@ def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
     rng.random. A non-integer d raises TypeError; d outside [2, 2**53), a
     pmf past 2**16 terms or sigma^2 d / hbar past float64, ValueError.
     """
-    return _draw(*_nonzero_shifts(d, noise), rng, size)[:2]
+    shifts = _nonzero_shifts(d, noise)
+    out = np.zeros((2,) + (tuple(size) if isinstance(size, tuple) else (size,)), dtype=np.int64)
+    np.put(out, *_sample_cells(*shifts, rng, out.size))
+    return out[0], out[1]
 
 
 def _nonzero_shifts(d: int, noise: NoiseModel):
@@ -127,22 +131,10 @@ def _nonzero_shifts(d: int, noise: NoiseModel):
     if not 2 <= d < 2**53:
         raise ValueError(f"qudit dimension must be >= 2 and below 2**53, got {d}")
     t_sq = noise.sigma_sq / noise.hbar * d / (2.0 * math.pi)
+    at = f"d = {d}, sigma_sq = {noise.sigma_sq!r}, hbar = {noise.hbar!r}"
     if t_sq == math.inf:
-        raise ValueError(f"sigma_sq d / hbar overflows float64 at d = {d}, "
-                         f"sigma_sq = {noise.sigma_sq!r}, hbar = {noise.hbar!r}")
-    return _binned_table(t_sq, d, True, f"the qudit shift pmf at d = {d}, sigma_sq = "
-                                        f"{noise.sigma_sq!r}, hbar = {noise.hbar!r}")
-
-
-def _draw(residues, cdf, q, rng: np.random.Generator, size):
-    """X and Z exponents of shape size from a _nonzero_shifts table, the cells
-    of channel_sim._sample_cells scattered into zeros, then the nonzero cells
-    of each: sorted flat indices (no view of a geometric buffer), values."""
-    out = np.zeros((2,) + (tuple(size) if isinstance(size, tuple) else (size,)), dtype=np.int64)
-    hits, values = _sample_cells(residues, cdf, q, rng, out.size)
-    out.reshape(-1)[hits] = values
-    half, cut = out.size // 2, np.searchsorted(hits, out.size // 2)
-    return out[0], out[1], (hits[:cut].copy(), values[:cut]), (hits[cut:] - half, values[cut:])
+        raise ValueError(f"sigma_sq d / hbar overflows float64 at {at}")
+    return _binned_table(t_sq, d, True, f"the qudit shift pmf at {at}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +169,20 @@ def shor9_code(d: int) -> CssCode:
 
 def css_decode(code: CssCode, error: list[QuditPauliError]) -> tuple[list[QuditPauliError], bool]:
     """Decode one block error; returns (correction, logical_failure), as a
-    batch of one through the decoder the simulation uses, with each
-    sector's nonzero cells from flatnonzero. In each sector, a syndrome
-    missing from the table fails with no correction; otherwise the
-    residual error fails if it pairs nontrivially with the opposite
-    logical operators mod d."""
+    batch of one through the decoder the simulation uses. In each sector,
+    a syndrome missing from the table fails with no correction; otherwise
+    the residual error fails if it pairs nontrivially with the opposite
+    logical operators mod d. A non-integer exponent raises TypeError."""
     if len(error) != code.n:
         raise ValueError("error length must equal the block length")
-    a = np.array([[e.a % code.d for e in error]], dtype=np.int64)
-    b = np.array([[e.b % code.d for e in error]], dtype=np.int64)
-    hits_a, hits_b = np.flatnonzero(a), np.flatnonzero(b)
-    row_a, row_b, failed = _decode_block(code, a, b, (hits_a, np.take(a, hits_a)),
-                                         (hits_b, np.take(b, hits_b)))
-    corr_a, corr_b = code.x_table[1][row_a[0]], code.z_table[1][row_b[0]]
+    exponents = np.array([[operator.index(e.a) % code.d for e in error],
+                          [operator.index(e.b) % code.d for e in error]], dtype=np.int64)
+    cells = [(hits, x[hits]) for x in exponents for hits in [np.flatnonzero(x)]]
+    sectors = _decode_block(code, *cells)
+    corr_a, corr_b = (table[1][found[0] if len(found) else 0]  # no cell: the zero error's row
+                      for table, (_, found, _) in zip((code.x_table, code.z_table), sectors))
     correction = [QuditPauliError(int(x), int(y)) for x, y in zip(corr_a, corr_b)]
-    return correction, bool(failed[0])
+    return correction, any(bool(bad.any()) for _, _, bad in sectors)
 
 
 _BATCH_TRIALS = 1 << 18  # sets which draws become X and Z shifts; changing it changes results
@@ -207,40 +198,43 @@ def simulate_concatenated(code: CssCode, noise: NoiseModel, trials: int, seed: i
     shifts = _nonzero_shifts(code.d, noise)
 
     def block_failures(gen, rows):
-        return int(_decode_block(code, *_draw(*shifts, gen, (rows, code.n)))[2].sum())
+        half = rows * code.n  # X exponents fill the first half of the flat block, Z the second
+        hits, values = _sample_cells(*shifts, gen, 2 * half)
+        cut = np.searchsorted(hits, half)
+        hits[cut:] -= half
+        failed = np.zeros(rows, dtype=bool)
+        for held, _, bad in _decode_block(code, (hits[:cut], values[:cut]),
+                                          (hits[cut:], values[cut:])):
+            failed[held[bad]] = True
+        return int(np.count_nonzero(failed))
 
     return _estimate(block_failures, seed, trials, workers, batch_cap)
 
 
-def _decode_sector(d, errors, hits, values, checks, table, opposite_logical):
-    """Table rows and failure mask of one sector for (m, n) exponents in
-    [0, d) with nonzero cells at the sorted flat indices hits. A row of
-    zero exponents keeps row 0 and never fails: key 0 sorts first and the
-    zero error is the first candidate, so row 0 holds a zero correction
-    and a zero pairing. A one-cell row reads its outcome from the table at
-    position (d - 1) + value - 1. The rows of two or more nonzero cells are
-    decoded in one pass, from a copy no larger than the block. Each
-    syndrome digit, and each pairing of the residual errors - correction
-    with the opposite logicals, is a sum of coefficient times column over
-    one matrix row's nonzero entries, mod d. A missing syndrome gets the
-    last row (zero correction) and fails.
-    """
+def _decode_sector(d, n, hits, values, checks, table, opposite_logical):
+    """Syndrome decoding of one sector of a flat block of n-entry rows of
+    exponents in [0, d), from its nonzero cells at sorted flat indices hits:
+    the rows that hold cells (the one-cell rows, then the others, each in
+    order), their table rows and failure flags; no array has the block's
+    length. Any other row has table row 0 (key 0 sorts first: a zero
+    correction and pairing) and cannot fail. A one-cell row reads its
+    outcome from the table at position (d - 1) + value - 1; the rows of two
+    or more, gathered by channel_sim._cell_rows, are decoded in one pass.
+    Each syndrome digit, and each pairing of the residual errors -
+    correction with the opposite logicals, is a sum of coefficient times
+    column over one matrix row's nonzero entries, mod d. A missing syndrome
+    gets the last row (zero correction) and fails."""
     keys, _, weights, pairing, single_row, single_failed = table
-    m, n = errors.shape
-    row = np.zeros(m, dtype=np.int64)
-    bad = np.zeros(m, dtype=bool)
     rows = hits // n
     first = np.ones(len(rows) + 1, dtype=bool)  # cell i starts a row; the last True ends one
     np.not_equal(rows[1:], rows[:-1], out=first[1:-1])
     alone = np.flatnonzero(first[:-1] & first[1:])  # indices, as bool masks index slowly
+    del first
     lone = rows[alone]
     outcome = (hits[alone] - lone * n) * (d - 1) + values[alone] - 1
-    row[lone] = single_row[outcome]
-    bad[lone] = single_failed[outcome]
-    multi = rows[np.flatnonzero(first[:-1] > first[1:])]  # starts a row that goes on
-    nonzero = np.take(errors, multi, axis=0)
-    synd = np.zeros(len(multi), dtype=np.int64)
-    digit = np.empty(len(multi), dtype=np.int64)
+    multi, nonzero = _cell_rows(hits, values, n, rows, alone)
+    del rows, alone  # the pass below reuses their memory
+    synd, digit = np.zeros((2, len(multi)), dtype=np.int64)
     for check, weight in zip(checks, weights):
         _combine_columns(nonzero, check, digit)
         digit %= d
@@ -254,19 +248,17 @@ def _decode_sector(d, errors, hits, values, checks, table, opposite_logical):
         residual -= paired[found]
         residual %= d
         failed |= residual != 0
-    row[multi] = found
-    bad[multi] = failed
-    return row, bad
+    return (np.concatenate([lone, multi]), np.concatenate([single_row[outcome], found]),
+            np.concatenate([single_failed[outcome], failed]))
 
 
-def _decode_block(code: CssCode, a, b, cells_a, cells_b):
-    """Syndrome decoding of (m, n) X exponents a and Z exponents b, each in
-    [0, d), sectors independently, given each sector's nonzero cells as
-    _draw returns them: returns (X table rows, Z table rows, failure mask);
-    the corrections are rows of code.x_table[1] and code.z_table[1]."""
-    row_a, bad_a = _decode_sector(code.d, a, *cells_a, code.hz, code.x_table, code.logical_z)
-    row_b, bad_b = _decode_sector(code.d, b, *cells_b, code.hx, code.z_table, code.logical_x)
-    return row_a, row_b, bad_a | bad_b
+def _decode_block(code: CssCode, cells_a, cells_b):
+    """Syndrome decoding of a block of code.n-qudit rows, sectors apart,
+    from each sector's nonzero cells (sorted flat indices, values): each
+    sector's _decode_sector triple, X first, whose table rows index
+    code.x_table[1] and code.z_table[1]. A row fails if either sector does."""
+    return (_decode_sector(code.d, code.n, *cells_a, code.hz, code.x_table, code.logical_z),
+            _decode_sector(code.d, code.n, *cells_b, code.hx, code.z_table, code.logical_x))
 
 
 def min_distance_comparison(rate: float, n_modes: int, noise: NoiseModel) -> tuple[float, float, float]:

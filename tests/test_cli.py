@@ -760,6 +760,10 @@ def _with_neighbours(values):
 # ROADMAP item 7's boundary values; nan has no neighbours
 _COORDINATES = _with_neighbours([0.0, 5e-324, 1e-308, 1e-200, 1e200, 1e308, 2.0 ** 53,
                                  2.0 ** 63, math.inf]) + [math.nan]
+_POSITIVE = [x for x in _COORDINATES if 0 < x < math.inf]  # so that more draws run
+# the same boundary values as integers, for --d and --seed
+_INTEGERS = sorted({sign * (n + step) for n in (0, 2 ** 53, 2 ** 63, 10 ** 200, 10 ** 308)
+                    for step in (-1, 0, 1) for sign in (1, -1)})
 _DECODE_DIMS = {"Zn:2": 2, "Zn:12": 12, "D4": 4, "E8": 8, "grid_qudit:3": 2}
 _SIZES = sorted({n + step for n in (0, 1, 2, 12, 13, 2 ** 31, 2 ** 53, 2 ** 63, 10 ** 20)
                  for step in (-1, 0, 1)})
@@ -802,6 +806,22 @@ class TestDomain:
     @example(family="Zn", size=12)
     def test_lattice_info(self, capsys, family, size):
         assert_domain_outcome(["lattice-info", f"{family}:{size}"], capsys)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=st.one_of(st.sampled_from([2, 3, 10, 1448, 1449]), st.sampled_from(_INTEGERS)),
+           sigma_sq=st.one_of(st.sampled_from(_POSITIVE), st.sampled_from(_COORDINATES)),
+           hbar=st.one_of(st.sampled_from(_POSITIVE), st.sampled_from(_COORDINATES)),
+           seed=st.sampled_from(_INTEGERS), trials=st.sampled_from([1, 3, 100]))
+    @example(d=10, sigma_sq=1e308, hbar=1e308, seed=2 ** 63, trials=100)  # every row decoded
+    @example(d=1448, sigma_sq=5e-324, hbar=1e-308, seed=-1, trials=100)
+    @example(d=2, sigma_sq=1e200, hbar=1e-200, seed=0, trials=1)        # sigma^2 d / hbar = inf
+    @example(d=2 ** 63, sigma_sq=0.05, hbar=1.0, seed=10 ** 308, trials=3)
+    def test_concat_sim(self, capsys, d, sigma_sq, hbar, seed, trials):
+        # "--flag=value" keeps a leading minus sign off argparse's option parsing
+        values = {"--d": d, "--sigma-sq": repr(sigma_sq), "--hbar": repr(hbar),
+                  "--seed": seed, "--trials": trials}
+        assert_domain_outcome(["concat-sim"] + [f"{k}={v}" for k, v in values.items()], capsys)
 
 
 class TestExitCodes:

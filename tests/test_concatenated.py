@@ -477,29 +477,31 @@ class TestChannelSample:
         assert np.array_equal(a, want[0]) and np.array_equal(b, want[1])
         assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
 
-    @pytest.mark.parametrize("d,sigma_sq,size", [(10, 0.05, (29_127, 9)), (5, 0.3, 40_000),
-                                                  (3, 1e-30, (100, 9))])
-    def test_draw_cells_are_the_nonzero_entries(self, d, sigma_sq, size):
-        # the cells the block decoder takes in place of a pass over the
-        # block, from the draw sample_qudit_errors makes; q = 0 gives none
-        noise = NoiseModel(sigma_sq)
-        gen, ref = make_generator(80), make_generator(80)
-        a, b, *cells = concatenated._draw(*concatenated._nonzero_shifts(d, noise), gen, size)
-        want = sample_qudit_errors(d, noise, ref, size)
-        assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
+    @pytest.mark.parametrize("d,sigma_sq,rows", [(10, 0.05, 29_127), (5, 0.3, 4_444),
+                                                  (3, 1e-30, 100)])
+    def test_sector_cells_are_the_nonzero_entries(self, monkeypatch, d, sigma_sq, rows):
+        # the cells each sector of a simulated block hands the decoder, in
+        # place of a pass over a dense block, from the draw
+        # sample_qudit_errors makes; q = 0 gives none
+        noise, code = NoiseModel(sigma_sq), shor9_code(d)
+        est, gens, cells = simulated_block(monkeypatch, code, noise, rows, 80)
+        ref = make_generator(80)
+        want = sample_qudit_errors(d, noise, ref, (rows, 9))
+        assert repr(gens[0].bit_generator.state) == repr(ref.bit_generator.state)
         assert (sigma_sq == 1e-30) == (len(cells[0][0]) + len(cells[1][0]) == 0)
-        for x, w, (hits, values) in zip((a, b), want, cells):
-            assert np.array_equal(x, w)
+        for x, (hits, values) in zip(want, cells):
             assert hits.dtype == values.dtype == np.int64
-            assert hits.base is None  # no view keeps a geometric buffer alive
             assert np.array_equal(hits, np.flatnonzero(x))
             assert np.array_equal(values, x.reshape(-1)[hits])
+        bad = [matmul_decode_sector(d, x, *sector)[1]
+               for x, sector in zip(want, sectors(code))]
+        assert est.failures == (bad[0] | bad[1]).sum()
 
-    def test_draw_cells_over_several_gap_draws(self):
-        gen = ShortFirstGaps(make_generator(81))
-        shifts = concatenated._nonzero_shifts(10, NoiseModel(0.05))
-        a, b, *cells = concatenated._draw(*shifts, gen, (1000, 9))
-        assert gen.draws >= 2
+    def test_sector_cells_over_several_gap_draws(self, monkeypatch):
+        code, noise = shor9_code(10), NoiseModel(0.05)
+        est, gens, cells = simulated_block(monkeypatch, code, noise, 1000, 81, ShortFirstGaps)
+        assert gens[0].draws >= 2
+        a, b = sample_qudit_errors(10, noise, ShortFirstGaps(make_generator(81)), (1000, 9))
         assert a.reshape(-1)[:1000].all()  # gaps of one: the first draw covers 1,517 cells
         for x, (hits, values) in zip((a, b), cells):
             assert np.array_equal(hits, np.flatnonzero(x))
@@ -530,40 +532,41 @@ class TestChannelSample:
         with pytest.raises(ValueError, match="2\\*\\*53"):
             sample_qudit_errors(2**53, NoiseModel(1e-30), make_generator(1), 1)
 
-    def test_batch_memory_bounded(self):
-        # one full block of shor9 at d = 10: sampling, then decoding
+    @pytest.mark.parametrize("sigma_sq,bound_mib", [(0.05, 3), (0.5, 10)])
+    def test_block_memory_bounded(self, sigma_sq, bound_mib):
+        # one full block of shor9 at d = 10, as simulate_concatenated runs it:
+        # sampling, then decoding, after a one-trial run has done any lazy
+        # import. No dense exponent block is built: a (2, rows, 9) int64
+        # block alone is 4.2 MB, and with one the peaks were 6.0 and 13.5 MiB
         code = shor9_code(10)
         rows = concatenated._BATCH_TRIALS // code.n
-        gen = make_generator(64)
+        simulate_concatenated(code, NoiseModel(sigma_sq), 1, 64)
         tracemalloc.start()
         try:
-            a, b = sample_qudit_errors(code.d, NoiseModel(0.05), gen, (rows, code.n))
-            failed = concatenated._decode_block(code, a, b, nonzero_cells(a), nonzero_cells(b))[2]
+            est = simulate_concatenated(code, NoiseModel(sigma_sq), rows, 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20
-        assert 0 < failed.sum() < rows
+        assert peak <= bound_mib * 2**20
+        assert 0 < est.failures < rows
 
     def test_block_decode_memory_bounded_at_high_noise(self):
         # one full block of shor9 at d = 10, sigma^2 = 0.5, where nearly
         # every row holds two or more nonzero cells: its one-pass decode
         code = shor9_code(10)
         rows = concatenated._BATCH_TRIALS // code.n
-        shifts = concatenated._nonzero_shifts(code.d, NoiseModel(0.5))
-        a, b, *cells = concatenated._draw(*shifts, make_generator(65), (rows, code.n))
+        a, b = sample_qudit_errors(code.d, NoiseModel(0.5), make_generator(65), (rows, code.n))
+        cells = nonzero_cells(a), nonzero_cells(b)
         tracemalloc.start()
         try:
-            row_a, row_b, failed = concatenated._decode_block(code, a, b, *cells)
+            got = concatenated._decode_block(code, *cells)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
         assert ((a != 0).sum(axis=1) >= 2).mean() > 0.9
-        want_a, bad_a = matmul_decode_sector(code.d, a, code.hz, code.x_table, code.logical_z)
-        want_b, bad_b = matmul_decode_sector(code.d, b, code.hx, code.z_table, code.logical_x)
-        assert np.array_equal(row_a, want_a) and np.array_equal(row_b, want_b)
-        assert np.array_equal(failed, bad_a | bad_b)
+        for x, sector, triple in zip((a, b), sectors(code), got):
+            assert_matches_matmul_decoder(code.d, x, sector, triple)
 
     def test_x_z_independent(self):
         noise = NoiseModel(sigma_sq_for_bound(2, 0.1))
@@ -773,6 +776,25 @@ class TestShor9:
         with pytest.raises(ValueError):
             css_decode(shor9_code(2), [QuditPauliError(0, 0)] * 5)
 
+    @pytest.mark.parametrize("exponent", [0.5, 1.7, 2.0, np.float64(1.0), "1"])
+    @pytest.mark.parametrize("sector", ["a", "b"])
+    def test_non_integer_exponent_refused(self, exponent, sector):
+        # once truncated by the int64 cast: X^0.5 decoded as the identity
+        err = [QuditPauliError(0, 0)] * 9
+        err[4] = QuditPauliError(**{sector: exponent, "ab".replace(sector, ""): 0})
+        with pytest.raises(TypeError):
+            css_decode(shor9_code(3), err)
+
+    def test_integer_exponents_taken_mod_d(self):
+        # any integer type, of any size or sign, is its residue mod d
+        code = shor9_code(3)
+        for a, b in [(np.int64(4), -2), (3**40 + 1, np.uint8(7)), (True, 2**70 + 1)]:
+            err = [QuditPauliError(0, 0)] * 9
+            err[4] = QuditPauliError(a, b)
+            correction, failure = css_decode(code, err)
+            assert not failure
+            assert correction[4].a == int(a) % 3  # Z corrections agree up to a stabilizer
+
     @pytest.mark.parametrize("d", [*range(2, 61), 97, 128, 255, 1000, 1448])
     def test_tables_match_dict_reference(self, d):
         code = shor9_code(d)
@@ -824,6 +846,42 @@ def nonzero_cells(block: np.ndarray):
     return hits, block.reshape(-1)[hits]
 
 
+def sectors(code: CssCode):
+    """(checks, table, opposite logicals) of the X sector, then the Z sector."""
+    return (code.hz, code.x_table, code.logical_z), (code.hx, code.z_table, code.logical_x)
+
+
+def assert_matches_matmul_decoder(d, block, sector, triple):
+    """A _decode_sector triple for a dense (m, n) block against the matmul
+    decoder: the rows that hold a nonzero entry, each once, their table rows
+    and failures; every other row has table row 0 there and does not fail."""
+    held, found, bad = triple
+    want_row, want_bad = matmul_decode_sector(d, block, *sector)
+    assert held.dtype == found.dtype == np.int64 and bad.dtype == bool
+    assert np.array_equal(np.sort(held), np.flatnonzero(block.any(axis=1)))
+    assert np.array_equal(found, want_row[held]) and np.array_equal(bad, want_bad[held])
+    rest = np.ones(len(block), dtype=bool)
+    rest[held] = False
+    assert not want_row[rest].any() and not want_bad[rest].any()
+
+
+def simulated_block(monkeypatch, code, noise, rows, seed, wrap=lambda gen: gen):
+    """simulate_concatenated over one block of rows trials at seed, its
+    generator wrapped by wrap: the estimate, the generator and the two
+    sectors' cells the block decoder was given."""
+    gens, cells, make = [], [], channel_sim.make_generator
+    decode = concatenated._decode_block
+    monkeypatch.setattr(channel_sim, "make_generator",
+                        lambda *key: gens.append(wrap(make(*key))) or gens[-1])
+    monkeypatch.setattr(concatenated, "_decode_block",
+                        lambda code, *sector_cells: cells.append(sector_cells) or
+                        decode(code, *sector_cells))
+    est = simulate_concatenated(code, noise, rows, seed)
+    monkeypatch.undo()
+    assert len(gens) == len(cells) == 1
+    return est, gens, cells[0]
+
+
 class TestBlockDecoderOracle:
     @pytest.mark.parametrize("code", oracle_codes())
     def test_zero_error_is_row_zero(self, code):
@@ -851,24 +909,18 @@ class TestBlockDecoderOracle:
 
     @pytest.mark.parametrize("code", oracle_codes())
     def test_rows_and_failures_match_matmul_decoder(self, code):
-        # through the entry simulate_concatenated uses, with cells from flatnonzero
+        # through the entry simulate_concatenated uses, with cells from
+        # flatnonzero; an empty block gives empty triples
         rng = np.random.default_rng(code.d)
         a, b = mixed_block(code, rng), mixed_block(code, rng)
-        zero = np.zeros_like(a)
-        want_a, bad_a = matmul_decode_sector(code.d, a, code.hz, code.x_table, code.logical_z)
-        want_b, bad_b = matmul_decode_sector(code.d, b, code.hx, code.z_table, code.logical_x)
-        assert 0 < bad_a.sum() + bad_b.sum()
-        by_cells = partial(concatenated._decode_block, code)
-        for x, z, rows_x, rows_z, failed in [(a, zero, want_a, 0, bad_a),
-                                             (zero, b, 0, want_b, bad_b),
-                                             (a, b, want_a, want_b, bad_a | bad_b)]:
-            got_x, got_z, got_failed = by_cells(x, z, nonzero_cells(x), nonzero_cells(z))
-            assert got_x.dtype == got_z.dtype == np.int64
-            assert np.array_equal(got_x, np.broadcast_to(rows_x, len(x)))
-            assert np.array_equal(got_z, np.broadcast_to(rows_z, len(z)))
-            assert np.array_equal(got_failed, failed)
-        empty = by_cells(a[:0], b[:0], nonzero_cells(a[:0]), nonzero_cells(b[:0]))
-        assert [len(x) for x in empty] == [0, 0, 0]
+        got = concatenated._decode_block(code, nonzero_cells(a), nonzero_cells(b))
+        for x, sector, triple in zip((a, b), sectors(code), got):
+            assert_matches_matmul_decoder(code.d, x, sector, triple)
+        assert 0 < got[0][2].sum() + got[1][2].sum()
+        empty = concatenated._decode_block(code, nonzero_cells(a[:0]), nonzero_cells(b[:0]))
+        for triple in empty:
+            assert [len(x) for x in triple] == [0, 0, 0]
+            assert [x.dtype for x in triple] == [np.int64, np.int64, bool]
 
     @pytest.mark.parametrize("code", oracle_codes())
     def test_css_decode_matches_matmul_decoder(self, code):
@@ -889,9 +941,8 @@ class TestBlockDecoderOracle:
         # one d = 10 block: the syndromes searched are those of the rows
         # with two or more nonzero cells, in row order, X sector first
         code = shor9_code(10)
-        shifts = concatenated._nonzero_shifts(code.d, NoiseModel(0.05))
         rows = concatenated._BATCH_TRIALS // code.n
-        a, b, *cells = concatenated._draw(*shifts, make_generator(19), (rows, code.n))
+        a, b = sample_qudit_errors(code.d, NoiseModel(0.05), make_generator(19), (rows, code.n))
         needles, searchsorted = [], np.searchsorted
         tables = (code.x_table, code.z_table)
 
@@ -900,14 +951,14 @@ class TestBlockDecoderOracle:
                 needles.append(v.copy())
             return searchsorted(keys, v, *args, **kwargs)
         monkeypatch.setattr(np, "searchsorted", spy)
-        failed = concatenated._decode_block(code, a, b, *cells)[2]
+        got = concatenated._decode_block(code, nonzero_cells(a), nonzero_cells(b))
         monkeypatch.undo()
         want = [((x[(x != 0).sum(axis=1) >= 2] @ checks.T) % code.d) @ table[2]
                 for x, checks, table in zip((a, b), (code.hz, code.hx), tables)]
         assert 0.1 * rows < len(want[0]) < 0.2 * rows and 0.1 * rows < len(want[1]) < 0.2 * rows
         assert np.array_equal(np.concatenate(needles), np.concatenate(want))
-        assert np.array_equal(failed, concatenated._decode_block(
-            code, a, b, nonzero_cells(a), nonzero_cells(b))[2])
+        for x, sector, triple in zip((a, b), sectors(code), got):
+            assert_matches_matmul_decoder(code.d, x, sector, triple)
 
 
 def dict_tables(code: CssCode):
