@@ -92,15 +92,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _stream_threads(counts: list[int], block: int) -> int:
-    """Threads for streams of ``counts`` rows: one per stream, up to the
-    usable CPUs, when every stream holds a full block of ``block`` rows;
-    else one, since small blocks lose more to GIL switches than they gain."""
-    if min(counts) < block:
-        return 1
-    return min(len(counts), _usable_cpus())
-
-
 def _estimate(block_failures, seed: int, trials: int, workers: int,
               block: int) -> ErrorEstimate:
     """Failure probability with a 95% Wilson interval from the sum of
@@ -108,15 +99,18 @@ def _estimate(block_failures, seed: int, trials: int, workers: int,
     blocks of at most ``block`` rows of each worker stream: stream w draws
     partition_trials(trials, workers)[w] rows from make_generator(seed, w).
 
-    With t = _stream_threads(...) threads, thread i runs streams i, i + t,
-    ..., and the calling thread is thread 0. Once a stream raises, the
-    others stop at their next block, and the exception is re-raised here
-    after every thread has finished; no partial sum is returned.
+    Streams get one thread each, up to the usable CPUs, when every stream
+    holds a full block; else one thread runs them all, since small blocks
+    lose more to GIL switches than they gain. With t threads, thread i runs
+    streams i, i + t, ..., and the calling thread is thread 0. Once a stream
+    raises, the others stop at their next block, and the exception is
+    re-raised here after every thread has finished; no partial sum is
+    returned.
     """
     if trials < 1 or workers < 1:
         raise ValueError("trials and workers must be positive")
     counts = partition_trials(trials, workers)
-    threads = _stream_threads(counts, block)
+    threads = min(len(counts), _usable_cpus()) if min(counts) >= block else 1
     totals = [0] * threads
     errors = [None] * threads
 

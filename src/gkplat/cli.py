@@ -239,7 +239,7 @@ def _cmd_concat_sim(args) -> None:
 
 def _cmd_lattice_info(args) -> None:
     from .catalog import get as catalog_get
-    from .decoder import shortest_vector
+    from .decoder import packing_radius, shortest_vector
     from .symplectic_lattice import code_dimension, is_symplectically_integral
     entry = catalog_get(args.name)
     lat = entry.lattice
@@ -253,7 +253,7 @@ def _cmd_lattice_info(args) -> None:
         "dimension": dimension,
         "shortest_vector": vec,
         "shortest_sq": length_sq,
-        "packing_radius": math.sqrt(length_sq) / 2.0,  # packing_radius(lat), no second search
+        "packing_radius": packing_radius(lat),
         "symplectically_integral": integral,
         "symplectically_self_dual": integral and dimension == 1,
         "notes": entry.notes,

@@ -9,14 +9,15 @@ nonzero shifts as equally likely, the CSS rate and the best d
 (optimize_qudit_dimension, also importable from here). The Monte Carlo
 samples the true, peaked shift distribution on a nine-qudit block code,
 which stands in for the random CSS codes of the asymptotic argument and
-corrects every single-qudit error from tables CssCode derives from its
-check matrices.
+corrects every single-qudit error, the X and Z sectors of CssCode.sectors
+apart: _decode_sector reads one sector's checks, logicals and table.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,17 +36,22 @@ class QuditPauliError:
     b: int
 
 
+_Sector = namedtuple("_Sector", "checks opposite keys corrections weights pairing "
+                                "single_row single_failed")  # see CssCode._sector
+
+
 @dataclass(frozen=True, eq=False)
 class CssCode:
     """CSS code over Z_d whose decoder corrects single-qudit errors.
 
     ``hz`` rows are Z-type checks (they detect X errors), ``hx`` rows
     X-type checks (they detect Z errors); hx @ hz^T must vanish mod d, and
-    all four matrices share the block length n. The tables ``x_table`` and
-    ``z_table`` (see _syndrome_table) correct every single-qudit error when
-    errors that share a syndrome differ by a stabilizer, as in a distance-3
-    code, and store each single error's outcome. A d whose syndrome keys,
-    d**rows for the longer check matrix, overflow int64 is refused first.
+    all four matrices share the block length n. ``sectors`` holds the X
+    sector (hz, logical_z), then the Z sector (hx, logical_x); each table
+    (see _sector) corrects every single-qudit error when errors that share
+    a syndrome differ by a stabilizer, as in a distance-3 code, and stores
+    each single error's outcome. A d whose syndrome keys, d**rows for the
+    longer check matrix, overflow int64 is refused first.
     """
 
     d: int
@@ -53,8 +59,7 @@ class CssCode:
     hx: np.ndarray
     logical_x: np.ndarray
     logical_z: np.ndarray
-    x_table: tuple = field(init=False, repr=False)
-    z_table: tuple = field(init=False, repr=False)
+    sectors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.d
@@ -72,18 +77,19 @@ class CssCode:
             raise ValueError("logical X anticommutes with a Z check")
         if ((self.hx @ self.logical_z.T) % d).any():
             raise ValueError("logical Z anticommutes with an X check")
-        object.__setattr__(self, "x_table", self._syndrome_table(self.hz, self.logical_z))
-        object.__setattr__(self, "z_table", self._syndrome_table(self.hx, self.logical_x))
+        object.__setattr__(self, "sectors", (self._sector(self.hz, self.logical_z),
+                                             self._sector(self.hx, self.logical_x)))
 
     @property
     def n(self) -> int:
         return self.hz.shape[1]
 
-    def _syndrome_table(self, checks: np.ndarray, opposite_logical: np.ndarray):
-        """Sorted int64 syndrome keys (base-d digits of the syndrome), their
+    def _sector(self, checks: np.ndarray, opposite: np.ndarray) -> _Sector:
+        """The sector of these checks and opposite logicals, with its table:
+        sorted int64 syndrome keys (base-d digits of the syndrome), their
         correction rows, the digit weights, each correction's pairing with
-        the opposite logical operators mod d, and each single-qudit error's
-        table row and failure flag. The candidates are the zero error, then
+        the opposite logicals mod d, and each single-qudit error's table
+        row and failure flag. The candidates are the zero error, then
         every single-qudit error, position-major and value-minor; the first
         with a syndrome becomes its correction. A last key of int64 max,
         above every syndrome, with a zero row keeps searchsorted in range and
@@ -100,9 +106,9 @@ class CssCode:
         keys = np.append(keys, np.iinfo(np.int64).max)
         corrections = np.zeros((len(keys), n), dtype=np.int64)
         corrections[:-1] = errors[first]
-        pairing = (corrections @ opposite_logical.T) % d
-        failed = ((errors[1:] @ opposite_logical.T - pairing[row[1:]]) % d).any(axis=1)
-        return keys, corrections, weights, pairing, row[1:], failed
+        pairing = (corrections @ opposite.T) % d
+        failed = ((errors[1:] @ opposite.T - pairing[row[1:]]) % d).any(axis=1)
+        return _Sector(checks, opposite, keys, corrections, weights, pairing, row[1:], failed)
 
 
 def sample_qudit_errors(d: int, noise: NoiseModel, rng: np.random.Generator,
@@ -162,27 +168,28 @@ def shor9_code(d: int) -> CssCode:
     logical_z = np.array([[1, 0, 0, 1, 0, 0, 1, 0, 0]], dtype=np.int64)  # one site per block
 
     code = CssCode(d=d, hz=hz, hx=hx, logical_x=logical_x, logical_z=logical_z)
-    if len(code.x_table[0]) != 2 + 9 * (d - 1):  # the zero error, 9 (d - 1) singles, sentinel
+    if len(code.sectors[0].keys) != 2 + 9 * (d - 1):  # the zero error, 9 (d - 1) singles, sentinel
         raise AssertionError("colliding X syndromes for single errors")
     return code
 
 
 def css_decode(code: CssCode, error: list[QuditPauliError]) -> tuple[list[QuditPauliError], bool]:
     """Decode one block error; returns (correction, logical_failure), as a
-    batch of one through the decoder the simulation uses. In each sector,
-    a syndrome missing from the table fails with no correction; otherwise
-    the residual error fails if it pairs nontrivially with the opposite
-    logical operators mod d. A non-integer exponent raises TypeError."""
+    batch of one through the decoder the simulation uses, per sector. In
+    each, a syndrome missing from the table fails with no correction;
+    otherwise the residual error fails if it pairs nontrivially with the
+    sector's opposite logicals mod d. A non-integer exponent raises TypeError."""
     if len(error) != code.n:
         raise ValueError("error length must equal the block length")
     exponents = np.array([[operator.index(e.a) % code.d for e in error],
                           [operator.index(e.b) % code.d for e in error]], dtype=np.int64)
-    cells = [(hits, x[hits]) for x in exponents for hits in [np.flatnonzero(x)]]
-    sectors = _decode_block(code, *cells)
-    corr_a, corr_b = (table[1][found[0] if len(found) else 0]  # no cell: the zero error's row
-                      for table, (_, found, _) in zip((code.x_table, code.z_table), sectors))
-    correction = [QuditPauliError(int(x), int(y)) for x, y in zip(corr_a, corr_b)]
-    return correction, any(bool(bad.any()) for _, _, bad in sectors)
+    rows, failed = [], False
+    for sector, x in zip(code.sectors, exponents):
+        hits = np.flatnonzero(x)
+        _, found, bad = _decode_sector(code, sector, hits, x[hits])
+        rows.append(sector.corrections[found[0] if len(found) else 0])  # no cell: row 0
+        failed |= bool(bad.any())
+    return [QuditPauliError(int(x), int(y)) for x, y in zip(*rows)], failed
 
 
 _BATCH_TRIALS = 1 << 18  # sets which draws become X and Z shifts; changing it changes results
@@ -191,9 +198,10 @@ _BATCH_TRIALS = 1 << 18  # sets which draws become X and Z shifts; changing it c
 def simulate_concatenated(code: CssCode, noise: NoiseModel, trials: int, seed: int,
                           workers: int = 1) -> ErrorEstimate:
     """Monte Carlo logical-failure probability of a concatenated block:
-    each trial samples the N qudits' errors from one shift table and
-    decodes both sectors, in blocks of batch_cap trials run by the channel
-    simulator's estimator; deterministic for fixed (seed, trials, workers)."""
+    each trial samples the N qudits' errors from one shift table and fails
+    if either of code.sectors does, in blocks of batch_cap trials run by
+    the channel simulator's estimator; deterministic for fixed (seed,
+    trials, workers)."""
     batch_cap = max(1, _BATCH_TRIALS // max(1, code.n))
     shifts = _nonzero_shifts(code.d, noise)
 
@@ -203,28 +211,28 @@ def simulate_concatenated(code: CssCode, noise: NoiseModel, trials: int, seed: i
         cut = np.searchsorted(hits, half)
         hits[cut:] -= half
         failed = np.zeros(rows, dtype=bool)
-        for held, _, bad in _decode_block(code, (hits[:cut], values[:cut]),
-                                          (hits[cut:], values[cut:])):
+        for sector, part in zip(code.sectors, (slice(cut), slice(cut, None))):
+            held, _, bad = _decode_sector(code, sector, hits[part], values[part])
             failed[held[bad]] = True
         return int(np.count_nonzero(failed))
 
     return _estimate(block_failures, seed, trials, workers, batch_cap)
 
 
-def _decode_sector(d, n, hits, values, checks, table, opposite_logical):
-    """Syndrome decoding of one sector of a flat block of n-entry rows of
-    exponents in [0, d), from its nonzero cells at sorted flat indices hits:
-    the rows that hold cells (the one-cell rows, then the others, each in
-    order), their table rows and failure flags; no array has the block's
-    length. Any other row has table row 0 (key 0 sorts first: a zero
-    correction and pairing) and cannot fail. A one-cell row reads its
-    outcome from the table at position (d - 1) + value - 1; the rows of two
-    or more, gathered by channel_sim._cell_rows, are decoded in one pass.
-    Each syndrome digit, and each pairing of the residual errors -
-    correction with the opposite logicals, is a sum of coefficient times
-    column over one matrix row's nonzero entries, mod d. A missing syndrome
-    gets the last row (zero correction) and fails."""
-    keys, _, weights, pairing, single_row, single_failed = table
+def _decode_sector(code: CssCode, sector: _Sector, hits, values):
+    """Syndrome decoding of one sector of a flat block of code.n-entry rows
+    of exponents in [0, d), from its nonzero cells at sorted flat indices
+    hits: the rows that hold cells (the one-cell rows, then the others,
+    each in order), their rows of sector.corrections and failure flags; no
+    array has the block's length. Any other row has table row 0 (key 0
+    sorts first: a zero correction and pairing) and cannot fail. A one-cell
+    row reads its outcome from the table at position (d - 1) + value - 1;
+    the rows of two or more, gathered by channel_sim._cell_rows, are
+    decoded in one pass. Each syndrome digit, and each pairing of the
+    residual errors - correction with sector.opposite, is a sum of
+    coefficient times column over one matrix row's nonzero entries, mod d.
+    A missing syndrome gets the last row (zero correction) and fails."""
+    d, n = code.d, code.n
     rows = hits // n
     first = np.ones(len(rows) + 1, dtype=bool)  # cell i starts a row; the last True ends one
     np.not_equal(rows[1:], rows[:-1], out=first[1:-1])
@@ -235,30 +243,21 @@ def _decode_sector(d, n, hits, values, checks, table, opposite_logical):
     multi, nonzero = _cell_rows(hits, values, n, rows, alone)
     del rows, alone  # the pass below reuses their memory
     synd, digit = np.zeros((2, len(multi)), dtype=np.int64)
-    for check, weight in zip(checks, weights):
+    for check, weight in zip(sector.checks, sector.weights):
         _combine_columns(nonzero, check, digit)
         digit %= d
         digit *= weight
         synd += digit
-    found = np.searchsorted(keys, synd)
-    failed = keys[found] != synd
+    found = np.searchsorted(sector.keys, synd)
+    failed = sector.keys[found] != synd
     np.putmask(found, failed, -1)
-    for logical, paired in zip(opposite_logical, pairing.T):
+    for logical, paired in zip(sector.opposite, sector.pairing.T):
         residual = _combine_columns(nonzero, logical, digit)
         residual -= paired[found]
         residual %= d
         failed |= residual != 0
-    return (np.concatenate([lone, multi]), np.concatenate([single_row[outcome], found]),
-            np.concatenate([single_failed[outcome], failed]))
-
-
-def _decode_block(code: CssCode, cells_a, cells_b):
-    """Syndrome decoding of a block of code.n-qudit rows, sectors apart,
-    from each sector's nonzero cells (sorted flat indices, values): each
-    sector's _decode_sector triple, X first, whose table rows index
-    code.x_table[1] and code.z_table[1]. A row fails if either sector does."""
-    return (_decode_sector(code.d, code.n, *cells_a, code.hz, code.x_table, code.logical_z),
-            _decode_sector(code.d, code.n, *cells_b, code.hx, code.z_table, code.logical_x))
+    return (np.concatenate([lone, multi]), np.concatenate([sector.single_row[outcome], found]),
+            np.concatenate([sector.single_failed[outcome], failed]))
 
 
 def min_distance_comparison(rate: float, n_modes: int, noise: NoiseModel) -> tuple[float, float, float]:

@@ -398,20 +398,20 @@ def wilson_halfwidth(p_hat: float, trials: int, z: float = 1.959963984540054) ->
     return z * math.sqrt(p_hat * (1.0 - p_hat) / trials + zz / (4.0 * trials)) / (1.0 + zz)
 
 
-def matmul_decode_sector(d, errors, checks, table, opposite_logical):
-    """Table rows and failure mask of one sector for (m, n) exponents; a
-    missing syndrome gets the last row (zero correction) and fails. The
-    residual errors - correction pairs with the opposite logicals as
-    errors @ opposite_logical.T minus the row's stored pairing, mod d."""
-    keys, _, weights, pairing = table[:4]
-    synd = errors @ checks.T
+def matmul_decode_sector(d, errors, sector):
+    """Table rows and failure mask of one CssCode sector for (m, n)
+    exponents; a missing syndrome gets the last row (zero correction) and
+    fails. The residual errors - correction pairs with the opposite
+    logicals as errors @ sector.opposite.T minus the row's stored
+    pairing, mod d."""
+    synd = errors @ sector.checks.T
     synd %= d
-    synd = synd @ weights
-    row = np.searchsorted(keys, synd)
-    found = keys[row] == synd
+    synd = synd @ sector.weights
+    row = np.searchsorted(sector.keys, synd)
+    found = sector.keys[row] == synd
     row[~found] = -1
-    residual = errors @ opposite_logical.T
-    residual -= pairing[row]
+    residual = errors @ sector.opposite.T
+    residual -= sector.pairing[row]
     residual %= d
     return row, ~found | residual.any(axis=1)
 
@@ -473,19 +473,17 @@ def trellis_sector_failure_prob(code, pmf, sector: str) -> float:
     over those states.
     """
     d = code.d
-    checks, table, opposite = ((code.hz, code.x_table, code.logical_z) if sector == "X"
-                               else (code.hx, code.z_table, code.logical_x))
-    columns = np.concatenate([checks, opposite]) % d
+    sector = code.sectors["XZ".index(sector)]
+    columns = np.concatenate([sector.checks, sector.opposite]) % d
     axes = tuple(range(len(columns)))
     prob = np.zeros((d,) * len(columns))
     prob[(0,) * len(columns)] = 1.0
     for col in columns.T:
         prob = sum(pmf[v] * np.roll(prob, tuple(int(s) for s in v * col % d), axis=axes)
                    for v in range(d))
-    keys, _, weights, pairing = table[:4]
     success = 0.0
-    for key, paired in zip(keys[:-1].tolist(), pairing[:-1].tolist()):
-        success += prob[tuple(key // w % d for w in weights.tolist()) + tuple(paired)]
+    for key, paired in zip(sector.keys[:-1].tolist(), sector.pairing[:-1].tolist()):
+        success += prob[tuple(key // w % d for w in sector.weights.tolist()) + tuple(paired)]
     return 1.0 - success
 
 

@@ -480,13 +480,18 @@ class TestStreams:
             GQ2, lattice_noise(0.3), trials, 23, workers=2))
         assert built == 0
 
-    def test_thread_count(self, monkeypatch):
-        monkeypatch.setattr(channel_sim, "_usable_cpus", lambda: 4)
-        assert channel_sim._stream_threads([5, 5], 5) == 2
-        assert channel_sim._stream_threads([5] * 9, 5) == 4
-        assert channel_sim._stream_threads([5, 4], 5) == 1
-        monkeypatch.setattr(channel_sim, "_usable_cpus", lambda: 1)
-        assert channel_sim._stream_threads([5] * 9, 5) == 1
+    def test_thread_count(self, on_cpus):
+        # helper threads _estimate builds for blocks of 5 rows; the calling
+        # thread is the other one
+        for cpus, trials, workers, helpers in [
+                (4, 10, 2, 1),  # streams of [5, 5]: one thread each
+                (4, 45, 9, 3),  # [5] * 9: one thread per CPU
+                (4, 9, 2, 0),   # [5, 4]: a stream below one block keeps them all serial
+                (1, 45, 9, 0)]:
+            est, built = on_cpus(cpus, lambda: channel_sim._estimate(
+                lambda gen, rows: 0, 1, trials, workers, 5))
+            assert built == helpers
+            assert est.trials == trials and est.failures == 0
 
     def test_usable_cpus(self):
         assert 1 <= channel_sim._usable_cpus() <= (os.cpu_count() or 1)

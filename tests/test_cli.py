@@ -775,11 +775,18 @@ def _reject_constant(name):
 
 def assert_domain_outcome(command, capsys):
     """An exit of 0, 1 or 2 in bounded memory: one error line for 1, and
-    strict JSON, with no NaN or inf, for 0."""
+    for 0 strict JSON, or a CSV table whose cells below the header are
+    strict JSON scalars, with no NaN or inf."""
     code, out, err, peak = run_cli_peak(command, capsys)
     assert code in (0, 1, 2), (command, err)
     if code == 1:
         assert_one_error_line(code, out, err)
+    elif code == 0 and out.startswith("# manifest-sha256: "):
+        rows = out.splitlines()[2:]
+        assert rows
+        for row in rows:
+            for cell in row.split(","):
+                json.loads(cell, parse_constant=_reject_constant)
     elif code == 0:
         json.loads(out, parse_constant=_reject_constant)
     assert peak < 64 * 2**20
@@ -822,6 +829,49 @@ class TestDomain:
         values = {"--d": d, "--sigma-sq": repr(sigma_sq), "--hbar": repr(hbar),
                   "--seed": seed, "--trials": trials}
         assert_domain_outcome(["concat-sim"] + [f"{k}={v}" for k, v in values.items()], capsys)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lattice=st.sampled_from(["D4", "E8", "Zn:2", "Zn:12", "grid_qudit:2",
+                                    "grid_qudit:3"]),
+           criterion=st.sampled_from(["voronoi", "coset"]),
+           sigma_sq=st.one_of(st.sampled_from(_POSITIVE), st.sampled_from(_COORDINATES)),
+           hbar=st.one_of(st.sampled_from(_POSITIVE), st.sampled_from(_COORDINATES)),
+           seed=st.sampled_from(_INTEGERS), trials=st.sampled_from([1, 3, 100]))
+    @example(lattice="E8", criterion="coset", sigma_sq=1e308, hbar=5e-324, seed=2 ** 63,
+             trials=100)
+    @example(lattice="Zn:12", criterion="voronoi", sigma_sq=5e-324, hbar=1e308, seed=-1,
+             trials=100)
+    @example(lattice="grid_qudit:3", criterion="coset", sigma_sq=1.0, hbar=2.0 ** 53,
+             seed=10 ** 308, trials=100)
+    def test_simulate(self, capsys, lattice, criterion, sigma_sq, hbar, seed, trials):
+        # --trials stays small: 2**63 - 1 trials run, in bounded memory, without end
+        values = {"--lattice": lattice, "--criterion": criterion, "--sigma-sq": repr(sigma_sq),
+                  "--hbar": repr(hbar), "--seed": seed, "--trials": trials}
+        assert_domain_outcome(["simulate"] + [f"{k}={v}" for k, v in values.items()], capsys)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["rates", "concat-rates", "classical-rates"]),
+           start=st.one_of(st.sampled_from(_POSITIVE), st.sampled_from(_COORDINATES)),
+           stop=st.one_of(st.sampled_from(_POSITIVE), st.sampled_from(_COORDINATES)),
+           points=st.integers(1, 3),
+           hbar=st.one_of(st.sampled_from(_POSITIVE), st.sampled_from(_COORDINATES)),
+           d_max=st.one_of(st.none(), st.sampled_from([2, 3, 10]), st.sampled_from(_INTEGERS)))
+    @example(command="concat-rates", start=1e-154, stop=1e154, points=3, hbar=5e-324,
+             d_max=2 ** 53)
+    @example(command="classical-rates", start=5e-324, stop=1e200, points=3, hbar=1.0,
+             d_max=2 ** 53)
+    @example(command="rates", start=1e-308, stop=2.0 ** 63, points=3, hbar=1e308, d_max=None)
+    def test_rate_tables(self, capsys, command, start, stop, points, hbar, d_max):
+        flag = {"rates": "--sigma-sq-grid", "concat-rates": "--sigma-grid",
+                "classical-rates": "--snr-grid"}[command]
+        values = {flag: f"{start!r}:{stop!r}:{points}"}
+        if command != "classical-rates":
+            values["--hbar"] = repr(hbar)
+        if command != "rates" and d_max is not None:
+            values["--d-max"] = d_max
+        assert_domain_outcome([command] + [f"{k}={v}" for k, v in values.items()], capsys)
 
 
 class TestExitCodes:

@@ -493,8 +493,7 @@ class TestChannelSample:
             assert hits.dtype == values.dtype == np.int64
             assert np.array_equal(hits, np.flatnonzero(x))
             assert np.array_equal(values, x.reshape(-1)[hits])
-        bad = [matmul_decode_sector(d, x, *sector)[1]
-               for x, sector in zip(want, sectors(code))]
+        bad = [matmul_decode_sector(d, x, sector)[1] for x, sector in zip(want, code.sectors)]
         assert est.failures == (bad[0] | bad[1]).sum()
 
     def test_sector_cells_over_several_gap_draws(self, monkeypatch):
@@ -559,13 +558,13 @@ class TestChannelSample:
         cells = nonzero_cells(a), nonzero_cells(b)
         tracemalloc.start()
         try:
-            got = concatenated._decode_block(code, *cells)
+            got = decode_sectors(code, *cells)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
         assert ((a != 0).sum(axis=1) >= 2).mean() > 0.9
-        for x, sector, triple in zip((a, b), sectors(code), got):
+        for x, sector, triple in zip((a, b), code.sectors, got):
             assert_matches_matmul_decoder(code.d, x, sector, triple)
 
     def test_x_z_independent(self):
@@ -798,7 +797,8 @@ class TestShor9:
     @pytest.mark.parametrize("d", [*range(2, 61), 97, 128, 255, 1000, 1448])
     def test_tables_match_dict_reference(self, d):
         code = shor9_code(d)
-        for got, want in zip((code.x_table, code.z_table), dict_tables(code)):
+        for sector, want in zip(code.sectors, dict_tables(code)):
+            got = sector.keys, sector.corrections, sector.weights, sector.pairing
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert np.array_equal(g, w)
@@ -846,9 +846,11 @@ def nonzero_cells(block: np.ndarray):
     return hits, block.reshape(-1)[hits]
 
 
-def sectors(code: CssCode):
-    """(checks, table, opposite logicals) of the X sector, then the Z sector."""
-    return (code.hz, code.x_table, code.logical_z), (code.hx, code.z_table, code.logical_x)
+def decode_sectors(code: CssCode, *cells):
+    """The _decode_sector triple of each of code.sectors, X first, from
+    that sector's nonzero cells (sorted flat indices, values)."""
+    return [concatenated._decode_sector(code, sector, *sector_cells)
+            for sector, sector_cells in zip(code.sectors, cells)]
 
 
 def assert_matches_matmul_decoder(d, block, sector, triple):
@@ -856,7 +858,7 @@ def assert_matches_matmul_decoder(d, block, sector, triple):
     decoder: the rows that hold a nonzero entry, each once, their table rows
     and failures; every other row has table row 0 there and does not fail."""
     held, found, bad = triple
-    want_row, want_bad = matmul_decode_sector(d, block, *sector)
+    want_row, want_bad = matmul_decode_sector(d, block, sector)
     assert held.dtype == found.dtype == np.int64 and bad.dtype == bool
     assert np.array_equal(np.sort(held), np.flatnonzero(block.any(axis=1)))
     assert np.array_equal(found, want_row[held]) and np.array_equal(bad, want_bad[held])
@@ -867,28 +869,36 @@ def assert_matches_matmul_decoder(d, block, sector, triple):
 
 def simulated_block(monkeypatch, code, noise, rows, seed, wrap=lambda gen: gen):
     """simulate_concatenated over one block of rows trials at seed, its
-    generator wrapped by wrap: the estimate, the generator and the two
-    sectors' cells the block decoder was given."""
+    generator wrapped by wrap: the estimate, the generator and the cells
+    the sector decoder was given for each of code.sectors."""
     gens, cells, make = [], [], channel_sim.make_generator
-    decode = concatenated._decode_block
+    decode = concatenated._decode_sector
     monkeypatch.setattr(channel_sim, "make_generator",
                         lambda *key: gens.append(wrap(make(*key))) or gens[-1])
-    monkeypatch.setattr(concatenated, "_decode_block",
-                        lambda code, *sector_cells: cells.append(sector_cells) or
-                        decode(code, *sector_cells))
+    monkeypatch.setattr(concatenated, "_decode_sector",
+                        lambda code, sector, *sector_cells: cells.append(sector_cells) or
+                        decode(code, sector, *sector_cells))
     est = simulate_concatenated(code, noise, rows, seed)
     monkeypatch.undo()
-    assert len(gens) == len(cells) == 1
-    return est, gens, cells[0]
+    assert len(gens) == 1 and len(cells) == 2
+    return est, gens, cells
 
 
 class TestBlockDecoderOracle:
     @pytest.mark.parametrize("code", oracle_codes())
+    def test_sectors_are_x_then_z(self, code):
+        # the X sector decodes q shifts with the Z-type checks, the Z sector p
+        # shifts with the X-type checks, each against the opposite logicals
+        x_sector, z_sector = code.sectors
+        assert x_sector.checks is code.hz and x_sector.opposite is code.logical_z
+        assert z_sector.checks is code.hx and z_sector.opposite is code.logical_x
+
+    @pytest.mark.parametrize("code", oracle_codes())
     def test_zero_error_is_row_zero(self, code):
         # why an all-zero row may skip decoding: it keeps row 0 and never fails
-        for keys, corrections, _, pairing, *_ in (code.x_table, code.z_table):
-            assert keys[0] == 0
-            assert not corrections[0].any() and not pairing[0].any()
+        for sector in code.sectors:
+            assert sector.keys[0] == 0
+            assert not sector.corrections[0].any() and not sector.pairing[0].any()
 
     @pytest.mark.parametrize("code", oracle_codes())
     def test_single_error_outcomes_match_matmul_decoder(self, code):
@@ -899,11 +909,11 @@ class TestBlockDecoderOracle:
         errors = np.zeros((len(single), n), dtype=np.int64)
         errors[single, single // (d - 1)] = single % (d - 1) + 1
         failing = 0
-        for checks, table, opposite in ((code.hz, code.x_table, code.logical_z),
-                                        (code.hx, code.z_table, code.logical_x)):
-            row, failed = matmul_decode_sector(d, errors, checks, table, opposite)
-            assert table[4].dtype == np.int64 and table[5].dtype == bool
-            assert np.array_equal(table[4], row) and np.array_equal(table[5], failed)
+        for sector in code.sectors:
+            row, failed = matmul_decode_sector(d, errors, sector)
+            assert sector.single_row.dtype == np.int64 and sector.single_failed.dtype == bool
+            assert np.array_equal(sector.single_row, row)
+            assert np.array_equal(sector.single_failed, failed)
             failing += failed.sum()
         assert (failing == 0) == (code.hz.shape == (6, 9))
 
@@ -913,11 +923,11 @@ class TestBlockDecoderOracle:
         # flatnonzero; an empty block gives empty triples
         rng = np.random.default_rng(code.d)
         a, b = mixed_block(code, rng), mixed_block(code, rng)
-        got = concatenated._decode_block(code, nonzero_cells(a), nonzero_cells(b))
-        for x, sector, triple in zip((a, b), sectors(code), got):
+        got = decode_sectors(code, nonzero_cells(a), nonzero_cells(b))
+        for x, sector, triple in zip((a, b), code.sectors, got):
             assert_matches_matmul_decoder(code.d, x, sector, triple)
         assert 0 < got[0][2].sum() + got[1][2].sum()
-        empty = concatenated._decode_block(code, nonzero_cells(a[:0]), nonzero_cells(b[:0]))
+        empty = decode_sectors(code, nonzero_cells(a[:0]), nonzero_cells(b[:0]))
         for triple in empty:
             assert [len(x) for x in triple] == [0, 0, 0]
             assert [x.dtype for x in triple] == [np.int64, np.int64, bool]
@@ -927,15 +937,17 @@ class TestBlockDecoderOracle:
         # one block error at a time, both sectors at once, cells built inside
         rng = np.random.default_rng(code.d + 1)
         a, b = mixed_block(code, rng, 300), mixed_block(code, rng, 300)
-        want_a, bad_a = matmul_decode_sector(code.d, a, code.hz, code.x_table, code.logical_z)
-        want_b, bad_b = matmul_decode_sector(code.d, b, code.hx, code.z_table, code.logical_x)
+        x_sector, z_sector = code.sectors
+        want_a, bad_a = matmul_decode_sector(code.d, a, x_sector)
+        want_b, bad_b = matmul_decode_sector(code.d, b, z_sector)
         assert 0 < (bad_a | bad_b).sum()
         for i in range(len(a)):
             correction, failed = css_decode(code, [QuditPauliError(int(x), int(z))
                                                    for x, z in zip(a[i], b[i])])
             assert failed == bad_a[i] | bad_b[i]
             assert [(e.a, e.b) for e in correction] == list(zip(
-                code.x_table[1][want_a[i]].tolist(), code.z_table[1][want_b[i]].tolist()))
+                x_sector.corrections[want_a[i]].tolist(),
+                z_sector.corrections[want_b[i]].tolist()))
 
     def test_only_multi_cell_rows_reach_searchsorted(self, monkeypatch):
         # one d = 10 block: the syndromes searched are those of the rows
@@ -944,20 +956,19 @@ class TestBlockDecoderOracle:
         rows = concatenated._BATCH_TRIALS // code.n
         a, b = sample_qudit_errors(code.d, NoiseModel(0.05), make_generator(19), (rows, code.n))
         needles, searchsorted = [], np.searchsorted
-        tables = (code.x_table, code.z_table)
 
         def spy(keys, v, *args, **kwargs):
-            if any(keys is table[0] for table in tables):
+            if any(keys is sector.keys for sector in code.sectors):
                 needles.append(v.copy())
             return searchsorted(keys, v, *args, **kwargs)
         monkeypatch.setattr(np, "searchsorted", spy)
-        got = concatenated._decode_block(code, nonzero_cells(a), nonzero_cells(b))
+        got = decode_sectors(code, nonzero_cells(a), nonzero_cells(b))
         monkeypatch.undo()
-        want = [((x[(x != 0).sum(axis=1) >= 2] @ checks.T) % code.d) @ table[2]
-                for x, checks, table in zip((a, b), (code.hz, code.hx), tables)]
+        want = [((x[(x != 0).sum(axis=1) >= 2] @ sector.checks.T) % code.d) @ sector.weights
+                for x, sector in zip((a, b), code.sectors)]
         assert 0.1 * rows < len(want[0]) < 0.2 * rows and 0.1 * rows < len(want[1]) < 0.2 * rows
         assert np.array_equal(np.concatenate(needles), np.concatenate(want))
-        for x, sector, triple in zip((a, b), sectors(code), got):
+        for x, sector, triple in zip((a, b), code.sectors, got):
             assert_matches_matmul_decoder(code.d, x, sector, triple)
 
 
@@ -1055,9 +1066,7 @@ def enumerated_sector_failure_prob(code: CssCode, pmf: np.ndarray, sector: str) 
     d**n error patterns, decoded at once by the dense matmul decoder and
     weighted by its iid per-qudit probabilities."""
     patterns = np.array(list(itertools.product(range(code.d), repeat=code.n)), dtype=np.int64)
-    checks, table, opposite = ((code.hz, code.x_table, code.logical_z) if sector == "X"
-                               else (code.hx, code.z_table, code.logical_x))
-    failed = matmul_decode_sector(code.d, patterns, checks, table, opposite)[1]
+    failed = matmul_decode_sector(code.d, patterns, code.sectors["XZ".index(sector)])[1]
     return float(np.prod(pmf[patterns[failed]], axis=1).sum())
 
 

@@ -1,11 +1,13 @@
 """The package namespace lists exactly the names the demos import, every
-name the benchmark imports from gkplat exists, every public name of the
-package has a caller outside the tests, and each demo prints the bytes
-pinned here."""
+name the benchmark imports from gkplat exists and takes the arguments the
+benchmark passes, every public name of the package has a caller outside
+the tests, and each demo prints the bytes pinned here."""
 
 import ast
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import pathlib
 import runpy
@@ -72,6 +74,49 @@ def test_bench_imports_resolve():
             exec(compile(ast.Module(body=[node], type_ignores=[]), "<bench>", "exec"), {})
         except ImportError as exc:
             failed.append(f"{ast.unparse(node)}: {exc}")
+    assert failed == []
+
+
+def _bench_gkplat_calls() -> list:
+    """(where, module, name, positional argument nodes, keyword names,
+    through timed) of each call in bench/*.py of a name imported from
+    gkplat: called directly, or passed as fn to bench's
+    timed(tracer, label, fn, *args)."""
+    calls = []
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name: (node.module, alias.name)
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("gkplat") for alias in node.names}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            func, args = node.func, node.args
+            through_timed = func.id == "timed" and len(args) >= 3
+            if through_timed:
+                func, args = args[2], args[3:]
+            if isinstance(func, ast.Name) and func.id in imported:
+                where = f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                calls.append((where, *imported[func.id], args,
+                              [kw.arg for kw in node.keywords], through_timed))
+    return calls
+
+
+def test_bench_call_shapes_bind():
+    # a parameter removed, renamed or reordered past a positional argument
+    # the benchmark passes fails here rather than in a benchmark run
+    calls = _bench_gkplat_calls()
+    assert any(through_timed for *_, through_timed in calls)
+    failed = []
+    for where, module, name, args, keywords, _ in calls:
+        if any(isinstance(arg, ast.Starred) for arg in args) or None in keywords:
+            failed.append(f"{where}: * or ** arguments, whose count is not checked")
+            continue
+        fn = getattr(importlib.import_module(module), name)
+        try:
+            inspect.signature(fn).bind(*[None] * len(args), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            failed.append(f"{where}: {exc}")
     assert failed == []
 
 
